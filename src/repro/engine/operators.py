@@ -405,7 +405,6 @@ class MergeJoinOp(Operator):
             sharded = ShardedMergeJoin(
                 ctx.sharded, ctx.buffer_pages, ctx.stats,
                 metrics=ctx.metrics, tracer=ctx.tracer, guard=ctx.guard,
-                kernel=ctx.kernel,
             )
             pairs = sharded.run(
                 left_heap, self.left_attr, right_heap, self.right_attr, pair_degree
@@ -431,7 +430,6 @@ class MergeJoinOp(Operator):
             parallel = PartitionedMergeJoin(
                 ctx.disk, ctx.buffer_pages, ctx.stats, workers,
                 metrics=ctx.metrics, tracer=ctx.tracer, guard=ctx.guard,
-                kernel=ctx.kernel,
             )
             pairs = parallel.run(
                 left_heap, self.left_attr, right_heap, self.right_attr, pair_degree
@@ -448,7 +446,7 @@ class MergeJoinOp(Operator):
 
         join = MergeJoin(
             ctx.disk, ctx.buffer_pages, ctx.stats,
-            metrics=ctx.metrics, tracer=ctx.tracer, kernel=ctx.kernel,
+            metrics=ctx.metrics, tracer=ctx.tracer,
         )
         yielded = False
         try:

@@ -16,6 +16,16 @@ Binary operators admit closed forms:
 * ``<=`` — ``sup_x min(mu_U(x), sup_{y>=x} mu_V(y))``, computed with the
   nonincreasing right envelope of ``mu_V``;
 * ``!=`` — degenerates to 1 unless one side is (effectively) a single point.
+
+For the shapes every stored numeric value has — :class:`CrispNumber` and
+:class:`TrapezoidalNumber` — those closed forms are four functions over
+raw ``(a, b, c, d)`` abscissae (:func:`eq_degree`, :func:`le_degree`,
+:func:`lt_degree`, :func:`ne_degree`); they are the only implementation
+of the trapezoid-family comparators in the code base, shared by
+:func:`possibility`, :class:`ComparisonKernel` and the column kernels of
+:mod:`repro.columnar.kernel`.  Every other shape takes the general path
+(points, discrete sets, :class:`~repro.fuzzy.membership.PiecewiseLinear`
+sup-min), which the tests also use as the closed forms' oracle.
 """
 
 from __future__ import annotations
@@ -88,6 +98,19 @@ def possibility(left: Distribution, op: Op, right: Distribution) -> float:
     operator except ``!=`` (they can never be equal, hence are certainly
     unequal at degree ``min(height, height)``).
     """
+    degree = closed_form(left, op, right)
+    if degree is not None:
+        return degree
+    return _general_possibility(left, op, right)
+
+
+def _general_possibility(left: Distribution, op: Op, right: Distribution) -> float:
+    """:func:`possibility` for any pair of shapes, never using the closed forms.
+
+    The path for discrete and label operands and for new continuous
+    shapes (through ``as_piecewise``), and the reference the closed forms
+    are tested against.
+    """
     if op is Op.SIMILAR:
         raise ValueError("similarity comparisons need a tolerance; use similar()")
     if left.is_numeric != right.is_numeric:
@@ -126,7 +149,110 @@ def intervals_intersect(left: Distribution, right: Distribution) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Equality
+# Closed forms for the crisp/trapezoid family
+# ----------------------------------------------------------------------
+# Operands are raw abscissae ``a <= b <= c <= d`` (support ``[a, d]``, core
+# ``[b, c]``); a crisp number ``v`` is the degenerate ``(v, v, v, v)``, so
+# object callers and column callers share the functions without building
+# anything.
+
+def _ramp_crossing(c, d, a, b) -> float:
+    """Height at which the falling ramp ``c -> d`` meets the rising ramp ``a -> b``.
+
+    Requires ``c < b`` (the flat tops do not meet).  0.0 when the ramps
+    do not overlap (``d <= a``); the quotient is below 1 in exact
+    arithmetic, and the clamp keeps three roundings from lifting it past.
+    """
+    if d <= a:
+        return 0.0
+    height = (d - a) / ((d - c) + (b - a))
+    return height if height < 1.0 else 1.0
+
+
+def eq_degree(a1, b1, c1, d1, a2, b2, c2, d2) -> float:
+    """``Poss(X = Y)``: the height at which the two membership curves cross.
+
+    1.0 when the cores share a point, 0.0 when the supports are disjoint,
+    else ``(d1 - a2) / ((d1 - c1) + (b2 - a2))`` with X the operand whose
+    core lies to the left.  Against a point this is the trapezoid
+    membership formula, term for term.  Which operand plays X is decided
+    by the data, not by the argument order, so the degree is bit-for-bit
+    symmetric.
+    """
+    if c1 < b2:
+        return _ramp_crossing(c1, d1, a2, b2)
+    if c2 < b1:
+        return _ramp_crossing(c2, d2, a1, b1)
+    return 1.0
+
+
+def le_degree(a1, b1, c1, d1, a2, b2, c2, d2) -> float:
+    """``Poss(X <= Y)``: X's rising ramp against Y's falling ramp.
+
+    1.0 when X's core begins no later than Y's core ends, 0.0 when X's
+    support begins at or after the end of Y's, else
+    ``(d2 - a1) / ((b1 - a1) + (d2 - c2))``.
+    """
+    if b1 <= c2:
+        return 1.0
+    return _ramp_crossing(c2, d2, a1, b1)
+
+
+def lt_degree(a1, b1, c1, d1, a2, b2, c2, d2) -> float:
+    """``Poss(X < Y)``; differs from :func:`le_degree` only at a point.
+
+    Two continuous operands follow closure semantics (the fuzzy-database
+    convention), so strictness only bites when a point meets a vertical
+    edge exactly: ``sup_{x < v} mu(x)`` is then 0, not 1.
+    """
+    if b1 == c2 and a1 == b1 and c2 == d2 and (a1 == d1 or a2 == d2):
+        return 0.0
+    return le_degree(a1, b1, c1, d1, a2, b2, c2, d2)
+
+
+def ne_degree(a1, b1, c1, d1, a2, b2, c2, d2) -> float:
+    """``Poss(X != Y)``: 1.0 unless both operands are the same point."""
+    return 0.0 if a1 == d1 == a2 == d2 else 1.0
+
+
+def closed_form(left, op: Op, right) -> Optional[float]:
+    """``d(left op right)`` for two crisp/trapezoid operands, else None.
+
+    Dispatches on the exact type (a subclass may override ``membership``,
+    so it takes the general path) and unpacks in place: this runs once
+    per examined pair of every join.
+    """
+    kind = type(left)
+    if kind is TrapezoidalNumber:
+        a1, b1, c1, d1 = left.a, left.b, left.c, left.d
+    elif kind is CrispNumber:
+        a1 = b1 = c1 = d1 = left.value
+    else:
+        return None
+    kind = type(right)
+    if kind is TrapezoidalNumber:
+        a2, b2, c2, d2 = right.a, right.b, right.c, right.d
+    elif kind is CrispNumber:
+        a2 = b2 = c2 = d2 = right.value
+    else:
+        return None
+    if op is Op.EQ:
+        return eq_degree(a1, b1, c1, d1, a2, b2, c2, d2)
+    if op is Op.LE:
+        return le_degree(a1, b1, c1, d1, a2, b2, c2, d2)
+    if op is Op.LT:
+        return lt_degree(a1, b1, c1, d1, a2, b2, c2, d2)
+    if op is Op.GE:
+        return le_degree(a2, b2, c2, d2, a1, b1, c1, d1)
+    if op is Op.GT:
+        return lt_degree(a2, b2, c2, d2, a1, b1, c1, d1)
+    if op is Op.NE:
+        return ne_degree(a1, b1, c1, d1, a2, b2, c2, d2)
+    return None
+
+
+# ----------------------------------------------------------------------
+# Equality (general path)
 # ----------------------------------------------------------------------
 
 def _equality(left: Distribution, right: Distribution) -> float:
@@ -344,59 +470,25 @@ def _label_items(dist: Distribution):
 
 
 # ----------------------------------------------------------------------
-# Batched comparison-degree kernel
+# Memoized comparison-degree kernel
 # ----------------------------------------------------------------------
 
-def _as_columns(values: Sequence[Distribution]):
-    """``(a, b, e, d, kinds)`` parallel columns, or None for other shapes.
-
-    Only crisp numbers and trapezoids lower to the column form the
-    vectorized kernel understands; any other distribution in the block
-    vetoes vectorization (the scalar path handles it instead).
-    """
-    from ..columnar.pages import KIND_POINT, KIND_TRAPEZOID
-
-    col_a: List[float] = []
-    col_b: List[float] = []
-    col_e: List[float] = []
-    col_d: List[float] = []
-    kinds: List[int] = []
-    for value in values:
-        if isinstance(value, CrispNumber):
-            v = value.value
-            col_a.append(v)
-            col_b.append(v)
-            col_e.append(v)
-            col_d.append(v)
-            kinds.append(KIND_POINT)
-        elif isinstance(value, TrapezoidalNumber):
-            col_a.append(value.a)
-            col_b.append(value.b)
-            col_e.append(value.c)
-            col_d.append(value.d)
-            kinds.append(KIND_POINT if value.a == value.d else KIND_TRAPEZOID)
-        else:
-            return None
-    return col_a, col_b, col_e, col_d, kinds
-
-
 class ComparisonKernel:
-    """Batched, memoized evaluation of ``d(probe op candidate)``.
+    """Evaluation of ``d(left op right)`` with a memo for small vocabularies.
 
-    The merge-join inner loop evaluates one probe value against every
-    candidate resident in the sliding window; the associative-array view of
-    fuzzy relations shows that this is a *block* operation, not ``k``
-    independent ones.  :meth:`batch` evaluates one probe distribution
-    against a block of candidates in a single call and stores every degree
-    in a bounded LRU memo keyed on ``(probe.key(), op, candidate.key())``,
-    so repeated pairs — ubiquitous when attribute values are drawn from a
-    small vocabulary of linguistic terms — are computed once per query.
+    Crisp numbers and trapezoids go straight to the closed forms
+    (:func:`closed_form`): their arithmetic is cheaper than building a
+    memo key, so such pairs never take the lock or enter the memo, and
+    :attr:`hits` / :attr:`misses` do not move.  Every other pair —
+    discrete distributions and labels, where attribute values are drawn
+    from a small vocabulary of linguistic terms and the general path is
+    the expensive one — is looked up in a bounded LRU memo keyed on
+    ``(left.key(), op, right.key())`` and computed once per query.
 
     The kernel is thread-safe (a single lock guards the memo) so one
     instance can be shared by all partition workers of a parallel join.
-    Memo hits deliberately do **not** change the ``fuzzy_evaluations``
-    accounting done by callers: the counters measure logical work, keeping
-    EXPLAIN ANALYZE output bit-identical with and without the kernel.
+    It charges nothing: callers keep their own ``fuzzy_evaluations``
+    accounting, so EXPLAIN ANALYZE output is the same with and without it.
     """
 
     __slots__ = ("capacity", "_memo", "_lock", "hits", "misses")
@@ -404,9 +496,8 @@ class ComparisonKernel:
     def __init__(self, capacity: int = 4096):
         if capacity < 0:
             raise ValueError("kernel capacity must be non-negative")
-        #: Memo bound; 0 disables memoization entirely (every call is a
-        #: miss), which the boundary tests use to pin the memo-off
-        #: behaviour of the batched paths.
+        #: Memo bound; 0 disables memoization entirely (every memoizable
+        #: call is a miss).
         self.capacity = capacity
         self._memo: "OrderedDict[Tuple, float]" = OrderedDict()
         self._lock = threading.Lock()
@@ -414,7 +505,10 @@ class ComparisonKernel:
         self.misses = 0
 
     def possibility(self, left: Distribution, op: Op, right: Distribution) -> float:
-        """Memoized ``possibility(left, op, right)``."""
+        """``possibility(left, op, right)``, memoized outside the closed forms."""
+        degree = closed_form(left, op, right)
+        if degree is not None:
+            return degree
         key = (left.key(), op, right.key())
         with self._lock:
             cached = self._memo.get(key)
@@ -422,70 +516,15 @@ class ComparisonKernel:
                 self._memo.move_to_end(key)
                 self.hits += 1
                 return cached
-        degree = possibility(left, op, right)
+        degree = _general_possibility(left, op, right)
         self._store(key, degree)
         return degree
 
     def batch(
         self, probe: Distribution, op: Op, candidates: Sequence[Distribution]
     ) -> List[float]:
-        """Degrees of one probe against a block of candidates, priming the memo.
-
-        Equivalent to ``[possibility(probe, op, c) for c in candidates]``
-        but resolves the probe's key once and fills the memo in a single
-        pass, which is what both join paths call per window scan.  Memo
-        misses for an equality over purely crisp/trapezoidal operands are
-        computed by the vectorized column kernel
-        (:func:`repro.columnar.kernel.batch_eq_possibility`) in one sweep
-        — bit-identical to the scalar library by that kernel's contract —
-        instead of ``k`` dispatches through :func:`possibility`.
-        """
-        probe_key = probe.key()
-        degrees: List[Optional[float]] = [None] * len(candidates)
-        missing: List[int] = []
-        for i, candidate in enumerate(candidates):
-            key = (probe_key, op, candidate.key())
-            with self._lock:
-                cached = self._memo.get(key)
-                if cached is not None:
-                    self._memo.move_to_end(key)
-                    self.hits += 1
-                    degrees[i] = cached
-                    continue
-            missing.append(i)
-        if missing:
-            computed = self._compute_block(probe, op, [candidates[i] for i in missing])
-            for i, degree in zip(missing, computed):
-                self._store((probe_key, op, candidates[i].key()), degree)
-                degrees[i] = degree
-        return degrees
-
-    def _compute_block(
-        self, probe: Distribution, op: Op, block: Sequence[Distribution]
-    ) -> List[float]:
-        """Degrees for the memo misses — vectorized when the shapes allow."""
-        vectorized = op in (Op.EQ, Op.LT, Op.LE, Op.GT, Op.GE)
-        columns = _as_columns(block) if vectorized else None
-        if columns is not None and _as_columns([probe]) is not None:
-            from ..columnar.kernel import (
-                batch_eq_possibility,
-                batch_le_possibility,
-                batch_lt_possibility,
-            )
-
-            if op is Op.EQ:
-                return batch_eq_possibility(probe, *columns, probe_on_left=True)
-            # The scalar library evaluates GT/GE as flipped LT/LE, so the
-            # orientation flag encodes the operator pair: probe-left LT is
-            # "probe < value_i", probe-left GT is "value_i < probe".
-            if op in (Op.LT, Op.GT):
-                return batch_lt_possibility(
-                    probe, *columns, probe_on_left=(op is Op.LT)
-                )
-            return batch_le_possibility(
-                probe, *columns, probe_on_left=(op is Op.LE)
-            )
-        return [possibility(probe, op, candidate) for candidate in block]
+        """``[possibility(probe, op, c) for c in candidates]`` through the kernel."""
+        return [self.possibility(probe, op, candidate) for candidate in candidates]
 
     def _store(self, key: Tuple, degree: float) -> None:
         with self._lock:

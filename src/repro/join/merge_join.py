@@ -26,7 +26,6 @@ from collections import deque
 from typing import Callable, Iterator, Tuple, TypeVar
 
 from ..data.tuples import FuzzyTuple
-from ..fuzzy.compare import ComparisonKernel, Op
 from ..fuzzy.interval_order import sort_key
 from ..sort.external import ExternalSorter
 from ..storage.disk import SimulatedDisk
@@ -68,7 +67,6 @@ class MergeJoin:
         indicator: bool = False,
         metrics=None,
         tracer=None,
-        kernel: "ComparisonKernel" = None,
     ):
         """``indicator=True`` enables the equality-indicator optimization
         in the spirit of Zhang & Wang (TKDE 2000), which the paper cites as
@@ -78,23 +76,13 @@ class MergeJoin:
         test instead of a full fuzzy-library evaluation.  This is safe for
         every fold in this codebase because a dangling pair's degree is
         the fold's neutral element (0 for joins, ``mu_R(r)`` for the
-        grouped anti-joins).
-
-        ``kernel`` attaches a :class:`~repro.fuzzy.compare.ComparisonKernel`:
-        each window scan primes the kernel's memo with one *batched*
-        equality evaluation of the probe value against the resident block,
-        so a pair degree built over the same kernel hits the memo instead
-        of recomputing.  Counters are unaffected (the kernel charges
-        nothing; predicate evaluation keeps its own accounting), so
-        kernel-on and kernel-off runs are bit-identical in both answers
-        and EXPLAIN ANALYZE output."""
+        grouped anti-joins)."""
         self.disk = disk
         self.buffer_pages = buffer_pages
         self.stats = stats
         self.indicator = indicator
         self.metrics = metrics
         self.tracer = tracer
-        self.kernel = kernel
 
     # ------------------------------------------------------------------
     # High-level API
@@ -203,40 +191,15 @@ class MergeJoin:
 
                 # Examine resident window tuples beginning at or before e(r.X).
                 scan_done = False
-                if self.kernel is not None:
-                    # Batched path: collect the resident block first (same
-                    # crisp accounting as the per-entry scan), evaluate the
-                    # probe against the whole block in one kernel call to
-                    # prime the memo, then fold — the pair degree's own
-                    # evaluations resolve to memo hits.
-                    block = []
-                    for entry in window:
-                        self.stats.count_crisp()
-                        if entry.b > re_:
-                            scan_done = True
-                            break
-                        if self.indicator and entry.e < rb:
-                            self.stats.count_crisp()  # the indicator test
-                            continue  # dangling: provably non-intersecting
-                        block.append(entry)
-                    if block:
-                        self.kernel.batch(
-                            r[r_index], Op.EQ, [e.tuple[s_index] for e in block]
-                        )
-                    for entry in block:
-                        state = step(
-                            state, entry.tuple, pair_degree(r, entry.tuple, self.stats)
-                        )
-                else:
-                    for entry in window:
-                        self.stats.count_crisp()
-                        if entry.b > re_:
-                            scan_done = True
-                            break
-                        if self.indicator and entry.e < rb:
-                            self.stats.count_crisp()  # the indicator test
-                            continue  # dangling: provably non-intersecting
-                        state = step(state, entry.tuple, pair_degree(r, entry.tuple, self.stats))
+                for entry in window:
+                    self.stats.count_crisp()
+                    if entry.b > re_:
+                        scan_done = True
+                        break
+                    if self.indicator and entry.e < rb:
+                        self.stats.count_crisp()  # the indicator test
+                        continue  # dangling: provably non-intersecting
+                    state = step(state, entry.tuple, pair_degree(r, entry.tuple, self.stats))
 
                 # Extend the window from the S stream until past e(r.X).
                 while not scan_done and not exhausted:

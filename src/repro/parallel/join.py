@@ -44,7 +44,6 @@ from typing import List, Optional, Tuple
 
 from ..data.tuples import FuzzyTuple
 from ..errors import DiskFullError
-from ..fuzzy.compare import ComparisonKernel
 from ..fuzzy.interval_order import sort_key
 from ..join.merge_join import MergeJoin, WindowOverflowError
 from ..join.predicates import PairDegree
@@ -139,7 +138,6 @@ class PartitionedMergeJoin:
         tracer=None,
         guard: Optional[QueryGuard] = None,
         cancel: Optional[CancelToken] = None,
-        kernel: Optional[ComparisonKernel] = None,
         skew_limit: float = 0.8,
         sample_seed: int = 0,
         partitioner: Optional[RangePartitioner] = None,
@@ -152,7 +150,6 @@ class PartitionedMergeJoin:
         self.tracer = tracer
         self.guard = guard
         self.cancel = cancel
-        self.kernel = kernel
         self.skew_limit = skew_limit
         self.sample_seed = sample_seed
         #: An explicit partitioner overrides boundary sampling — the
@@ -288,10 +285,7 @@ class PartitionedMergeJoin:
                 worker_stats = OperationStats()
                 worker_guard = QueryGuard(deadline=deadline, token=linked)
                 with self.disk.use_guard(worker_guard):
-                    join = MergeJoin(
-                        self.disk, self.buffer_pages, worker_stats,
-                        kernel=self.kernel,
-                    )
+                    join = MergeJoin(self.disk, self.buffer_pages, worker_stats)
                     pairs = list(
                         join.pairs(r_part, outer_attr, s_part, inner_attr, pair_degree)
                     )

@@ -45,7 +45,6 @@ from typing import List, Optional, Tuple
 
 from ..data.tuples import FuzzyTuple
 from ..errors import DiskFullError, StorageFaultError
-from ..fuzzy.compare import ComparisonKernel
 from ..fuzzy.interval_order import sort_key
 from ..join.merge_join import MergeJoin, WindowOverflowError
 from ..join.predicates import PairDegree
@@ -102,7 +101,6 @@ class ShardedMergeJoin:
         tracer=None,
         guard: Optional[QueryGuard] = None,
         cancel: Optional[CancelToken] = None,
-        kernel: Optional[ComparisonKernel] = None,
     ):
         self.storage = storage
         self.buffer_pages = buffer_pages
@@ -111,7 +109,6 @@ class ShardedMergeJoin:
         self.tracer = tracer
         self.guard = guard
         self.cancel = cancel
-        self.kernel = kernel
         #: Why the last :meth:`run` declined (``None`` = it ran).
         self.fallback_reason: Optional[str] = None
         #: Replica failovers the last :meth:`run` performed (inner-shard
@@ -301,9 +298,7 @@ class ShardedMergeJoin:
                 failovers += read_failovers
             slice_shape = (slice_heap.n_tuples, slice_heap.n_pages)
             try:
-                join = MergeJoin(
-                    home.disk, self.buffer_pages, worker_stats, kernel=self.kernel
-                )
+                join = MergeJoin(home.disk, self.buffer_pages, worker_stats)
                 pairs = list(join.pairs(
                     outer_heap, outer_attr, slice_heap, inner_attr, pair_degree
                 ))

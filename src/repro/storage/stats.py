@@ -80,6 +80,10 @@ class OperationStats:
     def __init__(self):
         self.phases: Dict[str, Counters] = {}
         self._current = self.DEFAULT_PHASE
+        #: The active phase's counters, looked up again after each phase
+        #: change; ``None`` until the phase first records something, so
+        #: entering a phase does not create it.
+        self._active: Optional[Counters] = None
 
     # ------------------------------------------------------------------
     # Phase management
@@ -93,7 +97,15 @@ class OperationStats:
     @property
     def current(self) -> Counters:
         """The counter set of the active phase."""
-        return self.phase(self._current)
+        return self._active or self._activate()
+
+    def _activate(self) -> Counters:
+        self._active = self.phase(self._current)
+        return self._active
+
+    def _switch(self, name: str) -> None:
+        self._current = name
+        self._active = self.phases.get(name)
 
     @property
     def current_phase(self) -> str:
@@ -109,27 +121,27 @@ class OperationStats:
     # ------------------------------------------------------------------
     def count_read(self, pages: int = 1) -> None:
         """Charge page read(s) to the active phase."""
-        self.current.page_reads += pages
+        (self._active or self._activate()).page_reads += pages
 
     def count_write(self, pages: int = 1) -> None:
         """Charge page write(s) to the active phase."""
-        self.current.page_writes += pages
+        (self._active or self._activate()).page_writes += pages
 
     def count_crisp(self, n: int = 1) -> None:
         """Charge crisp comparison(s) to the active phase."""
-        self.current.crisp_comparisons += n
+        (self._active or self._activate()).crisp_comparisons += n
 
     def count_fuzzy(self, n: int = 1) -> None:
         """Charge fuzzy evaluation(s) to the active phase."""
-        self.current.fuzzy_evaluations += n
+        (self._active or self._activate()).fuzzy_evaluations += n
 
     def count_move(self, n: int = 1) -> None:
         """Charge tuple move(s) to the active phase."""
-        self.current.tuple_moves += n
+        (self._active or self._activate()).tuple_moves += n
 
     def count_retry(self, n: int = 1) -> None:
         """Charge retried page transfer(s) to the active phase."""
-        self.current.io_retries += n
+        (self._active or self._activate()).io_retries += n
 
     def count_index_read(self, pages: int = 1) -> None:
         """Note index page read(s) — an overlay on :meth:`count_read`.
@@ -137,15 +149,15 @@ class OperationStats:
         Callers charge the plain read separately (the device transfers the
         same bytes either way); this counter only classifies the traffic.
         """
-        self.current.index_pages_read += pages
+        (self._active or self._activate()).index_pages_read += pages
 
     def count_columns(self, n: int = 1) -> None:
         """Charge column array(s) processed by a vectorized kernel batch."""
-        self.current.columns_scanned += n
+        (self._active or self._activate()).columns_scanned += n
 
     def count_kernel_batch(self, n: int = 1) -> None:
         """Charge vectorized kernel batch invocation(s)."""
-        self.current.kernel_batches += n
+        (self._active or self._activate()).kernel_batches += n
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -183,8 +195,8 @@ class _PhaseContext:
 
     def __enter__(self) -> OperationStats:
         self._previous = self._stats._current
-        self._stats._current = self._name
+        self._stats._switch(self._name)
         return self._stats
 
     def __exit__(self, *exc) -> None:
-        self._stats._current = self._previous
+        self._stats._switch(self._previous)

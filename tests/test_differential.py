@@ -25,7 +25,7 @@ import pytest
 
 from repro.data import Catalog, FuzzyRelation, FuzzyTuple, Schema
 from repro.engine import NaiveEvaluator
-from repro.fuzzy import CrispNumber, TrapezoidalNumber
+from repro.fuzzy import CrispNumber, Op, TrapezoidalNumber, possibility
 from repro.session import StorageSession
 from repro.unnest import UnnestError, unnest
 
@@ -38,6 +38,15 @@ SCHEMA = Schema(["K", "U", "V"])
 POOL = [
     N(0), N(2), N(5), N(9),
     T(0, 1, 2, 4), T(1, 3, 4, 6), T(3, 5, 5, 7), T(4, 6, 8, 11),
+]
+
+#: Proper trapezoids only, staggered so that neighbours' supports overlap
+#: while their cores do not: every non-identical pair that joins at all
+#: joins at a ramp crossing, the closed-form branch POOL's 0/1 shortcuts
+#: (half crisp, wide cores) mostly bypass.
+RAMP_POOL = [
+    T(0, 3, 3.5, 7), T(2, 4, 4.5, 10), T(4, 7, 8, 11), T(6.5, 9, 9.25, 13),
+    T(8, 12, 12, 14.5), T(10, 13, 13.5, 18), T(12.5, 15, 16, 19), T(14, 17, 17, 21),
 ]
 
 CASES = {
@@ -67,22 +76,22 @@ CASES = {
 N_CASES = 50
 
 
-def make_relation(rng: random.Random, n: int, base: int) -> FuzzyRelation:
+def make_relation(rng: random.Random, n: int, base: int, pool=POOL) -> FuzzyRelation:
     rel = FuzzyRelation(SCHEMA)
     for i in range(n):
         rel.add(
             FuzzyTuple(
-                [N(base + i), rng.choice(POOL), rng.choice(POOL)],
+                [N(base + i), rng.choice(pool), rng.choice(pool)],
                 rng.choice([0.3, 0.6, 0.8, 1.0]),
             )
         )
     return rel
 
 
-def build(seed: int):
+def build(seed: int, pool=POOL):
     rng = random.Random(seed)
-    r = make_relation(rng, rng.randint(2, 8), 0)
-    s = make_relation(rng, rng.randint(2, 8), 1000)
+    r = make_relation(rng, rng.randint(2, 8), 0, pool)
+    s = make_relation(rng, rng.randint(2, 8), 1000, pool)
     catalog = Catalog()
     catalog.register("R", r)
     catalog.register("S", s)
@@ -97,11 +106,16 @@ def rewrite_answer(sql: str, catalog: Catalog) -> FuzzyRelation:
     return plan.execute(catalog, NaiveEvaluator)
 
 
-@pytest.mark.parametrize("label", sorted(CASES))
-def test_three_engines_agree(label):
+def test_ramp_pool_joins_at_ramp_crossings():
+    degrees = [possibility(x, Op.EQ, y) for x in RAMP_POOL for y in RAMP_POOL if x is not y]
+    assert all(d < 1.0 for d in degrees)
+    assert sum(0.0 < d for d in degrees) >= len(degrees) // 2
+
+
+def check_three_engines_agree(label, pool):
     sql, strategy_prefix = CASES[label]
     for seed in range(N_CASES):
-        catalog, session = build(1000 * hash(label) % 7919 + seed)
+        catalog, session = build(1000 * hash(label) % 7919 + seed, pool)
         oracle = NaiveEvaluator(catalog).evaluate(sql)
 
         stored = session.query(sql)
@@ -118,6 +132,16 @@ def test_three_engines_agree(label):
             f"{label} seed={seed} [rewrite]\n"
             f"oracle:\n{oracle.pretty()}\nrewrite:\n{rewritten.pretty()}"
         )
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_three_engines_agree(label):
+    check_three_engines_agree(label, POOL)
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_three_engines_agree_on_ramp_crossings(label):
+    check_three_engines_agree(label, RAMP_POOL)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4], ids=["workers1", "workers2", "workers4"])

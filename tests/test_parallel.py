@@ -15,7 +15,7 @@ import pytest
 
 from repro.data import FuzzyRelation, FuzzyTuple, Schema
 from repro.errors import QueryCancelledError, TransientIOError
-from repro.fuzzy import CrispNumber, Op, TrapezoidalNumber
+from repro.fuzzy import CrispLabel, CrispNumber, DiscreteDistribution, Op, TrapezoidalNumber
 from repro.fuzzy.compare import ComparisonKernel, possibility
 from repro.fuzzy.interval_order import sort_key
 from repro.join import JoinPredicate, MergeJoin, join_degree
@@ -39,6 +39,8 @@ from repro.engine.optimizer import parallel_join_cost
 
 N = CrispNumber
 T = TrapezoidalNumber
+D = DiscreteDistribution
+L = CrispLabel
 SCHEMA = Schema(["ID", "X"])
 
 
@@ -150,17 +152,22 @@ class TestComparisonKernel:
             )
 
     def test_memo_hit_counting(self):
+        # The memo serves discrete and label operands; a crisp/trapezoid
+        # pair is answered by the closed form and counts as neither.
         kernel = ComparisonKernel()
-        left, right = T(0, 1, 2, 3), T(2, 3, 4, 5)
+        left, right = D({1.0: 1.0, 2.0: 0.4}), D({2.0: 1.0, 3.0: 0.6})
         first = kernel.possibility(left, Op.EQ, right)
         second = kernel.possibility(left, Op.EQ, right)
-        assert first == second
+        assert first == second == 0.4
         assert kernel.misses == 1 and kernel.hits == 1
+        for _ in range(2):
+            assert kernel.possibility(T(0, 1, 2, 3), Op.EQ, T(2, 3, 4, 5)) == 0.5
+        assert kernel.misses == 1 and kernel.hits == 1 and len(kernel) == 1
 
     def test_batch_primes_the_memo(self):
         kernel = ComparisonKernel()
-        probe = T(0, 2, 3, 5)
-        candidates = [N(1), N(4), T(4, 5, 6, 7)]
+        probe = D({1.0: 1.0, 4.0: 0.5})
+        candidates = [N(1), T(3, 5, 6, 7), D({4.0: 1.0}), L("x")]
         degrees = kernel.batch(probe, Op.EQ, candidates)
         assert degrees == [possibility(probe, Op.EQ, c) for c in candidates]
         hits_before = kernel.hits
@@ -171,11 +178,11 @@ class TestComparisonKernel:
     def test_lru_eviction_bounds_the_memo(self):
         kernel = ComparisonKernel(capacity=4)
         for i in range(10):
-            kernel.possibility(N(i), Op.EQ, N(i + 1))
+            kernel.possibility(L(f"v{i}"), Op.EQ, L(f"v{i + 1}"))
         assert len(kernel) == 4
         # The most recent entries survive; the earliest were evicted.
         assert kernel.hits == 0
-        kernel.possibility(N(9), Op.EQ, N(10))
+        kernel.possibility(L("v9"), Op.EQ, L("v10"))
         assert kernel.hits == 1
 
     def test_rejects_negative_capacity(self):
@@ -430,13 +437,16 @@ class TestPartitionedMergeJoin:
         plain = as_triples(plain)
         kernel = ComparisonKernel()
         kernel_stats = OperationStats()
-        with_kernel = MergeJoin(disk, 8, kernel_stats, kernel=kernel).pairs(
+        with_kernel = MergeJoin(disk, 8, kernel_stats).pairs(
             r, "X", s, "X", join_degree(EQ_PRED, kernel)
         )
         assert as_triples(with_kernel) == plain
         assert kernel_stats.total.fuzzy_evaluations == plain_stats.total.fuzzy_evaluations
         assert kernel_stats.total.crisp_comparisons == plain_stats.total.crisp_comparisons
-        assert kernel.hits + kernel.misses > 0, "the kernel never ran"
+        assert kernel_stats.total.fuzzy_evaluations > 0, "the join evaluated nothing"
+        # Numeric join values are answered by the closed forms: a join
+        # through the kernel builds no memo key and stores nothing.
+        assert len(kernel) == 0 and kernel.hits + kernel.misses == 0
 
 
 # ----------------------------------------------------------------------
