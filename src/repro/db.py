@@ -25,18 +25,16 @@ from .data.schema import Attribute, Schema
 from .data.tuples import FuzzyTuple
 from .data.types import AttributeType
 from .engine.aggregates import DegreePolicy
+from .engine.executor import CompileError, DmlColumns, compile_conjunction
 from .engine.semantics import NaiveEvaluator
+from .errors import DatabaseError
 from .fuzzy.linguistic import Vocabulary
-from .service.plancache import PlanCache, normalize_sql
+from .service.lifecycle import StatementLifecycle
+from .service.plancache import PlanCache
 from .service.prepared import PlanArtifact, PreparedQuery
 from .sql.ast import SelectQuery
 from .sql.classify import classify
-from .sql.params import (
-    ParameterError,
-    bind_parameters,
-    count_parameters,
-    referenced_tables,
-)
+from .sql.params import count_parameters
 from .sql.statements import (
     CreateTable,
     DefineTerm,
@@ -51,12 +49,10 @@ from .unnest.common import UnnestError
 from .unnest.rewriter import unnest
 
 
-class DatabaseError(Exception):
-    """A statement could not be executed (unknown table, arity, ...)."""
-
-
-class FuzzyDatabase:
+class FuzzyDatabase(StatementLifecycle):
     """An in-memory fuzzy relational database session."""
+
+    error = DatabaseError
 
     def __init__(
         self,
@@ -69,14 +65,6 @@ class FuzzyDatabase:
         self.aggregate_policy = aggregate_policy
         self.similarity = similarity
         self.auto_unnest = auto_unnest
-        #: Workload-level sinks (see :mod:`repro.observe`): assign a
-        #: :class:`~repro.observe.registry.MetricsRegistry`, a
-        #: :class:`~repro.observe.querylog.QueryLog`, and/or a
-        #: :class:`~repro.observe.recorder.FlightRecorder` and every query
-        #: is folded in / logged / recorded automatically.
-        self.registry = None
-        self.query_log = None
-        self.recorder = None
         #: LRU cache of prepared plans for textual ``query()`` calls;
         #: entries validate against tuple counts and the schema epoch.
         #: Assign ``None`` to disable caching.
@@ -135,233 +123,77 @@ class FuzzyDatabase:
         database's in-memory plan cache.  Results are bit-identical to
         the in-memory engine.
         """
-        if sql_text is None and isinstance(query, str):
-            sql_text = query
         if shards is not None and shards > 1:
             session = self._storage_session(shards=shards, shard_on=shard_on)
-            statement = parse_statement(query) if isinstance(query, str) else query
-            if not isinstance(statement, SelectQuery):
-                raise DatabaseError("query() expects a SELECT statement")
-            return session.query(statement, metrics=metrics)
-        if isinstance(query, str):
-            if self.plan_cache is not None:
-                return self._query_cached(query, metrics)
-            statement = parse_statement(query)
-            if not isinstance(statement, SelectQuery):
-                raise DatabaseError("query() expects a SELECT statement")
-            query = statement
-        elif sql_text is not None and self.plan_cache is not None:
-            # execute()/execute_statement() arrive here with the statement
-            # already parsed; the cache still keys on the SQL text.
-            return self._query_cached(sql_text, metrics, statement=query)
-        if (
-            self.registry is not None
-            or self.query_log is not None
-            or self.recorder is not None
-        ):
-            import time
+            return session.query(self._select(query), metrics=metrics)
+        return self._run_statement(query, (), metrics, text=sql_text)
 
-            from .observe.metrics import QueryMetrics
+    def _select(self, statement: Union[str, Statement]) -> SelectQuery:
+        """``statement`` parsed, and checked to be a SELECT."""
+        if isinstance(statement, str):
+            statement = parse_statement(statement)
+        if not isinstance(statement, SelectQuery):
+            raise DatabaseError(f"expected a SELECT statement, not {statement}")
+        return statement
 
-            collector = metrics if metrics is not None else QueryMetrics()
-            started = time.perf_counter()
-            result = self._query(query, collector)
-            wall = time.perf_counter() - started
-            self._observe_query(
-                sql_text if sql_text is not None else repr(query),
-                collector,
-                wall,
-                len(result),
-            )
-            return result
-        return self._query(query, metrics)
+    # ------------------------------------------------------------------
+    # The lifecycle hooks: prepare, plan tokens, the one runner
+    # ------------------------------------------------------------------
+    def _prepare(self, sql, tracer=None, text: Optional[str] = None) -> PreparedQuery:
+        """Parse, classify and plan (``tracer``: the in-memory engine has no spans)."""
+        template = self._select(sql)
+        nesting = classify(template, self.catalog)
+        n_params = count_parameters(template)
+        # Rewrites are structural, but the in-memory pipeline embeds the
+        # query values: a parameterized statement is planned once bound.
+        artifact = (
+            PlanArtifact("deferred") if n_params else self._plan_template(template)
+        )
+        if text is None:
+            text = str(sql)
+        return PreparedQuery(self, text, template, nesting, n_params, artifact)
 
-    def _observe_query(self, sql_text, collector, wall, rows) -> None:
-        """Fold one finished query into every attached workload sink."""
-        if self.registry is not None:
-            self.registry.observe(collector, wall_seconds=wall, rows=rows)
-        if self.query_log is not None:
-            self.query_log.record(sql_text, collector, wall_seconds=wall, rows=rows)
-        if self.recorder is not None:
-            self.recorder.record(sql_text, collector, wall_seconds=wall, rows=rows)
-
-    def health(self, thresholds=None):
-        """Evaluate the health rules over this database's lifetime registry.
-
-        See :meth:`repro.session.StorageSession.health`; the in-memory
-        engine has no time series, so the report always covers the
-        :attr:`registry`'s totals.
-        """
-        from .observe.health import evaluate_health
-        from .observe.timeseries import lifetime_window
-
-        if self.registry is None:
-            raise DatabaseError(
-                "health() needs a registry attached "
-                "(assign db.registry = MetricsRegistry())"
-            )
-        return evaluate_health(lifetime_window(self.registry), thresholds)
-
-    def _query(self, query: SelectQuery, metrics) -> FuzzyRelation:
-        if metrics is not None:
-            metrics.nesting_type = classify(query, self.catalog).value
+    def _plan_template(self, query: SelectQuery) -> PlanArtifact:
+        """The Theorem 4.1–8.1 rewrite when one applies, else the naive plan."""
         if self.auto_unnest:
             try:
                 plan = unnest(query, self.catalog)
-                result = plan.execute(
-                    self.catalog, self._make_evaluator, metrics=metrics
+                return PlanArtifact(
+                    "memory",
+                    plan=plan,
+                    rule=plan.rule or plan.nesting_type,
+                    strategy="memory/unnest: rewritten in-memory plan",
                 )
-                if metrics is not None and metrics.strategy is None:
-                    metrics.strategy = "memory/unnest: rewritten in-memory plan"
-                return result
             except UnnestError:
                 pass
-        if metrics is not None and metrics.rewrite is None:
-            metrics.rewrite = "none (naive fallback)"
-        if metrics is not None and metrics.strategy is None:
-            metrics.strategy = "memory/naive: nested-loop evaluation"
-        return self._make_evaluator(self.catalog).evaluate(query)
-
-    # ------------------------------------------------------------------
-    # Prepared statements and the plan cache
-    # ------------------------------------------------------------------
-    def prepare(self, sql: Union[str, SelectQuery]) -> PreparedQuery:
-        """Parse, classify, and rewrite a SELECT once; execute many times.
-
-        Statements may contain ``?`` placeholders (bound per execution,
-        the ``WITH D >= ?`` threshold included).  Placeholder-free
-        statements cache their :class:`~repro.unnest.pipeline.UnnestedPlan`
-        so repeated executions skip the Theorem 4.1–8.1 rewrite work.
-        """
-        prepared = self._prepare(sql)
-        if self.registry is not None:
-            self.registry.count_prepared()
-        return prepared
-
-    def _prepare(
-        self, sql: Union[str, SelectQuery], text: Optional[str] = None
-    ) -> PreparedQuery:
-        template = parse_statement(sql) if isinstance(sql, str) else sql
-        if not isinstance(template, SelectQuery):
-            raise DatabaseError("prepare() expects a SELECT statement")
-        nesting = classify(template, self.catalog)
-        n_params = count_parameters(template)
-        if not self.auto_unnest:
-            artifact = PlanArtifact("naive")
-        elif n_params:
-            # Rewrites are structural, but the in-memory pipeline embeds
-            # the query values; bind first, dispatch per execution.
-            artifact = PlanArtifact("dispatch")
-        else:
-            try:
-                plan = unnest(template, self.catalog)
-                artifact = PlanArtifact(
-                    "memory", plan=plan, rule=plan.rule or plan.nesting_type
-                )
-            except UnnestError:
-                artifact = PlanArtifact("naive")
-        if text is None:
-            text = sql if isinstance(sql, str) else str(sql)
-        return PreparedQuery(self, text, template, nesting, n_params, artifact)
-
-    def _query_cached(
-        self, sql: str, metrics, statement: Optional[SelectQuery] = None
-    ) -> FuzzyRelation:
-        """The plan-cache lookup behind textual ``query()`` calls.
-
-        ``statement`` carries an already-parsed AST (the ``execute()``
-        path) so a cache miss does not re-parse the text.
-        """
-        key = normalize_sql(sql)
-        prepared, outcome = self.plan_cache.lookup(key, self._stats_tokens)
-        if prepared is None:
-            prepared = self._prepare(sql if statement is None else statement, text=sql)
-            if prepared.param_count:
-                raise ParameterError(
-                    "query() cannot run a statement with ? placeholders; "
-                    "use prepare() and bind values per execution"
-                )
-            keys = sorted(referenced_tables(prepared.template)) + ["__SCHEMA__"]
-            self.plan_cache.store(key, prepared, self._stats_tokens(keys))
-        return self._execute_prepared(
-            prepared, (), metrics=metrics, plan_cache_outcome=outcome
+        return PlanArtifact(
+            "naive",
+            rule="none (naive fallback)",
+            strategy="memory/naive: nested-loop evaluation",
         )
 
-    def _stats_tokens(self, keys) -> dict:
+    def _plan_tokens(self, names) -> dict:
         """Current validity tokens: tuple counts plus the schema epoch."""
-        tokens = {}
-        for key in keys:
-            if key == "__SCHEMA__":
-                tokens[key] = self._schema_epoch
-            else:
-                try:
-                    tokens[key] = len(self.catalog.get(key))
-                except KeyError:
-                    tokens[key] = -1
+        tokens = {"__SCHEMA__": self._schema_epoch}
+        for name in names:
+            if name != "__SCHEMA__":
+                tokens[name] = len(self.catalog.get(name)) if name in self.catalog else -1
         return tokens
 
-    def _execute_prepared(
-        self,
-        prepared: PreparedQuery,
-        params: tuple = (),
-        metrics=None,
-        tracer=None,
-        plan_cache_outcome: Optional[str] = None,
-    ) -> FuzzyRelation:
-        """Run a prepared statement (the back end of ``PreparedQuery.execute``).
-
-        ``tracer`` is accepted for signature parity with
-        :class:`~repro.session.StorageSession` but the in-memory engine
-        records no spans; use :meth:`trace` for a span tree.
-        """
-        del tracer  # the in-memory engine has no span instrumentation
-        need_collector = (
-            metrics is not None
-            or self.registry is not None
-            or self.query_log is not None
-            or self.recorder is not None
-        )
-        if not need_collector:
-            result = self._run_prepared(prepared, params, None)
-            prepared.executions += 1
-            return result
-        import time
-
-        from .observe.metrics import QueryMetrics
-
-        collector = metrics if metrics is not None else QueryMetrics()
-        # query() calls served from the plan cache are not "prepared
-        # executions" — only explicit PreparedQuery.execute calls are.
-        collector.prepared = plan_cache_outcome is None
-        collector.plan_cache = plan_cache_outcome
-        collector.nesting_type = prepared.nesting.value
-        started = time.perf_counter()
-        result = self._run_prepared(prepared, params, collector)
-        wall = time.perf_counter() - started
-        self._observe_query(prepared.sql_text, collector, wall, len(result))
-        prepared.executions += 1
-        return result
-
     def _run_prepared(
-        self, prepared: PreparedQuery, params: tuple, collector
+        self, prepared: PreparedQuery, params: tuple, collector, tracer=None
     ) -> FuzzyRelation:
-        artifact = prepared.artifact
+        """The one runner: bind values, finish planning, evaluate."""
+        query, artifact = prepared.bind(params), prepared.artifact
+        if artifact.kind == "deferred":
+            artifact = self._plan_template(query)
+        if collector is not None:
+            collector.rewrite, collector.strategy = artifact.rule, artifact.strategy
         if artifact.kind == "memory":
-            result = artifact.plan.execute(
+            return artifact.plan.execute(
                 self.catalog, self._make_evaluator, metrics=collector
             )
-            if collector is not None and collector.strategy is None:
-                collector.strategy = "memory/unnest: rewritten in-memory plan"
-            return result
-        bound = prepared.bind(params)
-        if artifact.kind == "dispatch":
-            return self._query(bound, collector)
-        if collector is not None:
-            if collector.rewrite is None:
-                collector.rewrite = "none (naive fallback)"
-            if collector.strategy is None:
-                collector.strategy = "memory/naive: nested-loop evaluation"
-        return self._make_evaluator(self.catalog).evaluate(bound)
+        return self._make_evaluator(self.catalog).evaluate(query)
 
     def run_batch(self, queries, workers: int = 1) -> List[FuzzyRelation]:
         """Execute read-only SELECTs, optionally across worker threads.
@@ -382,11 +214,13 @@ class FuzzyDatabase:
         if not isinstance(query, SelectQuery):
             return str(query)
         nesting = classify(query, self.catalog)
-        try:
-            plan = unnest(query, self.catalog)
-        except UnnestError:
-            return f"nesting type: {nesting.value}\nnaive nested-loop evaluation"
-        return f"nesting type: {nesting.value}\n{plan.explain()}"
+        artifact = self._plan_template(query)
+        body = (
+            artifact.plan.explain()
+            if artifact.kind == "memory"
+            else "naive nested-loop evaluation"
+        )
+        return f"nesting type: {nesting.value}\n{body}"
 
     def explain_analyze(
         self,
@@ -406,11 +240,8 @@ class FuzzyDatabase:
         scratch session is sharded (placement on ``shard_on``) and the
         report gains the ``shard i [lo, hi)`` table and failover counts.
         """
-        query = parse_statement(sql) if isinstance(sql, str) else sql
-        if not isinstance(query, SelectQuery):
-            raise DatabaseError("explain_analyze() expects a SELECT statement")
         session = self._storage_session(shards=shards, shard_on=shard_on)
-        return session.explain_analyze(query)
+        return session.explain_analyze(self._select(sql))
 
     def _storage_session(
         self, shards: Optional[int] = None, shard_on: Optional[str] = None
@@ -437,18 +268,7 @@ class FuzzyDatabase:
         (``render_tree()``) and exports Chrome ``trace_event`` JSON
         (``export(path)``).
         """
-        from .session import StorageSession
-
-        query = parse_statement(sql) if isinstance(sql, str) else sql
-        if not isinstance(query, SelectQuery):
-            raise DatabaseError("trace() expects a SELECT statement")
-        session = StorageSession(
-            vocabulary=self.catalog.vocabulary,
-            aggregate_policy=self.aggregate_policy,
-        )
-        for name in self.catalog.names():
-            session.register(name, self.catalog.get(name))
-        return session.trace(query)
+        return self._storage_session().trace(self._select(sql))
 
     def _make_evaluator(self, catalog: Catalog) -> NaiveEvaluator:
         return NaiveEvaluator(
@@ -545,43 +365,18 @@ class FuzzyDatabase:
     def _dml_match(self, table_as_typed: str, relation: FuzzyRelation, where):
         """Compile the WHERE conjunction of an UPDATE / DELETE.
 
-        Mirrors :meth:`repro.session.StorageSession._dml_match`: only
-        flat comparisons, columns unqualified or qualified by the table
-        name.
+        Only flat comparisons are accepted; column references may be
+        unqualified or qualified by the table name (as typed or upper).
         """
-        if not where:
-            return lambda t: 1.0
-        from .engine.executor import CompileError, DmlColumns, compile_comparison
-        from .sql.ast import Comparison
-
         columns = DmlColumns(
             {None, table_as_typed, table_as_typed.upper()}, relation.schema
         )
-        compiled = []
-        for predicate in where:
-            if not isinstance(predicate, Comparison):
-                raise DatabaseError(
-                    "UPDATE/DELETE WHERE accepts only flat comparisons, "
-                    f"not {predicate!r}"
-                )
-            try:
-                compiled.append(
-                    compile_comparison(
-                        predicate, columns, columns, self.catalog.vocabulary
-                    )
-                )
-            except CompileError as exc:
-                raise DatabaseError(str(exc)) from None
-
-        def degree(t: FuzzyTuple) -> float:
-            d = 1.0
-            for predicate in compiled:
-                if d == 0.0:
-                    return 0.0
-                d = min(d, predicate(t, None))
-            return d
-
-        return degree
+        try:
+            return compile_conjunction(
+                where or (), columns, columns, self.catalog.vocabulary
+            )
+        except CompileError as exc:
+            raise DatabaseError(f"UPDATE/DELETE WHERE: {exc}") from None
 
     def _define(self, statement: DefineTerm) -> str:
         value = parse_value(statement.shape, self.catalog.vocabulary, statement.domain)

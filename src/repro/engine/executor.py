@@ -15,7 +15,7 @@ predicate links a relation in.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..data.relation import FuzzyRelation
 from ..data.schema import Attribute, Schema
@@ -84,6 +84,40 @@ def compile_comparison(
         return possibility(left(t), op, right(t))
 
     return TuplePredicate(degree, label=str(predicate))
+
+
+def compile_conjunction(
+    predicates,
+    columns: List[Column],
+    domains: Dict[Column, Optional[str]],
+    vocabulary: Optional[Vocabulary] = None,
+) -> Callable[[FuzzyTuple], float]:
+    """Compile ``p1 AND p2 AND ...`` into one degree function: the min-fold.
+
+    Every conjunct must be a flat :class:`~repro.sql.ast.Comparison`
+    (anything else is a :class:`CompileError`); the fold stops at the
+    first zero, and an empty conjunction is satisfied with degree 1.
+    The single-relation predicates of the grouped / pipelined strategies
+    and the WHERE clause of UPDATE / DELETE (through :class:`DmlColumns`)
+    all compile here.
+    """
+    compiled = []
+    for predicate in predicates:
+        if not isinstance(predicate, Comparison):
+            raise CompileError(
+                f"only flat comparisons can be compiled here, not {predicate!r}"
+            )
+        compiled.append(compile_comparison(predicate, columns, domains, vocabulary))
+
+    def degree(t: FuzzyTuple) -> float:
+        d = 1.0
+        for predicate in compiled:
+            if d == 0.0:
+                return 0.0
+            d = min(d, predicate(t, None))
+        return d
+
+    return degree
 
 
 class DmlColumns:

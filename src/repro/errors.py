@@ -25,6 +25,11 @@ class FuzzyQueryError(Exception):
     """Base class of every typed error the engine raises to callers."""
 
 
+class DatabaseError(FuzzyQueryError):
+    """A :class:`~repro.db.FuzzyDatabase` statement could not be executed
+    (unknown table, arity mismatch, unsupported statement, ...)."""
+
+
 class StorageFaultError(FuzzyQueryError):
     """Base class for faults originating at the storage layer."""
 
@@ -93,6 +98,7 @@ class SnapshotTooOldError(FuzzyQueryError):
 
 __all__ = [
     "FuzzyQueryError",
+    "DatabaseError",
     "StorageFaultError",
     "TransientIOError",
     "DiskFullError",

@@ -9,6 +9,9 @@ compiled plan a reusable object:
 * :class:`~repro.service.prepared.PreparedQuery` — parse + classify +
   rewrite (+ compile, when the statement has no ``?`` placeholders) done
   once, executable many times with per-call parameter bindings;
+* :class:`~repro.service.lifecycle.StatementLifecycle` — the stages every
+  SELECT goes through on both front doors (cache lookup → prepare →
+  artifact → run → observe), written once;
 * :class:`~repro.service.plancache.PlanCache` — an LRU cache of prepared
   queries keyed on normalized SQL text, validated against per-relation
   statistics versions (:class:`~repro.engine.statistics.StatisticsVersions`)
@@ -18,6 +21,7 @@ See ``docs/query_service.md`` for the API walkthrough and the
 thread-safety contract.
 """
 
+from .lifecycle import StatementLifecycle
 from .plancache import CacheEntry, PlanCache, normalize_sql
 from .prepared import PlanArtifact, PreparedQuery
 
@@ -27,4 +31,5 @@ __all__ = [
     "normalize_sql",
     "PlanArtifact",
     "PreparedQuery",
+    "StatementLifecycle",
 ]

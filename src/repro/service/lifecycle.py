@@ -1,0 +1,213 @@
+"""The statement lifecycle both front doors share.
+
+Every SELECT — SQL text, a parsed AST, or a :class:`PreparedQuery` being
+executed — goes through the same stages, on
+:class:`~repro.session.StorageSession` and :class:`~repro.db.FuzzyDatabase`
+alike::
+
+    text -> cache lookup -> prepare -> artifact -> run -> observe
+
+:class:`StatementLifecycle` owns the stages that do not depend on the
+engine (lookup, the collector / tracer / timing wrapper, the fold into the
+workload sinks, failure recording, health); a front door supplies three
+hooks:
+
+``_prepare(statement, tracer, text)``
+    parse + classify + plan, returning a :class:`PreparedQuery`;
+``_run_prepared(prepared, params, collector, tracer, **options)``
+    execute the prepared artifact (the door's one runner);
+``_plan_tokens(names)``
+    the validation tokens plan-cache entries are checked against.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Optional
+
+from ..errors import FuzzyQueryError, QueryCancelledError, QueryTimeoutError
+from ..observe.explain import join_q_errors
+from ..observe.health import HealthReport, HealthThresholds, evaluate_health
+from ..observe.metrics import QueryMetrics
+from ..observe.timeseries import lifetime_window
+from ..observe.trace import maybe_span
+from ..sql.params import ParameterError, referenced_tables
+from .plancache import normalize_sql
+from .prepared import PreparedQuery
+
+
+class StatementLifecycle:
+    """Plan-cache lookup, instrumentation and observation of one SELECT."""
+
+    #: The typed error this door raises for its own misuse.
+    error = FuzzyQueryError
+    #: Workload-level sinks: a :class:`~repro.observe.registry.MetricsRegistry`,
+    #: a :class:`~repro.observe.querylog.QueryLog` and/or a
+    #: :class:`~repro.observe.recorder.FlightRecorder`.  Every query is
+    #: folded in / logged / recorded automatically (one collector per
+    #: query, read exactly once); all three key statement identity on the
+    #: shared canonicalizer in :mod:`repro.observe.fingerprint`.
+    registry = None
+    query_log = None
+    recorder = None
+    #: Optional :class:`~repro.observe.timeseries.TimeSeries` over the
+    #: registry; once snapshotted, :meth:`health` judges its recent windows.
+    timeseries = None
+    #: LRU cache of prepared plans for textual queries (``None``: off).
+    plan_cache = None
+    #: The compiled operator tree of the last query, when it had one.
+    last_plan = None
+    #: The collector of the last instrumented run, if there was one.
+    last_metrics: Optional[QueryMetrics] = None
+
+    def prepare(self, sql) -> PreparedQuery:
+        """Parse, classify, and plan a SELECT once; execute many times.
+
+        The statement may contain ``?`` placeholders (anywhere a literal
+        is legal, and as the ``WITH D >= ?`` threshold); bind one value
+        per placeholder at each
+        :meth:`~repro.service.prepared.PreparedQuery.execute`.  Statements
+        without placeholders also keep their execution plan, so repeated
+        executions skip the Theorem 4.1–8.1 rewrite and compilation.
+        """
+        prepared = self._prepare(sql)
+        if self.registry is not None:
+            self.registry.count_prepared()
+        return prepared
+
+    def _resolve(self, statement, tracer, text):
+        """``(PreparedQuery, plan-cache outcome)`` for any statement form.
+
+        Text goes through the :attr:`plan_cache`; a parsed AST (or any
+        statement on a cache-less door) is prepared for this one run.
+        """
+        if isinstance(statement, PreparedQuery):
+            return statement, None
+        prepared = outcome = None
+        cached = text is not None and self.plan_cache is not None
+        if cached:
+            key = normalize_sql(text)
+            prepared, outcome = self.plan_cache.lookup(key, self._plan_tokens)
+        if prepared is None:
+            prepared = self._prepare(statement, tracer, text)
+            if prepared.param_count:
+                raise ParameterError(
+                    "query() cannot run a statement with ? placeholders; "
+                    "use prepare() and bind values per execution"
+                )
+            if cached:
+                tokens = self._plan_tokens(referenced_tables(prepared.template))
+                self.plan_cache.store(key, prepared, tokens)
+        return prepared, outcome
+
+    def _run_statement(
+        self, statement, params=(), metrics=None, tracer=None, text=None, **options
+    ):
+        """Run one SELECT through the lifecycle; ``options`` reach the runner.
+
+        A collector is created only when someone will read it (``metrics``
+        or an attached sink); with none and no tracer, nothing beyond the
+        lookup and the runner executes.  Failed queries are folded into
+        the sinks with their typed outcome before the error propagates.
+        """
+        if text is None and isinstance(statement, str):
+            text = statement
+        collector = metrics
+        if collector is None and (
+            self.registry is not None
+            or self.query_log is not None
+            or self.recorder is not None
+        ):
+            collector = QueryMetrics()
+        self.last_metrics = collector
+        self.last_plan = None
+        started = time.perf_counter()
+        prepared = None
+        try:
+            with maybe_span(tracer, "query"):
+                prepared, outcome = self._resolve(statement, tracer, text)
+                if collector is None:
+                    result = self._run_prepared(
+                        prepared, params, None, tracer, **options
+                    )
+                else:
+                    collector.nesting_type = prepared.nesting.value
+                    # Only explicit PreparedQuery.execute calls count as
+                    # prepared executions, not plan-cache hits of query().
+                    collector.prepared = prepared is statement
+                    collector.plan_cache = outcome
+                    with collector.span("query"):
+                        result = self._run_prepared(
+                            prepared, params, collector, tracer, **options
+                        )
+        except FuzzyQueryError as exc:
+            label = prepared.sql_text if prepared is not None else text or str(statement)
+            self._record_failure(label, collector, started, exc)
+            raise
+        prepared.executions += 1
+        wall = time.perf_counter() - started
+        self._observe_query(prepared.sql_text, collector, wall, len(result))
+        return result
+
+    def _observe_query(self, sql_text, collector, wall, rows, error="") -> None:
+        """Fold one finished query into every attached workload sink.
+
+        The single funnel for the registry, query log, and flight
+        recorder, so all three always agree on query counts and statement
+        identity.  Per-join q-errors are stamped onto the collector first
+        (successful flat plans only) — pure arithmetic over the compiled
+        plan and the collector's already-measured row counts, no extra
+        I/O — so every sink sees the same estimate-drift numbers.
+        """
+        if collector is None:
+            return
+        if not error and self.last_plan is not None:
+            collector.q_errors = join_q_errors(self.last_plan, collector)
+        if self.registry is not None:
+            self.registry.observe(collector, wall_seconds=wall, rows=rows)
+        if self.query_log is not None:
+            self.query_log.record(sql_text, collector, wall_seconds=wall, rows=rows)
+        if self.recorder is not None:
+            self.recorder.record(
+                sql_text, collector, wall_seconds=wall, rows=rows, error=error
+            )
+
+    def _record_failure(self, sql_text, collector, started, exc) -> None:
+        """Fold a failed query into the sinks with its typed outcome."""
+        if self.registry is not None:
+            self.registry.count_error(type(exc).__name__)
+        if collector is None:
+            return
+        if isinstance(exc, QueryTimeoutError):
+            collector.outcome = "timeout"
+        elif isinstance(exc, QueryCancelledError):
+            collector.outcome = "cancelled"
+        else:
+            collector.outcome = "error"
+        wall = time.perf_counter() - started
+        self._observe_query(sql_text, collector, wall, 0, error=type(exc).__name__)
+
+    def health(
+        self,
+        thresholds: Optional[HealthThresholds] = None,
+        last: Optional[int] = None,
+    ) -> HealthReport:
+        """Evaluate the health rules over this door's workload.
+
+        With a :attr:`timeseries` attached and at least one snapshot
+        taken, the report covers the merged recent windows (optionally the
+        ``last`` N); otherwise it covers the :attr:`registry`'s lifetime
+        totals.  Raises the door's typed :attr:`error` when neither sink
+        is attached — there is nothing to judge.
+        """
+        if self.timeseries is not None and len(self.timeseries):
+            return evaluate_health(self.timeseries.merged(last), thresholds)
+        registry = self.registry
+        if registry is None and self.timeseries is not None:
+            registry = self.timeseries.registry
+        if registry is None:
+            raise self.error(
+                "health() needs a registry or timeseries attached "
+                "(assign .registry = MetricsRegistry())"
+            )
+        return evaluate_health(lifetime_window(registry), thresholds)

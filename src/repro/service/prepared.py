@@ -1,33 +1,38 @@
 """Prepared queries: the front-end pipeline run once, executed many times.
 
-A :class:`PreparedQuery` is produced by ``StorageSession.prepare(sql)``
-or ``FuzzyDatabase.prepare(sql)``.  It owns the parsed template (which
-may contain ``?`` placeholders, including ``WITH D >= ?``), the nesting
+A :class:`PreparedQuery` is what every SELECT becomes before it runs —
+``StorageSession.prepare(sql)`` / ``FuzzyDatabase.prepare(sql)`` hand one
+to the caller, a plan-cache entry holds one, and a parsed AST or a
+cache-less ``query()`` builds one for that single run (see
+:mod:`repro.service.lifecycle`).  It owns the parsed template (which may
+contain ``?`` placeholders, including ``WITH D >= ?``), the nesting
 classification, and a :class:`PlanArtifact` describing how far the
-planner got ahead of time:
+planner got ahead of time; the owning door's one runner executes it:
 
-========== ==========================================================
-kind       what is cached / what happens per execution
-========== ==========================================================
-``flat``   the unnested single-block query (and, when the statement has
-           no placeholders, the compiled merge-join operator tree);
-           executions with placeholders bind values then recompile the
-           predicate closures only.
-``grouped`` a ready :class:`~repro.engine.grouped.GroupedAntiJoin`
-           (Sections 5/7); placeholder-free statements only.
-``ja``     a ready :class:`~repro.engine.pipelined.JAPipeline`
-           (Section 6); placeholder-free statements only.
-``memory`` an :class:`~repro.unnest.pipeline.UnnestedPlan` for the
-           in-memory :class:`~repro.db.FuzzyDatabase` engine.
-``dispatch`` nothing beyond parse + classification: values are bound and
-           the normal strategy dispatch runs per execution (used when
-           predicate closures would bake placeholder values in).
-``naive``  parse + classification only; executions bind and run the
-           naive nested-loop evaluator (the always-correct fallback).
-========== ==========================================================
+============ ========================================================
+kind         what is kept / what happens per execution
+============ ========================================================
+``flat``     the unnested single-block query (and, when the statement
+             has no placeholders, the compiled merge-join operator
+             tree); executions with placeholders bind values then
+             recompile the predicate closures only.
+``grouped``  a ready :class:`~repro.engine.grouped.GroupedAntiJoin`
+             (Sections 5/7); placeholder-free statements only.
+``ja``       a ready :class:`~repro.engine.pipelined.JAPipeline`
+             (Section 6); placeholder-free statements only.
+``memory``   an :class:`~repro.unnest.pipeline.UnnestedPlan` for the
+             in-memory :class:`~repro.db.FuzzyDatabase` engine.
+``deferred`` nothing beyond parse + classification: bind, plan, run —
+             the runner plans the bound query for that execution only
+             (used when predicate closures would bake placeholder
+             values in).
+``naive``    parse + classification only; executions bind and run the
+             naive nested-loop evaluator (the always-correct fallback).
+============ ========================================================
 
-Executing a prepared query never re-enters the lexer, parser, binder, or
-rewriter — the acceptance test asserts exactly that via tracer spans.
+Executing a prepared query never re-enters the lexer, parser, or binder
+(nor, except for ``deferred``, the rewriter) — the acceptance test
+asserts exactly that via tracer spans.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ class PlanArtifact:
     operator: object = None
     #: ``grouped`` / ``ja``: the ready storage-level executor.
     executable: object = None
-    #: ``grouped`` / ``ja``: the session strategy string.
+    #: The strategy string the run will report (``last_strategy``, EXPLAIN).
     strategy: str = ""
     #: ``memory``: the :class:`UnnestedPlan` for the in-memory engine.
     plan: object = None
@@ -129,7 +134,7 @@ class PreparedQuery:
         re-binding, or re-rewriting the statement.
         """
         self.check_arity(params)
-        return self._owner._execute_prepared(
+        return self._owner._run_statement(
             self, tuple(params), metrics=metrics, tracer=tracer
         )
 
@@ -141,7 +146,7 @@ class PreparedQuery:
             "grouped": "grouped anti-join executor",
             "ja": "pipelined T1/T2 executor",
             "memory": "unnested in-memory plan",
-            "dispatch": "classification only (strategy chosen per execution)",
+            "deferred": "classification only (planned per execution)",
             "naive": "classification only (naive fallback)",
         }.get(self.artifact.kind, self.artifact.kind)
         return (

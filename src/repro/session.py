@@ -2,8 +2,9 @@
 
 :class:`StorageSession` is the integration layer that makes the paper's
 architecture concrete end to end: relations are materialized as paged heap
-files, and ``query()`` dispatches each Fuzzy SQL query to the appropriate
-disk-level strategy —
+files, and every query is planned into a
+:class:`~repro.service.prepared.PlanArtifact` naming the disk-level strategy
+the one runner (:meth:`StorageSession._run_prepared`) then executes —
 
 * flat / type N / J / SOME / chain  → unnest, then the
   :class:`~repro.engine.executor.FlatCompiler` plan (merge joins with
@@ -16,17 +17,19 @@ disk-level strategy —
   back through the buffer (charged) and evaluated by the naive engine.
 
 All I/O and CPU events of the last query are available in
-:attr:`last_stats`; :attr:`last_strategy` names the path taken.
+:attr:`last_stats`; :attr:`last_strategy` names the path taken.  The
+stages around the runner (plan-cache lookup, collector / tracer wrapper,
+workload sinks) are the shared
+:class:`~repro.service.lifecycle.StatementLifecycle`.
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .data.catalog import Catalog
-from .errors import FuzzyQueryError, QueryCancelledError, QueryTimeoutError
+from .errors import FuzzyQueryError, QueryCancelledError
 from .resilience import CancelToken, QueryGuard
 from .data.io import parse_value
 from .data.relation import FuzzyRelation
@@ -35,7 +38,7 @@ from .data.types import AttributeType
 from .data.tuples import FuzzyTuple
 from .engine.adaptive import AdaptiveController
 from .engine.aggregates import DegreePolicy
-from .engine.executor import CompileError, DmlColumns, FlatCompiler, compile_comparison
+from .engine.executor import CompileError, DmlColumns, FlatCompiler, compile_conjunction
 from .engine.grouped import GroupedAntiJoin, GroupMode
 from .engine.histogram import HistogramStore
 from .engine.operators import ExecutionContext, Scan
@@ -44,16 +47,12 @@ from .engine.pipelined import JAPipeline
 from .engine.semantics import NaiveEvaluator
 from .engine.statistics import StatisticsVersions
 from .fuzzy.compare import Op
-from .observe.explain import annotate_estimates, join_q_errors, render_plan, render_report
-from .observe.health import HealthReport, HealthThresholds, evaluate_health
+from .observe.explain import annotate_estimates, render_plan, render_report
 from .observe.metrics import QueryMetrics
-from .observe.querylog import QueryLog
-from .observe.recorder import FlightRecorder
-from .observe.registry import MetricsRegistry
-from .observe.timeseries import TimeSeries, lifetime_window
 from .observe.trace import SpanTracer, maybe_span
 from .fuzzy.linguistic import Vocabulary
-from .service.plancache import PlanCache, normalize_sql
+from .service.lifecycle import StatementLifecycle
+from .service.plancache import PlanCache
 from .service.prepared import PlanArtifact, PreparedQuery
 from .sql.ast import (
     AggregateExpr,
@@ -65,7 +64,7 @@ from .sql.ast import (
     SelectQuery,
 )
 from .sql.classify import NestingType, classify
-from .sql.params import ParameterError, bind_parameters, count_parameters, referenced_tables
+from .sql.params import bind_parameters, count_parameters
 from .sql.parser import parse
 from .sql.statements import (
     CreateTable,
@@ -92,10 +91,20 @@ FLAT_TYPES = {
     NestingType.CHAIN,
 }
 
+#: Nesting types answered by the Section 5 / 7 grouped fold, and its mode.
+GROUPED_MODES = {
+    NestingType.TYPE_XN: GroupMode.NOT_IN,
+    NestingType.TYPE_JX: GroupMode.NOT_IN,
+    NestingType.TYPE_ALL: GroupMode.ALL,
+    NestingType.TYPE_JALL: GroupMode.ALL,
+}
+
+OVERFLOW_REASON = (
+    "merge window overflow (Rng(r) wider than the buffer); naive fallback"
+)
 
 
-
-class StorageSession:
+class StorageSession(StatementLifecycle):
     """Heap-file-backed query execution with automatic unnesting."""
 
     def __init__(
@@ -161,27 +170,6 @@ class StorageSession:
         self.schemas = Catalog(vocabulary)
         self.last_stats = OperationStats()
         self.last_strategy: str = ""
-        #: The compiled operator tree of the last flat query (None for the
-        #: storage-level strategies, which have no tree).
-        self.last_plan = None
-        #: The :class:`~repro.observe.metrics.QueryMetrics` collector of
-        #: the last instrumented run, if one was supplied.
-        self.last_metrics: Optional[QueryMetrics] = None
-        #: Workload-level sinks.  Assign a
-        #: :class:`~repro.observe.registry.MetricsRegistry`, a
-        #: :class:`~repro.observe.querylog.QueryLog`, and/or a
-        #: :class:`~repro.observe.recorder.FlightRecorder` and every query
-        #: is folded in / logged / recorded automatically (one collector
-        #: per query, read exactly once — see the no-double-counting
-        #: regression test).  All three key statement identity on the
-        #: shared canonicalizer in :mod:`repro.observe.fingerprint`.
-        self.registry: Optional[MetricsRegistry] = None
-        self.query_log: Optional[QueryLog] = None
-        self.recorder: Optional[FlightRecorder] = None
-        #: Optional :class:`~repro.observe.timeseries.TimeSeries` over the
-        #: registry; when attached (and snapshotted), :meth:`health`
-        #: evaluates the merged recent windows instead of lifetime totals.
-        self.timeseries: Optional[TimeSeries] = None
         #: Per-relation statistics versions; bumped on (re)registration and
         #: on sampled fan-out drift.  Plan-cache entries validate against
         #: these tokens.
@@ -582,35 +570,14 @@ class StorageSession:
         Only flat comparisons are accepted; column references may be
         unqualified or qualified by the table name (as typed or upper).
         """
-        if not where:
-            return lambda t: 1.0
         columns = DmlColumns(
             {None, table_as_typed, table_as_typed.upper(), heap.name},
             heap.schema,
         )
-        compiled = []
-        for predicate in where:
-            if not isinstance(predicate, Comparison):
-                raise FuzzyQueryError(
-                    "UPDATE/DELETE WHERE accepts only flat comparisons, "
-                    f"not {predicate!r}"
-                )
-            try:
-                compiled.append(
-                    compile_comparison(predicate, columns, columns, self.vocabulary)
-                )
-            except CompileError as exc:
-                raise FuzzyQueryError(str(exc)) from None
-
-        def degree(t: FuzzyTuple) -> float:
-            d = 1.0
-            for predicate in compiled:
-                if d == 0.0:
-                    return 0.0
-                d = min(d, predicate(t, None))
-            return d
-
-        return degree
+        try:
+            return compile_conjunction(where or (), columns, columns, self.vocabulary)
+        except CompileError as exc:
+            raise FuzzyQueryError(f"UPDATE/DELETE WHERE: {exc}") from None
 
     # ------------------------------------------------------------------
     # Queries
@@ -663,184 +630,11 @@ class StorageSession:
         the placement does not cover the join.  Pass ``shards=1`` to pin
         one query to local execution.
         """
-        workers = self.workers if workers is None else max(1, workers)
-        shards = self.shards if shards is None else max(1, shards)
         guard = QueryGuard.create(timeout_ms, cancel)
-        guard_ctx = self.disk.use_guard(guard) if guard is not None else nullcontext()
-        need_collector = (
-            metrics is not None
-            or self.registry is not None
-            or self.query_log is not None
-            or self.recorder is not None
-        )
-        use_cache = isinstance(sql, str) and self.plan_cache is not None
-        if not need_collector and tracer is None:
-            stats = OperationStats()
-            self.last_stats = stats
-            self.last_plan = None
-            self.last_metrics = None
-            with guard_ctx:
-                if use_cache:
-                    prepared, _ = self._cached_prepared(sql, None)
-                    result = self._run_prepared(
-                        prepared, (), stats, None, None, workers=workers,
-                        guard=guard, shards=shards,
-                    )
-                    prepared.executions += 1
-                    return result
-                query = parse(sql) if isinstance(sql, str) else sql
-                nesting = classify(query, self.schemas)
-                return self._dispatch(
-                    query, nesting, stats, None, workers=workers, guard=guard,
-                    shards=shards,
-                )
-
-        collector = (
-            (metrics if metrics is not None else QueryMetrics())
-            if need_collector
-            else None
-        )
-        self.last_metrics = collector
-        self.last_plan = None
-        started = time.perf_counter()
-        outcome = None
-        prepared = None
-        try:
-            with guard_ctx, maybe_span(tracer, "query"):
-                if use_cache:
-                    prepared, outcome = self._cached_prepared(sql, tracer)
-                    nesting = prepared.nesting
-                else:
-                    with maybe_span(tracer, "parse"):
-                        query = parse(sql) if isinstance(sql, str) else sql
-                    with maybe_span(tracer, "bind"):
-                        nesting = classify(query, self.schemas)
-                stats = OperationStats()
-                self.last_stats = stats
-                if collector is None:
-                    if prepared is not None:
-                        result = self._run_prepared(
-                            prepared, (), stats, None, tracer,
-                            workers=workers, guard=guard, shards=shards,
-                        )
-                    else:
-                        result = self._dispatch(
-                            query, nesting, stats, None, tracer,
-                            workers=workers, guard=guard, shards=shards,
-                        )
-                else:
-                    collector.nesting_type = nesting.value
-                    collector.plan_cache = outcome
-                    collector.stats = stats
-                    with collector.watch_disk(self.disk), collector.span("query"):
-                        if prepared is not None:
-                            result = self._run_prepared(
-                                prepared, (), stats, collector, tracer,
-                                workers=workers, guard=guard, shards=shards,
-                            )
-                        else:
-                            result = self._dispatch(
-                                query, nesting, stats, collector, tracer,
-                                workers=workers, guard=guard, shards=shards,
-                            )
-        except FuzzyQueryError as exc:
-            self._record_failure(
-                sql if isinstance(sql, str) else repr(sql),
-                collector,
-                started,
-                exc,
+        with self.disk.use_guard(guard) if guard is not None else nullcontext():
+            return self._run_statement(
+                sql, (), metrics, tracer, workers=workers, shards=shards, guard=guard
             )
-            raise
-        if prepared is not None:
-            prepared.executions += 1
-        wall = time.perf_counter() - started
-        self._observe_query(
-            sql if isinstance(sql, str) else repr(sql),
-            collector,
-            wall,
-            len(result),
-        )
-        return result
-
-    def _observe_query(
-        self,
-        sql_text: str,
-        collector: Optional[QueryMetrics],
-        wall: float,
-        rows: int,
-        error: str = "",
-    ) -> None:
-        """Fold one finished query into every attached workload sink.
-
-        The single funnel for the registry, query log, and flight
-        recorder, so all three always agree on query counts and statement
-        identity.  Per-join q-errors are stamped onto the collector first
-        (successful flat plans only) — pure arithmetic over the compiled
-        plan and the collector's already-measured row counts, no extra
-        I/O — so every sink sees the same estimate-drift numbers.
-        """
-        if collector is None:
-            return
-        if not error and self.last_plan is not None:
-            collector.q_errors = join_q_errors(self.last_plan, collector)
-        if self.registry is not None:
-            self.registry.observe(collector, wall_seconds=wall, rows=rows)
-        if self.query_log is not None:
-            self.query_log.record(sql_text, collector, wall_seconds=wall, rows=rows)
-        if self.recorder is not None:
-            self.recorder.record(
-                sql_text, collector, wall_seconds=wall, rows=rows, error=error
-            )
-
-    def _record_failure(
-        self,
-        sql_text: str,
-        collector: Optional[QueryMetrics],
-        started: float,
-        exc: FuzzyQueryError,
-    ) -> None:
-        """Fold a failed query into the sinks with its typed outcome."""
-        if self.registry is not None:
-            self.registry.count_error(type(exc).__name__)
-        if collector is None:
-            return
-        if isinstance(exc, QueryTimeoutError):
-            collector.outcome = "timeout"
-        elif isinstance(exc, QueryCancelledError):
-            collector.outcome = "cancelled"
-        else:
-            collector.outcome = "error"
-        wall = time.perf_counter() - started
-        self._observe_query(
-            sql_text, collector, wall, 0, error=type(exc).__name__
-        )
-
-    def health(
-        self,
-        thresholds: Optional[HealthThresholds] = None,
-        last: Optional[int] = None,
-    ) -> HealthReport:
-        """Evaluate the health rules over this session's workload.
-
-        With a :attr:`timeseries` attached and at least one snapshot
-        taken, the report covers the merged recent windows (optionally the
-        ``last`` N); otherwise it covers the :attr:`registry`'s lifetime
-        totals.  Raises :class:`~repro.errors.FuzzyQueryError` when
-        neither sink is attached — there is nothing to judge.
-        """
-        if self.timeseries is not None and len(self.timeseries):
-            window = self.timeseries.merged(last)
-        else:
-            registry = self.registry
-            if registry is None and self.timeseries is not None:
-                registry = self.timeseries.registry
-            if registry is None:
-                raise FuzzyQueryError(
-                    "health() needs a registry or timeseries attached "
-                    "(assign session.registry = MetricsRegistry())"
-                )
-            window = lifetime_window(registry)
-        return evaluate_health(window, thresholds)
 
     def trace(self, sql: Union[str, SelectQuery]) -> SpanTracer:
         """Run a query with a fresh span tracer attached and return it.
@@ -856,29 +650,20 @@ class StorageSession:
     # ------------------------------------------------------------------
     # Prepared statements and the plan cache
     # ------------------------------------------------------------------
-    def prepare(self, sql: Union[str, SelectQuery]) -> PreparedQuery:
-        """Parse, classify, and rewrite once; execute many times.
-
-        The statement may contain ``?`` placeholders (anywhere a literal
-        is legal, and as the ``WITH D >= ?`` threshold); bind one value
-        per placeholder at each :meth:`~repro.service.prepared.PreparedQuery.execute`.
-        Statements without placeholders additionally cache their compiled
-        execution plan (the flat operator tree, a grouped anti-join, or a
-        Section 6 pipeline), so repeated executions skip straight to I/O.
-        """
-        prepared = self._prepare(sql)
-        if self.registry is not None:
-            self.registry.count_prepared()
-        return prepared
-
-    def _prepare(self, sql: Union[str, SelectQuery], tracer: Optional[SpanTracer] = None) -> PreparedQuery:
+    def _prepare(
+        self,
+        sql: Union[str, SelectQuery],
+        tracer: Optional[SpanTracer] = None,
+        text: Optional[str] = None,
+    ) -> PreparedQuery:
         with maybe_span(tracer, "parse"):
             template = parse(sql) if isinstance(sql, str) else sql
         with maybe_span(tracer, "bind"):
             nesting = classify(template, self.schemas)
         n_params = count_parameters(template)
         artifact = self._plan_template(template, nesting, n_params, tracer)
-        text = sql if isinstance(sql, str) else str(sql)
+        if text is None:
+            text = str(sql)
         return PreparedQuery(self, text, template, nesting, n_params, artifact)
 
     def _plan_tokens(self, names) -> Dict[str, Tuple[int, int, int]]:
@@ -970,44 +755,27 @@ class StorageSession:
 
         self.plan_cache.evict_if(stale)
 
-    def _cached_prepared(
-        self, sql: str, tracer: Optional[SpanTracer]
-    ) -> Tuple[PreparedQuery, str]:
-        """The plan-cache lookup behind textual ``query()`` calls."""
-        key = normalize_sql(sql)
-        prepared, outcome = self.plan_cache.lookup(key, self._plan_tokens)
-        if prepared is None:
-            prepared = self._prepare(sql, tracer)
-            if prepared.param_count:
-                raise ParameterError(
-                    "query() cannot run a statement with ? placeholders; "
-                    "use prepare() and bind values per execution"
-                )
-            tokens = self._plan_tokens(referenced_tables(prepared.template))
-            self.plan_cache.store(key, prepared, tokens)
-        return prepared, outcome
-
     def _plan_template(
         self,
         query: SelectQuery,
         nesting: NestingType,
-        n_params: int,
+        n_params: int = 0,
         tracer: Optional[SpanTracer] = None,
     ) -> PlanArtifact:
-        """Run the rewrite (and, when closed, compilation) ahead of time.
+        """Plan one statement as far as it allows: rewrite, build, compile.
 
-        Strategies whose predicate compilation bakes literal values in
-        (the grouped and pipelined paths) cannot be pre-built for
-        parameterized statements; those fall back to per-execution
-        dispatch on the bound query.
+        The artifact names the strategy the runner will take and carries
+        what was built for it.  Strategies whose predicate compilation
+        bakes literal values in (the grouped and pipelined paths) cannot
+        be pre-built for parameterized statements; those are ``deferred``
+        and planned by the runner once the values are bound.
         """
-        if nesting in FLAT_TYPES:
-            try:
+        try:
+            if nesting in FLAT_TYPES:
                 with maybe_span(tracer, "rewrite"):
                     plan = unnest(query, self.schemas)
                     if plan.steps or not isinstance(plan.final, SelectQuery):
                         raise UnnestError("not a single flat query")
-                rule = plan.rule or plan.nesting_type
                 operator = None
                 if n_params == 0:
                     with maybe_span(tracer, "compile"):
@@ -1015,181 +783,130 @@ class StorageSession:
                             plan.final, optimize=self.optimize_joins
                         )
                 return PlanArtifact(
-                    "flat", flat=plan.final, rule=rule, operator=operator
+                    "flat",
+                    flat=plan.final,
+                    rule=plan.rule or plan.nesting_type,
+                    strategy=f"flat/{nesting.value}: merge-join plan",
+                    operator=operator,
                 )
-            except (UnnestError, CompileError):
-                return PlanArtifact("naive")
-        if n_params:
-            return PlanArtifact("dispatch")
-        try:
-            if nesting in (NestingType.TYPE_XN, NestingType.TYPE_JX):
+            if nesting in GROUPED_MODES or nesting is NestingType.TYPE_JA:
+                if n_params:
+                    return PlanArtifact(
+                        "deferred",
+                        strategy="planned per execution, once the placeholders are bound",
+                    )
                 with maybe_span(tracer, "rewrite"):
-                    built = self._build_grouped(query, GroupMode.NOT_IN, nesting)
-                executable, strategy, rule = built
-                return PlanArtifact(
-                    "grouped", executable=executable, strategy=strategy, rule=rule
-                )
-            if nesting in (NestingType.TYPE_ALL, NestingType.TYPE_JALL):
-                with maybe_span(tracer, "rewrite"):
-                    built = self._build_grouped(query, GroupMode.ALL, nesting)
-                executable, strategy, rule = built
-                return PlanArtifact(
-                    "grouped", executable=executable, strategy=strategy, rule=rule
-                )
-            if nesting is NestingType.TYPE_JA:
-                with maybe_span(tracer, "rewrite"):
-                    built = self._build_ja(query, nesting)
-                executable, strategy, rule = built
-                return PlanArtifact(
-                    "ja", executable=executable, strategy=strategy, rule=rule
-                )
+                    if nesting is NestingType.TYPE_JA:
+                        return self._build_ja(query, nesting)
+                    return self._build_grouped(query, GROUPED_MODES[nesting], nesting)
         except (UnnestError, CompileError):
             pass
-        return PlanArtifact("naive")
-
-    def _execute_prepared(
-        self,
-        prepared: PreparedQuery,
-        params: tuple,
-        metrics: Optional[QueryMetrics] = None,
-        tracer: Optional[SpanTracer] = None,
-    ) -> FuzzyRelation:
-        """Run a prepared statement (the back end of ``PreparedQuery.execute``)."""
-        need_collector = (
-            metrics is not None
-            or self.registry is not None
-            or self.query_log is not None
-            or self.recorder is not None
+        return PlanArtifact(
+            "naive",
+            rule="none (naive fallback)",
+            strategy=f"naive/{nesting.value}: in-memory nested evaluation",
         )
-        if not need_collector and tracer is None:
-            stats = OperationStats()
-            self.last_stats = stats
-            self.last_plan = None
-            self.last_metrics = None
-            result = self._run_prepared(prepared, params, stats, None, None)
-            prepared.executions += 1
-            return result
-        collector = (
-            (metrics if metrics is not None else QueryMetrics())
-            if need_collector
-            else None
-        )
-        self.last_metrics = collector
-        self.last_plan = None
-        started = time.perf_counter()
-        try:
-            with maybe_span(tracer, "query"):
-                stats = OperationStats()
-                self.last_stats = stats
-                if collector is None:
-                    result = self._run_prepared(prepared, params, stats, None, tracer)
-                else:
-                    collector.nesting_type = prepared.nesting.value
-                    collector.prepared = True
-                    collector.stats = stats
-                    with collector.watch_disk(self.disk), collector.span("query"):
-                        result = self._run_prepared(
-                            prepared, params, stats, collector, tracer
-                        )
-        except FuzzyQueryError as exc:
-            self._record_failure(prepared.sql_text, collector, started, exc)
-            raise
-        prepared.executions += 1
-        wall = time.perf_counter() - started
-        self._observe_query(prepared.sql_text, collector, wall, len(result))
-        return result
 
     def _run_prepared(
         self,
         prepared: PreparedQuery,
         params: tuple,
-        stats: OperationStats,
         metrics: Optional[QueryMetrics],
         tracer: Optional[SpanTracer],
-        workers: int = 1,
+        workers: Optional[int] = None,
+        shards: Optional[int] = None,
         guard: Optional[QueryGuard] = None,
-        shards: int = 1,
     ) -> FuzzyRelation:
-        """Execute a prepared artifact: bind values, (re)compile, run.
+        """The one runner: bind values, finish planning, execute, fall back.
 
-        Never re-enters the parser, binder, or rewriter — only the value
+        Every SELECT ends here with its artifact — from the plan cache, a
+        ``prepare()``, or planned for this run only.  A prepared artifact
+        never re-enters the parser, binder, or rewriter: only the value
         substitution and (for parameterized flat plans) predicate
-        compilation happen per execution.
+        compilation happen per execution.  ``workers`` / ``shards``
+        default to the session's budgets whichever entry point called.
         """
         from .join.merge_join import WindowOverflowError
 
-        artifact = prepared.artifact
-        try:
-            if artifact.kind == "flat":
-                operator = artifact.operator
-                if operator is None:
-                    with maybe_span(tracer, "bind-params"):
-                        flat = (
-                            bind_parameters(artifact.flat, params)
-                            if prepared.param_count
-                            else artifact.flat
+        workers = self.workers if workers is None else max(1, workers)
+        shards = self.shards if shards is None else max(1, shards)
+        stats = self.last_stats = OperationStats()
+        watch = nullcontext()
+        if metrics is not None:
+            metrics.stats = stats
+            watch = metrics.watch_disk(self.disk)
+        query, artifact = prepared.template, prepared.artifact
+        flat = artifact.flat
+        with watch:
+            if prepared.param_count:
+                with maybe_span(tracer, "bind-params"):
+                    query = prepared.bind(params)
+                    if flat is not None:
+                        flat = bind_parameters(flat, params)
+            try:
+                if artifact.kind == "deferred":
+                    artifact = self._plan_template(query, prepared.nesting, 0, tracer)
+                if artifact.kind == "flat":
+                    operator = artifact.operator
+                    if operator is None:
+                        with maybe_span(tracer, "compile"):
+                            operator = self._compiler().compile(
+                                flat, optimize=self.optimize_joins
+                            )
+                    elif self.adaptive:
+                        # A cached plan may have outlived a benign install
+                        # (no version bump): rebind its leaves to the live
+                        # heap versions before running it.
+                        self._rebind_plan(operator)
+                    if self.adaptive:
+                        annotate_estimates(operator)
+                    self.last_plan = operator
+                    self._announce(artifact, metrics)
+                    return operator.to_relation(
+                        ExecutionContext(
+                            self.disk,
+                            self.buffer_pages,
+                            stats,
+                            metrics=metrics,
+                            tracer=tracer,
+                            workers=workers,
+                            guard=guard,
+                            shards=shards,
+                            sharded=self.sharded,
+                            adapt=self.adapt_controller,
                         )
-                    with maybe_span(tracer, "compile"):
-                        operator = self._compiler().compile(
-                            flat, optimize=self.optimize_joins
-                        )
-                elif self.adaptive:
-                    # A cached plan may have outlived a benign install
-                    # (no version bump): rebind its leaves to the live
-                    # heap versions before running it.
-                    self._rebind_plan(operator)
-                if self.adaptive:
-                    annotate_estimates(operator)
-                self.last_strategy = (
-                    f"flat/{prepared.nesting.value}: merge-join plan"
-                )
-                self.last_plan = operator
-                if metrics is not None:
-                    metrics.rewrite = artifact.rule
-                    metrics.strategy = self.last_strategy
-                return operator.to_relation(
-                    ExecutionContext(
+                    )
+                if artifact.kind in ("grouped", "ja"):
+                    self._announce(artifact, metrics)
+                    return artifact.executable.run(
                         self.disk,
                         self.buffer_pages,
                         stats,
                         metrics=metrics,
                         tracer=tracer,
-                        workers=workers,
-                        guard=guard,
-                        shards=shards,
-                        sharded=self.sharded,
-                        adapt=self.adapt_controller,
                     )
-                )
-            if artifact.kind in ("grouped", "ja"):
-                self.last_strategy = artifact.strategy
+            except (UnnestError, CompileError):
+                pass
+            except WindowOverflowError:
+                # The largest Rng(r) did not fit the buffer (very wide
+                # supports, Section 3's caveat): restart on the always-
+                # applicable path.  The sort and scan work already charged
+                # stays on the ledger, and the query is marked degraded
+                # (after whatever rung an operator already stepped down).
                 if metrics is not None:
-                    metrics.rewrite = artifact.rule
-                    metrics.strategy = artifact.strategy
-                return artifact.executable.run(
-                    self.disk,
-                    self.buffer_pages,
-                    stats,
-                    metrics=metrics,
-                    tracer=tracer,
-                )
-            if artifact.kind == "dispatch":
-                with maybe_span(tracer, "bind-params"):
-                    bound = prepared.bind(params)
-                return self._dispatch(
-                    bound, prepared.nesting, stats, metrics, tracer,
-                    workers=workers, guard=guard, shards=shards,
-                )
-        except (UnnestError, CompileError):
-            pass
-        except WindowOverflowError:
-            stats = OperationStats()
-            self.last_stats = stats
-            if metrics is not None:
-                metrics.stats = stats
-        with maybe_span(tracer, "bind-params"):
-            bound = prepared.bind(params)
-        return self._run_naive(bound, prepared.nesting, stats, metrics, tracer)
+                    earlier = metrics.degraded_reason
+                    metrics.degraded = True
+                    metrics.degraded_reason = (
+                        f"{earlier}; then {OVERFLOW_REASON}" if earlier else OVERFLOW_REASON
+                    )
+            return self._run_naive(query, prepared.nesting, stats, metrics, tracer)
+
+    def _announce(self, artifact: PlanArtifact, metrics: Optional[QueryMetrics]) -> None:
+        """Publish the strategy about to run (``last_strategy``, collector)."""
+        self.last_strategy = artifact.strategy
+        if metrics is not None:
+            metrics.rewrite = artifact.rule
+            metrics.strategy = artifact.strategy
 
     def run_batch(
         self,
@@ -1221,84 +938,22 @@ class StorageSession:
 
         return run_ordered(queries, run_one, workers)
 
-    def _dispatch(
-        self,
-        query: SelectQuery,
-        nesting: NestingType,
-        stats: OperationStats,
-        metrics: Optional[QueryMetrics],
-        tracer: Optional[SpanTracer] = None,
-        workers: int = 1,
-        guard: Optional[QueryGuard] = None,
-        shards: int = 1,
-    ) -> FuzzyRelation:
-        from .join.merge_join import WindowOverflowError
-
-        try:
-            if nesting in FLAT_TYPES:
-                return self._run_flat(
-                    query, nesting, stats, metrics, tracer,
-                    workers=workers, guard=guard, shards=shards,
-                )
-            if nesting in (NestingType.TYPE_XN, NestingType.TYPE_JX):
-                return self._run_grouped(
-                    query, GroupMode.NOT_IN, nesting, stats, metrics, tracer
-                )
-            if nesting in (NestingType.TYPE_ALL, NestingType.TYPE_JALL):
-                return self._run_grouped(
-                    query, GroupMode.ALL, nesting, stats, metrics, tracer
-                )
-            if nesting is NestingType.TYPE_JA:
-                return self._run_ja(query, nesting, stats, metrics, tracer)
-        except (UnnestError, CompileError):
-            pass
-        except WindowOverflowError:
-            # The largest Rng(r) did not fit the buffer (very wide supports,
-            # Section 3's caveat): restart on the always-applicable path.
-            stats = OperationStats()
-            self.last_stats = stats
-            if metrics is not None:
-                metrics.stats = stats
-        return self._run_naive(query, nesting, stats, metrics, tracer)
-
     def explain(self, sql: Union[str, SelectQuery]) -> str:
         """Describe the strategy and plan a query would run with.
 
-        Executes nothing against the data (beyond sampling-free schema
-        work); safe to call on large sessions.
+        Renders the artifact ``query(sql)`` would execute — the
+        ``strategy:`` line is what :attr:`last_strategy` will read —
+        without touching the data or the plan cache; safe to call on
+        large sessions.
         """
-        query = parse(sql) if isinstance(sql, str) else sql
-        nesting = classify(query, self.schemas)
-        lines = [f"nesting type: {nesting.value}"]
-        if nesting in FLAT_TYPES:
-            try:
-                plan = unnest(query, self.schemas)
-                if not plan.steps and isinstance(plan.final, SelectQuery):
-                    operator = self._compiler().compile(plan.final, optimize=self.optimize_joins)
-                    if plan.rule:
-                        lines.append(f"rewrite: {plan.rule}")
-                    lines.append("strategy: flat merge-join plan")
-                    lines.append(render_plan(operator))
-                    return "\n".join(lines)
-            except (UnnestError, CompileError):
-                pass
-        elif nesting in (NestingType.TYPE_XN, NestingType.TYPE_JX,
-                         NestingType.TYPE_ALL, NestingType.TYPE_JALL):
-            try:
-                self._dissect(query)
-                kind = "NOT IN" if nesting in (NestingType.TYPE_XN, NestingType.TYPE_JX) else "op ALL"
-                lines.append(f"strategy: grouped anti-join min-fold ({kind})")
-                return "\n".join(lines)
-            except (UnnestError, CompileError):
-                pass
-        elif nesting is NestingType.TYPE_JA:
-            try:
-                self._dissect(query)
-                lines.append("strategy: pipelined T1/T2 merge pass (Section 6)")
-                return "\n".join(lines)
-            except (UnnestError, CompileError):
-                pass
-        lines.append("strategy: naive in-memory nested evaluation")
+        prepared = self._prepare(sql)
+        artifact = prepared.artifact
+        lines = [f"nesting type: {prepared.nesting.value}"]
+        if artifact.rule:
+            lines.append(f"rewrite: {artifact.rule}")
+        lines.append(f"strategy: {artifact.strategy}")
+        if artifact.operator is not None:
+            lines.append(render_plan(artifact.operator))
         return "\n".join(lines)
 
     def explain_analyze(
@@ -1392,47 +1047,11 @@ class StorageSession:
         return fanouts
 
     # ------------------------------------------------------------------
-    # Strategy: flat plans
-    # ------------------------------------------------------------------
-    def _run_flat(
-        self,
-        query: SelectQuery,
-        nesting: NestingType,
-        stats: OperationStats,
-        metrics: Optional[QueryMetrics] = None,
-        tracer: Optional[SpanTracer] = None,
-        workers: int = 1,
-        guard: Optional[QueryGuard] = None,
-        shards: int = 1,
-    ) -> FuzzyRelation:
-        with maybe_span(tracer, "rewrite"):
-            plan = unnest(query, self.schemas)
-            if plan.steps or not isinstance(plan.final, SelectQuery):
-                raise UnnestError("not a single flat query")
-        with maybe_span(tracer, "compile"):
-            operator = self._compiler().compile(plan.final, optimize=self.optimize_joins)
-        if self.adaptive:
-            annotate_estimates(operator)
-        self.last_strategy = f"flat/{nesting.value}: merge-join plan"
-        self.last_plan = operator
-        if metrics is not None:
-            metrics.rewrite = plan.rule or plan.nesting_type
-            metrics.strategy = self.last_strategy
-        return operator.to_relation(
-            ExecutionContext(
-                self.disk, self.buffer_pages, stats, metrics=metrics,
-                tracer=tracer, workers=workers, guard=guard,
-                shards=shards, sharded=self.sharded,
-                adapt=self.adapt_controller,
-            )
-        )
-
-    # ------------------------------------------------------------------
     # Strategy: grouped anti-joins (Sections 5 and 7)
     # ------------------------------------------------------------------
     def _build_grouped(
         self, query: SelectQuery, mode: GroupMode, nesting: NestingType
-    ) -> Tuple[GroupedAntiJoin, str, str]:
+    ) -> PlanArtifact:
         """Dissect and construct the Section 5/7 executor (no I/O yet)."""
         parts = self._dissect(query)
         (outer_name, inner_name, p1, p2, cross, nesting_pred, project_attrs) = parts
@@ -1457,39 +1076,21 @@ class StorageSession:
             project_attrs=project_attrs,
         )
         band = "merge-join" if grouped.band else "nested-loop"
-        strategy = f"grouped/{nesting.value}: {band} min-fold"
-        rewrite = (
-            "NOT IN -> grouped anti-join min-fold (Section 5)"
-            if mode is GroupMode.NOT_IN
-            else "op ALL -> doubly-negated grouped fold (Section 7)"
-        )
-        return grouped, strategy, rewrite
-
-    def _run_grouped(
-        self,
-        query: SelectQuery,
-        mode: GroupMode,
-        nesting: NestingType,
-        stats: OperationStats,
-        metrics: Optional[QueryMetrics] = None,
-        tracer: Optional[SpanTracer] = None,
-    ) -> FuzzyRelation:
-        with maybe_span(tracer, "rewrite"):
-            grouped, strategy, rewrite = self._build_grouped(query, mode, nesting)
-        self.last_strategy = strategy
-        if metrics is not None:
-            metrics.rewrite = rewrite
-            metrics.strategy = strategy
-        return grouped.run(
-            self.disk, self.buffer_pages, stats, metrics=metrics, tracer=tracer
+        return PlanArtifact(
+            "grouped",
+            executable=grouped,
+            strategy=f"grouped/{nesting.value}: {band} min-fold",
+            rule=(
+                "NOT IN -> grouped anti-join min-fold (Section 5)"
+                if mode is GroupMode.NOT_IN
+                else "op ALL -> doubly-negated grouped fold (Section 7)"
+            ),
         )
 
     # ------------------------------------------------------------------
     # Strategy: the Section 6 pipeline
     # ------------------------------------------------------------------
-    def _build_ja(
-        self, query: SelectQuery, nesting: NestingType
-    ) -> Tuple[JAPipeline, str, str]:
+    def _build_ja(self, query: SelectQuery, nesting: NestingType) -> PlanArtifact:
         """Dissect and construct the Section 6 pipeline (no I/O yet)."""
         parts = self._dissect(query)
         (outer_name, inner_name, p1, p2, cross, nesting_pred, project_attrs) = parts
@@ -1515,26 +1116,11 @@ class StorageSession:
             p2=p2,
             policy=self.aggregate_policy,
         )
-        strategy = f"pipelined/{nesting.value}: T1/T2 merge pass"
-        rewrite = "correlated aggregate -> pipelined T1/T2 merge pass (Section 6)"
-        return pipeline, strategy, rewrite
-
-    def _run_ja(
-        self,
-        query: SelectQuery,
-        nesting: NestingType,
-        stats: OperationStats,
-        metrics: Optional[QueryMetrics] = None,
-        tracer: Optional[SpanTracer] = None,
-    ) -> FuzzyRelation:
-        with maybe_span(tracer, "rewrite"):
-            pipeline, strategy, rewrite = self._build_ja(query, nesting)
-        self.last_strategy = strategy
-        if metrics is not None:
-            metrics.rewrite = rewrite
-            metrics.strategy = strategy
-        return pipeline.run(
-            self.disk, self.buffer_pages, stats, metrics=metrics, tracer=tracer
+        return PlanArtifact(
+            "ja",
+            executable=pipeline,
+            strategy=f"pipelined/{nesting.value}: T1/T2 merge pass",
+            rule="correlated aggregate -> pipelined T1/T2 merge pass (Section 6)",
         )
 
     # ------------------------------------------------------------------
@@ -1597,7 +1183,12 @@ class StorageSession:
         }
         domains.update({(inner.binding, a.name): a.domain for a in inner_heap.schema})
 
-        p1 = self._conjunction(rest, outer_columns, domains)
+        # None (not an always-1 closure) lets the executors skip the call.
+        p1 = (
+            compile_conjunction(rest, outer_columns, domains, self.vocabulary)
+            if rest
+            else None
+        )
         cross: List[Tuple[str, Op, str]] = []
         local = []
         inner_bindings = {inner.binding}
@@ -1622,7 +1213,11 @@ class StorageSession:
             if not isinstance(inner_ref, ColumnRef):
                 raise CompileError("correlation must compare two columns")
             cross.append((outer_ref.attribute, op, inner_ref.attribute))
-        p2 = self._conjunction(local, inner_columns, domains)
+        p2 = (
+            compile_conjunction(local, inner_columns, domains, self.vocabulary)
+            if local
+            else None
+        )
 
         project_attrs = []
         for item in q.select:
@@ -1630,23 +1225,6 @@ class StorageSession:
                 raise CompileError("select list must be plain columns")
             project_attrs.append(item.attribute)
         return outer_name, inner_name, p1, p2, cross, nesting_pred, project_attrs
-
-    def _conjunction(self, predicates, columns, domains) -> Optional[Callable[[FuzzyTuple], float]]:
-        if not predicates:
-            return None
-        compiled = [
-            compile_comparison(p, columns, domains, self.vocabulary) for p in predicates
-        ]
-
-        def degree(t: FuzzyTuple) -> float:
-            d = 1.0
-            for predicate in compiled:
-                if d == 0.0:
-                    return 0.0
-                d = min(d, predicate(t, None))
-            return d
-
-        return degree
 
     def _single_column(self, inner_query: SelectQuery) -> ColumnRef:
         if len(inner_query.select) != 1 or not isinstance(inner_query.select[0], ColumnRef):

@@ -520,6 +520,28 @@ class TestHealthEndToEnd:
         with pytest.raises(FuzzyQueryError):
             session.health()
 
+    def test_db_facade_records_failed_queries(self):
+        # The DB twin of the session's failed-query test: the shared
+        # lifecycle folds a raising query into the registry and the
+        # recorder, so health() counts it.
+        db = FuzzyDatabase()
+        db.execute("CREATE TABLE R (K NUMERIC, V NUMERIC)")
+        db.execute("INSERT INTO R VALUES (1, 5), (2, 6)")
+        db.registry = MetricsRegistry()
+        db.recorder = FlightRecorder()
+        db.query("SELECT R.K FROM R WHERE R.V > 5")
+        with pytest.raises(DatabaseError) as raised:
+            db.query("DROP TABLE R")
+        assert isinstance(raised.value, FuzzyQueryError)
+        assert db.registry.queries_failed_total == 1
+        text = db.registry.render_prometheus()
+        assert 'fuzzysql_errors_total{type="DatabaseError"} 1' in text
+        event = db.recorder.events()[-1]
+        assert event.outcome == "error" and event.error == "DatabaseError"
+        report = db.health()
+        assert report.queries == 2
+        assert "R" in db  # the rejected statement did not run
+
     def test_db_facade_health_and_recorder(self):
         db = FuzzyDatabase()
         db.execute("CREATE TABLE R (K NUMERIC, V NUMERIC)")

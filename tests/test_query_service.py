@@ -3,6 +3,7 @@ cache with statistics-version invalidation, and concurrent batch execution
 (`repro.service` plus the wiring in `StorageSession` / `FuzzyDatabase`)."""
 
 import random
+import re
 
 import pytest
 
@@ -103,6 +104,150 @@ class TestPlanCache:
         assert value is None and outcome == "invalidated"
         assert cache.invalidations == 1
         assert "q" not in cache  # stale entries are evicted, not kept
+
+
+# ----------------------------------------------------------------------
+# One statement lifecycle: every entry form is plan -> artifact -> run
+# ----------------------------------------------------------------------
+#: One ``(template, params)`` per nesting type of the paper's taxonomy.
+LIFECYCLE = {
+    "N": ("SELECT R.K FROM R WHERE R.U > ? AND R.V IN (SELECT S.V FROM S)", [1.0]),
+    "J": (
+        "SELECT R.K FROM R WHERE R.U > ? AND R.V IN "
+        "(SELECT S.V FROM S WHERE S.U = R.U)",
+        [1.0],
+    ),
+    "JX": (
+        "SELECT R.K FROM R WHERE R.U > ? AND R.V NOT IN "
+        "(SELECT S.V FROM S WHERE S.U = R.U)",
+        [1.0],
+    ),
+    "JA": (
+        "SELECT R.K FROM R WHERE R.U > ? AND R.V > "
+        "(SELECT MAX(S.V) FROM S WHERE S.U = R.U)",
+        [1.0],
+    ),
+    "chain": (
+        "SELECT R.K FROM R WHERE R.K > ? AND R.U IN "
+        "(SELECT S.V FROM S WHERE S.K IN (SELECT S2.V FROM S S2 WHERE S2.U = R.V))",
+        [3.0],
+    ),
+}
+
+#: Spans of the front end; what follows them is the execution itself.
+FRONT_END = {"parse", "bind", "rewrite", "compile", "bind-params"}
+
+#: JALL, two JA shapes the Section 6 pipeline does not cover (they run
+#: naive), and a thresholded JX — beside one statement per LIFECYCLE type.
+OFF_SWEEP = {
+    "JALL": SWEEP[3],
+    "JA-inequality": (
+        "SELECT R.K FROM R WHERE R.V > (SELECT MAX(S.V) FROM S WHERE S.U < R.U)"
+    ),
+    "JA-two-correlations": (
+        "SELECT R.K FROM R WHERE R.V > "
+        "(SELECT MAX(S.V) FROM S WHERE S.U = R.U AND S.K > R.K)"
+    ),
+    "JX-threshold": (
+        "SELECT R.K FROM R WHERE R.V NOT IN "
+        "(SELECT S.V FROM S WHERE S.U = R.U) WITH D >= 0.5"
+    ),
+}
+
+
+def literal(template, params):
+    for value in params:
+        template = template.replace("?", str(value), 1)
+    return template
+
+
+class TestOneLifecycle:
+    @pytest.mark.parametrize("nesting", sorted(LIFECYCLE))
+    def test_every_entry_form_takes_the_same_path(self, nesting):
+        template, params = LIFECYCLE[nesting]
+        sql = literal(template, params)
+
+        def no_cache(session, tracer):
+            session.plan_cache = None
+            return session.query(sql, tracer=tracer)
+
+        forms = {
+            "text": lambda s, t: s.query(sql, tracer=t),
+            "parsed": lambda s, t: s.query(parse(sql), tracer=t),
+            "no cache": no_cache,
+            "prepared": lambda s, t: s.prepare(sql).execute(tracer=t),
+            "prepared ?": lambda s, t: s.prepare(template).execute(params, tracer=t),
+        }
+        seen = {}
+        for form, run in forms.items():
+            _, session = build()
+            tracer = SpanTracer()
+            answer = run(session, tracer)
+            seen[form] = (
+                canonical(answer),
+                session.last_strategy,
+                session.last_stats.total,
+                # scratch-file names carry a process-wide serial number
+                [re.sub(r"\d+", "#", name) for name in span_names(tracer)],
+            )
+        want = seen["text"]
+        assert not want[1].startswith("naive/")
+        for form, got in seen.items():
+            assert got[:3] == want[:3], form
+            executed = [name for name in got[3] if name not in FRONT_END]
+            assert executed == [n for n in want[3] if n not in FRONT_END], form
+        # The un-prepared forms also share the front end, span for span.
+        assert seen["parsed"][3] == seen["no cache"][3] == want[3]
+
+    @pytest.mark.parametrize("shape", sorted(LIFECYCLE) + sorted(OFF_SWEEP))
+    def test_explain_names_the_strategy_the_run_takes(self, shape):
+        from repro.storage.stats import Counters, OperationStats
+
+        sql = OFF_SWEEP.get(shape) or literal(*LIFECYCLE[shape])
+        _, session = build()
+        before, probe = session.last_stats, OperationStats()
+        with session.disk.use_stats(probe):
+            explained = session.explain(sql)
+        assert session.last_stats is before
+        assert before.total == probe.total == Counters()  # EXPLAIN moves no counter
+        session.query(sql)
+        assert f"strategy: {session.last_strategy}" in explained.splitlines()
+
+    @pytest.mark.parametrize(
+        "options", [{"shards": 2, "shard_on": "V"}, {"workers": 2}], ids=["shards2", "workers2"]
+    )
+    def test_prepared_execution_uses_the_session_budgets(self, options):
+        """``prepare().execute()`` and ``query()`` resolve workers/shards alike."""
+        rng = random.Random(17)
+
+        def spread(base):  # crisp join values: both budgets find boundaries
+            rows = [
+                FuzzyTuple([N(base + i), rng.choice(POOL), N(rng.randrange(12))], 1.0)
+                for i in range(60)
+            ]
+            return FuzzyRelation(SCHEMA, rows)
+
+        session = StorageSession(buffer_pages=16, page_size=512, **options)
+        session.register("R", spread(0))
+        session.register("S", spread(1000))
+        sql = SWEEP[1]
+
+        def fan_out(metrics):
+            return (
+                metrics.parallel_workers,
+                metrics.requested_shards,
+                [(p.index, p.outer_tuples, p.inner_tuples, p.rows_out) for p in metrics.partitions],
+                [(p.index, p.outer_tuples, p.inner_tuples, p.rows_out) for p in metrics.shards],
+            )
+
+        adhoc, prepared = QueryMetrics(), QueryMetrics()
+        a = session.query(sql, metrics=adhoc)
+        adhoc_total = session.last_stats.total
+        b = session.prepare(sql).execute(metrics=prepared)
+        assert canonical(a) == canonical(b)
+        assert session.last_stats.total == adhoc_total
+        assert fan_out(prepared) == fan_out(adhoc)
+        assert adhoc.partitions or adhoc.shards  # the budget really fanned out
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from repro.data import Catalog, FuzzyRelation, FuzzyTuple, Schema
 from repro.engine import NaiveEvaluator
 from repro.fuzzy import CrispNumber, TrapezoidalNumber, paper_vocabulary
+from repro.observe import MetricsRegistry, QueryMetrics
 from repro.session import StorageSession
+from repro.sql import classify, parse
+from repro.storage.stats import OperationStats
 
 N = CrispNumber
 T = TrapezoidalNumber
@@ -159,9 +162,27 @@ class TestWindowOverflowFallback:
         catalog.register("R", wide)
         catalog.register("S", wide)
         sql = "SELECT R.K FROM R WHERE R.U IN (SELECT S.U FROM S)"
-        out = session.query(sql)
+        metrics = QueryMetrics()
+        out = session.query(sql, metrics=metrics)
         assert session.last_strategy.startswith("naive/")
         assert out.same_as(NaiveEvaluator(catalog).evaluate(sql), 1e-9)
+        # The restart keeps the ledger: the sort and scan work charged
+        # before the overflow stays in last_stats on top of the naive run's
+        # reads, and the query is reported degraded — not as a cheap plan.
+        naive_only = OperationStats()
+        query = parse(sql)
+        session._run_naive(query, classify(query, session.schemas), naive_only)
+        assert session.last_stats.total.page_reads > naive_only.total.page_reads
+        assert session.last_stats.total.page_writes > 0  # the abandoned sort runs
+        assert metrics.stats is session.last_stats
+        assert metrics.degraded is True
+        assert metrics.degraded_reason == (
+            "merge window overflow (Rng(r) wider than the buffer); naive fallback"
+        )
+        registry = MetricsRegistry()
+        session.registry = registry
+        session.query(sql)
+        assert registry.queries_degraded_total == 1
 
 
 class TestVocabulary:
