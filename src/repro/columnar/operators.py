@@ -30,11 +30,16 @@ from ..data.tuples import FuzzyTuple
 from ..engine.operators import ExecutionContext, MergeJoinOp, Operator, Scan, TuplePredicate
 from ..fuzzy.compare import Op
 from ..fuzzy.logic import meets_threshold
-from ..join.merge_join import JOIN_PHASE, WindowOverflowError
+from ..join.merge_join import JOIN_PHASE
 from ..join.predicates import JoinPredicate
 from ..storage.heap import HeapFile
 from .index import IndexEntry, SupportIntervalIndex, probe_support
 from .kernel import batch_eq_possibility, batch_le_possibility, batch_lt_possibility
+
+
+class _EntryWindowOverflow(Exception):
+    """The index entry window outgrew the buffer; private to this module
+    (:class:`IndexMergeJoinOp` hands the join to the sort-merge plan)."""
 
 
 class _PageCache:
@@ -201,8 +206,9 @@ class IndexMergeJoinOp(MergeJoinOp):
     Survivor pairs fetch their tuples by row id and run the ordinary
     ``pair_degree`` closure, so every emitted degree is bit-identical to
     the sort-merge path.  Under sharded execution, or if the entry window
-    outgrows the buffer, the operator delegates to the parent sort-merge
-    plan unchanged.
+    outgrows the buffer (the top rung of the ladder in
+    ``docs/robustness.md``), the operator delegates to the parent
+    sort-merge plan unchanged.
     """
 
     def __init__(
@@ -232,7 +238,7 @@ class IndexMergeJoinOp(MergeJoinOp):
             # fall back to the parent plan without double-emitting.
             with ctx.disk.use_stats(ctx.stats), ctx.stats.enter_phase(JOIN_PHASE):
                 pairs = list(self._index_pairs(ctx))
-        except WindowOverflowError:
+        except _EntryWindowOverflow:
             ctx.mark_degraded(
                 "index merge-join entry window exceeded the buffer; "
                 "sort-merge fallback"
@@ -289,7 +295,7 @@ class IndexMergeJoinOp(MergeJoinOp):
                 if not window or window[-1].idx_page != entry.idx_page:
                     window_pages += 1
                     if window_pages > budget:
-                        raise WindowOverflowError(
+                        raise _EntryWindowOverflow(
                             f"index entry window spans {window_pages} pages "
                             f"but only {budget} frames are available"
                         )

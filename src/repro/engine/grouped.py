@@ -19,16 +19,12 @@ runs on the block nested loop — same answers, quadratic cost.
 from __future__ import annotations
 
 import enum
-import time
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
-from ..data.relation import FuzzyRelation
 from ..data.tuples import FuzzyTuple
 from ..fuzzy.compare import Op, possibility
-from ..join.merge_join import MergeJoin
-from ..join.nested_loop import NestedLoopJoin
 from ..storage.heap import HeapFile
-from ..storage.stats import OperationStats
+from .operators import BandFold, ExecutionContext
 
 TupleDegree = Callable[[FuzzyTuple], float]
 
@@ -42,7 +38,7 @@ class GroupMode(enum.Enum):
     ALL = "all"
 
 
-class GroupedAntiJoin:
+class GroupedAntiJoin(BandFold):
     """One grouped anti-join query over heap files."""
 
     def __init__(
@@ -59,15 +55,12 @@ class GroupedAntiJoin:
         """``link`` is the quantified comparison: ``(Y, EQ, Z)`` for NOT IN
         or ``(Y, op, Z)`` for op ALL.  ``cross`` holds the correlation
         predicates of the inner block, outer attribute first."""
-        self.outer = outer
-        self.inner = inner
+        super().__init__(outer, inner, project_attrs)
         self.mode = mode
         self.link = link
         self.cross = list(cross)
         self.p1 = p1
         self.p2 = p2
-        self.project_attrs = list(project_attrs)
-        self.project_indices = [outer.schema.index_of(a) for a in self.project_attrs]
         self._link_resolved = self._resolve(link)
         self._cross_resolved = [self._resolve(c) for c in self.cross]
         self.band = self._choose_band()
@@ -124,86 +117,20 @@ class GroupedAntiJoin:
             degree = min(degree, self.p1(r))
         return degree
 
-    @property
-    def estimated_rows(self) -> float:
-        """Coarse output estimate: outer tuples filtered by one predicate.
-
-        The anti-join fold emits at most one answer per outer tuple; the
-        0.5 filter factor mirrors
-        :data:`repro.observe.explain.PREDICATE_SELECTIVITY`.
-        """
-        return max(1.0, 0.5 * self.outer.n_tuples)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(
-        self,
-        disk,
-        buffer_pages: int,
-        stats: Optional[OperationStats] = None,
-        metrics=None,
-        tracer=None,
-    ) -> FuzzyRelation:
-        """Run the grouped evaluation on the storage engine; returns the answer
-        relation.
-        """
-        stats = stats if stats is not None else OperationStats()
-        om = None
-        started = 0.0
-        if metrics is not None:
-            om = metrics.op(
-                self,
-                label=(
-                    f"GroupedAntiJoin[{self.mode.value}]"
-                    f"({self.outer.name} -> {self.inner.name})"
-                ),
-            )
-            started = time.perf_counter()
+    def run(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
+        """The min-fold over the band on ``ctx``: one answer per outer tuple
+        whose worst pair degree stays positive."""
         step = lambda worst, _s, d: d if d < worst else worst
-        answer = self._collect(disk, buffer_pages, stats, metrics, tracer, step, om)
-        if om is not None:
-            om.wall_seconds += time.perf_counter() - started
-        return answer
+        yield from self._answers(
+            ctx, self._fold(ctx, self.band, self._pair_degree, self._init, step)
+        )
 
-    def _collect(self, disk, buffer_pages, stats, metrics, tracer, step, om) -> FuzzyRelation:
-        from ..errors import DiskFullError
-
-        if self.band is not None:
-            outer_attr, inner_attr = self.band
-            join = MergeJoin(disk, buffer_pages, stats, metrics=metrics, tracer=tracer)
-            folded = join.fold(
-                self.outer, outer_attr, self.inner, inner_attr,
-                self._pair_degree, self._init, step,
-            )
-            try:
-                return self._fold_answer(folded, om)
-            except DiskFullError:
-                # The merge path failed while spilling sort runs; nothing
-                # was folded yet (sorts precede the first pair).  The
-                # nested-loop fold below only reads, computes the same
-                # min-fold, and needs no out-of-range allowance because
-                # pairs outside Rng(r) contribute the neutral degree.
-                if metrics is not None:
-                    metrics.degraded = True
-                    metrics.degraded_reason = (
-                        "grouped anti-join spill hit DiskFullError; nested-loop fallback"
-                    )
-        join = NestedLoopJoin(disk, buffer_pages, stats)
-        folded = join.fold(self.outer, self.inner, self._pair_degree, self._init, step)
-        return self._fold_answer(folded, om)
-
-    def _fold_answer(self, folded, om) -> FuzzyRelation:
-        answer = FuzzyRelation(self.outer.schema.project(self.project_attrs))
-        for r, worst in folded:
-            if om is not None:
-                om.rows_in += 1
-            if worst > 0.0:
-                if om is not None:
-                    om.rows_out += 1
-                answer.add(
-                    FuzzyTuple(tuple(r[i] for i in self.project_indices), worst)
-                )
-            elif om is not None:
-                om.prunes += 1
-        return answer
+    def describe(self) -> str:
+        """One-line label: the quantifier and the two relations."""
+        return (
+            f"GroupedAntiJoin[{self.mode.value}]"
+            f"({self.outer.heap.name} -> {self.inner.heap.name})"
+        )

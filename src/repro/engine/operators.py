@@ -13,6 +13,7 @@ the storage engine, not just on in-memory relations.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..data.relation import FuzzyRelation
@@ -118,8 +119,8 @@ class ExecutionContext:
         if metrics is not None:
             metrics.parallel_workers = self.workers
             metrics.requested_shards = self.shards if sharded is not None else 0
-        #: Optional :class:`~repro.storage.buffer.BufferPool` (or striped
-        #: manager); :meth:`release` unpins all of its frames so a failed
+        #: Optional :class:`~repro.storage.buffer.BufferPool`;
+        #: :meth:`release` unpins all of its frames so a failed
         #: query can never wedge a shared pool into
         #: :class:`~repro.storage.buffer.BufferExhaustedError`.
         self.pool = pool
@@ -134,10 +135,36 @@ class ExecutionContext:
         return name
 
     def mark_degraded(self, reason: str) -> None:
-        """Record that execution fell back to a degraded strategy."""
+        """Record that execution stepped down a rung (``docs/robustness.md``).
+
+        A query can take more than one rung (sharded → local, then the
+        local window outgrows the buffer); the reasons chain in the order
+        they happened.
+        """
         if self.metrics is not None:
+            earlier = self.metrics.degraded_reason
             self.metrics.degraded = True
-            self.metrics.degraded_reason = reason
+            self.metrics.degraded_reason = (
+                f"{earlier}; then {reason}" if earlier else reason
+            )
+
+    @contextmanager
+    def merge_join(self) -> Iterator[MergeJoin]:
+        """A :class:`MergeJoin` on this execution's disk, budget and ledger.
+
+        Whatever rung the join stepped down to inside the block is
+        reported once, when the block ends — also when it ends in an
+        error, so a failed query still shows the rung it had taken.
+        """
+        join = MergeJoin(
+            self.disk, self.buffer_pages, self.stats,
+            metrics=self.metrics, tracer=self.tracer,
+        )
+        try:
+            yield join
+        finally:
+            if join.fallback_reason is not None:
+                self.mark_degraded(join.fallback_reason)
 
     def count_replan(self) -> None:
         """Record that a join edge re-costed itself mid-query."""
@@ -370,8 +397,6 @@ class MergeJoinOp(Operator):
         return join_degree(self._predicates, kernel)
 
     def _tuples(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
-        from ..errors import DiskFullError
-
         left_heap = _as_heap(self.left, ctx)
         right_heap = _as_heap(self.right, ctx)
         pair_degree = self.pair_degree_with(ctx.kernel)
@@ -415,6 +440,8 @@ class MergeJoinOp(Operator):
                         f"shard failover: {sharded.failovers} slice read(s) "
                         "completed from mirror replicas"
                     )
+                if sharded.slice_fallback is not None:
+                    ctx.mark_degraded(sharded.slice_fallback)
                 for r, s, degree in pairs:
                     yield r.concat(s, degree)
                 return
@@ -435,6 +462,8 @@ class MergeJoinOp(Operator):
                 left_heap, self.left_attr, right_heap, self.right_attr, pair_degree
             )
             if pairs is not None:
+                if parallel.slice_fallback is not None:
+                    ctx.mark_degraded(parallel.slice_fallback)
                 for r, s, degree in pairs:
                     yield r.concat(s, degree)
                 return
@@ -444,30 +473,11 @@ class MergeJoinOp(Operator):
                 f"parallel join fell back to serial: {parallel.fallback_reason}"
             )
 
-        join = MergeJoin(
-            ctx.disk, ctx.buffer_pages, ctx.stats,
-            metrics=ctx.metrics, tracer=ctx.tracer,
-        )
-        yielded = False
-        try:
+        with ctx.merge_join() as join:
             for r, s, degree in join.pairs(
                 left_heap, self.left_attr, right_heap, self.right_attr, pair_degree
             ):
-                yielded = True
                 yield r.concat(s, degree)
-            return
-        except DiskFullError:
-            # The external sort could not spill its runs.  Nothing has
-            # been yielded yet (every sort write precedes the first join
-            # pair; the join phase itself only reads), so we can degrade
-            # to the read-only nested-loop path and still produce the
-            # exact same join result.
-            if yielded:
-                raise
-            ctx.mark_degraded("merge-join spill hit DiskFullError; nested-loop fallback")
-        fallback = NestedLoopJoin(ctx.disk, ctx.buffer_pages, ctx.stats)
-        for r, s, degree in fallback.pairs(left_heap, right_heap, pair_degree):
-            yield r.concat(s, degree)
 
     def describe(self) -> str:
         """One-line label: join attributes and comparison operator."""
@@ -502,6 +512,70 @@ class NestedLoopJoinOp(Operator):
     def children(self) -> List[Operator]:
         """Both join inputs, outer first."""
         return [self.left, self.right]
+
+
+class BandFold(Operator):
+    """A per-outer-tuple fold over one band join: the JX' / JALL' / JA' shape.
+
+    Sections 5–7 evaluate each of these unnested forms as the *same* scan
+    of ``Rng(r)`` on the extended merge-join; the subclasses differ only
+    in ``pair_degree`` / ``init`` / ``step`` and in what they make of the
+    final state (their ``run(ctx)``).  The children are the two base-table
+    scans, so a cached plan rebinds to the live heap versions like any
+    other tree; they carry no predicates (``p1`` / ``p2`` are part of the
+    fold), so the join reads their heaps directly.  At most one projected
+    answer is emitted per outer tuple.
+    """
+
+    def __init__(self, outer: HeapFile, inner: HeapFile, project_attrs: Sequence[str]):
+        self.outer = Scan(outer)
+        self.inner = Scan(inner)
+        self.project_attrs = list(project_attrs)
+        self.project_indices = [outer.schema.index_of(a) for a in self.project_attrs]
+        self.schema = outer.schema.project(self.project_attrs)
+
+    def run(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
+        """The answer stream of this fold on ``ctx``."""
+        raise NotImplementedError
+
+    def _tuples(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
+        return self.run(ctx)
+
+    def _fold(
+        self,
+        ctx: ExecutionContext,
+        band: Optional[Tuple[str, str]],
+        pair_degree: PairDegree,
+        init: Callable,
+        step: Callable,
+    ) -> Iterator[Tuple[FuzzyTuple, object]]:
+        """``(r, state)`` per outer tuple: the merge-join over ``band``
+        (outer attribute, inner attribute), or every pair on the block
+        nested loop when no equality links the two blocks."""
+        outer, inner = self.outer.heap, self.inner.heap
+        if band is None:
+            join = NestedLoopJoin(ctx.disk, ctx.buffer_pages, ctx.stats)
+            yield from join.fold(outer, inner, pair_degree, init, step)
+            return
+        with ctx.merge_join() as join:
+            yield from join.fold(outer, band[0], inner, band[1], pair_degree, init, step)
+
+    def _answers(
+        self, ctx: ExecutionContext, degrees: Iterable[Tuple[FuzzyTuple, float]]
+    ) -> Iterator[FuzzyTuple]:
+        """Project the outer tuples whose folded degree is positive."""
+        om = ctx.metrics.op(self) if ctx.metrics is not None else None
+        for r, degree in degrees:
+            if om is not None:
+                om.rows_in += 1
+            if degree > 0.0:
+                yield FuzzyTuple(tuple(r[i] for i in self.project_indices), degree)
+            elif om is not None:
+                om.prunes += 1
+
+    def children(self) -> List[Operator]:
+        """The outer and inner base-table scans."""
+        return [self.outer, self.inner]
 
 
 class Select(Operator):

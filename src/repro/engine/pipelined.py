@@ -19,22 +19,20 @@ whose group is empty compares against the constant 0.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple
 
-from ..data.relation import FuzzyRelation
 from ..data.tuples import FuzzyTuple
 from ..fuzzy.compare import Op, intervals_intersect, possibility
 from ..fuzzy.crisp import CrispNumber
-from ..join.merge_join import MergeJoin
 from ..storage.heap import HeapFile
 from ..storage.stats import OperationStats
 from .aggregates import DegreePolicy, apply_aggregate
+from .operators import BandFold, ExecutionContext
 
 TupleDegree = Callable[[FuzzyTuple], float]
 
 
-class JAPipeline:
+class JAPipeline(BandFold):
     """One-pass evaluation of
 
         SELECT R.<project> FROM R
@@ -60,16 +58,13 @@ class JAPipeline:
         policy: DegreePolicy = DegreePolicy.ONE,
         project_attrs=None,
     ):
-        self.outer = outer
-        self.inner = inner
+        if project_attrs is None:
+            project_attrs = [project_attr] if project_attr is not None else ["ID"]
+        super().__init__(outer, inner, project_attrs)
         self.u_index = outer.schema.index_of(u_attr)
         self.v_index = inner.schema.index_of(v_attr)
         self.y_index = outer.schema.index_of(y_attr)
         self.z_index = inner.schema.index_of(z_attr)
-        if project_attrs is None:
-            project_attrs = [project_attr] if project_attr is not None else ["ID"]
-        self.project_attrs = list(project_attrs)
-        self.project_indices = [outer.schema.index_of(a) for a in self.project_attrs]
         self.u_attr, self.v_attr = u_attr, v_attr
         self.op1 = op1
         self.agg_func = agg_func.upper()
@@ -77,37 +72,11 @@ class JAPipeline:
         self.p2 = p2
         self.policy = policy
 
-    @property
-    def estimated_rows(self) -> float:
-        """Coarse output estimate: outer tuples filtered by the aggregate compare.
-
-        The pipeline emits at most one answer per outer tuple; the 0.5
-        filter factor mirrors
-        :data:`repro.observe.explain.PREDICATE_SELECTIVITY`.
-        """
-        return max(1.0, 0.5 * self.outer.n_tuples)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(
-        self,
-        disk,
-        buffer_pages: int,
-        stats: Optional[OperationStats] = None,
-        metrics=None,
-        tracer=None,
-    ) -> FuzzyRelation:
-        """Run the pipelined JA evaluation on the storage engine; returns the answer."""
-        stats = stats if stats is not None else OperationStats()
-        om = None
-        started = 0.0
-        if metrics is not None:
-            om = metrics.op(
-                self, label=f"JAPipeline({self.outer.name} -> {self.inner.name})"
-            )
-            started = time.perf_counter()
-        join = MergeJoin(disk, buffer_pages, stats, metrics=metrics, tracer=tracer)
+    def run(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
+        """The pipelined T1/T2/JA' merge pass on ``ctx``."""
         # A'(u) / D(A'(u)) memo, keyed by the value representation of u —
         # the binary-identity grouping Theorem 6.1 relies on.
         groups: Dict[Hashable, Optional[Tuple[object, float]]] = {}
@@ -137,54 +106,26 @@ class JAPipeline:
                     members[key] = (s[self.z_index], degree)
             return members
 
-        from ..errors import DiskFullError
-        from ..join.nested_loop import NestedLoopJoin
+        def outer_degrees():
+            # Whatever join yields the groups (the merge scan or, down the
+            # ladder, a block of the nested loop), aggregation happens
+            # once per distinct u: pairs outside Rng(r) contribute 0.
+            for r, members in self._fold(
+                ctx, (self.u_attr, self.v_attr), pair, init, step
+            ):
+                u_key = r[self.u_index].key()
+                if u_key not in groups:
+                    # Pipeline hand-off: T'(u) just completed; apply AGG once.
+                    groups[u_key] = apply_aggregate(
+                        self.agg_func, list(members.values()), self.policy
+                    )
+                yield r, self._outer_degree(r, groups[u_key], ctx.stats)
 
-        folded = join.fold(
-            self.outer, self.u_attr, self.inner, self.v_attr, pair, init, step
-        )
-        try:
-            answer = self._fold_answer(folded, groups, stats, om)
-        except DiskFullError:
-            # The merge path failed while spilling sort runs; nothing was
-            # folded yet, so rerun the same pair/init/step fold on the
-            # read-only nested loop.  The group memo stays correct: pairs
-            # outside Rng(r) contribute degree 0 and aggregation still
-            # happens exactly once per distinct u.
-            if metrics is not None:
-                metrics.degraded = True
-                metrics.degraded_reason = (
-                    "JA pipeline spill hit DiskFullError; nested-loop fallback"
-                )
-            groups.clear()
-            fallback = NestedLoopJoin(disk, buffer_pages, stats)
-            folded = fallback.fold(self.outer, self.inner, pair, init, step)
-            answer = self._fold_answer(folded, groups, stats, om)
-        if om is not None:
-            om.wall_seconds += time.perf_counter() - started
-        return answer
+        yield from self._answers(ctx, outer_degrees())
 
-    def _fold_answer(self, folded, groups, stats, om) -> FuzzyRelation:
-        answer = FuzzyRelation(self.outer.schema.project(self.project_attrs))
-        for r, members in folded:
-            if om is not None:
-                om.rows_in += 1
-            u_key = r[self.u_index].key()
-            if u_key not in groups:
-                # Pipeline hand-off: T'(u) just completed; apply AGG once.
-                groups[u_key] = apply_aggregate(
-                    self.agg_func, list(members.values()), self.policy
-                )
-            degree = self._outer_degree(r, groups[u_key], stats)
-            if degree > 0.0:
-                if om is not None:
-                    om.rows_out += 1
-                answer.add(
-                    FuzzyTuple(tuple(r[i] for i in self.project_indices), degree)
-                )
-            elif om is not None:
-                om.prunes += 1
-        return answer
+    def describe(self) -> str:
+        """One-line label: the two relations of the pipeline."""
+        return f"JAPipeline({self.outer.heap.name} -> {self.inner.heap.name})"
 
     def _outer_degree(self, r: FuzzyTuple, aggregate, stats: Optional[OperationStats]) -> float:
         degree = r.degree

@@ -1,6 +1,6 @@
 """Fuzzy join algorithms: extended merge-join and block nested loop."""
 
-from .merge_join import JOIN_PHASE, MergeJoin, WindowOverflowError
+from .merge_join import JOIN_PHASE, MergeJoin
 from .nested_loop import NL_PHASE, NestedLoopJoin
 from .outer import left_outer_probe
 from .predicates import (
@@ -12,7 +12,6 @@ from .predicates import (
 
 __all__ = [
     "MergeJoin",
-    "WindowOverflowError",
     "JOIN_PHASE",
     "NestedLoopJoin",
     "NL_PHASE",

@@ -15,31 +15,52 @@ sweeping a *window* of S-tuples.  For the current R-tuple ``r``:
   intervals.
 
 Each page of S is read exactly once during the join phase, provided the
-buffer can hold one R page plus the pages spanned by the largest window;
-a wider window raises :class:`WindowOverflowError` (the paper assumes the
-buffer is large enough to hold the largest ``Rng(r)``).
+buffer can hold one R page plus the pages spanned by the largest window
+(the paper assumes the buffer is large enough to hold the largest
+``Rng(r)``).
+
+:meth:`MergeJoin.fold` is also the one place a band join steps down — the
+fallback ladder of ``docs/robustness.md``.  Both rungs run the caller's
+``pair_degree`` / ``init`` / ``step`` on
+:meth:`~repro.join.nested_loop.NestedLoopJoin.fold`, which is sound for
+every fold whose out-of-range pairs are neutral (the same condition the
+window scan already relies on), keep every event charged so far, and set
+:attr:`MergeJoin.fallback_reason`:
+
+* a sort spill that hits :class:`~repro.errors.DiskFullError` — always
+  before the first pair — folds over the unsorted inputs instead;
+* a window wider than ``buffer_pages - 1`` frames finishes the scan as a
+  block nested loop over the sorted remainder, in the same output order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterator, Tuple, TypeVar
+from typing import Callable, Iterator, Optional, Tuple, TypeVar
 
 from ..data.tuples import FuzzyTuple
+from ..errors import DiskFullError
 from ..fuzzy.interval_order import sort_key
 from ..sort.external import ExternalSorter
 from ..storage.disk import SimulatedDisk
 from ..storage.heap import HeapFile
 from ..storage.stats import OperationStats
+from .nested_loop import NestedLoopJoin
 from .predicates import PairDegree
 
 JOIN_PHASE = "join"
 
+#: The reasons the two rungs below the merge scan report.
+SPILL_RUNG = (
+    "merge-join sort spill hit DiskFullError; "
+    "block nested-loop fallback over the inputs"
+)
+WINDOW_RUNG = (
+    "merge window wider than the buffer (largest Rng(r), Section 3); "
+    "block nested-loop fallback over the sorted remainder"
+)
+
 State = TypeVar("State")
-
-
-class WindowOverflowError(Exception):
-    """The S window outgrew the buffer budget (largest Rng(r) too wide)."""
 
 
 class _WindowEntry:
@@ -83,6 +104,10 @@ class MergeJoin:
         self.indicator = indicator
         self.metrics = metrics
         self.tracer = tracer
+        #: The rung the last fold stepped down to (``None``: the merge
+        #: scan ran to the end).  Operators report it through
+        #: :meth:`~repro.engine.operators.ExecutionContext.merge_join`.
+        self.fallback_reason: Optional[str] = None
 
     # ------------------------------------------------------------------
     # High-level API
@@ -123,10 +148,12 @@ class MergeJoin:
         ``init(r)`` seeds the accumulator (it must already account for the
         S-tuples *outside* ``Rng(r)``, whose predicates are unsatisfiable);
         ``step`` is invoked once per examined pair with its degree.  Yields
-        ``(r, final_state)`` in R's sorted order.
+        ``(r, final_state)`` in R's sorted order (file order if the sort
+        itself could not spill — see the module docstring's ladder).
         """
         from ..observe.trace import maybe_span
 
+        self.fallback_reason = None
         with self.disk.use_stats(self.stats):
             sorter = ExternalSorter(
                 self.disk, self.buffer_pages, self.stats,
@@ -137,8 +164,16 @@ class MergeJoin:
             # during the sort or join phase (or an abandoned generator)
             # cannot strand them on the shared disk.
             try:
-                sorted_r = sorter.sort(outer, outer_attr)
-                sorted_s = sorter.sort(inner, inner_attr)
+                try:
+                    sorted_r = sorter.sort(outer, outer_attr)
+                    sorted_s = sorter.sort(inner, inner_attr)
+                except DiskFullError:
+                    # Every sort write precedes the first pair and the
+                    # nested loop only reads, so nothing is emitted twice.
+                    yield from self._nested_loop(SPILL_RUNG).fold(
+                        outer, inner, pair_degree, init, step
+                    )
+                    return
                 with self.stats.enter_phase(JOIN_PHASE), maybe_span(
                     self.tracer, f"probe {outer.name} x {inner.name}"
                 ):
@@ -173,7 +208,7 @@ class MergeJoin:
 
         for r_page in range(sorted_r.n_pages):
             page = self.disk.read_page(sorted_r.name, r_page)
-            for record in page.records():
+            for r_record, record in enumerate(page.records()):
                 r = sorted_r.serializer.decode(record)
                 rb, re_ = sort_key(r[r_index])
 
@@ -209,7 +244,17 @@ class MergeJoin:
                         break
                     if not window or window[-1].page != entry.page:
                         window_pages += 1
-                        self._check_window(window_pages)
+                        # One frame is reserved for the current R page.
+                        if window_pages > self.buffer_pages - 1:
+                            # Retired S-tuples end before b(r) and R is
+                            # sorted by b, so no remaining R-tuple reaches
+                            # a page before the window's first.
+                            yield from self._nested_loop(WINDOW_RUNG).fold(
+                                sorted_r, sorted_s, pair_degree, init, step,
+                                outer_start=(r_page, r_record),
+                                inner_start=window[0].page,
+                            )
+                            return
                     window.append(entry)
                     self.stats.count_crisp()
                     if entry.b > re_:
@@ -229,11 +274,7 @@ class MergeJoin:
                 t = sorted_s.serializer.decode(record)
                 yield _WindowEntry(t, sort_key(t[s_index]), page_index)
 
-    def _check_window(self, window_pages: int) -> None:
-        # One frame is reserved for the current R page.
-        if window_pages > self.buffer_pages - 1:
-            raise WindowOverflowError(
-                f"S window spans {window_pages} pages but only "
-                f"{self.buffer_pages - 1} frames are available; "
-                "the largest Rng(r) exceeds the buffer (see Section 3)"
-            )
+    def _nested_loop(self, rung: str) -> NestedLoopJoin:
+        """Step down to the block nested loop, recording which rung it is."""
+        self.fallback_reason = rung
+        return NestedLoopJoin(self.disk, self.buffer_pages, self.stats)

@@ -60,22 +60,31 @@ class NestedLoopJoin:
         pair_degree: PairDegree,
         init: Callable[[FuzzyTuple], State],
         step: Callable[[State, FuzzyTuple, float], State],
+        outer_start: Tuple[int, int] = (0, 0),
+        inner_start: int = 0,
     ) -> Iterator[Tuple[FuzzyTuple, State]]:
         """Per-R-tuple fold over *every* S-tuple.
 
         Unlike the merge-join, the nested loop examines all ``n_R * n_S``
         pairs, so ``init`` needs no out-of-range allowance.
+
+        ``outer_start`` (page, record) and ``inner_start`` (page) restrict
+        the fold to the tail of both files — how the merge-join finishes a
+        scan whose window outgrew the buffer (see ``docs/robustness.md``).
         """
+        first_page, first_record = outer_start
         with self.disk.use_stats(self.stats), self.stats.enter_phase(NL_PHASE):
             block_frames = self.buffer_pages - 1
-            for block_start in range(0, outer.n_pages, block_frames):
+            for block_start in range(first_page, outer.n_pages, block_frames):
                 block_end = min(block_start + block_frames, outer.n_pages)
                 block: List[FuzzyTuple] = []
                 for page_index in range(block_start, block_end):
                     page = self.disk.read_page(outer.name, page_index)
                     block.extend(outer.serializer.decode(rec) for rec in page.records())
+                if block_start == first_page:
+                    del block[:first_record]
                 states = [init(r) for r in block]
-                for s_page in range(inner.n_pages):
+                for s_page in range(inner_start, inner.n_pages):
                     page = self.disk.read_page(inner.name, s_page)
                     for record in page.records():
                         s = inner.serializer.decode(record)

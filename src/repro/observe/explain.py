@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..engine.operators import (
+    BandFold,
     Materialize,
     MergeJoinOp,
     NestedLoopJoinOp,
@@ -68,6 +69,11 @@ def estimate_rows(
         return child if operator.threshold <= 0.0 else child * PREDICATE_SELECTIVITY
     if isinstance(operator, (Project, Materialize)):
         return estimate_rows(operator.child, fanout, edge_fanouts)
+    if isinstance(operator, BandFold):
+        # At most one answer per outer tuple, filtered by the nesting
+        # predicate (the anti-join fold / the aggregate comparison).
+        outer = estimate_rows(operator.outer, fanout, edge_fanouts)
+        return max(1.0, PREDICATE_SELECTIVITY * outer)
     children = operator.children()
     if len(children) == 1:
         return estimate_rows(children[0], fanout, edge_fanouts)
@@ -154,7 +160,7 @@ def render_plan(
             om = metrics.for_node(operator)
             if om is not None:
                 notes.append(f"rows={om.rows_out}")
-                if isinstance(operator, (MergeJoinOp, NestedLoopJoinOp)):
+                if isinstance(operator, (MergeJoinOp, NestedLoopJoinOp, BandFold)):
                     notes.append(
                         f"q={q_error(estimates[id(operator)], om.rows_out):.2f}"
                     )
@@ -222,17 +228,10 @@ def render_report(
     if plan is not None:
         lines.append(render_plan(plan, metrics, fanout, edge_fanouts))
     elif metrics.operators:
-        # Storage-level executors (grouped anti-join, JA pipeline) have no
-        # operator tree; list their counters flat.  Executors that carry
-        # their own coarse ``estimated_rows`` get the est/q-error columns.
-        for node, om in metrics.iter_nodes():
-            estimated = getattr(node, "estimated_rows", None)
-            notes = []
-            if estimated is not None:
-                notes.append(f"est={estimated:.0f}")
-            notes.append(f"rows={om.rows_out}")
-            if estimated is not None:
-                notes.append(f"q={q_error(estimated, om.rows_out):.2f}")
+        # Counters gathered without an operator tree (a storage-level
+        # executor driven directly): list them flat.
+        for _node, om in metrics.iter_nodes():
+            notes = [f"rows={om.rows_out}"]
             if om.rows_in:
                 notes.append(f"in={om.rows_in}")
             if om.prunes:

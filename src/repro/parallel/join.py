@@ -28,14 +28,15 @@ checks exhaustively):
 
 The join degrades to the serial path — returning ``None`` rather than
 raising — when statistics yield no usable boundaries, fewer than two
-slices are non-empty, one slice holds nearly everything (skew), the
-partition writes hit :class:`~repro.errors.DiskFullError`, or a slice's
-merge window overflows the buffer pool
-(:class:`~repro.join.merge_join.WindowOverflowError` — slice page
-alignment can need one more frame than the serial window).  Genuine
-execution faults inside a worker cancel the sibling workers through the
-shared :class:`~repro.parallel.executor.LinkedCancelToken` and surface
-as one typed error.
+slices are non-empty, one slice holds nearly everything (skew), or the
+partition writes hit :class:`~repro.errors.DiskFullError`.  A slice whose
+own merge-join steps down a rung of the ladder in ``docs/robustness.md``
+(slice page alignment can need one more frame than the serial window)
+still returns its pairs in order; the coordinator reports the rung as
+:attr:`PartitionedMergeJoin.slice_fallback`.  Genuine execution faults
+inside a worker cancel the sibling workers through the shared
+:class:`~repro.parallel.executor.LinkedCancelToken` and surface as one
+typed error.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import List, Optional, Tuple
 from ..data.tuples import FuzzyTuple
 from ..errors import DiskFullError
 from ..fuzzy.interval_order import sort_key
-from ..join.merge_join import MergeJoin, WindowOverflowError
+from ..join.merge_join import MergeJoin
 from ..join.predicates import PairDegree
 from ..resilience import CancelToken, QueryGuard
 from ..sort.runs import RunWriter
@@ -157,6 +158,9 @@ class PartitionedMergeJoin:
         self.partitioner = partitioner
         #: Why the last :meth:`run` degraded to serial (``None`` = it ran).
         self.fallback_reason: Optional[str] = None
+        #: The first rung a slice's own merge-join stepped down to while
+        #: the last :meth:`run` ran partitioned (``None`` = none did).
+        self.slice_fallback: Optional[str] = None
 
     def run(
         self,
@@ -172,7 +176,7 @@ class PartitionedMergeJoin:
         stream them; nothing is returned until every partition worker has
         finished, so a fault can never surface after pairs were consumed.
         """
-        self.fallback_reason = None
+        self.fallback_reason = self.slice_fallback = None
         if self.workers < 2:
             return self._fallback("workers < 2")
         partitioner = self.partitioner
@@ -188,12 +192,6 @@ class PartitionedMergeJoin:
             )
         except DiskFullError:
             return self._fallback("partition spill hit DiskFullError")
-        except WindowOverflowError:
-            # Slice files round tuple counts up to whole pages, so a
-            # slice's S window can span one page more than the serial
-            # window on the same data.  Parallelism must never *fail*
-            # where serial would succeed — hand the join back.
-            return self._fallback("merge window exceeded the buffer in a partition")
 
     def _fallback(self, reason: str) -> Optional[List[Pair]]:
         self.fallback_reason = reason
@@ -290,7 +288,7 @@ class PartitionedMergeJoin:
                         join.pairs(r_part, outer_attr, s_part, inner_attr, pair_degree)
                     )
                 ended = clock() if clock is not None else 0.0
-                return i, pairs, worker_stats, started, ended
+                return i, pairs, worker_stats, started, ended, join.fallback_reason
 
             return task
 
@@ -301,9 +299,11 @@ class PartitionedMergeJoin:
 
         out: List[Pair] = []
         specs = partitioner.specs()
-        for i, pairs, worker_stats, started, ended in results:
+        for i, pairs, worker_stats, started, ended, rung in results:
             self.stats.merge(worker_stats)
             out.extend(pairs)
+            if rung is not None and self.slice_fallback is None:
+                self.slice_fallback = f"partition {i}: {rung}"
             if self.metrics is not None:
                 from ..observe.metrics import PartitionMetrics
 

@@ -102,21 +102,6 @@ class PlanCache:
         with self._lock:
             return self._entries.get(key)
 
-    def evict_if(self, predicate: Callable[[str, CacheEntry], bool]) -> int:
-        """Drop entries matching ``predicate(key, entry)``; returns the count.
-
-        The adaptive write path uses this for benign installs: flat plans
-        survive (their scans rebind to the new heap version at execution),
-        but grouped / pipelined artifacts bake heap references into their
-        executables and must go even though no statistics version moved.
-        """
-        with self._lock:
-            stale = [key for key, entry in self._entries.items() if predicate(key, entry)]
-            for key in stale:
-                del self._entries[key]
-            self.invalidations += len(stale)
-            return len(stale)
-
     def invalidate(self, relation: Optional[str] = None) -> int:
         """Drop entries touching ``relation`` (or all); returns the count."""
         with self._lock:

@@ -16,10 +16,13 @@ kind         what is kept / what happens per execution
              has no placeholders, the compiled merge-join operator
              tree); executions with placeholders bind values then
              recompile the predicate closures only.
-``grouped``  a ready :class:`~repro.engine.grouped.GroupedAntiJoin`
-             (Sections 5/7); placeholder-free statements only.
-``ja``       a ready :class:`~repro.engine.pipelined.JAPipeline`
-             (Section 6); placeholder-free statements only.
+``grouped``  the operator tree of the Sections 5/7 fold: a
+             :class:`~repro.engine.grouped.GroupedAntiJoin` over two
+             scans, under a ``Threshold`` when the statement has an
+             outer ``WITH D >= z``; placeholder-free statements only.
+``ja``       the operator tree of the Section 6 pipeline
+             (:class:`~repro.engine.pipelined.JAPipeline`), same shape;
+             placeholder-free statements only.
 ``memory``   an :class:`~repro.unnest.pipeline.UnnestedPlan` for the
              in-memory :class:`~repro.db.FuzzyDatabase` engine.
 ``deferred`` nothing beyond parse + classification: bind, plan, run —
@@ -27,8 +30,12 @@ kind         what is kept / what happens per execution
              (used when predicate closures would bake placeholder
              values in).
 ``naive``    parse + classification only; executions bind and run the
-             naive nested-loop evaluator (the always-correct fallback).
+             naive nested-loop evaluator — the statement has no
+             unnested form (GENERAL, type A, multi-correlation JA).
 ============ ========================================================
+
+``flat``, ``grouped`` and ``ja`` artifacts all run the same way: the
+runner calls ``operator.to_relation(ctx)``.
 
 Executing a prepared query never re-enters the lexer, parser, or binder
 (nor, except for ``deferred``, the rewriter) — the acceptance test
@@ -53,10 +60,8 @@ class PlanArtifact:
     flat: Optional[SelectQuery] = None
     #: Which rewrite fired (EXPLAIN/metrics label).
     rule: str = ""
-    #: ``flat`` with no placeholders: the compiled operator tree.
+    #: ``flat`` with no placeholders, ``grouped``, ``ja``: the operator tree.
     operator: object = None
-    #: ``grouped`` / ``ja``: the ready storage-level executor.
-    executable: object = None
     #: The strategy string the run will report (``last_strategy``, EXPLAIN).
     strategy: str = ""
     #: ``memory``: the :class:`UnnestedPlan` for the in-memory engine.
@@ -64,7 +69,7 @@ class PlanArtifact:
 
 
 class PreparedQuery:
-    """A statement prepared once and executable many times.
+    """A statement prepared once and run many times.
 
     Obtained from ``session.prepare(sql)``; call :meth:`execute` with one
     positional value per ``?`` placeholder (numbered left to right in
@@ -143,8 +148,8 @@ class PreparedQuery:
         cached = {
             "flat": "unnested flat query"
                     + (" + compiled operator tree" if self.artifact.operator is not None else ""),
-            "grouped": "grouped anti-join executor",
-            "ja": "pipelined T1/T2 executor",
+            "grouped": "grouped anti-join fold tree",
+            "ja": "pipelined T1/T2 fold tree",
             "memory": "unnested in-memory plan",
             "deferred": "classification only (planned per execution)",
             "naive": "classification only (naive fallback)",

@@ -41,7 +41,7 @@ from .engine.aggregates import DegreePolicy
 from .engine.executor import CompileError, DmlColumns, FlatCompiler, compile_conjunction
 from .engine.grouped import GroupedAntiJoin, GroupMode
 from .engine.histogram import HistogramStore
-from .engine.operators import ExecutionContext, Scan
+from .engine.operators import ExecutionContext, Operator, Scan, Threshold
 from .engine.optimizer import PlanMemo
 from .engine.pipelined import JAPipeline
 from .engine.semantics import NaiveEvaluator
@@ -98,10 +98,6 @@ GROUPED_MODES = {
     NestingType.TYPE_ALL: GroupMode.ALL,
     NestingType.TYPE_JALL: GroupMode.ALL,
 }
-
-OVERFLOW_REASON = (
-    "merge window overflow (Rng(r) wider than the buffer); naive fallback"
-)
 
 
 class StorageSession(StatementLifecycle):
@@ -711,11 +707,12 @@ class StorageSession(StatementLifecycle):
         )
 
     def _rebind_plan(self, operator) -> None:
-        """Point a cached flat plan's leaves at the current table versions.
+        """Point a cached plan's leaves at the current table versions.
 
         Benign adaptive installs keep cached plans alive without a
         statistics-version bump, so a cached plan's Scan / IndexScan
-        leaves may still hold a replaced heap epoch; rebinding by base
+        leaves (a flat tree's, or the two under a grouped / pipelined
+        fold) may still hold a replaced heap epoch; rebinding by base
         name (``T@e3`` → the session's current ``T`` heap) preserves the
         compiled shape while reading the live data.
         """
@@ -735,26 +732,6 @@ class StorageSession(StatementLifecycle):
                         op.index = index
             stack.extend(op.children())
 
-    def _evict_baked_plans(self, name: str) -> None:
-        """Drop cached grouped / pipelined artifacts reading ``name``.
-
-        Flat plans survive a benign install (their leaves rebind), but
-        the grouped and Section 6 executables bake heap references into
-        their construction and cannot be rebound — a benign install must
-        still evict them even though no validation token moved.
-        """
-        if self.plan_cache is None:
-            return
-        name = name.upper()
-
-        def stale(_key: str, entry) -> bool:
-            artifact = getattr(entry.value, "artifact", None)
-            if artifact is None or artifact.kind not in ("grouped", "ja"):
-                return False
-            return name in entry.tokens
-
-        self.plan_cache.evict_if(stale)
-
     def _plan_template(
         self,
         query: SelectQuery,
@@ -765,10 +742,10 @@ class StorageSession(StatementLifecycle):
         """Plan one statement as far as it allows: rewrite, build, compile.
 
         The artifact names the strategy the runner will take and carries
-        what was built for it.  Strategies whose predicate compilation
-        bakes literal values in (the grouped and pipelined paths) cannot
-        be pre-built for parameterized statements; those are ``deferred``
-        and planned by the runner once the values are bound.
+        the operator tree built for it.  Strategies whose predicate
+        compilation bakes literal values in (the grouped and pipelined
+        folds) cannot be pre-built for parameterized statements; those are
+        ``deferred`` and planned by the runner once the values are bound.
         """
         try:
             if nesting in FLAT_TYPES:
@@ -817,17 +794,21 @@ class StorageSession(StatementLifecycle):
         shards: Optional[int] = None,
         guard: Optional[QueryGuard] = None,
     ) -> FuzzyRelation:
-        """The one runner: bind values, finish planning, execute, fall back.
+        """The one runner: bind values, finish planning, execute the tree.
 
         Every SELECT ends here with its artifact — from the plan cache, a
         ``prepare()``, or planned for this run only.  A prepared artifact
         never re-enters the parser, binder, or rewriter: only the value
         substitution and (for parameterized flat plans) predicate
-        compilation happen per execution.  ``workers`` / ``shards``
-        default to the session's budgets whichever entry point called.
+        compilation happen per execution.  Every unnested form — flat,
+        grouped, pipelined — is an operator tree run by the one
+        ``to_relation(ctx)`` below; the naive evaluator runs the
+        statements *planned* as naive (no unnested form) and is nobody's
+        recovery: once an operator has started, stepping down is the
+        join's own ladder (``docs/robustness.md``).  ``workers`` /
+        ``shards`` default to the session's budgets whichever entry point
+        called.
         """
-        from .join.merge_join import WindowOverflowError
-
         workers = self.workers if workers is None else max(1, workers)
         shards = self.shards if shards is None else max(1, shards)
         stats = self.last_stats = OperationStats()
@@ -846,60 +827,39 @@ class StorageSession(StatementLifecycle):
             try:
                 if artifact.kind == "deferred":
                     artifact = self._plan_template(query, prepared.nesting, 0, tracer)
-                if artifact.kind == "flat":
-                    operator = artifact.operator
-                    if operator is None:
-                        with maybe_span(tracer, "compile"):
-                            operator = self._compiler().compile(
-                                flat, optimize=self.optimize_joins
-                            )
-                    elif self.adaptive:
-                        # A cached plan may have outlived a benign install
-                        # (no version bump): rebind its leaves to the live
-                        # heap versions before running it.
-                        self._rebind_plan(operator)
-                    if self.adaptive:
-                        annotate_estimates(operator)
-                    self.last_plan = operator
-                    self._announce(artifact, metrics)
-                    return operator.to_relation(
-                        ExecutionContext(
-                            self.disk,
-                            self.buffer_pages,
-                            stats,
-                            metrics=metrics,
-                            tracer=tracer,
-                            workers=workers,
-                            guard=guard,
-                            shards=shards,
-                            sharded=self.sharded,
-                            adapt=self.adapt_controller,
+                operator = artifact.operator
+                if operator is None and artifact.kind == "flat":
+                    with maybe_span(tracer, "compile"):
+                        operator = self._compiler().compile(
+                            flat, optimize=self.optimize_joins
                         )
-                    )
-                if artifact.kind in ("grouped", "ja"):
-                    self._announce(artifact, metrics)
-                    return artifact.executable.run(
-                        self.disk,
-                        self.buffer_pages,
-                        stats,
-                        metrics=metrics,
-                        tracer=tracer,
-                    )
+                elif operator is not None and self.adaptive:
+                    # A cached plan may have outlived a benign install
+                    # (no version bump): rebind its leaves to the live
+                    # heap versions before running it.
+                    self._rebind_plan(operator)
             except (UnnestError, CompileError):
-                pass
-            except WindowOverflowError:
-                # The largest Rng(r) did not fit the buffer (very wide
-                # supports, Section 3's caveat): restart on the always-
-                # applicable path.  The sort and scan work already charged
-                # stays on the ledger, and the query is marked degraded
-                # (after whatever rung an operator already stepped down).
-                if metrics is not None:
-                    earlier = metrics.degraded_reason
-                    metrics.degraded = True
-                    metrics.degraded_reason = (
-                        f"{earlier}; then {OVERFLOW_REASON}" if earlier else OVERFLOW_REASON
-                    )
-            return self._run_naive(query, prepared.nesting, stats, metrics, tracer)
+                operator = None  # the bound values left the unnested fragment
+            if operator is None:
+                return self._run_naive(query, prepared.nesting, stats, metrics, tracer)
+            if self.adaptive:
+                annotate_estimates(operator)
+            self.last_plan = operator
+            self._announce(artifact, metrics)
+            return operator.to_relation(
+                ExecutionContext(
+                    self.disk,
+                    self.buffer_pages,
+                    stats,
+                    metrics=metrics,
+                    tracer=tracer,
+                    workers=workers,
+                    guard=guard,
+                    shards=shards,
+                    sharded=self.sharded,
+                    adapt=self.adapt_controller,
+                )
+            )
 
     def _announce(self, artifact: PlanArtifact, metrics: Optional[QueryMetrics]) -> None:
         """Publish the strategy about to run (``last_strategy``, collector)."""
@@ -1052,7 +1012,7 @@ class StorageSession(StatementLifecycle):
     def _build_grouped(
         self, query: SelectQuery, mode: GroupMode, nesting: NestingType
     ) -> PlanArtifact:
-        """Dissect and construct the Section 5/7 executor (no I/O yet)."""
+        """Dissect and construct the Section 5/7 fold tree (no I/O yet)."""
         parts = self._dissect(query)
         (outer_name, inner_name, p1, p2, cross, nesting_pred, project_attrs) = parts
         if mode is GroupMode.NOT_IN:
@@ -1078,7 +1038,7 @@ class StorageSession(StatementLifecycle):
         band = "merge-join" if grouped.band else "nested-loop"
         return PlanArtifact(
             "grouped",
-            executable=grouped,
+            operator=self._with_cut(grouped, query),
             strategy=f"grouped/{nesting.value}: {band} min-fold",
             rule=(
                 "NOT IN -> grouped anti-join min-fold (Section 5)"
@@ -1091,7 +1051,7 @@ class StorageSession(StatementLifecycle):
     # Strategy: the Section 6 pipeline
     # ------------------------------------------------------------------
     def _build_ja(self, query: SelectQuery, nesting: NestingType) -> PlanArtifact:
-        """Dissect and construct the Section 6 pipeline (no I/O yet)."""
+        """Dissect and construct the Section 6 pipeline tree (no I/O yet)."""
         parts = self._dissect(query)
         (outer_name, inner_name, p1, p2, cross, nesting_pred, project_attrs) = parts
         if not isinstance(nesting_pred, ScalarSubqueryComparison):
@@ -1118,13 +1078,19 @@ class StorageSession(StatementLifecycle):
         )
         return PlanArtifact(
             "ja",
-            executable=pipeline,
+            operator=self._with_cut(pipeline, query),
             strategy=f"pipelined/{nesting.value}: T1/T2 merge pass",
             rule="correlated aggregate -> pipelined T1/T2 merge pass (Section 6)",
         )
 
+    @staticmethod
+    def _with_cut(fold: Operator, query: SelectQuery) -> Operator:
+        """The outer ``WITH D >= z`` of ``query`` on top of its fold node."""
+        z = query.with_threshold
+        return fold if z in (None, 0.0) else Threshold(fold, z)
+
     # ------------------------------------------------------------------
-    # Fallback: naive evaluation over buffered reads
+    # No unnested form: naive evaluation over buffered reads
     # ------------------------------------------------------------------
     def _run_naive(
         self,
@@ -1169,8 +1135,6 @@ class StorageSession(StatementLifecycle):
         inner = inner_query.from_tables[0]
         if inner_query.group_by or inner_query.distinct or inner_query.with_threshold is not None:
             raise CompileError("inner block must be a plain select")
-        if q.with_threshold not in (None, 0.0):
-            raise CompileError("WITH thresholds use the fallback path")
         outer_name, inner_name = outer.name.upper(), inner.name.upper()
         if outer_name not in self.tables or inner_name not in self.tables:
             raise CompileError("unregistered relation")
@@ -1183,7 +1147,7 @@ class StorageSession(StatementLifecycle):
         }
         domains.update({(inner.binding, a.name): a.domain for a in inner_heap.schema})
 
-        # None (not an always-1 closure) lets the executors skip the call.
+        # None (not an always-1 closure) lets the folds skip the call.
         p1 = (
             compile_conjunction(rest, outer_columns, domains, self.vocabulary)
             if rest

@@ -46,7 +46,7 @@ from typing import List, Optional, Tuple
 from ..data.tuples import FuzzyTuple
 from ..errors import DiskFullError, StorageFaultError
 from ..fuzzy.interval_order import sort_key
-from ..join.merge_join import MergeJoin, WindowOverflowError
+from ..join.merge_join import MergeJoin
 from ..join.predicates import PairDegree
 from ..resilience import CancelToken, QueryGuard
 from ..sort.external import ExternalSorter
@@ -111,6 +111,10 @@ class ShardedMergeJoin:
         self.cancel = cancel
         #: Why the last :meth:`run` declined (``None`` = it ran).
         self.fallback_reason: Optional[str] = None
+        #: The first rung a shard-local merge-join stepped down to while
+        #: the last :meth:`run` ran sharded (``None`` = none did); see
+        #: the ladder in ``docs/robustness.md``.
+        self.slice_fallback: Optional[str] = None
         #: Replica failovers the last :meth:`run` performed (inner-shard
         #: reads re-routed to mirrors plus whole-task mirror-mode retries).
         self.failovers: int = 0
@@ -135,7 +139,7 @@ class ShardedMergeJoin:
         hands the join back to the caller's serial path, which produces
         the identical answer.
         """
-        self.fallback_reason = None
+        self.fallback_reason = self.slice_fallback = None
         self.failovers = 0
         outer_layout = self.storage.layout(outer.name)
         inner_layout = self.storage.layout(inner.name)
@@ -158,11 +162,6 @@ class ShardedMergeJoin:
             )
         except DiskFullError:
             return self._fallback("shard-local spill hit DiskFullError")
-        except WindowOverflowError:
-            # A slice's merge window can need one more frame than the
-            # serial window on the same data; never fail where serial
-            # would succeed.
-            return self._fallback("merge window exceeded the buffer in a shard")
 
     def _fallback(self, reason: str) -> Optional[List[Pair]]:
         self.fallback_reason = reason
@@ -227,6 +226,8 @@ class ShardedMergeJoin:
             self.storage.nodes[i].stats.merge(result.stats)
             self.failovers += result.failovers
             out.extend(result.pairs)
+            if result.rung is not None and self.slice_fallback is None:
+                self.slice_fallback = f"shard {i}: {result.rung}"
             if self.metrics is not None:
                 from ..observe.metrics import PartitionMetrics
 
@@ -304,7 +305,9 @@ class ShardedMergeJoin:
                 ))
             finally:
                 home.disk.delete(slice_name)
-        return _ShardResult(pairs, worker_stats, failovers, *slice_shape)
+        return _ShardResult(
+            pairs, worker_stats, failovers, *slice_shape, rung=join.fallback_reason
+        )
 
     def _reach_band(
         self, home: ShardNode, outer_heap: HeapFile, outer_attr: str,
@@ -400,9 +403,11 @@ class ShardedMergeJoin:
 class _ShardResult:
     """What one shard task hands back to the coordinator."""
 
-    def __init__(self, pairs, stats, failovers, slice_tuples, slice_pages):
+    def __init__(self, pairs, stats, failovers, slice_tuples, slice_pages, rung):
         self.pairs = pairs
         self.stats = stats
         self.failovers = failovers
         self.slice_tuples = slice_tuples
         self.slice_pages = slice_pages
+        #: The rung the shard-local merge-join stepped down to, if any.
+        self.rung = rung

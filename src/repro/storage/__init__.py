@@ -6,7 +6,7 @@ the cost model that converts counted events into the paper's "response
 time" figures.
 """
 
-from .buffer import BufferExhaustedError, BufferPool, StripedBufferManager
+from .buffer import BufferExhaustedError, BufferPool
 from .costs import MODERN, PAPER_1992, CostModel
 from .disk import SimulatedDisk
 from .heap import HeapFile
@@ -21,7 +21,6 @@ __all__ = [
     "SimulatedDisk",
     "BufferPool",
     "BufferExhaustedError",
-    "StripedBufferManager",
     "HeapFile",
     "TupleSerializer",
     "SerializationError",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..errors import ResourceExhaustedError
 from .disk import SimulatedDisk
@@ -29,9 +29,7 @@ class BufferPool:
     """A page cache with LRU replacement and pin counts.
 
     All operations take the pool's internal lock, so one pool may be
-    shared by concurrent sessions; under contention prefer a
-    :class:`StripedBufferManager`, which shards frames across independent
-    pools so unrelated pages never serialize on one lock.
+    shared by concurrent sessions.
     """
 
     def __init__(self, disk: SimulatedDisk, capacity: int, metrics=None):
@@ -124,71 +122,3 @@ class BufferPool:
                     f"all {self.capacity} frames pinned; cannot load a new page"
                 )
             del self._frames[victim]
-
-
-class StripedBufferManager:
-    """A lock-striped buffer manager for concurrent sessions.
-
-    Frames are sharded over ``stripes`` independent :class:`BufferPool`
-    instances by page-key hash, so threads touching different pages
-    contend on different locks.  The total frame budget is divided
-    evenly; each stripe gets at least one frame.  The manager exposes the
-    same read-side API as a single pool (``get_page``/``unpin``/
-    ``resident``/``drop``/``flush``) plus aggregate hit/miss counters, so
-    existing callers can swap one in unchanged.
-    """
-
-    def __init__(self, disk: SimulatedDisk, capacity: int, stripes: int = 8, metrics=None):
-        if stripes < 1:
-            raise ValueError("need at least one stripe")
-        stripes = min(stripes, capacity)
-        per_stripe = max(1, capacity // stripes)
-        self.disk = disk
-        self.capacity = capacity
-        self.stripes: List[BufferPool] = [
-            BufferPool(disk, per_stripe, metrics=metrics) for _ in range(stripes)
-        ]
-
-    def _stripe(self, file: str, index: int) -> BufferPool:
-        return self.stripes[hash((file, index)) % len(self.stripes)]
-
-    def get_page(self, file: str, index: int, pin: bool = False) -> Page:
-        """Pin and return a page through its stripe's pool."""
-        return self._stripe(file, index).get_page(file, index, pin=pin)
-
-    def unpin(self, file: str, index: int) -> None:
-        """Release one pin via the owning stripe."""
-        self._stripe(file, index).unpin(file, index)
-
-    def unpin_all(self) -> None:
-        """Release every pin in every stripe."""
-        for pool in self.stripes:
-            pool.unpin_all()
-
-    def resident(self, file: str, index: int) -> bool:
-        """Whether the page is resident in its stripe."""
-        return self._stripe(file, index).resident(file, index)
-
-    def drop(self, file: str, index: int) -> None:
-        """Retire one page's frame in its owning stripe."""
-        self._stripe(file, index).drop(file, index)
-
-    def flush(self) -> None:
-        """Forget every stripe's cached frames."""
-        for pool in self.stripes:
-            pool.flush()
-
-    @property
-    def hits(self) -> int:
-        """Aggregate buffer hits across all stripes."""
-        return sum(pool.hits for pool in self.stripes)
-
-    @property
-    def misses(self) -> int:
-        """Aggregate buffer misses across all stripes."""
-        return sum(pool.misses for pool in self.stripes)
-
-    @property
-    def in_use(self) -> int:
-        """Aggregate pinned-frame count across all stripes."""
-        return sum(pool.in_use for pool in self.stripes)

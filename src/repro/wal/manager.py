@@ -283,9 +283,8 @@ class WriteManager:
         changing their fingerprints and bumping the statistics version,
         which together evict every dependent plan-cache entry.  A benign
         ingest instead records the new cardinality without a version bump,
-        so flat cached plans stay hits (they rebind their scans to the new
-        heap version at execution); grouped / pipelined artifacts bake
-        heap references into executables and are evicted either way.
+        so cached plans stay hits (every artifact is an operator tree
+        whose scans rebind to the new heap version at execution).
         """
         session = self.session
         refreshed = session.histograms.refresh_table(name, new_heap.schema, state.tuples)
@@ -299,7 +298,6 @@ class WriteManager:
             session.stats_versions.bump(name)
         else:
             session.stats_versions.note_cardinality(name, new_heap.n_tuples)
-            session._evict_baked_plans(name)
 
     def _maintain_indexes(
         self,

@@ -8,8 +8,9 @@ Four contracts, each pinned here:
 * **Drift eviction** — a Hypothesis property: ingest that pushes a
   table's histograms past the drift threshold evicts exactly the
   plan-cache entries costed against that table's fingerprints and no
-  others, while benign ingest leaves every cached flat plan a *hit*
-  (its scan leaves rebind to the live heap version at execution).
+  others, while benign ingest leaves every cached plan — flat, grouped
+  or pipelined — a *hit* (its scan leaves rebind to the live heap
+  version at execution).
 * **Mid-query re-planning** — when observed join-input cardinality
   diverges from the estimate past the q-error threshold, the remaining
   edges re-cost and the executor may switch join method or worker
@@ -382,6 +383,29 @@ def test_benign_ingest_stays_hit():
     metrics = QueryMetrics()
     session.query(A_SQL, metrics=metrics)
     assert metrics.plan_cache == "hit"
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT A.K FROM A WHERE A.V NOT IN (SELECT B.V FROM B WHERE B.U = A.U)",
+        "SELECT A.K FROM A WHERE A.K > (SELECT MAX(B.K) FROM B WHERE B.U = A.U)",
+    ],
+    ids=["JX", "JA"],
+)
+def test_benign_ingest_keeps_fold_plans_and_they_read_the_live_table(sql):
+    """Grouped / pipelined artifacts are operator trees too: their scan
+    leaves rebind, so a benign install is a hit — on the new rows."""
+    session = drift_session()
+    session.query(sql)
+    session.execute("INSERT INTO A VALUES (100, 1, 3)")  # no B row has U=1, V=3
+    session.execute("INSERT INTO B VALUES (101, 2, 2)")
+    metrics = QueryMetrics()
+    cached = session.query(sql, metrics=metrics)
+    assert metrics.plan_cache == "hit"
+    session.plan_cache.invalidate()
+    assert session.query(sql).same_as(cached, 0.0)
+    assert N(100) in {t[0] for t in cached}
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,8 @@ import pytest
 from repro.data import Catalog, FuzzyRelation, FuzzyTuple, Schema
 from repro.engine import NaiveEvaluator
 from repro.fuzzy import CrispNumber, Op, TrapezoidalNumber, possibility
+from repro.join.merge_join import WINDOW_RUNG
+from repro.observe import QueryMetrics
 from repro.session import StorageSession
 from repro.unnest import UnnestError, unnest
 
@@ -48,6 +50,11 @@ RAMP_POOL = [
     T(0, 3, 3.5, 7), T(2, 4, 4.5, 10), T(4, 7, 8, 11), T(6.5, 9, 9.25, 13),
     T(8, 12, 12, 14.5), T(10, 13, 13.5, 18), T(12.5, 15, 16, 19), T(14, 17, 17, 21),
 ]
+
+#: The duplicate-heavy five-value pool of ``run_bench.build_session``: a
+#: fifth of each relation shares every join value, so past a few dozen
+#: rows the largest ``Rng(r)`` no longer fits a small buffer.
+FIVE_POOL = [N(0), N(5), T(0, 1, 2, 4), T(3, 5, 5, 7), T(4, 6, 8, 12)]
 
 CASES = {
     "N": (
@@ -88,14 +95,14 @@ def make_relation(rng: random.Random, n: int, base: int, pool=POOL) -> FuzzyRela
     return rel
 
 
-def build(seed: int, pool=POOL):
+def build(seed: int, pool=POOL, sizes=(2, 8), buffer_pages=16):
     rng = random.Random(seed)
-    r = make_relation(rng, rng.randint(2, 8), 0, pool)
-    s = make_relation(rng, rng.randint(2, 8), 1000, pool)
+    r = make_relation(rng, rng.randint(*sizes), 0, pool)
+    s = make_relation(rng, rng.randint(*sizes), 1000, pool)
     catalog = Catalog()
     catalog.register("R", r)
     catalog.register("S", s)
-    session = StorageSession(buffer_pages=16, page_size=512)
+    session = StorageSession(buffer_pages=buffer_pages, page_size=512)
     session.register("R", r)
     session.register("S", s)
     return catalog, session
@@ -142,6 +149,22 @@ def test_three_engines_agree(label):
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_three_engines_agree_on_ramp_crossings(label):
     check_three_engines_agree(label, RAMP_POOL)
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_three_engines_agree_past_the_window_boundary(label):
+    """One size past the boundary: the band join's window outgrows the
+    buffer, the plan keeps its strategy, finishes on the ladder's
+    nested-loop rung (``docs/robustness.md``) and still equals the oracle."""
+    sql, strategy_prefix = CASES[label]
+    catalog, session = build(1995, FIVE_POOL, sizes=(40, 40), buffer_pages=4)
+    metrics = QueryMetrics()
+    stored = session.query(sql, metrics=metrics)
+    assert session.last_strategy.startswith(strategy_prefix)
+    assert metrics.degraded and WINDOW_RUNG in metrics.degraded_reason
+    oracle = NaiveEvaluator(catalog).evaluate(sql)
+    assert oracle.same_as(stored, 1e-9)
+    assert oracle.same_as(rewrite_answer(sql, catalog), 1e-9)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4], ids=["workers1", "workers2", "workers4"])

@@ -1,6 +1,7 @@
 """Tests for the extended merge-join and the block nested-loop join."""
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +14,13 @@ from repro.join import (
     JoinPredicate,
     MergeJoin,
     NestedLoopJoin,
-    WindowOverflowError,
     all_quantifier_degree,
     antijoin_degree,
     join_degree,
 )
-from repro.sort import SORT_PHASE
+from repro.fuzzy.interval_order import sort_key
+from repro.join.merge_join import WINDOW_RUNG
+from repro.sort import SORT_PHASE, ExternalSorter
 from repro.storage import HeapFile, OperationStats, SimulatedDisk
 
 N = CrispNumber
@@ -156,13 +158,17 @@ class TestMergeJoinEfficiency:
 
     def test_window_overflow_detected(self):
         # Every S value overlaps every R value -> the window must hold all
-        # of S, which cannot fit in a tiny buffer.
+        # of S, which cannot fit in a tiny buffer: the scan finishes as a
+        # block nested loop over the sorted files and says so.
         values = [(T(0, 1, 2, 1000), 1.0) for _ in range(60)]
         disk, r, s = build_pair(values, values)
         stats = OperationStats()
         join = MergeJoin(disk, 3, stats)
-        with pytest.raises(WindowOverflowError):
-            list(join.pairs(r, "X", s, "X", join_degree(EQ_PRED)))
+        pairs = list(join.pairs(r, "X", s, "X", join_degree(EQ_PRED)))
+        assert len(pairs) == 60 * 60
+        assert join.fallback_reason == WINDOW_RUNG
+        assert stats.phase(SORT_PHASE).page_writes > 0  # the sorts stay charged
+        assert disk.files() == ["R", "S"]  # sorted temporaries deleted
 
     def test_nested_loop_io_formula(self):
         rng = random.Random(9)
@@ -176,6 +182,102 @@ class TestMergeJoinEfficiency:
         disk = SimulatedDisk()
         with pytest.raises(ValueError):
             NestedLoopJoin(disk, 1, OperationStats())
+
+
+# The duplicate-heavy five-value pool of ``run_bench.build_session`` and the
+# support that overlaps everything: the two input families whose largest
+# ``Rng(r)`` outgrows a small buffer.
+POOL = [N(0), N(5), T(0, 1, 2, 4), T(3, 5, 5, 7), T(4, 6, 8, 12)]
+WIDE = T(0, 1, 2, 1000)
+
+
+def sorted_copy(disk, heap, buffer_pages, name):
+    """``heap`` sorted exactly as the join will sort it, kept under ``name``."""
+    with disk.use_stats(OperationStats()):
+        return ExternalSorter(disk, buffer_pages, OperationStats()).sort(heap, "X", name)
+
+
+def keyed_pages(disk, heap):
+    """``(page index, sort key, tuple)`` of every tuple of ``heap`` in file order."""
+    with disk.use_stats(OperationStats()):
+        return [
+            (index, sort_key(t[1]), t)
+            for index in range(heap.n_pages)
+            for t in map(heap.serializer.decode, disk.read_page(heap.name, index).records())
+        ]
+
+
+def widest_window(r_entries, s_entries):
+    """The most S pages Section 3's scan ever holds at once (a reference model)."""
+    window, widest, unread = deque(), 0, deque(s_entries)
+    for _page, (rb, re_), _r in r_entries:
+        while window and window[0][1][1] < rb:
+            window.popleft()
+        if window and window[-1][1][0] > re_:
+            continue  # the scan for r stops inside the resident window
+        while unread:
+            entry = unread.popleft()
+            window.append(entry)
+            widest = max(widest, entry[0] - window[0][0] + 1)
+            if entry[1][0] > re_:
+                break
+    return widest
+
+
+class TestFallbackLadder:
+    """One contract on both sides of the window boundary (docs/robustness.md)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["pool", "wide"]),
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.sampled_from([2, 3, 4, 8, 64]),
+        st.sampled_from(["pairs", "min-fold"]),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_same_answer_order_and_charges_across_the_boundary(
+        self, family, n_r, n_s, buffer_pages, shape, seed
+    ):
+        rng = random.Random(seed)
+
+        def values(n):
+            draws = [rng.choice(POOL) if family == "pool" else WIDE for _ in range(n)]
+            return [(v, rng.choice([0.3, 0.6, 1.0])) for v in draws]
+
+        disk, r, s = build_pair(values(n_r), values(n_s))
+        stats = OperationStats()
+        join = MergeJoin(disk, buffer_pages, stats)
+        if shape == "pairs":
+            def run(j, *inputs):
+                return [(rt[0].value, st_[0].value, d) for rt, st_, d in j.pairs(*inputs)]
+            fold = (join_degree(EQ_PRED),)
+        else:
+            def run(j, *inputs):
+                return [(rt[0].value, worst) for rt, worst in j.fold(*inputs)]
+            # Dangling pairs contribute mu_R(r) >= init(r): neutral for min.
+            fold = (
+                antijoin_degree(EQ_PRED),
+                lambda rt: min(rt.degree, 0.75),
+                lambda worst, _s, d: min(worst, d),
+            )
+        if buffer_pages < 3:
+            # Below the external sort's minimum budget the join refuses;
+            # the ladder starts where a sort is possible.
+            with pytest.raises(ValueError):
+                run(join, r, "X", s, "X", *fold)
+            return
+        got = run(join, r, "X", s, "X", *fold)
+
+        sorted_r = sorted_copy(disk, r, buffer_pages, "R_ref")
+        sorted_s = sorted_copy(disk, s, buffer_pages, "S_ref")
+        nested_loop = NestedLoopJoin(disk, buffer_pages, OperationStats())
+        expected = run(nested_loop, sorted_r, sorted_s, *fold)
+        assert got == expected  # same pairs / states, same order
+        widest = widest_window(keyed_pages(disk, sorted_r), keyed_pages(disk, sorted_s))
+        assert (join.fallback_reason is not None) == (widest > buffer_pages - 1)
+        # Work charged >= work done: at least one read of every sorted page.
+        assert stats.total.page_reads >= sorted_r.n_pages + sorted_s.n_pages
 
 
 class TestFoldSemantics:

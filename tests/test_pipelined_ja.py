@@ -3,6 +3,7 @@
 import pytest
 
 from repro.data import Catalog
+from repro.engine.operators import ExecutionContext
 from repro.engine.pipelined import JAPipeline
 from repro.engine.semantics import NaiveEvaluator
 from repro.fuzzy import Op, possibility, CrispNumber
@@ -34,6 +35,11 @@ def oracle(catalog, func, op_symbol):
     )
 
 
+def run(node, disk, buffer_pages, stats=None):
+    """The node's answer relation on a fresh execution context."""
+    return node.to_relation(ExecutionContext(disk, buffer_pages, stats))
+
+
 def pipeline(workload, func, op, **kwargs):
     return JAPipeline(
         workload.outer,
@@ -62,7 +68,7 @@ class TestCorrectness:
     )
     def test_matches_naive_oracle(self, workload, catalog, func, op, symbol):
         expected = oracle(catalog, func, symbol)
-        answer = pipeline(workload, func, op).run(workload.disk, 16)
+        answer = run(pipeline(workload, func, op), workload.disk, 16)
         assert expected.same_as(answer, 1e-9), (
             f"oracle:\n{expected.pretty()}\npipeline:\n{answer.pretty()}"
         )
@@ -70,7 +76,7 @@ class TestCorrectness:
     def test_count_outer_join_branch(self, workload, catalog):
         """R-tuples without any joining S-tuple compare against 0."""
         expected = oracle(catalog, "COUNT", ">")
-        answer = pipeline(workload, "COUNT", Op.GT).run(workload.disk, 16)
+        answer = run(pipeline(workload, "COUNT", Op.GT), workload.disk, 16)
         # Every R ID is positive, so COUNT-empty tuples pass `ID > 0`:
         # the answer must include tuples with no partner.
         assert expected.same_as(answer, 1e-9)
@@ -82,7 +88,7 @@ class TestCorrectness:
         )
         p1 = lambda t: possibility(t[0], Op.GT, N(10))
         p2 = lambda t: possibility(t[0], Op.GT, N(1000010))
-        answer = pipeline(workload, "MAX", Op.LT, p1=p1, p2=p2).run(workload.disk, 16)
+        answer = run(pipeline(workload, "MAX", Op.LT, p1=p1, p2=p2), workload.disk, 16)
         assert expected.same_as(answer, 1e-9)
 
 
@@ -97,14 +103,14 @@ class TestPipelining:
         )
         crisp = build_workload(spec, page_size=1024)
         stats = OperationStats()
-        pipeline(crisp, "MAX", Op.LT).run(crisp.disk, 16, stats)
+        run(pipeline(crisp, "MAX", Op.LT), crisp.disk, 16, stats)
         # ~10 anchors x ~10 members + 100 outer-degree evals; without
         # memoization it would be ~100 x 11 + 100 = 1200.
         assert stats.total.fuzzy_evaluations < 400
 
     def test_single_pass_io(self, workload):
         stats = OperationStats()
-        pipeline(workload, "MAX", Op.LT).run(workload.disk, 16, stats)
+        run(pipeline(workload, "MAX", Op.LT), workload.disk, 16, stats)
         from repro.join.merge_join import JOIN_PHASE
 
         join_reads = stats.phase(JOIN_PHASE).page_reads
@@ -113,8 +119,8 @@ class TestPipelining:
     def test_empty_inner(self):
         spec = WorkloadSpec(n_outer=10, n_inner=0, join_fanout=1, tuple_size=128, seed=1)
         workload = build_workload(spec, page_size=1024)
-        count_answer = pipeline(workload, "COUNT", Op.GT).run(workload.disk, 16)
+        count_answer = run(pipeline(workload, "COUNT", Op.GT), workload.disk, 16)
         # IDs are 0..9; all but ID=0 satisfy `ID > 0` against the empty COUNT.
         assert len(count_answer) == 9
-        max_answer = pipeline(workload, "MAX", Op.GT).run(workload.disk, 16)
+        max_answer = run(pipeline(workload, "MAX", Op.GT), workload.disk, 16)
         assert len(max_answer) == 0  # NULL comparison fails

@@ -565,59 +565,3 @@ class TestStatisticsVersions:
         assert token == {"R": 1, "S": 0}
         versions.observe_cardinality("S", 3)
         assert versions.snapshot(["R", "S"]) != token
-
-
-# ----------------------------------------------------------------------
-# The lock-striped buffer manager
-# ----------------------------------------------------------------------
-class TestStripedBufferManager:
-    def test_same_pages_same_counters_as_single_pool(self):
-        from repro.storage import (
-            HeapFile,
-            SimulatedDisk,
-            StripedBufferManager,
-            TupleSerializer,
-        )
-
-        rng = random.Random(3)
-        relation = make_relation(rng, 40, 0)
-        disk = SimulatedDisk(page_size=512)
-        disk.create("R")
-        heap = HeapFile("R", SCHEMA, disk, TupleSerializer(SCHEMA).fixed_size)
-        heap.load(iter(relation))
-        manager = StripedBufferManager(disk, capacity=16, stripes=4)
-        for _ in range(2):
-            for index in range(heap.n_pages):
-                manager.get_page("R", index)
-        assert manager.misses == heap.n_pages
-        assert manager.hits == heap.n_pages
-        assert manager.in_use <= 16
-
-    def test_concurrent_readers_see_consistent_pages(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.storage import (
-            HeapFile,
-            SimulatedDisk,
-            StripedBufferManager,
-            TupleSerializer,
-        )
-
-        rng = random.Random(4)
-        relation = make_relation(rng, 60, 0)
-        disk = SimulatedDisk(page_size=512)
-        disk.create("R")
-        heap = HeapFile("R", SCHEMA, disk, TupleSerializer(SCHEMA).fixed_size)
-        heap.load(iter(relation))
-        manager = StripedBufferManager(disk, capacity=8, stripes=4)
-
-        def read_all(_):
-            total = 0
-            for index in range(heap.n_pages):
-                total += sum(1 for _ in manager.get_page("R", index).records())
-            return total
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            counts = list(pool.map(read_all, range(8)))
-        assert len(set(counts)) == 1
-        assert counts[0] == 60

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from repro.data import Catalog, FuzzyRelation, FuzzyTuple, Schema
 from repro.engine import NaiveEvaluator
 from repro.fuzzy import CrispNumber, TrapezoidalNumber, paper_vocabulary
-from repro.observe import MetricsRegistry, QueryMetrics
+from repro.join import NL_PHASE
+from repro.join.merge_join import WINDOW_RUNG
+from repro.observe import FlightRecorder, MetricsRegistry, QueryMetrics
 from repro.session import StorageSession
-from repro.sql import classify, parse
-from repro.storage.stats import OperationStats
+from repro.sort import SORT_PHASE
 
 N = CrispNumber
 T = TrapezoidalNumber
@@ -141,44 +142,79 @@ class TestStrategySelection:
         assert grouped_evals < oracle_stats.total.fuzzy_evaluations / 3
 
     def test_with_threshold_falls_back(self):
-        _, session = build()
-        out = session.query(QUERIES["JX"] + " WITH D >= 0.5")
+        """A WITH cut inside the nested block has no fold form: naive."""
+        catalog, session = build()
+        sql = (
+            "SELECT R.K FROM R WHERE R.V NOT IN "
+            "(SELECT S.V FROM S WHERE S.U = R.U WITH D >= 0.5)"
+        )
+        out = session.query(sql)
         assert session.last_strategy.startswith("naive/")
-        assert all(t.degree >= 0.5 for t in out)
+        assert out.same_as(NaiveEvaluator(catalog).evaluate(sql), 1e-9)
+
+    @pytest.mark.parametrize("z", [0.3, 0.6, 1.0])
+    @pytest.mark.parametrize(
+        "label,family", [("JX", "grouped/"), ("JALL", "grouped/"), ("JA", "pipelined/")]
+    )
+    def test_outer_with_threshold_is_a_threshold_node_on_the_fold(self, label, family, z):
+        catalog, session = build()
+        sql = f"{QUERIES[label]} WITH D >= {z}"
+        out = session.query(sql)
+        assert session.last_strategy.startswith(family)
+        assert f"strategy: {session.last_strategy}" in session.explain(sql).splitlines()
+        assert session.last_plan.describe() == f"Threshold(D >= {z})"
+        assert out.same_as(NaiveEvaluator(catalog).evaluate(sql), 1e-9)
+        assert all(t.degree >= z for t in out)
 
 
 class TestWindowOverflowFallback:
-    def test_wide_supports_fall_back_to_naive(self):
-        """When the largest Rng(r) exceeds the buffer, the session restarts
-        the query on the naive path instead of failing (Section 3's buffer
-        assumption violated)."""
+    @staticmethod
+    def wide_session(**options):
+        """R and S whose every support overlaps every other: one window."""
         wide = FuzzyRelation(SCHEMA)
         for i in range(60):
             wide.add(FuzzyTuple([N(i), T(0, 1, 2, 1000), N(i)], 1.0))
-        session = StorageSession(buffer_pages=3, page_size=1024)
-        session.register("R", wide)
-        session.register("S", wide)
+        session = StorageSession(buffer_pages=3, page_size=1024, **options)
         catalog = Catalog()
-        catalog.register("R", wide)
-        catalog.register("S", wide)
+        for name in ("R", "S"):
+            session.register(name, wide)
+            catalog.register(name, wide)
+        return catalog, session
+
+    def test_two_rungs_chain_in_every_sink(self):
+        """Sharded -> local (nothing is placed), then the local window
+        outgrows the buffer: both reasons, in order, one degraded query."""
+        _, session = self.wide_session(shards=2)
+        session.registry = MetricsRegistry()
+        session.recorder = FlightRecorder()
+        report = session.explain_analyze("SELECT R.K FROM R WHERE R.U IN (SELECT S.U FROM S)")
+        both = (
+            "sharded join fell back to local execution: join input is not a "
+            f"placed relation; then {WINDOW_RUNG}"
+        )
+        assert session.last_metrics.degraded_reason == both
+        assert f"degraded=True ({both})" in report.splitlines()
+        assert session.recorder.events()[-1].degraded_reason == both
+        assert session.registry.queries_degraded_total == 1
+
+    def test_wide_supports_finish_on_the_nested_loop(self):
+        """When the largest Rng(r) exceeds the buffer (Section 3's buffer
+        assumption violated), the merge-join finishes its scan as a block
+        nested loop: same plan, same answer, nothing restarted."""
+        catalog, session = self.wide_session()
         sql = "SELECT R.K FROM R WHERE R.U IN (SELECT S.U FROM S)"
         metrics = QueryMetrics()
         out = session.query(sql, metrics=metrics)
-        assert session.last_strategy.startswith("naive/")
+        assert session.last_strategy == "flat/N: merge-join plan"
         assert out.same_as(NaiveEvaluator(catalog).evaluate(sql), 1e-9)
-        # The restart keeps the ledger: the sort and scan work charged
-        # before the overflow stays in last_stats on top of the naive run's
-        # reads, and the query is reported degraded — not as a cheap plan.
-        naive_only = OperationStats()
-        query = parse(sql)
-        session._run_naive(query, classify(query, session.schemas), naive_only)
-        assert session.last_stats.total.page_reads > naive_only.total.page_reads
-        assert session.last_stats.total.page_writes > 0  # the abandoned sort runs
+        # Every event charged before the step-down stays on the ledger
+        # (both sorts' writes, the scan so far) and the query is reported
+        # degraded with the rung's reason — not as a cheap plan.
+        assert session.last_stats.phase(SORT_PHASE).page_writes > 0
+        assert session.last_stats.phase(NL_PHASE).fuzzy_evaluations > 0
         assert metrics.stats is session.last_stats
         assert metrics.degraded is True
-        assert metrics.degraded_reason == (
-            "merge window overflow (Rng(r) wider than the buffer); naive fallback"
-        )
+        assert metrics.degraded_reason == WINDOW_RUNG
         registry = MetricsRegistry()
         session.registry = registry
         session.query(sql)
