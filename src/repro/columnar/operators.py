@@ -27,7 +27,15 @@ from collections import OrderedDict, deque
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..data.tuples import FuzzyTuple
-from ..engine.operators import ExecutionContext, MergeJoinOp, Operator, Scan, TuplePredicate
+from ..engine.operators import (
+    ExecutionContext,
+    MergeJoinOp,
+    Operator,
+    Scan,
+    TuplePredicate,
+    live_heap,
+    live_index,
+)
 from ..fuzzy.compare import Op
 from ..fuzzy.logic import meets_threshold
 from ..join.merge_join import JOIN_PHASE
@@ -96,8 +104,9 @@ class IndexScan(Scan):
         probe,
         threshold: float = 0.0,
         op: Op = Op.EQ,
+        table: Optional[str] = None,
     ):
-        super().__init__(heap, predicates)
+        super().__init__(heap, predicates, table)
         self.index = index
         self.probe = probe
         self.threshold = threshold
@@ -132,11 +141,13 @@ class IndexScan(Scan):
     def _tuples(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
         om = ctx.metrics.op(self) if ctx.metrics is not None else None
         stats = ctx.stats
+        heap = live_heap(self, ctx.catalog)
+        index = live_index(self, self.index, ctx.catalog)
         begin, end = probe_support(self.probe)
         qualifying: List[Tuple[int, int, float]] = []
         with ctx.disk.use_stats(stats):
-            for idx_page in self.index.probe_pages(self.op, begin, end):
-                columnar = self.index.fetch(ctx.disk, idx_page)
+            for idx_page in index.probe_pages(self.op, begin, end):
+                columnar = index.fetch(ctx.disk, idx_page)
                 # Crisp prefilter over the (a, d) columns: entries whose
                 # support relation to the probe's forces degree 0.
                 candidates = []
@@ -174,8 +185,8 @@ class IndexScan(Scan):
             tuples: List[FuzzyTuple] = []
             for page_index, slot, degree in qualifying:
                 if page_index != current:
-                    page = ctx.disk.read_page(self.heap.name, page_index)
-                    tuples = [self.heap.serializer.decode(r) for r in page.records()]
+                    page = ctx.disk.read_page(heap.name, page_index)
+                    tuples = [heap.serializer.decode(r) for r in page.records()]
                     current = page_index
                 yield tuples[slot].with_degree(degree)
 
@@ -255,16 +266,18 @@ class IndexMergeJoinOp(MergeJoinOp):
         stats = ctx.stats
         pair_degree = self.pair_degree_with(ctx.kernel)
         fetch_frames = max(1, (ctx.buffer_pages - 1) // 2)
-        left_rows = _PageCache(self.left.heap, ctx, fetch_frames)
-        right_rows = _PageCache(self.right.heap, ctx, fetch_frames)
+        left_rows = _PageCache(live_heap(self.left, ctx.catalog), ctx, fetch_frames)
+        right_rows = _PageCache(live_heap(self.right, ctx.catalog), ctx, fetch_frames)
+        left_index = live_index(self.left, self.left_index, ctx.catalog)
+        right_index = live_index(self.right, self.right_index, ctx.catalog)
 
         window: "deque[IndexEntry]" = deque()
         window_pages = 0  # distinct S index pages spanned by the window
-        s_stream = self.right_index.scan_entries(ctx.disk)
+        s_stream = right_index.scan_entries(ctx.disk)
         exhausted = False
         budget = ctx.buffer_pages - 1
 
-        for r_entry in self.left_index.scan_entries(ctx.disk):
+        for r_entry in left_index.scan_entries(ctx.disk):
             rb, re_ = r_entry.a, r_entry.d
 
             # Retire S entries that precede every remaining R entry.

@@ -25,6 +25,7 @@ from ..fuzzy.linguistic import Vocabulary, lift
 from ..join.predicates import JoinPredicate, join_degree
 from ..sql.ast import ColumnRef, Comparison, Literal, SelectQuery
 from ..sql.parser import parse
+from ..storage.costs import PAPER_1992
 from ..storage.heap import HeapFile
 from .operators import (
     ExecutionContext,
@@ -152,12 +153,15 @@ class DmlColumns:
 class FlatCompiler:
     """Compiles fully-qualified flat SELECT queries to operator trees.
 
-    ``indexes`` maps ``(TABLE, attribute)`` to a
-    :class:`~repro.columnar.SupportIntervalIndex`; when present, the
-    compiler costs the index access paths (``index_scan``,
-    ``index_merge_join``) against the row paths with ``cost_model`` and
-    picks the cheaper plan.  Either choice produces the bit-identical
-    query answer, so the decision is pure economics.
+    ``tables`` and ``indexes`` are keyed by *catalog name* — ``TABLE`` and
+    ``(TABLE, attribute)`` — and every leaf remembers the name it was
+    compiled for, so the plan binds to the live heap and index versions
+    at execution (:func:`~repro.engine.operators.live_heap`).  When a
+    :class:`~repro.columnar.SupportIntervalIndex` applies, the compiler
+    costs the index access paths (``index_scan``, ``index_merge_join``)
+    against the row paths under the paper's cost model and picks the
+    cheaper plan.  Either choice produces the bit-identical query answer,
+    so the decision is pure economics.
     """
 
     def __init__(
@@ -165,26 +169,10 @@ class FlatCompiler:
         tables: Dict[str, HeapFile],
         vocabulary: Optional[Vocabulary] = None,
         indexes: Optional[Dict[Tuple[str, str], "object"]] = None,
-        cost_model=None,
-        histograms=None,
-        bushy: bool = False,
-        plan_memo=None,
     ):
-        from ..storage.costs import PAPER_1992
-
         self.tables = {name.upper(): heap for name, heap in tables.items()}
         self.vocabulary = vocabulary
         self.indexes = dict(indexes) if indexes else {}
-        self.cost_model = cost_model if cost_model is not None else PAPER_1992
-        #: Optional :class:`~repro.engine.histogram.HistogramStore` — when
-        #: present, join-edge fan-outs come from support-interval overlap
-        #: counts instead of the constant ``fanout`` default.
-        self.histograms = histograms
-        #: Allow the Section 8 DP to consider bushy join trees.
-        self.bushy = bushy
-        #: Optional :class:`~repro.engine.optimizer.PlanMemo` shared
-        #: across compilations (keyed on the statistics the DP saw).
-        self.plan_memo = plan_memo
 
     # ------------------------------------------------------------------
     # Entry point
@@ -208,29 +196,22 @@ class FlatCompiler:
 
         bindings, domains = self._bindings(query)
         pushdown, joins = self._partition_predicates(query, bindings)
-        tree = None
         if optimize and len(query.from_tables) > 1:
-            query, tree = self._reorder(query, joins, fanout)
+            query = self._reorder(query, joins, fanout)
 
         # By compile time the WITH cut is a concrete float (prepared-query
         # placeholders are substituted before recompilation), so index
         # access paths can bake it in for result-preserving pruning.
         threshold = query.with_threshold if query.with_threshold is not None else 0.0
 
-        if tree is not None and self._is_bushy(tree):
-            by_binding = {table.binding: table for table in query.from_tables}
-            plan, columns, pending = self._compile_tree(
-                tree, by_binding, pushdown, list(joins), bindings, domains, threshold
+        plan, columns = self._initial_scan(
+            query.from_tables[0], pushdown, domains, threshold
+        )
+        pending = list(joins)
+        for table in query.from_tables[1:]:
+            plan, columns, pending = self._join_in(
+                plan, columns, table, pushdown, pending, bindings, domains, threshold
             )
-        else:
-            plan, columns = self._initial_scan(
-                query.from_tables[0], pushdown, domains, threshold
-            )
-            pending = list(joins)
-            for table in query.from_tables[1:]:
-                plan, columns, pending = self._join_in(
-                    plan, columns, table, pushdown, pending, bindings, domains, threshold
-                )
 
         if pending:
             # Cross-block correlations whose band predicate joined earlier.
@@ -270,158 +251,16 @@ class FlatCompiler:
                 and isinstance(predicate.right, ColumnRef)
             ):
                 edges.append(
-                    JoinEdge(
-                        predicate.left.relation,
-                        predicate.right.relation,
-                        self._edge_fanout(by_binding, predicate, fanout),
-                    )
+                    JoinEdge(predicate.left.relation, predicate.right.relation, fanout)
                 )
-        plan = optimize_join_order(
-            estimates, edges, bushy=self.bushy, memo=self.plan_memo
-        )
-        ordered = tuple(by_binding[b] for b in plan.order)
-        reordered = SelectQuery(
+        plan = optimize_join_order(estimates, edges)
+        return SelectQuery(
             select=query.select,
-            from_tables=ordered,
+            from_tables=tuple(by_binding[b] for b in plan.order),
             where=query.where,
             with_threshold=query.with_threshold,
             group_by=query.group_by,
             distinct=query.distinct,
-        )
-        return reordered, plan.tree
-
-    def _edge_fanout(self, by_binding, predicate: Comparison, default: float) -> float:
-        """Per-edge fan-out from the histogram store, or the constant default."""
-        if self.histograms is None:
-            return default
-        left_table = by_binding[predicate.left.relation].name
-        right_table = by_binding[predicate.right.relation].name
-        return self.histograms.edge_fanout(
-            left_table,
-            predicate.left.attribute,
-            right_table,
-            predicate.right.attribute,
-            default,
-        )
-
-    @staticmethod
-    def _is_bushy(tree) -> bool:
-        """True when ``tree`` is not purely left-deep.
-
-        Left-deep trees compile through the original incremental
-        :meth:`_join_in` loop (so the plans the non-adaptive path has
-        always produced stay byte-for-byte the same); only genuinely
-        bushy shapes take the recursive :meth:`_compile_tree` path.
-        """
-        while isinstance(tree, tuple):
-            if isinstance(tree[1], tuple):
-                return True
-            tree = tree[0]
-        return False
-
-    def _compile_tree(
-        self, tree, by_binding, pushdown, pending, bindings, domains, threshold
-    ):
-        """Recursively compile one :data:`~repro.engine.optimizer.JoinTree`.
-
-        Leaves are bindings (compiled exactly like the first table of the
-        left-deep path); internal nodes join two subplans with the first
-        crossing fuzzy equi-join predicate as the merge band, the other
-        crossing predicates folded into the pair degree, and a block
-        nested loop when no equi-join predicate crosses the cut.  A
-        binary join predicate is consumed at the unique node where its
-        two bindings first share a subtree, so every predicate is applied
-        exactly once — the same discipline as the incremental path.
-        """
-        if isinstance(tree, str):
-            plan, columns = self._initial_scan(
-                by_binding[tree], pushdown, domains, threshold
-            )
-            return plan, columns, pending
-        left_plan, left_columns, pending = self._compile_tree(
-            tree[0], by_binding, pushdown, pending, bindings, domains, threshold
-        )
-        right_plan, right_columns, pending = self._compile_tree(
-            tree[1], by_binding, pushdown, pending, bindings, domains, threshold
-        )
-        left_bound = {binding for binding, _ in left_columns}
-        right_bound = {binding for binding, _ in right_columns}
-        applicable: List[Comparison] = []
-        deferred: List[Comparison] = []
-        for predicate in pending:
-            refs = self._referenced_bindings(predicate, bindings)
-            if refs & left_bound and refs & right_bound:
-                applicable.append(predicate)
-            else:
-                deferred.append(predicate)
-
-        band = None
-        for predicate in applicable:
-            if (
-                predicate.op is Op.EQ
-                and isinstance(predicate.left, ColumnRef)
-                and isinstance(predicate.right, ColumnRef)
-            ):
-                band = predicate
-                break
-
-        new_columns = left_columns + right_columns
-        if band is not None:
-            applicable.remove(band)
-            left_ref, right_ref = band.left, band.right
-            if left_ref.relation not in left_bound:
-                left_ref, right_ref = right_ref, left_ref
-            residual = [
-                self._tree_residual(p, left_columns, right_columns)
-                for p in applicable
-            ]
-            left_names = self._layout_names(left_columns)
-            right_names = self._layout_names(right_columns)
-            joined_plan = MergeJoinOp(
-                left_plan,
-                left_names[left_columns.index((left_ref.relation, left_ref.attribute))],
-                right_plan,
-                right_names[
-                    right_columns.index((right_ref.relation, right_ref.attribute))
-                ],
-                residual=residual,
-            )
-        else:
-            residual = [
-                self._tree_residual(p, left_columns, right_columns)
-                for p in applicable
-            ]
-            joined_plan = NestedLoopJoinOp(
-                left_plan,
-                right_plan,
-                join_degree(residual),
-                label="+".join(sorted(right_bound)),
-            )
-        return joined_plan, new_columns, deferred
-
-    def _tree_residual(
-        self,
-        predicate: Comparison,
-        left_columns: List[Column],
-        right_columns: List[Column],
-    ) -> JoinPredicate:
-        """A predicate between two compiled subtrees (bushy residual)."""
-        left_ref, right_ref = predicate.left, predicate.right
-        op = predicate.op
-        left_bound = {binding for binding, _ in left_columns}
-        if isinstance(left_ref, ColumnRef) and left_ref.relation not in left_bound:
-            left_ref, right_ref = right_ref, left_ref
-            op = op.flipped()
-        if not (isinstance(left_ref, ColumnRef) and isinstance(right_ref, ColumnRef)):
-            raise CompileError(f"join predicates must relate two columns: {predicate}")
-        left_names = self._layout_names(left_columns)
-        right_names = self._layout_names(right_columns)
-        return JoinPredicate(
-            self._columns_schema(left_columns),
-            left_names[left_columns.index((left_ref.relation, left_ref.attribute))],
-            op,
-            self._columns_schema(right_columns),
-            right_names[right_columns.index((right_ref.relation, right_ref.attribute))],
         )
 
     # ------------------------------------------------------------------
@@ -473,21 +312,22 @@ class FlatCompiler:
     def _initial_scan(
         self, table, pushdown, domains, threshold: float = 0.0
     ) -> Tuple[Operator, List[Column]]:
-        heap = self.tables[table.name.upper()]
+        name = table.name.upper()
+        heap = self.tables[name]
         columns = [(table.binding, a.name) for a in heap.schema]
         predicates_ast = pushdown.get(table.binding, [])
         predicates = [
             self._combined_predicate(p, columns, domains) for p in predicates_ast
         ]
         indexed = self._index_scan_path(
-            table, heap, predicates_ast, predicates, domains, threshold
+            name, heap, predicates_ast, predicates, domains, threshold
         )
         if indexed is not None:
             return indexed, columns
-        return Scan(heap, predicates), columns
+        return Scan(heap, predicates, name), columns
 
     def _index_scan_path(
-        self, table, heap, predicates_ast, predicates, domains, threshold
+        self, name, heap, predicates_ast, predicates, domains, threshold
     ) -> Optional[Operator]:
         """An :class:`~repro.columnar.IndexScan` when one wins on cost.
 
@@ -510,7 +350,7 @@ class FlatCompiler:
             op = op.flipped()
         if not isinstance(column, ColumnRef) or not isinstance(literal, Literal):
             return None
-        index = self.indexes.get((heap.name.upper(), column.attribute))
+        index = self.indexes.get((name, column.attribute))
         if index is None:
             return None
         from ..columnar import IndexScan
@@ -530,18 +370,17 @@ class FlatCompiler:
         candidates = index.candidate_entries_for(op, begin, end)
         per_page = max(1, heap.n_tuples // max(1, heap.n_pages))
         data_pages = min(heap.n_pages, -(-candidates // per_page))
-        index_cost = self.cost_model.index_scan_seconds(
-            index_pages, candidates, data_pages
-        )
-        seq_cost = self.cost_model.seq_scan_seconds(heap.n_pages, heap.n_tuples)
+        index_cost = PAPER_1992.index_scan_seconds(index_pages, candidates, data_pages)
+        seq_cost = PAPER_1992.seq_scan_seconds(heap.n_pages, heap.n_tuples)
         if index_cost >= seq_cost:
             return None
-        return IndexScan(heap, predicates, index, probe, threshold, op=op)
+        return IndexScan(heap, predicates, index, probe, threshold, op, name)
 
     def _join_in(
         self, plan, columns, table, pushdown, pending, bindings, domains, threshold=0.0
     ):
-        heap = self.tables[table.name.upper()]
+        name = table.name.upper()
+        heap = self.tables[name]
         scan_columns = [(table.binding, a.name) for a in heap.schema]
         scan = Scan(
             heap,
@@ -549,6 +388,7 @@ class FlatCompiler:
                 self._combined_predicate(p, scan_columns, domains)
                 for p in pushdown.get(table.binding, [])
             ],
+            name,
         )
         joined = {binding for binding, _ in columns}
         applicable: List[Comparison] = []
@@ -620,18 +460,18 @@ class FlatCompiler:
             return None
         if type(scan) is not Scan or scan.predicates:
             return None
-        left_index = self.indexes.get((plan.heap.name.upper(), left_ref.attribute))
-        right_index = self.indexes.get((scan.heap.name.upper(), right_ref.attribute))
+        left_index = self.indexes.get((plan.table, left_ref.attribute))
+        right_index = self.indexes.get((scan.table, right_ref.attribute))
         if left_index is None or right_index is None:
             return None
         from ..columnar import IndexMergeJoinOp
 
         index_pages = left_index.n_pages + right_index.n_pages
         entries = left_index.n_entries + right_index.n_entries
-        index_cost = self.cost_model.index_merge_join_seconds(
+        index_cost = PAPER_1992.index_merge_join_seconds(
             index_pages, entries, plan.heap.n_pages + scan.heap.n_pages
         )
-        sort_cost = self.cost_model.sort_merge_join_seconds(
+        sort_cost = PAPER_1992.sort_merge_join_seconds(
             plan.heap.n_pages,
             scan.heap.n_pages,
             plan.heap.n_tuples,

@@ -1,20 +1,15 @@
 """Equi-depth histograms over support intervals ``(b(v), e(v))``.
 
-The Section 8 join-order DP and the access-path costing both ran on a
-single constant fan-out ``C`` per edge; the ``q=`` column of EXPLAIN
-ANALYZE (PR 2) shows how often that constant is wrong.  This module
-supplies the missing statistics: one :class:`AttributeHistogram` per
-``(table, attribute)``, built at registration time from the attribute's
-support intervals and kept current by the WAL apply path.
+One :class:`AttributeHistogram` per ``(table, attribute)``, built at
+registration time from the attribute's support intervals and kept
+current by the WAL apply path: the record of the distribution a cached
+plan was costed against.
 
 The histogram is equi-depth on the support *begin* ``b(v)`` — the same
 key the interval order, the external sorts, the range partitioner, and
 the shard placement all use — and each bucket additionally records the
-largest support *end* seen, so two histograms can estimate how many
-tuple pairs have overlapping supports: exactly the necessary join
-criterion of the extended merge-join.  That estimate replaces the
-constant ``C`` in :class:`~repro.engine.optimizer.JoinEdge` when a
-session runs with ``adaptive=True``.
+largest support *end* seen (the widest ``Rng(r)`` window a bucket can
+open; shown by the shell's ``\\stats``).
 
 Two derived quantities drive the adaptive layer:
 
@@ -157,7 +152,7 @@ class AttributeHistogram:
         return tv + growth
 
     # ------------------------------------------------------------------
-    # Estimation
+    # Summary
     # ------------------------------------------------------------------
     @property
     def n_base(self) -> int:
@@ -171,50 +166,12 @@ class AttributeHistogram:
             for lo, max_d, count in zip(self.bounds, self.base_max_d, self.base_counts)
         ]
 
-    def overlap_count(self, begin: float, end: float) -> float:
-        """Estimated tuples whose support intersects ``[begin, end]``.
-
-        A bucket's tuples all begin in ``[lo_i, lo_{i+1})`` and end at or
-        below ``max_d_i``; the bucket can only contribute when that
-        envelope intersects the probe interval.
-        """
-        total = 0.0
-        for i, (lo, max_d, count) in enumerate(self.bucket_ranges()):
-            hi = self.bounds[i + 1] if i + 1 < len(self.bounds) else max_d
-            if lo > end or max_d < begin:
-                continue
-            # A tuple overlaps iff its begin is at or below ``end`` (its
-            # end may reach up to max_d >= begin).  Begins are uniform in
-            # [lo, hi) within a bucket, so scale by the share below end.
-            width = hi - lo
-            if width > 0.0 and end < hi:
-                total += count * min(1.0, max(0.0, (end - lo) / width))
-            else:
-                total += count
-        return total
-
-    def join_fanout(self, other: "AttributeHistogram") -> float:
-        """Expected ``other``-tuples with overlapping support per tuple of self.
-
-        The necessary join criterion of the extended merge-join is
-        support overlap; averaging :meth:`overlap_count` over this
-        histogram's buckets estimates the paper's per-edge constant ``C``
-        from data instead of assumption.
-        """
-        mine = self.n_base
-        if mine == 0 or other.n_base == 0:
-            return 0.0
-        expected = 0.0
-        for i, (lo, max_d, count) in enumerate(self.bucket_ranges()):
-            expected += count * other.overlap_count(lo, max_d)
-        return expected / mine
-
 
 class HistogramStore:
     """All of a session's attribute histograms, keyed ``(TABLE, attribute)``.
 
     Built by :meth:`~repro.session.StorageSession.register`, refreshed by
-    the WAL apply path, read by the join-order DP and the drift check.
+    the WAL apply path, read by the drift check and the plan-cache tokens.
     All methods are thread-safe.
     """
 
@@ -299,7 +256,7 @@ class HistogramStore:
         return self.drift(name) > self.drift_threshold
 
     # ------------------------------------------------------------------
-    # Plan-cache tokens and planner inputs
+    # Plan-cache tokens
     # ------------------------------------------------------------------
     def fingerprint(self, name: str) -> int:
         """One CRC folding every attribute fingerprint of ``name``.
@@ -320,21 +277,6 @@ class HistogramStore:
         """The histogram of ``name.attribute``, if one exists."""
         with self._lock:
             return self._tables.get(name.upper(), {}).get(attribute)
-
-    def edge_fanout(
-        self,
-        left_table: str,
-        left_attribute: str,
-        right_table: str,
-        right_attribute: str,
-        default: float,
-    ) -> float:
-        """Histogram-estimated fan-out for one join edge, or ``default``."""
-        left = self.histogram(left_table, left_attribute)
-        right = self.histogram(right_table, right_attribute)
-        if left is None or right is None or left.n_base == 0 or right.n_base == 0:
-            return default
-        return max(1.0, left.join_fanout(right))
 
     # ------------------------------------------------------------------
     # Rendering (the ``\\stats`` shell view)

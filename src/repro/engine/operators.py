@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..data.relation import FuzzyRelation
 from ..data.schema import Schema
 from ..data.tuples import FuzzyTuple
+from ..errors import FuzzyQueryError
 from ..join.merge_join import MergeJoin
 from ..join.nested_loop import NestedLoopJoin
 from ..join.predicates import JoinPredicate, PairDegree
@@ -80,6 +81,11 @@ class ExecutionContext:
     own linked guards, and ``sharded`` the session's
     :class:`~repro.shard.ShardedStorage` (when one exists) so merge-joins
     over placed base relations can scatter-gather across the shard nodes.
+
+    ``catalog`` is the live-catalog view (``tables`` and ``indexes`` by
+    catalog name) the leaves of this execution bind against — see
+    :func:`live_heap`; without one every leaf reads the heap it was built
+    on.
     """
 
     def __init__(
@@ -96,6 +102,7 @@ class ExecutionContext:
         shards: int = 1,
         sharded=None,
         adapt=None,
+        catalog=None,
     ):
         from ..fuzzy.compare import ComparisonKernel
 
@@ -108,6 +115,7 @@ class ExecutionContext:
         self.guard = guard
         self.shards = max(1, shards)
         self.sharded = sharded
+        self.catalog = catalog
         #: Optional :class:`~repro.engine.adaptive.AdaptiveController`;
         #: when present, every merge-join edge re-costs itself against
         #: observed input cardinalities before dispatching.  ``None``
@@ -282,18 +290,27 @@ class Scan(Operator):
     should be sorted").
     """
 
-    def __init__(self, heap: HeapFile, predicates: Sequence[TuplePredicate] = ()):
+    def __init__(
+        self,
+        heap: HeapFile,
+        predicates: Sequence[TuplePredicate] = (),
+        table: Optional[str] = None,
+    ):
         self.heap = heap
         self.predicates = list(predicates)
         self.schema = heap.schema
+        #: The catalog name this leaf was planned for (``None``: built
+        #: directly from ``heap``); :func:`live_heap` binds it per execution.
+        self.table = table
 
     def _tuples(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
         om = ctx.metrics.op(self) if ctx.metrics is not None else None
+        heap = live_heap(self, ctx.catalog)
         with ctx.disk.use_stats(ctx.stats):
-            for page_index in range(self.heap.n_pages):
-                page = ctx.disk.read_page(self.heap.name, page_index)
+            for page_index in range(heap.n_pages):
+                page = ctx.disk.read_page(heap.name, page_index)
                 for record in page.records():
-                    t = self.heap.serializer.decode(record)
+                    t = heap.serializer.decode(record)
                     if om is not None:
                         om.rows_in += 1
                     degree = t.degree
@@ -310,6 +327,39 @@ class Scan(Operator):
         """One-line label: heap name plus pushed-down filters."""
         preds = ", ".join(p.label for p in self.predicates) or "true"
         return f"Scan({self.heap.name}, filter={preds})"
+
+
+def live_heap(leaf: Scan, catalog) -> HeapFile:
+    """The heap ``leaf`` reads when executed against ``catalog``.
+
+    The one binding rule: a leaf planned for a catalog name reads that
+    table's *current* heap epoch — whether its plan is fresh, cached or
+    prepared — so a plan that outlived a DML install never scans a
+    replaced version; a leaf built directly from a heap (``table`` is
+    ``None``), or run without a catalog, reads that heap.
+    """
+    if catalog is None or leaf.table is None:
+        return leaf.heap
+    return _live(catalog.tables, leaf.table, leaf.table)
+
+
+def live_index(leaf: Scan, index, catalog):
+    """The current index on ``leaf``'s table for ``index``'s attribute —
+    :func:`live_heap`'s rule for the access paths: row ids are only valid
+    against the heap epoch their index was maintained for."""
+    if catalog is None or leaf.table is None:
+        return index
+    key = (leaf.table, index.attribute)
+    return _live(catalog.indexes, key, f"the index on {leaf.table}.{index.attribute}")
+
+
+def _live(mapping, key, what):
+    try:
+        return mapping[key]
+    except KeyError:
+        raise FuzzyQueryError(
+            f"{what} was dropped after this statement was planned"
+        ) from None
 
 
 class Materialize(Operator):
@@ -347,7 +397,7 @@ class Materialize(Operator):
 
 def _as_heap(source: Operator, ctx: ExecutionContext) -> HeapFile:
     if isinstance(source, Scan) and not source.predicates:
-        return source.heap
+        return live_heap(source, ctx.catalog)
     return Materialize(source).materialize(ctx)
 
 
@@ -521,15 +571,21 @@ class BandFold(Operator):
     of ``Rng(r)`` on the extended merge-join; the subclasses differ only
     in ``pair_degree`` / ``init`` / ``step`` and in what they make of the
     final state (their ``run(ctx)``).  The children are the two base-table
-    scans, so a cached plan rebinds to the live heap versions like any
-    other tree; they carry no predicates (``p1`` / ``p2`` are part of the
-    fold), so the join reads their heaps directly.  At most one projected
-    answer is emitted per outer tuple.
+    scans — given as heap files, or as the planner's name-bound
+    :class:`Scan` leaves, which bind to the live heap versions like any
+    other tree's; they carry no predicates (``p1`` / ``p2`` are part of
+    the fold), so the join reads their heaps directly.  At most one
+    projected answer is emitted per outer tuple.
     """
 
-    def __init__(self, outer: HeapFile, inner: HeapFile, project_attrs: Sequence[str]):
-        self.outer = Scan(outer)
-        self.inner = Scan(inner)
+    def __init__(
+        self,
+        outer: Union[HeapFile, Scan],
+        inner: Union[HeapFile, Scan],
+        project_attrs: Sequence[str],
+    ):
+        self.outer = outer if isinstance(outer, Scan) else Scan(outer)
+        self.inner = inner if isinstance(inner, Scan) else Scan(inner)
         self.project_attrs = list(project_attrs)
         self.project_indices = [outer.schema.index_of(a) for a in self.project_attrs]
         self.schema = outer.schema.project(self.project_attrs)
@@ -552,7 +608,8 @@ class BandFold(Operator):
         """``(r, state)`` per outer tuple: the merge-join over ``band``
         (outer attribute, inner attribute), or every pair on the block
         nested loop when no equality links the two blocks."""
-        outer, inner = self.outer.heap, self.inner.heap
+        outer = live_heap(self.outer, ctx.catalog)
+        inner = live_heap(self.inner, ctx.catalog)
         if band is None:
             join = NestedLoopJoin(ctx.disk, ctx.buffer_pages, ctx.stats)
             yield from join.fold(outer, inner, pair_degree, init, step)

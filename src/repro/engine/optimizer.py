@@ -16,13 +16,9 @@ predicate costs the full cross product.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
-
-#: A join tree: a binding name at the leaves, an (left, right) pair inside.
-JoinTree = Union[str, Tuple["JoinTree", "JoinTree"]]
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -60,88 +56,16 @@ class JoinPlan:
     order: List[str]
     cost: float
     result_rows: float
-    #: The chosen join shape.  Left-deep plans nest to the left
-    #: (``((A, B), C)``); the bushy DP may return any binary shape.
-    tree: Optional[JoinTree] = None
-    #: Estimated (cost, rows) of every connected subplan the DP solved —
-    #: the memoized subplan-cost table, exposed so re-costing during
-    #: adaptive execution does not re-run the DP.
-    subplans: Dict[FrozenSet[str], Tuple[float, float]] = field(default_factory=dict)
-
-
-class PlanMemo:
-    """A bounded cross-query memo of solved join-order DP tables.
-
-    Keyed on the *statistics signature* — binding cardinalities, edge
-    fan-outs, and the plan-shape flag — so two queries over the same
-    relations with unchanged statistics reuse the solved subplan-cost
-    table instead of re-running the subset DP.  Any statistics change
-    (new cardinality, new histogram fan-out) changes the key and misses,
-    which is exactly the staleness rule the plan cache applies one level
-    up.
-    """
-
-    def __init__(self, capacity: int = 128):
-        self.capacity = max(1, capacity)
-        self._entries: "OrderedDict[tuple, JoinPlan]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key_of(
-        estimates: Dict[str, TableEstimate],
-        edges: Sequence[JoinEdge],
-        bushy: bool,
-    ) -> tuple:
-        """The memo key: a pure function of the DP inputs."""
-        return (
-            tuple(sorted((b, e.rows) for b, e in estimates.items())),
-            tuple(sorted((e.left, e.right, e.fanout) for e in edges)),
-            bushy,
-        )
-
-    def lookup(self, key: tuple) -> Optional[JoinPlan]:
-        """The memoized plan for ``key``, refreshing its LRU position."""
-        plan = self._entries.get(key)
-        if plan is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return plan
-
-    def store(self, key: tuple, plan: JoinPlan) -> None:
-        """Memoize ``plan``, evicting the least recently used entry."""
-        self._entries[key] = plan
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-
-def flatten_tree(tree: JoinTree) -> List[str]:
-    """The left-to-right leaf order of a join tree."""
-    if isinstance(tree, str):
-        return [tree]
-    left, right = tree
-    return flatten_tree(left) + flatten_tree(right)
 
 
 def optimize_join_order(
     estimates: Dict[str, TableEstimate],
     edges: Sequence[JoinEdge],
-    bushy: bool = False,
-    memo: Optional[PlanMemo] = None,
 ) -> JoinPlan:
-    """Join order minimizing summed intermediate cardinalities.
+    """Left-deep join order minimizing summed intermediate cardinalities.
 
     Exhaustive dynamic programming over subsets — exact for the handful of
     relations a chain query produces (K-level chains have K relations).
-    With ``bushy=True`` the DP additionally considers every balanced
-    split of each subset (Theorem 8.1's left-deep space is a strict
-    subset), which pays off when two independent selective joins should
-    both run before their results meet.  Pass a :class:`PlanMemo` to
-    reuse the solved subplan-cost table across queries with unchanged
-    statistics.
     """
     bindings = sorted(estimates)
     if not bindings:
@@ -150,68 +74,27 @@ def optimize_join_order(
     if n > 14:
         raise ValueError("join-order DP supports at most 14 relations")
 
-    key = PlanMemo.key_of(estimates, edges, bushy) if memo is not None else None
-    if memo is not None:
-        cached = memo.lookup(key)
-        if cached is not None:
-            return cached
-
-    # best[subset] = (cost, result_rows, tree)
-    best: Dict[FrozenSet[str], Tuple[float, float, JoinTree]] = {}
+    # best[subset] = (cost, result_rows, order); every smaller subset is
+    # solved before any larger one reads it.
+    best: Dict[FrozenSet[str], Tuple[float, float, List[str]]] = {}
     for b in bindings:
-        best[frozenset([b])] = (0.0, float(estimates[b].rows), b)
+        best[frozenset([b])] = (0.0, float(estimates[b].rows), [b])
 
     for size in range(2, n + 1):
         for combo in combinations(bindings, size):
             subset = frozenset(combo)
-            candidate: Optional[Tuple[float, float, JoinTree]] = None
+            candidate: Optional[Tuple[float, float, List[str]]] = None
             for newcomer in combo:
                 rest = subset - {newcomer}
-                if rest not in best or best[rest] is None:
-                    continue
-                rest_cost, rest_rows, rest_tree = best[rest]
+                rest_cost, rest_rows, rest_order = best[rest]
                 rows = _join_rows(rest, rest_rows, newcomer, estimates, edges)
                 cost = rest_cost + rows  # accumulate intermediate sizes
                 if candidate is None or cost < candidate[0]:
-                    candidate = (cost, rows, (rest_tree, newcomer))
-            if bushy:
-                # Every split with >= 2 bindings on both sides (the
-                # one-newcomer splits are the left-deep candidates above).
-                # Fixing the minimum binding to the left half halves the
-                # symmetric enumeration and makes ties deterministic.
-                anchor = min(combo)
-                others = [b for b in combo if b != anchor]
-                for left_size in range(1, len(others)):
-                    for extra in combinations(others, left_size):
-                        left_set = frozenset((anchor,) + extra)
-                        right_set = subset - left_set
-                        if len(right_set) < 2:
-                            continue
-                        if best.get(left_set) is None or best.get(right_set) is None:
-                            continue
-                        l_cost, l_rows, l_tree = best[left_set]
-                        r_cost, r_rows, r_tree = best[right_set]
-                        rows = _merge_rows(
-                            left_set, l_rows, right_set, r_rows, estimates, edges
-                        )
-                        cost = l_cost + r_cost + rows
-                        if candidate is None or cost < candidate[0]:
-                            candidate = (cost, rows, (l_tree, r_tree))
+                    candidate = (cost, rows, rest_order + [newcomer])
             best[subset] = candidate
 
-    cost, rows, tree = best[frozenset(bindings)]
-    subplans = {
-        subset: (entry[0], entry[1])
-        for subset, entry in best.items()
-        if entry is not None
-    }
-    plan = JoinPlan(
-        order=flatten_tree(tree), cost=cost, result_rows=rows,
-        tree=tree, subplans=subplans,
-    )
-    if memo is not None:
-        memo.store(key, plan)
-    return plan
+    cost, rows, order = best[frozenset(bindings)]
+    return JoinPlan(order=order, cost=cost, result_rows=rows)
 
 
 def parallel_join_cost(
@@ -256,31 +139,3 @@ def _join_rows(
     # multiplies by its fan-out once and further predicates only filter.
     fanout = min(e.fanout for e in connecting)
     return max(1.0, subset_rows * fanout / max(1.0, len(connecting)))
-
-
-def _merge_rows(
-    left: FrozenSet[str],
-    left_rows: float,
-    right: FrozenSet[str],
-    right_rows: float,
-    estimates: Dict[str, TableEstimate],
-    edges: Sequence[JoinEdge],
-) -> float:
-    """Estimated rows of a bushy join of two solved subplans.
-
-    Each edge's fan-out counts expected partners in the *base* relation
-    on its far side, so its selectivity is ``fanout / base_rows``; the
-    product form reduces exactly to :func:`_join_rows` when ``right`` is
-    a single base relation (``right_rows == base_rows``), keeping bushy
-    and left-deep candidates on one comparable cost scale.
-    """
-    crossing = []
-    for e in edges:
-        if e.left in left and e.right in right:
-            crossing.append((e.fanout, estimates[e.right].rows))
-        elif e.right in left and e.left in right:
-            crossing.append((e.fanout, estimates[e.left].rows))
-    if not crossing:
-        return left_rows * right_rows
-    selectivity = min(f / max(1.0, base) for f, base in crossing)
-    return max(1.0, left_rows * right_rows * selectivity / max(1.0, len(crossing)))

@@ -2,7 +2,6 @@
 
 from .merge_join import JOIN_PHASE, MergeJoin
 from .nested_loop import NL_PHASE, NestedLoopJoin
-from .outer import left_outer_probe
 from .predicates import (
     JoinPredicate,
     all_quantifier_degree,
@@ -15,7 +14,6 @@ __all__ = [
     "JOIN_PHASE",
     "NestedLoopJoin",
     "NL_PHASE",
-    "left_outer_probe",
     "JoinPredicate",
     "join_degree",
     "antijoin_degree",

@@ -3,9 +3,9 @@
 The interval order ``(b(v), e(v))`` of Definition 3.1 is not only the key
 the extended merge-join sorts on — it is a perfect *partitioning* key:
 ranges of ``b(v)`` split a relation into slices that are order-disjoint,
-so each slice can be sorted (and merge-joined against its counterpart)
-independently on its own worker thread, and the sorted slices concatenate
-into a globally sorted file with no final merge.
+so each slice can be sorted and merge-joined against its counterpart
+independently on its own worker thread, and the per-slice results
+concatenate in partition order with no final merge.
 
 Package layout:
 
@@ -14,17 +14,14 @@ Package layout:
 * :mod:`repro.parallel.executor` — the shared worker-pool helpers
   (ordered fan-out, linked cancellation, single-typed-error gather) used
   by both the partitioned join and the engines' ``run_batch``;
-* :mod:`repro.parallel.sort` — the range-partitioned parallel external
-  sort (partition, sort each slice concurrently, splice);
-* :mod:`repro.parallel.join` — the partitioned merge-join, including the
-  inner-side overlap-band replication that keeps results bit-identical
-  to the serial path.
+* :mod:`repro.parallel.join` — the partitioned merge-join: the outer
+  side's disjoint partitioning pass and the inner-side overlap-band
+  replication that keeps results bit-identical to the serial path.
 """
 
 from .executor import LinkedCancelToken, gather_partitions, run_ordered
 from .join import PartitionedMergeJoin, replicate_inner
 from .partitioner import PartitionSpec, RangePartitioner
-from .sort import parallel_sort
 
 __all__ = [
     "LinkedCancelToken",
@@ -32,7 +29,6 @@ __all__ = [
     "PartitionedMergeJoin",
     "RangePartitioner",
     "gather_partitions",
-    "parallel_sort",
     "replicate_inner",
     "run_ordered",
 ]

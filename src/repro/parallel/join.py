@@ -41,6 +41,7 @@ typed error.
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional, Tuple
 
 from ..data.tuples import FuzzyTuple
@@ -55,9 +56,61 @@ from ..storage.heap import HeapFile
 from ..storage.stats import OperationStats
 from .executor import gather_partitions
 from .partitioner import RangePartitioner
-from .sort import PARTITION_PHASE, _partition_counter
 
 Pair = Tuple[FuzzyTuple, FuzzyTuple, float]
+
+#: Stats phase charged for the coordinator's partitioning write pass.
+PARTITION_PHASE = "partition"
+
+_partition_counter = itertools.count(1)
+
+
+def partition_heap(
+    disk: SimulatedDisk,
+    source: HeapFile,
+    attribute: str,
+    partitioner: RangePartitioner,
+    stats: OperationStats,
+) -> List[HeapFile]:
+    """Route ``source`` into one scratch heap per ``b(v)`` slice.
+
+    One charged read pass over the source plus the writes of the slice
+    files, all under the ``partition`` phase.  Returns the slice heaps in
+    partition order (empty slices included, as zero-page heaps).
+    """
+    key_index = source.schema.index_of(attribute)
+    tag = next(_partition_counter)
+    names = [
+        f"__part_{source.name}_{tag}_{i}" for i in range(partitioner.n_partitions)
+    ]
+    writers = [RunWriter(disk, name, source.serializer) for name in names]
+    counts = [0] * partitioner.n_partitions
+    ok = False
+    try:
+        with disk.use_stats(stats), stats.enter_phase(PARTITION_PHASE):
+            for page_index in range(source.n_pages):
+                page = disk.read_page(source.name, page_index)
+                for record in page.records():
+                    t = source.serializer.decode(record)
+                    i = partitioner.partition_index(t[key_index])
+                    stats.count_move()
+                    writers[i].append(t)
+                    counts[i] += 1
+            for writer in writers:
+                writer.close()
+        ok = True
+    finally:
+        if not ok:
+            for writer in writers:
+                writer.discard()
+            for name in names:
+                disk.delete(name)
+    heaps = []
+    for name, count in zip(names, counts):
+        heap = HeapFile(name, source.schema, disk, source.serializer.fixed_size)
+        heap.n_tuples = count
+        heaps.append(heap)
+    return heaps
 
 
 def replicate_inner(
@@ -206,8 +259,6 @@ class PartitionedMergeJoin:
         inner_attr: str,
         pair_degree: PairDegree,
     ) -> Optional[List[Pair]]:
-        from .sort import partition_heap
-
         outer_parts = partition_heap(
             self.disk, outer, outer_attr, partitioner, self.stats
         )

@@ -82,9 +82,12 @@ class PreparedQuery:
 
     A prepared query is bound to the session that created it and remains
     valid across data changes — unlike a plan-cache entry it is *not*
-    invalidated when statistics move, because its rewrite is structural;
-    only the cached operator tree could grow stale, and the owning
-    session rebuilds that per execution when placeholders are present.
+    invalidated when statistics move, because its rewrite is structural
+    and the leaves of its operator tree bind to the live table and index
+    versions at each execution: after any INSERT / UPDATE / DELETE it
+    returns what a fresh ``query()`` returns (only the plan's shape dates
+    from ``prepare()``).  Executing it after its table was dropped raises
+    :class:`~repro.errors.FuzzyQueryError`.
     Concurrent ``execute`` calls on one instance are safe under the
     session's thread-safety contract (see ``docs/query_service.md``).
     """
@@ -106,11 +109,6 @@ class PreparedQuery:
         self.artifact = artifact
         #: How many times this statement has been executed.
         self.executions = 0
-
-    @property
-    def is_closed(self) -> bool:
-        """True when the statement has no placeholders to bind."""
-        return self.param_count == 0
 
     def bind(self, params: Sequence = ()) -> SelectQuery:
         """The template with ``params`` substituted for its placeholders.
@@ -141,22 +139,6 @@ class PreparedQuery:
         self.check_arity(params)
         return self._owner._run_statement(
             self, tuple(params), metrics=metrics, tracer=tracer
-        )
-
-    def describe(self) -> str:
-        """A one-line summary of what was cached at prepare time."""
-        cached = {
-            "flat": "unnested flat query"
-                    + (" + compiled operator tree" if self.artifact.operator is not None else ""),
-            "grouped": "grouped anti-join fold tree",
-            "ja": "pipelined T1/T2 fold tree",
-            "memory": "unnested in-memory plan",
-            "deferred": "classification only (planned per execution)",
-            "naive": "classification only (naive fallback)",
-        }.get(self.artifact.kind, self.artifact.kind)
-        return (
-            f"prepared[{self.nesting.value}] params={self.param_count} "
-            f"cached={cached}"
         )
 
     def __repr__(self) -> str:

@@ -2,19 +2,13 @@
 
 :class:`StorageSession` is the integration layer that makes the paper's
 architecture concrete end to end: relations are materialized as paged heap
-files, and every query is planned into a
+files, and every query is planned by :mod:`repro.planner` — which sees the
+session only as a catalog view — into a
 :class:`~repro.service.prepared.PlanArtifact` naming the disk-level strategy
-the one runner (:meth:`StorageSession._run_prepared`) then executes —
-
-* flat / type N / J / SOME / chain  → unnest, then the
-  :class:`~repro.engine.executor.FlatCompiler` plan (merge joins with
-  selection pushdown, optional Section 8 join ordering);
-* type XN / JX (NOT IN)            → the Section 5 grouped anti-join fold;
-* type ALL / JALL                   → the Section 7 doubly negated fold;
-* type JA with one equality correlation → the Section 6 pipelined
-  T1/T2/JA' merge pass;
-* everything else (GENERAL, type A, exotic JA shapes) → relations are read
-  back through the buffer (charged) and evaluated by the naive engine.
+the one runner (:meth:`StorageSession._run_prepared`) then executes: an
+operator tree whose leaves bind to the live table versions, or, for a
+statement with no unnested form, the naive engine over relations read back
+through the buffer (charged).
 
 All I/O and CPU events of the last query are available in
 :attr:`last_stats`; :attr:`last_strategy` names the path taken.  The
@@ -38,33 +32,22 @@ from .data.types import AttributeType
 from .data.tuples import FuzzyTuple
 from .engine.adaptive import AdaptiveController
 from .engine.aggregates import DegreePolicy
-from .engine.executor import CompileError, DmlColumns, FlatCompiler, compile_conjunction
-from .engine.grouped import GroupedAntiJoin, GroupMode
+from .engine.executor import CompileError, DmlColumns, compile_conjunction
 from .engine.histogram import HistogramStore
-from .engine.operators import ExecutionContext, Operator, Scan, Threshold
-from .engine.optimizer import PlanMemo
-from .engine.pipelined import JAPipeline
+from .engine.operators import ExecutionContext
 from .engine.semantics import NaiveEvaluator
 from .engine.statistics import StatisticsVersions
-from .fuzzy.compare import Op
 from .observe.explain import annotate_estimates, render_plan, render_report
 from .observe.metrics import QueryMetrics
 from .observe.trace import SpanTracer, maybe_span
 from .fuzzy.linguistic import Vocabulary
+from . import planner
 from .service.lifecycle import StatementLifecycle
 from .service.plancache import PlanCache
 from .service.prepared import PlanArtifact, PreparedQuery
-from .sql.ast import (
-    AggregateExpr,
-    ColumnRef,
-    Comparison,
-    InPredicate,
-    QuantifiedComparison,
-    ScalarSubqueryComparison,
-    SelectQuery,
-)
-from .sql.classify import NestingType, classify
-from .sql.params import bind_parameters, count_parameters
+from .sql.ast import SelectQuery
+from .sql.classify import classify
+from .sql.params import count_parameters
 from .sql.parser import parse
 from .sql.statements import (
     CreateTable,
@@ -79,25 +62,6 @@ from .sql.statements import (
 from .storage.disk import SimulatedDisk
 from .storage.heap import HeapFile
 from .storage.stats import OperationStats
-from .unnest.common import UnnestError, qualify, split_nesting_predicate
-from .unnest.rewriter import unnest
-
-FLAT_TYPES = {
-    NestingType.FLAT,
-    NestingType.TYPE_N,
-    NestingType.TYPE_J,
-    NestingType.TYPE_SOME,
-    NestingType.TYPE_JSOME,
-    NestingType.CHAIN,
-}
-
-#: Nesting types answered by the Section 5 / 7 grouped fold, and its mode.
-GROUPED_MODES = {
-    NestingType.TYPE_XN: GroupMode.NOT_IN,
-    NestingType.TYPE_JX: GroupMode.NOT_IN,
-    NestingType.TYPE_ALL: GroupMode.ALL,
-    NestingType.TYPE_JALL: GroupMode.ALL,
-}
 
 
 class StorageSession(StatementLifecycle):
@@ -110,7 +74,6 @@ class StorageSession(StatementLifecycle):
         buffer_pages: int = 64,
         aggregate_policy: DegreePolicy = DegreePolicy.ONE,
         fixed_tuple_size: Optional[int] = None,
-        optimize_joins: bool = False,
         disk: Optional[SimulatedDisk] = None,
         workers: int = 1,
         shards: int = 1,
@@ -153,7 +116,6 @@ class StorageSession(StatementLifecycle):
         )
         self.aggregate_policy = aggregate_policy
         self.fixed_tuple_size = fixed_tuple_size
-        self.optimize_joins = optimize_joins
         self.tables: Dict[str, HeapFile] = {}
         #: Support-interval indexes by ``(TABLE, attribute)``; created via
         #: :meth:`create_index`, rebuilt automatically on re-registration,
@@ -175,10 +137,9 @@ class StorageSession(StatementLifecycle):
         #: unconditionally (register builds, the WAL apply path delta-
         #: refreshes) — they are pure CPU over in-memory rows and touch no
         #: gated counter.  Everything that changes *behaviour* is gated on
-        #: ``adaptive=True``: histogram-fed edge fan-outs and bushy join
-        #: trees in the Section 8 DP, drift-based (rather than
-        #: version-bump) plan-cache invalidation on ingest, and mid-query
-        #: re-planning past ``adapt_threshold`` q-error.
+        #: ``adaptive=True``: drift-based (rather than version-bump)
+        #: plan-cache invalidation on ingest, and mid-query re-planning
+        #: past ``adapt_threshold`` q-error.
         self.adaptive = adaptive
         self.histograms = HistogramStore(
             buckets=histogram_buckets, drift_threshold=drift_threshold
@@ -188,8 +149,6 @@ class StorageSession(StatementLifecycle):
         self.adapt_controller = (
             AdaptiveController(threshold=adapt_threshold) if adaptive else None
         )
-        #: Cross-query memo of Section 8 DP subplans (adaptive only).
-        self._plan_memo = PlanMemo() if adaptive else None
         #: LRU cache of prepared plans for textual ``query()`` calls.
         #: Assign ``None`` to disable caching entirely.
         self.plan_cache: Optional[PlanCache] = PlanCache()
@@ -503,7 +462,7 @@ class StorageSession(StatementLifecycle):
             if len(row) != len(schema):
                 raise FuzzyQueryError(
                     f"INSERT arity mismatch: {len(row)} values for "
-                    f"{len(schema)} columns of {heap.name.split('@', 1)[0]}"
+                    f"{len(schema)} columns of {stmt.table.upper()}"
                 )
             values = [
                 parse_value(raw, self.vocabulary, attr.domain)
@@ -657,7 +616,7 @@ class StorageSession(StatementLifecycle):
         with maybe_span(tracer, "bind"):
             nesting = classify(template, self.schemas)
         n_params = count_parameters(template)
-        artifact = self._plan_template(template, nesting, n_params, tracer)
+        artifact = planner.plan(template, nesting, self, n_params, tracer)
         if text is None:
             text = str(sql)
         return PreparedQuery(self, text, template, nesting, n_params, artifact)
@@ -687,103 +646,6 @@ class StorageSession(StatementLifecycle):
             for name, version in versions.items()
         }
 
-    def _compiler(self) -> FlatCompiler:
-        """A flat compiler over the current tables (adaptive features gated).
-
-        Non-adaptive sessions get the exact pre-adaptive compiler — no
-        histograms, left-deep DP only — so their plans stay byte-for-byte
-        identical; adaptive sessions feed histogram edge fan-outs into
-        the Section 8 DP, allow bushy trees, and share the subplan memo.
-        """
-        if not self.adaptive:
-            return FlatCompiler(self.tables, self.vocabulary, indexes=self.indexes)
-        return FlatCompiler(
-            self.tables,
-            self.vocabulary,
-            indexes=self.indexes,
-            histograms=self.histograms,
-            bushy=True,
-            plan_memo=self._plan_memo,
-        )
-
-    def _rebind_plan(self, operator) -> None:
-        """Point a cached plan's leaves at the current table versions.
-
-        Benign adaptive installs keep cached plans alive without a
-        statistics-version bump, so a cached plan's Scan / IndexScan
-        leaves (a flat tree's, or the two under a grouped / pipelined
-        fold) may still hold a replaced heap epoch; rebinding by base
-        name (``T@e3`` → the session's current ``T`` heap) preserves the
-        compiled shape while reading the live data.
-        """
-        from .columnar.operators import IndexScan
-
-        stack = [operator]
-        while stack:
-            op = stack.pop()
-            if isinstance(op, Scan):
-                base = op.heap.name.split("@", 1)[0]
-                current = self.tables.get(base)
-                if current is not None and current is not op.heap:
-                    op.heap = current
-                if isinstance(op, IndexScan):
-                    index = self.indexes.get((base, op.index.attribute))
-                    if index is not None:
-                        op.index = index
-            stack.extend(op.children())
-
-    def _plan_template(
-        self,
-        query: SelectQuery,
-        nesting: NestingType,
-        n_params: int = 0,
-        tracer: Optional[SpanTracer] = None,
-    ) -> PlanArtifact:
-        """Plan one statement as far as it allows: rewrite, build, compile.
-
-        The artifact names the strategy the runner will take and carries
-        the operator tree built for it.  Strategies whose predicate
-        compilation bakes literal values in (the grouped and pipelined
-        folds) cannot be pre-built for parameterized statements; those are
-        ``deferred`` and planned by the runner once the values are bound.
-        """
-        try:
-            if nesting in FLAT_TYPES:
-                with maybe_span(tracer, "rewrite"):
-                    plan = unnest(query, self.schemas)
-                    if plan.steps or not isinstance(plan.final, SelectQuery):
-                        raise UnnestError("not a single flat query")
-                operator = None
-                if n_params == 0:
-                    with maybe_span(tracer, "compile"):
-                        operator = self._compiler().compile(
-                            plan.final, optimize=self.optimize_joins
-                        )
-                return PlanArtifact(
-                    "flat",
-                    flat=plan.final,
-                    rule=plan.rule or plan.nesting_type,
-                    strategy=f"flat/{nesting.value}: merge-join plan",
-                    operator=operator,
-                )
-            if nesting in GROUPED_MODES or nesting is NestingType.TYPE_JA:
-                if n_params:
-                    return PlanArtifact(
-                        "deferred",
-                        strategy="planned per execution, once the placeholders are bound",
-                    )
-                with maybe_span(tracer, "rewrite"):
-                    if nesting is NestingType.TYPE_JA:
-                        return self._build_ja(query, nesting)
-                    return self._build_grouped(query, GROUPED_MODES[nesting], nesting)
-        except (UnnestError, CompileError):
-            pass
-        return PlanArtifact(
-            "naive",
-            rule="none (naive fallback)",
-            strategy=f"naive/{nesting.value}: in-memory nested evaluation",
-        )
-
     def _run_prepared(
         self,
         prepared: PreparedQuery,
@@ -797,17 +659,16 @@ class StorageSession(StatementLifecycle):
         """The one runner: bind values, finish planning, execute the tree.
 
         Every SELECT ends here with its artifact — from the plan cache, a
-        ``prepare()``, or planned for this run only.  A prepared artifact
-        never re-enters the parser, binder, or rewriter: only the value
-        substitution and (for parameterized flat plans) predicate
-        compilation happen per execution.  Every unnested form — flat,
-        grouped, pipelined — is an operator tree run by the one
-        ``to_relation(ctx)`` below; the naive evaluator runs the
-        statements *planned* as naive (no unnested form) and is nobody's
-        recovery: once an operator has started, stepping down is the
-        join's own ladder (``docs/robustness.md``).  ``workers`` /
-        ``shards`` default to the session's budgets whichever entry point
-        called.
+        ``prepare()``, or planned for this run only —
+        :func:`repro.planner.finish` completes it for the bound values,
+        and every unnested form — flat, grouped, pipelined — is an operator
+        tree run by the one ``to_relation(ctx)`` below, its leaves bound to
+        this session's live table and index versions through the context.
+        The naive evaluator runs the statements *planned* as naive (no
+        unnested form) and is nobody's recovery: once an operator has
+        started, stepping down is the join's own ladder
+        (``docs/robustness.md``).  ``workers`` / ``shards`` default to the
+        session's budgets whichever entry point called.
         """
         workers = self.workers if workers is None else max(1, workers)
         shards = self.shards if shards is None else max(1, shards)
@@ -816,30 +677,9 @@ class StorageSession(StatementLifecycle):
         if metrics is not None:
             metrics.stats = stats
             watch = metrics.watch_disk(self.disk)
-        query, artifact = prepared.template, prepared.artifact
-        flat = artifact.flat
         with watch:
-            if prepared.param_count:
-                with maybe_span(tracer, "bind-params"):
-                    query = prepared.bind(params)
-                    if flat is not None:
-                        flat = bind_parameters(flat, params)
-            try:
-                if artifact.kind == "deferred":
-                    artifact = self._plan_template(query, prepared.nesting, 0, tracer)
-                operator = artifact.operator
-                if operator is None and artifact.kind == "flat":
-                    with maybe_span(tracer, "compile"):
-                        operator = self._compiler().compile(
-                            flat, optimize=self.optimize_joins
-                        )
-                elif operator is not None and self.adaptive:
-                    # A cached plan may have outlived a benign install
-                    # (no version bump): rebind its leaves to the live
-                    # heap versions before running it.
-                    self._rebind_plan(operator)
-            except (UnnestError, CompileError):
-                operator = None  # the bound values left the unnested fragment
+            query, artifact = planner.finish(prepared, params, self, tracer)
+            operator = artifact.operator
             if operator is None:
                 return self._run_naive(query, prepared.nesting, stats, metrics, tracer)
             if self.adaptive:
@@ -858,6 +698,7 @@ class StorageSession(StatementLifecycle):
                     shards=shards,
                     sharded=self.sharded,
                     adapt=self.adapt_controller,
+                    catalog=self,
                 )
             )
 
@@ -956,7 +797,7 @@ class StorageSession(StatementLifecycle):
         whose base relations cannot be identified (or whose sample came up
         empty) are simply absent — the caller's constant is the fallback.
         """
-        from .engine.operators import MergeJoinOp, Scan
+        from .engine.operators import MergeJoinOp, Scan, live_heap
         from .engine.statistics import estimate_fanout
 
         plan = plan if plan is not None else self.last_plan
@@ -968,9 +809,9 @@ class StorageSession(StatementLifecycle):
             while stack:
                 op = stack.pop()
                 if isinstance(op, Scan) and any(
-                    a.name == attribute for a in op.heap.schema
+                    a.name == attribute for a in op.schema
                 ):
-                    return op.heap
+                    return live_heap(op, self)
                 stack.extend(op.children())
             return None
 
@@ -1007,101 +848,17 @@ class StorageSession(StatementLifecycle):
         return fanouts
 
     # ------------------------------------------------------------------
-    # Strategy: grouped anti-joins (Sections 5 and 7)
-    # ------------------------------------------------------------------
-    def _build_grouped(
-        self, query: SelectQuery, mode: GroupMode, nesting: NestingType
-    ) -> PlanArtifact:
-        """Dissect and construct the Section 5/7 fold tree (no I/O yet)."""
-        parts = self._dissect(query)
-        (outer_name, inner_name, p1, p2, cross, nesting_pred, project_attrs) = parts
-        if mode is GroupMode.NOT_IN:
-            if not isinstance(nesting_pred, InPredicate) or not nesting_pred.negated:
-                raise CompileError("not a NOT IN query")
-            z_attr = self._single_column(nesting_pred.query).attribute
-            link = (nesting_pred.column.attribute, Op.EQ, z_attr)
-        else:
-            if not isinstance(nesting_pred, QuantifiedComparison):
-                raise CompileError("not an ALL query")
-            z_attr = self._single_column(nesting_pred.query).attribute
-            link = (nesting_pred.column.attribute, nesting_pred.op, z_attr)
-        grouped = GroupedAntiJoin(
-            self.tables[outer_name],
-            self.tables[inner_name],
-            mode,
-            link,
-            cross=cross,
-            p1=p1,
-            p2=p2,
-            project_attrs=project_attrs,
-        )
-        band = "merge-join" if grouped.band else "nested-loop"
-        return PlanArtifact(
-            "grouped",
-            operator=self._with_cut(grouped, query),
-            strategy=f"grouped/{nesting.value}: {band} min-fold",
-            rule=(
-                "NOT IN -> grouped anti-join min-fold (Section 5)"
-                if mode is GroupMode.NOT_IN
-                else "op ALL -> doubly-negated grouped fold (Section 7)"
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    # Strategy: the Section 6 pipeline
-    # ------------------------------------------------------------------
-    def _build_ja(self, query: SelectQuery, nesting: NestingType) -> PlanArtifact:
-        """Dissect and construct the Section 6 pipeline tree (no I/O yet)."""
-        parts = self._dissect(query)
-        (outer_name, inner_name, p1, p2, cross, nesting_pred, project_attrs) = parts
-        if not isinstance(nesting_pred, ScalarSubqueryComparison):
-            raise CompileError("not an aggregate nesting")
-        if len(cross) != 1 or cross[0][1] is not Op.EQ:
-            raise CompileError("the pipeline needs exactly one equality correlation")
-        agg = nesting_pred.query.select[0]
-        if not isinstance(agg, AggregateExpr):
-            raise CompileError("inner block must select an aggregate")
-        u_attr, _, v_attr = cross[0]
-        pipeline = JAPipeline(
-            self.tables[outer_name],
-            self.tables[inner_name],
-            u_attr=u_attr,
-            v_attr=v_attr,
-            y_attr=nesting_pred.column.attribute,
-            op1=nesting_pred.op,
-            agg_func=agg.func,
-            z_attr=agg.argument.attribute,
-            project_attrs=project_attrs,
-            p1=p1,
-            p2=p2,
-            policy=self.aggregate_policy,
-        )
-        return PlanArtifact(
-            "ja",
-            operator=self._with_cut(pipeline, query),
-            strategy=f"pipelined/{nesting.value}: T1/T2 merge pass",
-            rule="correlated aggregate -> pipelined T1/T2 merge pass (Section 6)",
-        )
-
-    @staticmethod
-    def _with_cut(fold: Operator, query: SelectQuery) -> Operator:
-        """The outer ``WITH D >= z`` of ``query`` on top of its fold node."""
-        z = query.with_threshold
-        return fold if z in (None, 0.0) else Threshold(fold, z)
-
-    # ------------------------------------------------------------------
     # No unnested form: naive evaluation over buffered reads
     # ------------------------------------------------------------------
     def _run_naive(
         self,
         query: SelectQuery,
-        nesting: NestingType,
+        nesting,
         stats: OperationStats,
         metrics: Optional[QueryMetrics] = None,
         tracer: Optional[SpanTracer] = None,
     ) -> FuzzyRelation:
-        if metrics is not None and metrics.rewrite is None:
-            metrics.rewrite = "none (naive fallback)"
+        self._announce(planner.naive(nesting), metrics)
         catalog = Catalog(self.vocabulary)
         with maybe_span(tracer, "scan tables"), self.disk.use_stats(stats):
             for name, heap in self.tables.items():
@@ -1111,86 +868,8 @@ class StorageSession(StatementLifecycle):
                     for record in page.records():
                         relation.add(heap.serializer.decode(record))
                 catalog.register(name, relation)
-        self.last_strategy = f"naive/{nesting.value}: in-memory nested evaluation"
-        if metrics is not None:
-            metrics.strategy = self.last_strategy
         evaluator = NaiveEvaluator(
             catalog, aggregate_policy=self.aggregate_policy, stats=stats
         )
         with maybe_span(tracer, "evaluate"):
             return evaluator.evaluate(query)
-
-    # ------------------------------------------------------------------
-    # AST dissection shared by the grouped and pipelined strategies
-    # ------------------------------------------------------------------
-    def _dissect(self, query: SelectQuery):
-        q = qualify(query, self.schemas)
-        nesting_pred, rest = split_nesting_predicate(q)
-        if len(q.from_tables) != 1:
-            raise CompileError("these strategies expect a single outer relation")
-        outer = q.from_tables[0]
-        inner_query = nesting_pred.query
-        if len(inner_query.from_tables) != 1:
-            raise CompileError("these strategies expect a single inner relation")
-        inner = inner_query.from_tables[0]
-        if inner_query.group_by or inner_query.distinct or inner_query.with_threshold is not None:
-            raise CompileError("inner block must be a plain select")
-        outer_name, inner_name = outer.name.upper(), inner.name.upper()
-        if outer_name not in self.tables or inner_name not in self.tables:
-            raise CompileError("unregistered relation")
-        outer_heap, inner_heap = self.tables[outer_name], self.tables[inner_name]
-
-        outer_columns = [(outer.binding, a.name) for a in outer_heap.schema]
-        inner_columns = [(inner.binding, a.name) for a in inner_heap.schema]
-        domains = {
-            (outer.binding, a.name): a.domain for a in outer_heap.schema
-        }
-        domains.update({(inner.binding, a.name): a.domain for a in inner_heap.schema})
-
-        # None (not an always-1 closure) lets the folds skip the call.
-        p1 = (
-            compile_conjunction(rest, outer_columns, domains, self.vocabulary)
-            if rest
-            else None
-        )
-        cross: List[Tuple[str, Op, str]] = []
-        local = []
-        inner_bindings = {inner.binding}
-        for predicate in inner_query.where:
-            if not isinstance(predicate, Comparison):
-                raise CompileError(f"unsupported inner predicate {predicate!r}")
-            sides = [predicate.left, predicate.right]
-            outer_refs = [
-                s for s in sides
-                if isinstance(s, ColumnRef) and s.relation not in inner_bindings
-            ]
-            if not outer_refs:
-                local.append(predicate)
-                continue
-            if len(outer_refs) == 2:
-                raise CompileError("correlation must reference one inner column")
-            # Normalize: outer attribute first.
-            if isinstance(predicate.left, ColumnRef) and predicate.left.relation not in inner_bindings:
-                outer_ref, op, inner_ref = predicate.left, predicate.op, predicate.right
-            else:
-                outer_ref, op, inner_ref = predicate.right, predicate.op.flipped(), predicate.left
-            if not isinstance(inner_ref, ColumnRef):
-                raise CompileError("correlation must compare two columns")
-            cross.append((outer_ref.attribute, op, inner_ref.attribute))
-        p2 = (
-            compile_conjunction(local, inner_columns, domains, self.vocabulary)
-            if local
-            else None
-        )
-
-        project_attrs = []
-        for item in q.select:
-            if not isinstance(item, ColumnRef):
-                raise CompileError("select list must be plain columns")
-            project_attrs.append(item.attribute)
-        return outer_name, inner_name, p1, p2, cross, nesting_pred, project_attrs
-
-    def _single_column(self, inner_query: SelectQuery) -> ColumnRef:
-        if len(inner_query.select) != 1 or not isinstance(inner_query.select[0], ColumnRef):
-            raise CompileError("inner block must select one plain column")
-        return inner_query.select[0]

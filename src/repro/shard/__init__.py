@@ -12,7 +12,7 @@ when a shard's disk dies.
 """
 
 from .catalog import ShardCatalog, ShardLayout, select_boundaries
-from .executor import ShardedMergeJoin, sharded_sort
+from .executor import ShardedMergeJoin
 from .storage import ShardedStorage, ShardNode
 
 __all__ = [
@@ -22,5 +22,4 @@ __all__ = [
     "ShardedMergeJoin",
     "ShardedStorage",
     "select_boundaries",
-    "sharded_sort",
 ]

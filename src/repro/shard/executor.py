@@ -49,7 +49,6 @@ from ..fuzzy.interval_order import sort_key
 from ..join.merge_join import MergeJoin
 from ..join.predicates import PairDegree
 from ..resilience import CancelToken, QueryGuard
-from ..sort.external import ExternalSorter
 from ..sort.runs import RunWriter
 from ..storage.heap import HeapFile
 from ..storage.stats import OperationStats
@@ -61,32 +60,6 @@ Pair = Tuple[FuzzyTuple, FuzzyTuple, float]
 SHARD_PHASE = "shard"
 
 _slice_counter = itertools.count(1)
-
-
-def sharded_sort(
-    storage: ShardedStorage,
-    name: str,
-    attribute: str,
-    buffer_pages: int,
-    stats: OperationStats,
-) -> List[Tuple[ShardNode, HeapFile]]:
-    """Sort each primary slice shard-local; the splice *is* the global sort.
-
-    Returns ``(node, sorted_heap)`` per non-empty shard in shard order —
-    concatenating their tuple streams yields exactly the serial external
-    sort's ``(b, e)`` order, because the shards are order-disjoint on
-    ``b``.  The sorted scratch files are left on the node disks for the
-    caller to read and delete.
-    """
-    out: List[Tuple[ShardNode, HeapFile]] = []
-    for node in storage.nodes:
-        primary = storage.primary(node.index, name)
-        if primary is None or primary.n_tuples == 0:
-            continue
-        with node.disk.use_stats(stats):
-            sorter = ExternalSorter(node.disk, buffer_pages, stats)
-            out.append((node, sorter.sort(primary, attribute)))
-    return out
 
 
 class ShardedMergeJoin:

@@ -122,44 +122,6 @@ class ExternalSorter:
             self.disk.delete(out_name)
             raise
 
-    def sort_parallel(
-        self,
-        source: HeapFile,
-        attribute: str,
-        workers: int,
-        out_name: Optional[str] = None,
-        partitioner=None,
-        seed: int = 0,
-        guard=None,
-        cancel=None,
-    ) -> HeapFile:
-        """Range-partitioned parallel sort; falls back to :meth:`sort`.
-
-        Boundaries come from ``partitioner`` or, by default, from a page
-        sample of the source (see
-        :class:`~repro.parallel.partitioner.RangePartitioner`).  Each
-        slice is sorted by its own worker and the sorted slices are
-        *spliced* — never merged: slices are disjoint ranges of ``b(v)``,
-        so their concatenation is already in ``(b, e)`` order.  When no
-        usable boundaries exist (tiny or constant samples, mixed domains)
-        or ``workers < 2``, this is exactly the serial :meth:`sort`.
-        """
-        from ..parallel.partitioner import RangePartitioner
-        from ..parallel.sort import parallel_sort
-
-        if workers >= 2 and partitioner is None:
-            partitioner = RangePartitioner.from_sample(
-                source, attribute, workers, seed=seed, stats=self.stats
-            )
-        if workers < 2 or partitioner is None:
-            return self.sort(source, attribute, out_name=out_name)
-        merged, _ = parallel_sort(
-            self.disk, self.buffer_pages, self.stats, source, attribute,
-            partitioner, workers, out_name=out_name, metrics=self.metrics,
-            guard=guard, cancel=cancel,
-        )
-        return merged
-
     # ------------------------------------------------------------------
     # Pass 1: run generation
     # ------------------------------------------------------------------

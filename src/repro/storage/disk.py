@@ -164,23 +164,6 @@ class SimulatedDisk:
         """Names of every file on the disk."""
         return sorted(self._files)
 
-    def splice(self, dest: str, sources: List[str]) -> None:
-        """Concatenate ``sources`` into ``dest`` by relinking their pages.
-
-        This is the catalog operation a real system performs when adjacent
-        sorted partitions are stitched into one output file: the extents
-        already sit on disk in the right order, so only file metadata
-        changes hands.  No page is transferred, hence nothing is charged —
-        the parallel sort pays for writing each partition, not for naming
-        their concatenation.  ``sources`` are consumed (deleted).
-        """
-        pages: List[bytes] = []
-        for name in sources:
-            pages.extend(self._files[name])
-        for name in sources:
-            del self._files[name]
-        self._files[dest] = pages
-
     # ------------------------------------------------------------------
     # Raw transfer hooks (fault injection overrides these)
     # ------------------------------------------------------------------

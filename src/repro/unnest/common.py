@@ -221,6 +221,35 @@ def split_nesting_predicate(query: SelectQuery):
     return nesting, rest
 
 
+def split_correlation(q: SelectQuery, inner: SelectQuery, catalog: Catalog):
+    """Partition the inner WHERE into correlation and local predicates.
+
+    A correlation predicate is a :class:`Comparison` with exactly one side
+    being a column of the *outer* block; that side is returned normalized
+    to the right (``(comparison, outer_ref)`` pairs).
+    """
+    inner_scope = Scope.for_query(inner, catalog, Scope.for_query(q, catalog))
+
+    def is_outer(term) -> bool:
+        return isinstance(term, ColumnRef) and not inner_scope.is_local(term)
+
+    correlation: List[Tuple[Comparison, ColumnRef]] = []
+    plain = []
+    for p in inner.where:
+        if isinstance(p, Comparison):
+            left_outer, right_outer = is_outer(p.left), is_outer(p.right)
+            if left_outer and right_outer:
+                raise UnnestError("correlation predicate references no inner column")
+            if right_outer:
+                correlation.append((p, p.right))
+                continue
+            if left_outer:
+                correlation.append((Comparison(p.right, p.op.flipped(), p.left), p.left))
+                continue
+        plain.append(p)
+    return correlation, plain
+
+
 def single_select_column(query: SelectQuery) -> ColumnRef:
     """The inner block's single projected column (S.Z)."""
     if len(query.select) != 1 or not isinstance(query.select[0], ColumnRef):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 from ..data.catalog import Catalog
 from ..data.relation import FuzzyRelation
@@ -33,16 +33,22 @@ _REWRITES = {
 }
 
 
-def unnest(query: Union[str, SelectQuery], catalog: Catalog) -> UnnestedPlan:
+def unnest(
+    query: Union[str, SelectQuery],
+    catalog: Catalog,
+    nesting_type: Optional[NestingType] = None,
+) -> UnnestedPlan:
     """Rewrite a nested query into an :class:`UnnestedPlan`.
 
     Raises :class:`UnnestError` for queries outside the implemented types
     (``GENERAL``); callers should fall back to the naive evaluator then.
-    A ``FLAT`` query passes through as a trivial plan.
+    A ``FLAT`` query passes through as a trivial plan.  A caller that has
+    already classified ``query`` passes its ``nesting_type``.
     """
     if isinstance(query, str):
         query = parse(query)
-    nesting_type = classify(query, catalog)
+    if nesting_type is None:
+        nesting_type = classify(query, catalog)
     if nesting_type is NestingType.FLAT:
         return UnnestedPlan(
             final=query, nesting_type="flat", rule="no nesting -> pass through"

@@ -36,12 +36,12 @@ from ..sql.ast import (
     SelectQuery,
     TableRef,
 )
-from ..sql.binder import Scope
 from .common import (
     UnnestError,
     deconflict,
     qualify,
     single_table,
+    split_correlation,
     split_nesting_predicate,
     temp_name,
 )
@@ -60,7 +60,7 @@ def unnest_aggregate(query: SelectQuery, catalog: Catalog, nesting_type: str = "
     if inner.group_by or inner.distinct or inner.with_threshold is not None:
         raise UnnestError("inner block must be a plain aggregate select")
 
-    correlation, plain = _split_correlation(q, inner, catalog)
+    correlation, plain = split_correlation(q, inner, catalog)
     if not correlation:
         return _unnest_uncorrelated(q, nesting, rest, plain, nesting_type="A")
     return _unnest_correlated(q, nesting, rest, correlation, plain, catalog, nesting_type)
@@ -114,7 +114,7 @@ def _unnest_correlated(
     # stay coherent; correlation predicates were collected pre-rename, so
     # re-split afterwards.
     inner, inner_tables = deconflict(inner, taken)
-    correlation, plain = _split_correlation(q, inner, catalog)
+    correlation, plain = split_correlation(q, inner, catalog)
 
     outer_columns = [outer_ref for _, outer_ref in correlation]
     t1_name = temp_name("T1")
@@ -244,37 +244,6 @@ def _count_outer_join(
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-
-def _split_correlation(q: SelectQuery, inner: SelectQuery, catalog: Catalog):
-    """Partition the inner WHERE into correlation and local predicates.
-
-    A correlation predicate is a :class:`Comparison` with exactly one side
-    being a column of the *outer* block; that side is returned normalized
-    to the right (``(comparison, outer_ref)`` pairs).
-    """
-    outer_scope = Scope.for_query(q, catalog)
-    inner_scope = Scope.for_query(inner, catalog, outer_scope)
-    correlation: List[Tuple[Comparison, ColumnRef]] = []
-    plain = []
-    for p in inner.where:
-        if isinstance(p, Comparison):
-            left_outer = _is_outer(p.left, inner_scope)
-            right_outer = _is_outer(p.right, inner_scope)
-            if left_outer and right_outer:
-                raise UnnestError("correlation predicate references no inner column")
-            if right_outer:
-                correlation.append((p, p.right))
-                continue
-            if left_outer:
-                correlation.append((Comparison(p.right, p.op.flipped(), p.left), p.left))
-                continue
-        plain.append(p)
-    return correlation, plain
-
-
-def _is_outer(term, inner_scope: Scope) -> bool:
-    return isinstance(term, ColumnRef) and not inner_scope.is_local(term)
-
 
 def _rebind_comparison(
     comparison: Comparison, outer_ref: ColumnRef, replacement: ColumnRef

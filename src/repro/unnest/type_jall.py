@@ -41,6 +41,9 @@ from .common import (
 from .pipeline import UnnestedPlan
 from .type_jx import _grouped_antijoin_step
 
+#: The rewrite label EXPLAIN and collectors report for both engines.
+RULE = "op ALL -> doubly-negated grouped fold (Section 7)"
+
 
 def unnest_all(query: SelectQuery, catalog: Catalog, nesting_type: str = "JALL") -> UnnestedPlan:
     """Rewrite an ``op ALL`` nesting into the grouped double-negation form."""
@@ -94,5 +97,5 @@ def unnest_all(query: SelectQuery, catalog: Catalog, nesting_type: str = "JALL")
         final=final,
         steps=[step],
         nesting_type=nesting_type,
-        rule="op ALL -> doubly-negated grouped fold (Section 7)",
+        rule=RULE,
     )

@@ -46,6 +46,9 @@ from .common import (
 )
 from .pipeline import Step, UnnestedPlan
 
+#: The rewrite label EXPLAIN and collectors report for both engines.
+RULE = "NOT IN -> grouped anti-join min-fold (Section 5)"
+
 
 def unnest_not_in(query: SelectQuery, catalog: Catalog, nesting_type: str = "JX") -> UnnestedPlan:
     """Rewrite a NOT IN nesting into the grouped anti-join pipeline."""
@@ -98,7 +101,7 @@ def unnest_not_in(query: SelectQuery, catalog: Catalog, nesting_type: str = "JX"
         final=final,
         steps=[step],
         nesting_type=nesting_type,
-        rule="NOT IN -> grouped anti-join min-fold (Section 5)",
+        rule=RULE,
     )
 
 

@@ -284,7 +284,7 @@ class WriteManager:
         which together evict every dependent plan-cache entry.  A benign
         ingest instead records the new cardinality without a version bump,
         so cached plans stay hits (every artifact is an operator tree
-        whose scans rebind to the new heap version at execution).
+        whose leaves bind to the live heap version at execution).
         """
         session = self.session
         refreshed = session.histograms.refresh_table(name, new_heap.schema, state.tuples)

@@ -2,8 +2,8 @@
 
 Four contracts, each pinned here:
 
-* **Statistics** — equi-depth histograms over support intervals feed the
-  join-order DP real per-edge fan-outs; fingerprints move only on
+* **Statistics** — equi-depth histograms over support intervals record
+  the distribution a plan was costed against; fingerprints move only on
   rebuild, live refreshes track drift without invalidating anything.
 * **Drift eviction** — a Hypothesis property: ingest that pushes a
   table's histograms past the drift threshold evicts exactly the
@@ -31,13 +31,6 @@ from repro.columnar import SupportIntervalIndex
 from repro.data import FuzzyRelation, FuzzyTuple, Schema
 from repro.engine.histogram import AttributeHistogram, HistogramStore
 from repro.engine.adaptive import AdaptiveController, q_error
-from repro.engine.optimizer import (
-    JoinEdge,
-    PlanMemo,
-    TableEstimate,
-    flatten_tree,
-    optimize_join_order,
-)
 from repro.fuzzy import CrispNumber, TrapezoidalNumber
 from repro.observe import QueryMetrics
 from repro.observe.registry import MetricsRegistry
@@ -123,18 +116,6 @@ class TestAttributeHistogram:
         assert rebuilt.fingerprint != h.fingerprint
         assert rebuilt.drift() == 0.0
 
-    def test_overlap_count_clamps_to_bucket_share(self):
-        h = AttributeHistogram.build(self.intervals(), buckets=4)
-        assert h.overlap_count(-100.0, 200.0) == pytest.approx(32.0)
-        assert h.overlap_count(200.0, 300.0) == 0.0
-        partial = h.overlap_count(0.0, 4.0)
-        assert 0.0 < partial < 32.0
-
-    def test_join_fanout_scales_with_overlap(self):
-        narrow = AttributeHistogram.build([(0.0, 1.0)] * 16, buckets=4)
-        wide = AttributeHistogram.build([(0.0, 100.0)] * 16, buckets=4)
-        assert wide.join_fanout(narrow) >= narrow.join_fanout(narrow)
-
     def test_store_skips_label_columns(self):
         store = HistogramStore()
         schema = Schema(["NAME", "V"])
@@ -150,50 +131,6 @@ class TestAttributeHistogram:
         store = HistogramStore()
         assert store.fingerprint("NOPE") == 0
         assert store.drift("NOPE") == 0.0
-
-
-# ----------------------------------------------------------------------
-# Bushy DP and the subplan memo
-# ----------------------------------------------------------------------
-class TestBushyOptimizer:
-    def skewed(self):
-        estimates = {
-            "A": TableEstimate(10),
-            "B": TableEstimate(1000),
-            "C": TableEstimate(10),
-            "D": TableEstimate(1000),
-        }
-        edges = [
-            JoinEdge("A", "B", 0.1),
-            JoinEdge("B", "C", 10.0),
-            JoinEdge("C", "D", 0.1),
-        ]
-        return estimates, edges
-
-    def test_bushy_beats_left_deep_on_skew(self):
-        estimates, edges = self.skewed()
-        left_deep = optimize_join_order(estimates, edges, bushy=False)
-        bushy = optimize_join_order(estimates, edges, bushy=True)
-        assert bushy.cost <= left_deep.cost
-        assert isinstance(bushy.tree, tuple)
-        assert sorted(flatten_tree(bushy.tree)) == ["A", "B", "C", "D"]
-
-    def test_bushy_on_two_tables_is_left_deep(self):
-        estimates = {"A": TableEstimate(10), "B": TableEstimate(20)}
-        edges = [JoinEdge("A", "B", 2.0)]
-        assert (
-            optimize_join_order(estimates, edges, bushy=True).order
-            == optimize_join_order(estimates, edges, bushy=False).order
-        )
-
-    def test_memo_serves_repeat_optimizations(self):
-        estimates, edges = self.skewed()
-        memo = PlanMemo()
-        first = optimize_join_order(estimates, edges, bushy=True, memo=memo)
-        assert memo.misses >= 1
-        second = optimize_join_order(estimates, edges, bushy=True, memo=memo)
-        assert memo.hits >= 1
-        assert second.order == first.order and second.cost == first.cost
 
 
 # ----------------------------------------------------------------------
@@ -280,9 +217,8 @@ class TestReplanEngages:
 def test_adaptive_matrix_bit_identical(label, shards, workers):
     """Adaptation on/off never changes an answer, for any nesting type.
 
-    The adaptive session plans with histogram fan-outs, may pick bushy
-    trees, and may re-plan mid-query; the answer set, *including
-    degrees*, must be bit-identical to the plain session's across the
+    The adaptive session may re-plan mid-query; the answer set,
+    *including degrees*, must be bit-identical to the plain session's across the
     nesting taxonomy, shard counts, and worker counts.
     """
     sql = CASES[label]

@@ -80,6 +80,17 @@ CASES = {
     ),
 }
 
+#: Joins that no equality links: the compiler's block nested-loop operator,
+#: alone and on top of a band join.
+NESTED_LOOP_CASES = {
+    "flat <": ("SELECT R.K FROM R, S WHERE R.V < S.V", "flat/"),
+    "< SOME": ("SELECT R.K FROM R WHERE R.V < SOME (SELECT S.V FROM S)", "flat/"),
+    "band + non-equi": (
+        "SELECT R.K FROM R, S, S S2 WHERE R.U = S.U AND S.V < S2.V AND R.V <= S2.U",
+        "flat/",
+    ),
+}
+
 N_CASES = 50
 
 
@@ -119,8 +130,9 @@ def test_ramp_pool_joins_at_ramp_crossings():
     assert sum(0.0 < d for d in degrees) >= len(degrees) // 2
 
 
-def check_three_engines_agree(label, pool):
-    sql, strategy_prefix = CASES[label]
+def check_three_engines_agree(label, pool, cases=CASES, operator=None):
+    """Oracle, session and rewrite agree; ``operator`` must be in the plan."""
+    sql, strategy_prefix = cases[label]
     for seed in range(N_CASES):
         catalog, session = build(1000 * hash(label) % 7919 + seed, pool)
         oracle = NaiveEvaluator(catalog).evaluate(sql)
@@ -129,6 +141,8 @@ def check_three_engines_agree(label, pool):
         assert session.last_strategy.startswith(strategy_prefix), (
             f"{label} seed={seed}: ran {session.last_strategy}"
         )
+        if operator is not None:
+            assert operator in session.last_plan.explain(), label
         assert oracle.same_as(stored, 1e-9), (
             f"{label} seed={seed} [{session.last_strategy}]\n"
             f"oracle:\n{oracle.pretty()}\nsession:\n{stored.pretty()}"
@@ -149,6 +163,11 @@ def test_three_engines_agree(label):
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_three_engines_agree_on_ramp_crossings(label):
     check_three_engines_agree(label, RAMP_POOL)
+
+
+@pytest.mark.parametrize("label", sorted(NESTED_LOOP_CASES))
+def test_three_engines_agree_on_nested_loop_joins(label):
+    check_three_engines_agree(label, POOL, NESTED_LOOP_CASES, "NestedLoopJoin(")
 
 
 @pytest.mark.parametrize("label", sorted(CASES))

@@ -1,0 +1,83 @@
+"""Import-layering lint: the session does not plan, the planner does not serve.
+
+``repro/planner.py`` is the only place on the storage door that knows
+nesting types; ``repro/session.py`` composes catalog, writes and the
+runner around it.  This lint keeps the split from eroding: it parses the
+two modules and fails when the session reaches for the rewrites, the fold
+nodes, the join-order DP, the flat compiler or the nesting taxonomy, or
+when the planner reaches for a session or the write path.  Runs in the
+suite and as a standalone CI lint step::
+
+    python -m pytest -q tests/test_layering.py
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: module file -> (packages it must not import from, names it must not mention)
+RULES = {
+    "session.py": (
+        (
+            "repro.unnest",
+            "repro.engine.grouped",
+            "repro.engine.pipelined",
+            "repro.engine.optimizer",
+        ),
+        ("FlatCompiler", "NestingType"),
+    ),
+    "planner.py": (("repro.session", "repro.wal"), ()),
+}
+
+
+def imported_modules(tree, package="repro"):
+    """Absolute dotted names of everything a top-level-package module imports.
+
+    ``from . import planner`` yields ``repro.planner``; ``from .x import y``
+    yields both ``repro.x`` and ``repro.x.y`` (``y`` may be a submodule).
+    Function-local imports count: the walk covers the whole tree.
+    """
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"{package}.{base}" if base else package
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return found
+
+
+def violations():
+    """Every forbidden import or name, as ``file: what`` strings."""
+    out = []
+    for file, (packages, names) in RULES.items():
+        tree = ast.parse((SRC / file).read_text())
+        for module in sorted(imported_modules(tree)):
+            for package in packages:
+                if module == package or module.startswith(package + "."):
+                    out.append(f"{file}: imports {module}")
+        mentioned = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        mentioned |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        out.extend(f"{file}: names {name}" for name in names if name in mentioned)
+    return out
+
+
+def test_session_and_planner_keep_their_layers():
+    found = violations()
+    assert not found, "layering violations:\n" + "\n".join(found)
+
+
+def test_the_lint_sees_relative_and_local_imports():
+    tree = ast.parse(
+        "from . import planner\n"
+        "from .engine.grouped import GroupedAntiJoin\n"
+        "def f():\n"
+        "    from .wal import WriteManager\n"
+    )
+    assert {
+        "repro.planner", "repro.engine.grouped", "repro.wal", "repro.wal.WriteManager",
+    } <= imported_modules(tree)

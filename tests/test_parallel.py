@@ -1,8 +1,8 @@
 """Unit tests for the intra-query parallelism layer.
 
-Covers the pieces individually — range partitioner, scratch-free splice,
-comparison kernel, ordered fan-out, linked cancellation, parallel sort,
-partitioned merge-join and its degrade rules, the parallel cost model —
+Covers the pieces individually — range partitioner, comparison kernel,
+ordered fan-out, linked cancellation, partitioned merge-join and its
+degrade rules, the parallel cost model —
 and then end-to-end through :class:`~repro.session.StorageSession` with
 ``workers=N``.  The exhaustive randomized equivalence sweep lives in
 ``tests/test_parallel_property.py``.
@@ -27,13 +27,11 @@ from repro.parallel import (
     PartitionedMergeJoin,
     RangePartitioner,
     gather_partitions,
-    parallel_sort,
     run_ordered,
 )
 from repro.resilience import CancelToken
 from repro.session import StorageSession
-from repro.sort import ExternalSorter
-from repro.storage import BufferPool, HeapFile, OperationStats, SimulatedDisk
+from repro.storage import HeapFile, OperationStats, SimulatedDisk
 from repro.storage.costs import PAPER_1992
 from repro.engine.optimizer import parallel_join_cost
 
@@ -112,26 +110,6 @@ class TestRangePartitioner:
         stats = OperationStats()
         RangePartitioner.from_sample(heap, "X", 4, stats=stats)
         assert stats.total.page_reads > 0
-
-
-# ----------------------------------------------------------------------
-# splice
-# ----------------------------------------------------------------------
-def test_splice_concatenates_without_charging_io():
-    disk = SimulatedDisk(page_size=256)
-    a = make_heap(disk, [(N(i), 1.0) for i in range(6)], name="a")
-    b = make_heap(disk, [(N(10 + i), 1.0) for i in range(6)], name="b", base=100)
-    total_pages = a.n_pages + b.n_pages
-    stats = OperationStats()
-    before = stats.total.page_ios
-    with disk.use_stats(stats):
-        disk.splice("ab", ["a", "b"])
-    assert stats.total.page_ios == before, "splice must be a catalog operation"
-    assert not disk.exists("a") and not disk.exists("b")
-    assert disk.n_pages("ab") == total_pages
-    merged = HeapFile("ab", SCHEMA, disk, fixed_tuple_size=64)
-    values = [t[1].value for t in merged.scan(BufferPool(disk, 4))]
-    assert values == [float(i) for i in range(6)] + [float(10 + i) for i in range(6)]
 
 
 # ----------------------------------------------------------------------
@@ -259,73 +237,6 @@ class TestFanOut:
         assert not linked.cancelled
         outer.cancel()
         assert linked.cancelled
-
-
-# ----------------------------------------------------------------------
-# Parallel sort
-# ----------------------------------------------------------------------
-class TestParallelSort:
-    def sorted_keys(self, disk, heap):
-        return [sort_key(t[1]) for t in heap.scan(BufferPool(disk, 8))]
-
-    def test_spliced_output_is_globally_sorted(self):
-        rng = random.Random(13)
-        values = random_values(rng, 80)
-        disk = SimulatedDisk(page_size=256)
-        heap = make_heap(disk, values)
-        sorter = ExternalSorter(disk, 4, OperationStats())
-        out = sorter.sort_parallel(heap, "X", workers=4)
-        keys = self.sorted_keys(disk, out)
-        assert keys == sorted(keys)
-        assert out.n_tuples == len(values)
-
-    def test_matches_serial_sort(self):
-        rng = random.Random(17)
-        values = random_values(rng, 60)
-        serial_disk = SimulatedDisk(page_size=256)
-        serial_out = ExternalSorter(serial_disk, 4, OperationStats()).sort(
-            make_heap(serial_disk, values), "X"
-        )
-        parallel_disk = SimulatedDisk(page_size=256)
-        parallel_out = ExternalSorter(parallel_disk, 4, OperationStats()).sort_parallel(
-            make_heap(parallel_disk, values), "X", workers=3
-        )
-        assert self.sorted_keys(serial_disk, serial_out) == self.sorted_keys(
-            parallel_disk, parallel_out
-        )
-
-    def test_worker_ledgers_are_returned_and_merged(self):
-        rng = random.Random(19)
-        disk = SimulatedDisk(page_size=256)
-        heap = make_heap(disk, random_values(rng, 64))
-        partitioner = RangePartitioner.from_sample(heap, "X", 4)
-        assert partitioner is not None
-        stats = OperationStats()
-        merged, worker_stats = parallel_sort(
-            disk, 4, stats, heap, "X", partitioner, workers=4
-        )
-        assert merged.n_tuples == 64
-        assert len(worker_stats) == partitioner.n_partitions
-        worker_reads = sum(ws.total.page_reads for ws in worker_stats)
-        assert worker_reads > 0
-        # The coordinator ledger covers its own passes plus the workers'.
-        assert stats.total.page_reads >= worker_reads
-
-    def test_no_scratch_files_leak(self):
-        rng = random.Random(23)
-        disk = SimulatedDisk(page_size=256)
-        heap = make_heap(disk, random_values(rng, 48))
-        ExternalSorter(disk, 4, OperationStats()).sort_parallel(heap, "X", workers=4)
-        leftovers = [name for name in disk.files() if name.startswith("__part")]
-        assert leftovers == []
-
-    def test_serial_fallback_when_unpartitionable(self):
-        disk = SimulatedDisk(page_size=256)
-        heap = make_heap(disk, [(N(7), 1.0) for _ in range(16)])
-        out = ExternalSorter(disk, 4, OperationStats()).sort_parallel(
-            heap, "X", workers=4
-        )
-        assert out.n_tuples == 16  # fell back to the serial sort
 
 
 # ----------------------------------------------------------------------

@@ -2,19 +2,14 @@
 
 Hypothesis draws random relations (overlapping crisp and trapezoidal
 values, duplicated keys, arbitrary degrees) *and* arbitrary partition
-boundary lists, then checks the two invariants the parallel layer rests
-on:
-
-* **Sort**: partitioning on ``b(v)``, sorting each slice independently,
-  and concatenating is exactly the serial external sort's ``(b, e)``
-  order — for *any* boundary choice, because half-open ``b`` ranges are
-  order-disjoint.
-* **Join**: the partitioned merge-join returns the same pairs as the
-  serial merge-join — for any boundary choice — because the outer side
-  is partitioned disjointly while the inner side is replicated into the
-  ``Rng(r)`` overlap band of every slice it can reach.  Folding the
-  pairs into a :class:`~repro.data.FuzzyRelation` then ``max``-merges
-  duplicates identically on both paths.
+boundary lists, then checks the invariant the parallel layer rests on:
+the partitioned merge-join returns the same pairs as the serial
+merge-join — for any boundary choice — because the outer side is
+partitioned disjointly (half-open ``b`` ranges are order-disjoint) while
+the inner side is replicated into the ``Rng(r)`` overlap band of every
+slice it can reach.  Folding the pairs into a
+:class:`~repro.data.FuzzyRelation` then ``max``-merges duplicates
+identically on both paths.
 
 The boundaries here are adversarial on purpose: cuts straddling dense
 value clusters, cuts outside the domain, duplicate-heavy relations.  The
@@ -28,11 +23,9 @@ from hypothesis import strategies as st
 
 from repro.data import FuzzyRelation, FuzzyTuple, Schema
 from repro.fuzzy import CrispNumber, Op, TrapezoidalNumber
-from repro.fuzzy.interval_order import sort_key
 from repro.join import JoinPredicate, MergeJoin, join_degree
-from repro.parallel import PartitionedMergeJoin, RangePartitioner, parallel_sort
-from repro.sort import ExternalSorter
-from repro.storage import BufferPool, HeapFile, OperationStats, SimulatedDisk
+from repro.parallel import PartitionedMergeJoin, RangePartitioner
+from repro.storage import HeapFile, OperationStats, SimulatedDisk
 
 N = CrispNumber
 T = TrapezoidalNumber
@@ -72,10 +65,6 @@ def make_heap(disk, values, name, base=0):
     return HeapFile(name, SCHEMA, disk, fixed_tuple_size=64).load(tuples)
 
 
-def heap_keys(disk, heap):
-    return [sort_key(t[1]) for t in heap.scan(BufferPool(disk, 8))]
-
-
 def as_triples(pairs):
     return sorted(
         (rt[0].value, st_[0].value, round(d, 12)) for rt, st_, d in pairs
@@ -88,42 +77,6 @@ def fold(pairs):
     for rt, _st, d in pairs:
         out.add(FuzzyTuple([rt[0]], min(d, rt.degree)))
     return out
-
-
-# ----------------------------------------------------------------------
-# Sort
-# ----------------------------------------------------------------------
-@settings(max_examples=60, deadline=None)
-@given(values=value_lists, boundaries=boundary_lists)
-def test_partitioned_sort_matches_serial_for_any_boundaries(values, boundaries):
-    serial_disk = SimulatedDisk(page_size=256)
-    serial = ExternalSorter(serial_disk, 4, OperationStats()).sort(
-        make_heap(serial_disk, values, "h"), "X"
-    )
-    parallel_disk = SimulatedDisk(page_size=256)
-    heap = make_heap(parallel_disk, values, "h")
-    merged, _ = parallel_sort(
-        parallel_disk, 4, OperationStats(), heap, "X",
-        RangePartitioner(boundaries), workers=4,
-    )
-    assert heap_keys(parallel_disk, merged) == heap_keys(serial_disk, serial)
-    assert merged.n_tuples == len(values)
-    leftovers = [n for n in parallel_disk.files() if n.startswith("__part")]
-    assert leftovers == []
-
-
-@settings(max_examples=30, deadline=None)
-@given(values=value_lists)
-def test_sampled_boundaries_sort_identically(values):
-    serial_disk = SimulatedDisk(page_size=256)
-    serial = ExternalSorter(serial_disk, 4, OperationStats()).sort(
-        make_heap(serial_disk, values, "h"), "X"
-    )
-    parallel_disk = SimulatedDisk(page_size=256)
-    out = ExternalSorter(parallel_disk, 4, OperationStats()).sort_parallel(
-        make_heap(parallel_disk, values, "h"), "X", workers=4
-    )
-    assert heap_keys(parallel_disk, out) == heap_keys(serial_disk, serial)
 
 
 # ----------------------------------------------------------------------

@@ -19,13 +19,11 @@ from repro.errors import FuzzyQueryError
 from repro.fuzzy import CrispNumber, TrapezoidalNumber
 from repro.observe import MetricsRegistry, QueryMetrics
 from repro.session import StorageSession
-from repro.shard import ShardCatalog, ShardLayout, ShardedStorage, select_boundaries, sharded_sort
+from repro.shard import ShardCatalog, ShardLayout, ShardedStorage, select_boundaries
 from repro.shard.storage import BAND_SUFFIX, MIRROR_BAND_SUFFIX, MIRROR_SUFFIX
 from repro.shell import FuzzyShell
-from repro.sort import ExternalSorter
-from repro.storage import BufferPool, OperationStats, SimulatedDisk
+from repro.storage import OperationStats, SimulatedDisk
 from repro.storage.costs import PAPER_1992
-from repro.fuzzy.interval_order import sort_key
 
 N = CrispNumber
 T = TrapezoidalNumber
@@ -142,33 +140,6 @@ class TestPlacement:
     def test_wrong_disk_count_is_rejected(self):
         with pytest.raises(ValueError):
             ShardedStorage(3, disks=[SimulatedDisk(), SimulatedDisk()])
-
-    def test_sharded_sort_splices_into_global_order(self):
-        rng = random.Random(5)
-        relation = make_relation(rng, 30, 0)
-        storage = ShardedStorage(4, page_size=512)
-        storage.place("R", relation, "V")
-
-        serial_disk = SimulatedDisk(page_size=512)
-        serial_session_heap = None
-        from repro.storage import HeapFile
-
-        serial_session_heap = HeapFile("R", SCHEMA, serial_disk).load(
-            relation.tuples()
-        )
-        serial = ExternalSorter(serial_disk, 8, OperationStats()).sort(
-            serial_session_heap, "V"
-        )
-        serial_keys = [
-            sort_key(t[2]) for t in serial.scan(BufferPool(serial_disk, 8))
-        ]
-
-        spliced = []
-        for node, sorted_heap in sharded_sort(storage, "R", "V", 8, OperationStats()):
-            spliced.extend(
-                sort_key(t[2]) for t in sorted_heap.scan(BufferPool(node.disk, 8))
-            )
-        assert spliced == serial_keys
 
 
 # ----------------------------------------------------------------------

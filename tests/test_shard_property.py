@@ -12,9 +12,6 @@ boundary lists, then checks the invariants the shard layer rests on:
   whose support ``[b, e]`` crosses into shard ``j``'s range.
 * **Mirrors are faithful**: node ``i+1`` carries byte-identical copies
   of node ``i``'s primary and band slices.
-* **Sort splice**: sorting each primary slice shard-locally and
-  concatenating in shard order is exactly the serial external sort's
-  ``(b, e)`` order — no global merge pass needed.
 * **Join splice**: the scatter-gather merge-join returns the same pairs
   as the serial merge-join, for any boundary choice; when it declines it
   says why, and it never leaves scratch slices on any node disk.
@@ -32,8 +29,7 @@ from repro.data import FuzzyRelation, FuzzyTuple, Schema
 from repro.fuzzy import CrispNumber, Op, TrapezoidalNumber
 from repro.fuzzy.interval_order import sort_key
 from repro.join import JoinPredicate, MergeJoin, join_degree
-from repro.shard import ShardedMergeJoin, ShardedStorage, sharded_sort
-from repro.sort import ExternalSorter
+from repro.shard import ShardedMergeJoin, ShardedStorage
 from repro.storage import BufferPool, HeapFile, OperationStats, SimulatedDisk
 
 N = CrispNumber
@@ -89,10 +85,6 @@ def heap_ids(node, heap):
     if heap is None:
         return []
     return [int(t[0].value) for t in heap.scan(BufferPool(node.disk, 8))]
-
-
-def heap_keys(node, heap):
-    return [sort_key(t[1]) for t in heap.scan(BufferPool(node.disk, 8))]
 
 
 def as_triples(pairs):
@@ -166,29 +158,6 @@ def test_mirrors_are_faithful_copies(values, boundaries, n_shards):
         assert heap_ids(node, storage.band(i, "R")) == heap_ids(
             mirror, storage.mirror_band(i, "R")
         )
-
-
-# ----------------------------------------------------------------------
-# Sort
-# ----------------------------------------------------------------------
-@settings(max_examples=60, deadline=None)
-@given(values=value_lists, boundaries=boundary_lists, n_shards=n_shard_choices)
-def test_sharded_sort_splice_matches_serial(values, boundaries, n_shards):
-    """Shard-local sorts, spliced in shard order, *are* the global sort."""
-    serial_disk = SimulatedDisk(page_size=256)
-    serial = ExternalSorter(serial_disk, 4, OperationStats()).sort(
-        make_heap(serial_disk, values, "R"), "X"
-    )
-    serial_keys = [
-        sort_key(t[1]) for t in serial.scan(BufferPool(serial_disk, 8))
-    ]
-    storage = placed(values, boundaries, n_shards)
-    spliced = []
-    for node, sorted_heap in sharded_sort(
-        storage, "R", "X", 4, OperationStats()
-    ):
-        spliced.extend(heap_keys(node, sorted_heap))
-    assert spliced == serial_keys
 
 
 # ----------------------------------------------------------------------
