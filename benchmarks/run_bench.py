@@ -310,7 +310,7 @@ def _sharded_workloads() -> dict:
     degrade to local execution would make this slice meaningless) with
     zero failovers (all nodes are healthy here; the failover path is the
     chaos suite's job).  The gated modelled cost is
-    :meth:`CostModel.sharded_response_time` — coordinator work plus the
+    :meth:`CostModel.parallel_response_time` — coordinator work plus the
     slowest shard — and the shard count, spliced rows, and the summed
     per-shard page reads are gated as counters, so ``--check`` fails if
     the scatter-gather plan stops running or its I/O shape drifts.  Wall
@@ -337,7 +337,7 @@ def _sharded_workloads() -> dict:
             f"sharded_J: {metrics.shard_failovers} failover(s) on healthy nodes"
         )
     shard_stats = [sh.stats for sh in metrics.shards if sh.stats is not None]
-    modelled = PAPER_1992.sharded_response_time(session.last_stats, shard_stats)
+    modelled = PAPER_1992.parallel_response_time(session.last_stats, shard_stats)
     counters = _counters(session.last_stats)
     counters["shards"] = len(metrics.shards)
     counters["shard_rows"] = sum(sh.rows_out for sh in metrics.shards)

@@ -239,9 +239,9 @@ class IndexMergeJoinOp(MergeJoinOp):
         self.threshold = threshold
 
     def _tuples(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
-        if ctx.shards > 1 and ctx.sharded is not None:
-            # Placed relations join shard-locally; the scatter-gather path
-            # is already bit-identical and keeps per-shard accounting.
+        if ctx.placement is not None:
+            # Placed relations join shard-locally; the partitioned band
+            # join is already bit-identical and keeps per-shard accounting.
             yield from super()._tuples(ctx)
             return
         try:

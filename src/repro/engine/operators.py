@@ -12,22 +12,17 @@ the storage engine, not just on in-memory relations.
 
 from __future__ import annotations
 
-import itertools
-from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..data.relation import FuzzyRelation
 from ..data.schema import Schema
 from ..data.tuples import FuzzyTuple
 from ..errors import FuzzyQueryError
-from ..join.merge_join import MergeJoin
 from ..join.nested_loop import NestedLoopJoin
 from ..join.predicates import JoinPredicate, PairDegree
-from ..storage.disk import SimulatedDisk
 from ..storage.heap import HeapFile
 from ..storage.stats import OperationStats
-
-_materialize_counter = itertools.count(1)
+from .context import ExecutionContext
 
 
 def unique_names(names: Iterable[str]) -> List[str]:
@@ -62,150 +57,6 @@ def concat_schemas(left: Schema, right: Schema) -> Schema:
     return Schema(
         [Attribute(name, attr.type, attr.domain) for name, attr in zip(names, attrs)]
     )
-
-
-class ExecutionContext:
-    """Shared disk, buffer budget, and statistics for one plan execution.
-
-    ``metrics`` is an optional :class:`~repro.observe.metrics.QueryMetrics`
-    collector and ``tracer`` an optional
-    :class:`~repro.observe.trace.SpanTracer`; when both are ``None`` (the
-    default) the operators run the exact pre-observability code paths —
-    every touch point is guarded by an ``is not None`` check.
-
-    ``workers`` and ``shards`` are *execution-time* knobs, never baked
-    into a plan: cached operator trees are shared across sessions and
-    threads, so the parallel/serial and sharded/local decisions — and the
-    per-execution comparison kernel — live here.  ``guard`` carries the
-    query's deadline/cancel limits so partition workers can derive their
-    own linked guards, and ``sharded`` the session's
-    :class:`~repro.shard.ShardedStorage` (when one exists) so merge-joins
-    over placed base relations can scatter-gather across the shard nodes.
-
-    ``catalog`` is the live-catalog view (``tables`` and ``indexes`` by
-    catalog name) the leaves of this execution bind against — see
-    :func:`live_heap`; without one every leaf reads the heap it was built
-    on.
-    """
-
-    def __init__(
-        self,
-        disk: SimulatedDisk,
-        buffer_pages: int,
-        stats: Optional[OperationStats] = None,
-        metrics=None,
-        tracer=None,
-        pool=None,
-        workers: int = 1,
-        guard=None,
-        kernel=None,
-        shards: int = 1,
-        sharded=None,
-        adapt=None,
-        catalog=None,
-    ):
-        from ..fuzzy.compare import ComparisonKernel
-
-        self.disk = disk
-        self.buffer_pages = buffer_pages
-        self.stats = stats if stats is not None else OperationStats()
-        self.metrics = metrics
-        self.tracer = tracer
-        self.workers = max(1, workers)
-        self.guard = guard
-        self.shards = max(1, shards)
-        self.sharded = sharded
-        self.catalog = catalog
-        #: Optional :class:`~repro.engine.adaptive.AdaptiveController`;
-        #: when present, every merge-join edge re-costs itself against
-        #: observed input cardinalities before dispatching.  ``None``
-        #: (the default) keeps the exact pre-adaptive code paths.
-        self.adapt = adapt
-        #: Per-execution memoizing comparison kernel, shared by every
-        #: operator (and every partition worker) of this one execution.
-        self.kernel = kernel if kernel is not None else ComparisonKernel()
-        if metrics is not None:
-            metrics.parallel_workers = self.workers
-            metrics.requested_shards = self.shards if sharded is not None else 0
-        #: Optional :class:`~repro.storage.buffer.BufferPool`;
-        #: :meth:`release` unpins all of its frames so a failed
-        #: query can never wedge a shared pool into
-        #: :class:`~repro.storage.buffer.BufferExhaustedError`.
-        self.pool = pool
-        #: Scratch heap files materialized during this execution; deleted
-        #: by :meth:`release` whether the plan finished or failed.
-        self.scratch_files: List[str] = []
-
-    def scratch_name(self, prefix: str) -> str:
-        """A fresh name for a scratch file materialized during execution."""
-        name = f"__mat_{prefix}_{next(_materialize_counter)}"
-        self.scratch_files.append(name)
-        return name
-
-    def mark_degraded(self, reason: str) -> None:
-        """Record that execution stepped down a rung (``docs/robustness.md``).
-
-        A query can take more than one rung (sharded → local, then the
-        local window outgrows the buffer); the reasons chain in the order
-        they happened.
-        """
-        if self.metrics is not None:
-            earlier = self.metrics.degraded_reason
-            self.metrics.degraded = True
-            self.metrics.degraded_reason = (
-                f"{earlier}; then {reason}" if earlier else reason
-            )
-
-    @contextmanager
-    def merge_join(self) -> Iterator[MergeJoin]:
-        """A :class:`MergeJoin` on this execution's disk, budget and ledger.
-
-        Whatever rung the join stepped down to inside the block is
-        reported once, when the block ends — also when it ends in an
-        error, so a failed query still shows the rung it had taken.
-        """
-        join = MergeJoin(
-            self.disk, self.buffer_pages, self.stats,
-            metrics=self.metrics, tracer=self.tracer,
-        )
-        try:
-            yield join
-        finally:
-            if join.fallback_reason is not None:
-                self.mark_degraded(join.fallback_reason)
-
-    def count_replan(self) -> None:
-        """Record that a join edge re-costed itself mid-query."""
-        if self.metrics is not None:
-            self.metrics.replans += 1
-
-    def mark_adapted(self, reason: str) -> None:
-        """Record that re-costing actually changed an edge's execution.
-
-        Mirrors :meth:`mark_degraded`: metrics-guarded, and additionally
-        emits a ``replan`` tracer span so the switch is visible in the
-        span tree next to the join phases it altered.
-        """
-        if self.metrics is not None:
-            self.metrics.adapted = True
-            self.metrics.adapt_reason = reason
-        if self.tracer is not None:
-            with self.tracer.span(f"replan: {reason}"):
-                pass
-
-    def release(self) -> None:
-        """Free everything this execution held: scratch files and pins.
-
-        Idempotent, and called from a ``finally`` in
-        :meth:`Operator.to_relation` so that neither a completed nor a
-        failed plan leaks scratch heaps onto the shared disk or leaves
-        pages pinned in a shared buffer pool.
-        """
-        for name in self.scratch_files:
-            self.disk.delete(name)
-        self.scratch_files.clear()
-        if self.pool is not None:
-            self.pool.unpin_all()
 
 
 class TuplePredicate:
@@ -395,10 +246,12 @@ class Materialize(Operator):
         return [self.child]
 
 
-def _as_heap(source: Operator, ctx: ExecutionContext) -> HeapFile:
+def _as_heap(source: Operator, ctx: ExecutionContext) -> Tuple[HeapFile, Optional[str]]:
+    """The heap a join reads for ``source`` and, when that is a base table
+    read unchanged, its catalog name (what its shard placement is keyed by)."""
     if isinstance(source, Scan) and not source.predicates:
-        return live_heap(source, ctx.catalog)
-    return Materialize(source).materialize(ctx)
+        return live_heap(source, ctx.catalog), source.table
+    return Materialize(source).materialize(ctx), None
 
 
 class MergeJoinOp(Operator):
@@ -447,11 +300,11 @@ class MergeJoinOp(Operator):
         return join_degree(self._predicates, kernel)
 
     def _tuples(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
-        left_heap = _as_heap(self.left, ctx)
-        right_heap = _as_heap(self.right, ctx)
+        left_heap, left_table = _as_heap(self.left, ctx)
+        right_heap, right_table = _as_heap(self.right, ctx)
         pair_degree = self.pair_degree_with(ctx.kernel)
 
-        workers = ctx.workers
+        workers = None
         if ctx.adapt is not None:
             # The feedback loop: the inputs are materialized, so their
             # true cardinalities are known.  Past the q-error threshold
@@ -459,7 +312,7 @@ class MergeJoinOp(Operator):
             # give back its parallel budget — both alternatives are
             # bit-identical in results (the nested-loop path is PR 4's
             # degrade target, the serial path is PR 5's baseline).
-            decision = ctx.adapt.consider(self, left_heap, right_heap, workers)
+            decision = ctx.adapt.consider(self, left_heap, right_heap, ctx.workers)
             if decision is not None:
                 ctx.count_replan()
                 if decision.method == "nested-loop":
@@ -470,60 +323,11 @@ class MergeJoinOp(Operator):
                     ):
                         yield r.concat(s, degree)
                     return
-                if decision.workers != workers:
+                if decision.workers != ctx.workers:
                     ctx.mark_adapted(decision.reason)
                     workers = decision.workers
 
-        if ctx.shards > 1 and ctx.sharded is not None:
-            from ..shard.executor import ShardedMergeJoin
-
-            sharded = ShardedMergeJoin(
-                ctx.sharded, ctx.buffer_pages, ctx.stats,
-                metrics=ctx.metrics, tracer=ctx.tracer, guard=ctx.guard,
-            )
-            pairs = sharded.run(
-                left_heap, self.left_attr, right_heap, self.right_attr, pair_degree
-            )
-            if pairs is not None:
-                if sharded.failovers:
-                    ctx.mark_degraded(
-                        f"shard failover: {sharded.failovers} slice read(s) "
-                        "completed from mirror replicas"
-                    )
-                if sharded.slice_fallback is not None:
-                    ctx.mark_degraded(sharded.slice_fallback)
-                for r, s, degree in pairs:
-                    yield r.concat(s, degree)
-                return
-            # Scatter-gather declined (unplaced input, collapsed layout,
-            # ...): the local paths below produce the identical answer.
-            ctx.mark_degraded(
-                f"sharded join fell back to local execution: {sharded.fallback_reason}"
-            )
-
-        if workers > 1:
-            from ..parallel.join import PartitionedMergeJoin
-
-            parallel = PartitionedMergeJoin(
-                ctx.disk, ctx.buffer_pages, ctx.stats, workers,
-                metrics=ctx.metrics, tracer=ctx.tracer, guard=ctx.guard,
-            )
-            pairs = parallel.run(
-                left_heap, self.left_attr, right_heap, self.right_attr, pair_degree
-            )
-            if pairs is not None:
-                if parallel.slice_fallback is not None:
-                    ctx.mark_degraded(parallel.slice_fallback)
-                for r, s, degree in pairs:
-                    yield r.concat(s, degree)
-                return
-            # Partitioning declined (no statistics, skew, disk full, ...):
-            # the serial path below produces the identical answer.
-            ctx.mark_degraded(
-                f"parallel join fell back to serial: {parallel.fallback_reason}"
-            )
-
-        with ctx.merge_join() as join:
+        with ctx.merge_join(left_table, right_table, workers) as join:
             for r, s, degree in join.pairs(
                 left_heap, self.left_attr, right_heap, self.right_attr, pair_degree
             ):
@@ -549,8 +353,8 @@ class NestedLoopJoinOp(Operator):
         self.label = label
 
     def _tuples(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
-        left_heap = _as_heap(self.left, ctx)
-        right_heap = _as_heap(self.right, ctx)
+        left_heap, _ = _as_heap(self.left, ctx)
+        right_heap, _ = _as_heap(self.right, ctx)
         join = NestedLoopJoin(ctx.disk, ctx.buffer_pages, ctx.stats)
         for r, s, degree in join.pairs(left_heap, right_heap, self.pair_degree):
             yield r.concat(s, degree)
@@ -614,7 +418,7 @@ class BandFold(Operator):
             join = NestedLoopJoin(ctx.disk, ctx.buffer_pages, ctx.stats)
             yield from join.fold(outer, inner, pair_degree, init, step)
             return
-        with ctx.merge_join() as join:
+        with ctx.merge_join(self.outer.table, self.inner.table) as join:
             yield from join.fold(outer, band[0], inner, band[1], pair_degree, init, step)
 
     def _answers(

@@ -78,7 +78,12 @@ class JAPipeline(BandFold):
     def run(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
         """The pipelined T1/T2/JA' merge pass on ``ctx``."""
         # A'(u) / D(A'(u)) memo, keyed by the value representation of u —
-        # the binary-identity grouping Theorem 6.1 relies on.
+        # the binary-identity grouping Theorem 6.1 relies on.  The consumer
+        # below fills it.  A partitioned band join (workers= / shards=)
+        # runs every slice's scan before the consumer sees a state, so the
+        # memo is empty during those scans: each outer tuple collects its
+        # own group — extra degree evaluations, the same answer, since a
+        # group's members do not depend on which outer tuple collected them.
         groups: Dict[Hashable, Optional[Tuple[object, float]]] = {}
 
         def pair(r: FuzzyTuple, s: FuzzyTuple, st: Optional[OperationStats]) -> float:

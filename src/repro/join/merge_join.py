@@ -104,9 +104,10 @@ class MergeJoin:
         self.indicator = indicator
         self.metrics = metrics
         self.tracer = tracer
-        #: The rung the last fold stepped down to (``None``: the merge
-        #: scan ran to the end).  Operators report it through
-        #: :meth:`~repro.engine.operators.ExecutionContext.merge_join`.
+        #: Every rung this join stepped down to, chained in order as
+        #: ``"a; then b"`` (``None``: every merge scan ran to the end).
+        #: Operators report it through
+        #: :meth:`~repro.engine.context.ExecutionContext.merge_join`.
         self.fallback_reason: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -153,7 +154,6 @@ class MergeJoin:
         """
         from ..observe.trace import maybe_span
 
-        self.fallback_reason = None
         with self.disk.use_stats(self.stats):
             sorter = ExternalSorter(
                 self.disk, self.buffer_pages, self.stats,
@@ -276,5 +276,10 @@ class MergeJoin:
 
     def _nested_loop(self, rung: str) -> NestedLoopJoin:
         """Step down to the block nested loop, recording which rung it is."""
-        self.fallback_reason = rung
+        self._degrade(rung)
         return NestedLoopJoin(self.disk, self.buffer_pages, self.stats)
+
+    def _degrade(self, reason: str) -> None:
+        """Chain ``reason`` onto :attr:`fallback_reason`."""
+        earlier = self.fallback_reason
+        self.fallback_reason = f"{earlier}; then {reason}" if earlier else reason

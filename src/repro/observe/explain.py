@@ -245,7 +245,7 @@ def render_report(
             f"time={step.wall_seconds * 1000.0:.2f}ms"
         )
 
-    for part in metrics.partitions:
+    for part in metrics.partitions + metrics.shards:
         bounds = _partition_bounds(part.lower, part.upper)
         notes = [
             f"rows={part.rows_out}",
@@ -256,20 +256,7 @@ def render_report(
             from ..storage.costs import PAPER_1992
 
             notes.append(f"model={PAPER_1992.response_time(part.stats):.3f}s")
-        lines.append(f"partition {part.index} {bounds}: " + ", ".join(notes))
-
-    for shard in getattr(metrics, "shards", ()):
-        bounds = _partition_bounds(shard.lower, shard.upper)
-        notes = [
-            f"rows={shard.rows_out}",
-            f"outer={shard.outer_tuples}t/{shard.outer_pages}p",
-            f"inner={shard.inner_tuples}t/{shard.inner_pages}p",
-        ]
-        if shard.stats is not None:
-            from ..storage.costs import PAPER_1992
-
-            notes.append(f"model={PAPER_1992.response_time(shard.stats):.3f}s")
-        lines.append(f"shard {shard.index} {bounds}: " + ", ".join(notes))
+        lines.append(f"{part.kind} {part.index} {bounds}: " + ", ".join(notes))
 
     for sort in metrics.sorts:
         lines.append(

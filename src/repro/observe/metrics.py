@@ -96,16 +96,20 @@ class StepMetrics:
 
 @dataclass
 class PartitionMetrics:
-    """One range partition of a parallel sort + merge-join.
+    """One slice — a range partition or a shard task — of a partitioned band join.
 
-    ``outer_tuples``/``inner_tuples`` count the partition's inputs *after*
+    ``outer_tuples``/``inner_tuples`` count the slice's inputs *after*
     replication (the inner side's overlap band appears in every adjacent
-    partition it reaches), so their sum across partitions can legitimately
-    exceed the inner relation's cardinality.  ``stats`` is the worker's own
-    :class:`~repro.storage.stats.OperationStats` ledger — the per-partition
+    slice it reaches), so their sum across slices can legitimately exceed
+    the inner relation's cardinality.  ``rows_out`` counts the slice's
+    joining pairs (positive degree).  ``stats`` is the worker's own
+    :class:`~repro.storage.stats.OperationStats` ledger — the per-slice
     response times the parallel cost model takes its ``max`` over.
+    ``kind`` names the slice source: ``"partition"`` (sampled boundaries)
+    or ``"shard"`` (a shard placement).
     """
 
+    kind: str
     index: int
     lower: Optional[object] = None
     upper: Optional[object] = None
@@ -153,15 +157,12 @@ class QueryMetrics:
         #: Worker budget the query ran with (1 = serial; 0 = the executor
         #: never stamped a budget, e.g. a storage-level strategy).
         self.parallel_workers: int = 0
-        #: Per-partition counters when the partitioned join path ran.
-        self.partitions: List[PartitionMetrics] = []
+        #: Per-slice counters of every partitioned band join that ran,
+        #: coordinator-side and in slice order.
+        self.slices: List[PartitionMetrics] = []
         #: Shard budget the query ran with (0 = the session had no
         #: sharded storage or the executor never stamped one).
         self.requested_shards: int = 0
-        #: Per-shard counters when the scatter-gather join path ran (the
-        #: same shape as :attr:`partitions` — shards *are* durable
-        #: partitions).
-        self.shards: List[PartitionMetrics] = []
         #: Replica failovers performed by shard tasks during this query.
         self.shard_failovers: int = 0
         #: Per-join q-errors of the executed plan (estimate vs measured
@@ -182,13 +183,16 @@ class QueryMetrics:
     # ------------------------------------------------------------------
     # Parallel / sharded execution
     # ------------------------------------------------------------------
-    def record_partition(self, partition: "PartitionMetrics") -> None:
-        """Attach one partition's counters (coordinator-side, in order)."""
-        self.partitions.append(partition)
+    @property
+    def partitions(self) -> List[PartitionMetrics]:
+        """The slices cut at sampled boundaries."""
+        return [sl for sl in self.slices if sl.kind == "partition"]
 
-    def record_shard(self, shard: "PartitionMetrics") -> None:
-        """Attach one shard task's counters (coordinator-side, in order)."""
-        self.shards.append(shard)
+    @property
+    def shards(self) -> List[PartitionMetrics]:
+        """The slices read from a shard placement (shards *are* durable
+        partitions)."""
+        return [sl for sl in self.slices if sl.kind == "shard"]
 
     # ------------------------------------------------------------------
     # Operators

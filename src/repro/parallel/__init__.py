@@ -5,30 +5,29 @@ the extended merge-join sorts on — it is a perfect *partitioning* key:
 ranges of ``b(v)`` split a relation into slices that are order-disjoint,
 so each slice can be sorted and merge-joined against its counterpart
 independently on its own worker thread, and the per-slice results
-concatenate in partition order with no final merge.
+concatenate in slice order with no final merge.
 
 Package layout:
 
-* :mod:`repro.parallel.partitioner` — picks ``b(v)`` boundary values from
-  page samples so partitions come out roughly equal in pages;
+* :mod:`repro.parallel.partitioner` — the slice geometry: cut selection,
+  endpoint-to-slice mapping, and boundaries sampled from page samples;
 * :mod:`repro.parallel.executor` — the shared worker-pool helpers
   (ordered fan-out, linked cancellation, single-typed-error gather) used
   by both the partitioned join and the engines' ``run_batch``;
-* :mod:`repro.parallel.join` — the partitioned merge-join: the outer
-  side's disjoint partitioning pass and the inner-side overlap-band
-  replication that keeps results bit-identical to the serial path.
+* :mod:`repro.parallel.join` — the one partitioned band join, over
+  sampled slices or a shard placement's (:mod:`repro.shard`).
 """
 
 from .executor import LinkedCancelToken, gather_partitions, run_ordered
-from .join import PartitionedMergeJoin, replicate_inner
-from .partitioner import PartitionSpec, RangePartitioner
+from .join import PartitionedBandJoin
+from .partitioner import PartitionSpec, RangePartitioner, select_boundaries
 
 __all__ = [
     "LinkedCancelToken",
     "PartitionSpec",
-    "PartitionedMergeJoin",
+    "PartitionedBandJoin",
     "RangePartitioner",
     "gather_partitions",
-    "replicate_inner",
     "run_ordered",
+    "select_boundaries",
 ]

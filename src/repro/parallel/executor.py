@@ -8,7 +8,7 @@ Two fan-out shapes live here:
   of :class:`repro.session.StorageSession` and
   :class:`repro.db.FuzzyDatabase` cannot drift apart.
 * :func:`gather_partitions` — the *intra*-query helper behind the
-  partitioned sort + merge-join: partition tasks share a
+  partitioned band join: slice tasks share a
   :class:`LinkedCancelToken`, a fault in any worker cancels the siblings
   at their next page access, and exactly one typed error surfaces to the
   caller (preferring the root-cause fault over the sibling
@@ -24,10 +24,6 @@ from ..errors import QueryCancelledError
 from ..resilience import CancelToken
 
 T = TypeVar("T")
-
-#: Default page-sample size for boundary selection (matches the fan-out
-#: sampler in :mod:`repro.engine.statistics`).
-DEFAULT_SAMPLE_SIZE = 64
 
 
 def run_ordered(

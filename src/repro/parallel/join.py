@@ -1,376 +1,415 @@
-"""The range-partitioned parallel merge-join.
+"""The partitioned band join: Section 3's merge-join over order-disjoint slices.
 
-Correctness argument (the invariant :mod:`tests.test_parallel_property`
-checks exhaustively):
+:class:`PartitionedBandJoin` is a :class:`~repro.join.merge_join.MergeJoin`
+whose :meth:`~PartitionedBandJoin.fold` — and through it ``pairs`` — cuts
+the ``b(v)`` axis into slices, runs the unmodified serial fold on every
+slice concurrently, and splices the per-slice outputs in slice order.
+Why the splice is the serial output (disjoint outer slices, inner slices
+that carry the band reaching them) is argued once, in
+``docs/parallelism.md``.
 
-* The outer relation R is partitioned **disjointly** on ``b(r.X)``, so
-  every R-tuple — hence every joining pair ``(r, s)`` — belongs to
-  exactly one partition.  No pair is produced twice.
-* The inner relation S is **replicated** into every partition its
-  support interval can reach: slice ``i`` receives ``s`` iff
-  ``e(s.Y) >= min b(r.X)`` and ``b(s.Y) <= max e(r.X)`` over the slice's
-  R-tuples.  This is the ``Rng(r)`` overlap band of Section 3 — an
-  S-tuple straddling a boundary lands in *both* adjacent slices, because
-  R-tuples on either side can reach it.  Omitting the band would silently
-  drop exactly the pairs whose supports cross a boundary, which is why
-  bit-identical results require it.
-* The band makes each slice's S a *superset* of what its R-tuples can
-  join: the extra tuples are harmless because a pair with disjoint
-  supports has equality degree 0 and is never emitted.
-* Each worker runs the unmodified serial
-  :class:`~repro.join.merge_join.MergeJoin` on its slice pair, and the
-  coordinator concatenates the per-slice pair lists in partition order —
-  which *is* the serial output order, since serial R-sorted order is the
-  concatenation of the slices' sorted orders.  Duplicate answers (same
-  projected tuple from different pairs) are then ``max``-merged by
-  :class:`~repro.data.relation.FuzzyRelation` exactly as in the serial
-  path.
+Slices come from one of two sources, tried in this order:
 
-The join degrades to the serial path — returning ``None`` rather than
-raising — when statistics yield no usable boundaries, fewer than two
-slices are non-empty, one slice holds nearly everything (skew), or the
-partition writes hit :class:`~repro.errors.DiskFullError`.  A slice whose
-own merge-join steps down a rung of the ladder in ``docs/robustness.md``
-(slice page alignment can need one more frame than the serial window)
-still returns its pairs in order; the coordinator reports the rung as
-:attr:`PartitionedMergeJoin.slice_fallback`.  Genuine execution faults
-inside a worker cancel the sibling workers through the shared
-:class:`~repro.parallel.executor.LinkedCancelToken` and surface as one
-typed error.
+* **placed** — the session's durable shard placement
+  (:class:`~repro.shard.ShardedStorage`): a slice is one shard's outer
+  primary on its home node, mirrored on the next node; its task builds
+  the inner slice from ``band(j_lo)`` plus the inner primaries
+  ``j_lo .. j_hi`` its reach band touches, charged under ``shard``;
+* **sampled** — boundaries sampled from the outer heap: one coordinator
+  pass, charged under ``partition``, routes the outer side disjointly and
+  replicates the inner side's band into scratch files.
+
+A source that cannot cut the join declines with a reason and the next
+one — finally the serial fold — answers.  Every decline, replica failover
+and rung — a slice's or the serial fold's — is chained, in the order it
+happened, onto :attr:`~repro.join.merge_join.MergeJoin.fallback_reason`,
+which :meth:`~repro.engine.context.ExecutionContext.merge_join` reports.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Tuple
+from contextlib import ExitStack
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..data.tuples import FuzzyTuple
-from ..errors import DiskFullError
+from ..errors import DiskFullError, StorageFaultError
 from ..fuzzy.interval_order import sort_key
 from ..join.merge_join import MergeJoin
-from ..join.predicates import PairDegree
 from ..resilience import CancelToken, QueryGuard
-from ..sort.runs import RunWriter
+from ..sort.runs import RunReader, RunWriter
 from ..storage.disk import SimulatedDisk
 from ..storage.heap import HeapFile
 from ..storage.stats import OperationStats
 from .executor import gather_partitions
 from .partitioner import RangePartitioner
 
-Pair = Tuple[FuzzyTuple, FuzzyTuple, float]
+#: A sampled cut whose largest outer slice holds more than this share of
+#: the outer tuples declines: it would be the serial plan plus overhead.
+SKEW_LIMIT = 0.8
 
-#: Stats phase charged for the coordinator's partitioning write pass.
-PARTITION_PHASE = "partition"
-
-_partition_counter = itertools.count(1)
+_scratch = itertools.count(1)
 
 
-def partition_heap(
+@dataclass(frozen=True)
+class Source:
+    """How one slice source reports.
+
+    ``kind`` names its stats phase, its spans, its EXPLAIN lines and its
+    rungs (:attr:`~repro.observe.metrics.PartitionMetrics.kind`);
+    ``declined`` prefixes its decline reasons, and ``spilled`` is the
+    reason when one of its slice writes hits
+    :class:`~repro.errors.DiskFullError`.
+    """
+
+    kind: str
+    declined: str
+    spilled: str
+
+
+PLACED = Source(
+    "shard", "sharded join fell back to local execution", "shard-local spill hit DiskFullError"
+)
+SAMPLED = Source(
+    "partition", "parallel join fell back to serial", "partition spill hit DiskFullError"
+)
+
+
+class _Decline(Exception):
+    """A slice source cannot cut this join; the message says why."""
+
+
+@dataclass
+class Slice:
+    """One slice of a band join, ready to run on its home disk.
+
+    ``build(slice, file_name, stats) -> (inner heap, mirror reads)`` gives
+    the slice's inner side: a placed slice's task builds it into
+    ``file_name`` on the home disk, a sampled slice's was written by the
+    coordinator.  ``mirror`` is the slice to rerun on when the home disk
+    fails (``None``: there is no replica).
+    """
+
+    index: int
+    lower: object
+    upper: object
+    outer: HeapFile
+    build: Callable
+    home: SimulatedDisk
+    mirror: Optional["Slice"] = None
+
+
+def _tuples(heap: HeapFile) -> Iterable[FuzzyTuple]:
+    """A heap's tuples in file order, one charged read per page."""
+    return RunReader(heap.disk, heap.name, heap.serializer)
+
+
+def _read(heap: Optional[HeapFile]) -> List[FuzzyTuple]:
+    """A whole heap read into memory (nothing when absent), so a read that
+    fails part-way leaves nothing behind to retry around."""
+    return [] if heap is None else list(_tuples(heap))
+
+
+def _spill(
     disk: SimulatedDisk,
-    source: HeapFile,
-    attribute: str,
-    partitioner: RangePartitioner,
+    names: List[str],
+    template: HeapFile,
+    tuples: Iterable[FuzzyTuple],
+    route: Callable[[FuzzyTuple], Iterable[int]],
     stats: OperationStats,
 ) -> List[HeapFile]:
-    """Route ``source`` into one scratch heap per ``b(v)`` slice.
-
-    One charged read pass over the source plus the writes of the slice
-    files, all under the ``partition`` phase.  Returns the slice heaps in
-    partition order (empty slices included, as zero-page heaps).
-    """
-    key_index = source.schema.index_of(attribute)
-    tag = next(_partition_counter)
-    names = [
-        f"__part_{source.name}_{tag}_{i}" for i in range(partitioner.n_partitions)
-    ]
-    writers = [RunWriter(disk, name, source.serializer) for name in names]
-    counts = [0] * partitioner.n_partitions
-    ok = False
-    try:
-        with disk.use_stats(stats), stats.enter_phase(PARTITION_PHASE):
-            for page_index in range(source.n_pages):
-                page = disk.read_page(source.name, page_index)
-                for record in page.records():
-                    t = source.serializer.decode(record)
-                    i = partitioner.partition_index(t[key_index])
-                    stats.count_move()
-                    writers[i].append(t)
-                    counts[i] += 1
-            for writer in writers:
-                writer.close()
-        ok = True
-    finally:
-        if not ok:
-            for writer in writers:
-                writer.discard()
-            for name in names:
-                disk.delete(name)
+    """Write ``tuples`` into scratch heaps ``names``: each to every slice
+    ``route`` names, one charged move per copy.  The caller deletes the
+    files, whether or not the writes finished."""
+    writers = [RunWriter(disk, name, template.serializer) for name in names]
+    for t in tuples:
+        for i in route(t):
+            stats.count_move()
+            writers[i].append(t)
     heaps = []
-    for name, count in zip(names, counts):
-        heap = HeapFile(name, source.schema, disk, source.serializer.fixed_size)
-        heap.n_tuples = count
+    for writer in writers:
+        writer.close()
+        heap = HeapFile(writer.name, template.schema, disk, template.serializer.fixed_size)
+        heap.n_tuples = writer.n_tuples
         heaps.append(heap)
     return heaps
 
 
-def replicate_inner(
-    disk: SimulatedDisk,
-    inner: HeapFile,
-    inner_attr: str,
-    bands: List[Optional[Tuple[object, object]]],
-    stats: OperationStats,
-) -> List[Optional[HeapFile]]:
-    """Write the inner relation's slice files, replicating the overlap band.
-
-    ``bands[i]`` is the ``(min_b, max_e)`` reach of slice ``i``'s R-tuples
-    (``None`` for an empty slice).  An S-tuple is routed into every slice
-    whose band its support ``[b, e]`` intersects — one tuple near a
-    boundary is written into both adjacent slices.  One charged read pass
-    plus the replicated writes, under the ``partition`` phase.
-    """
-    key_index = inner.schema.index_of(inner_attr)
-    tag = next(_partition_counter)
-    names = [
-        None if band is None else f"__part_{inner.name}_{tag}_{i}"
-        for i, band in enumerate(bands)
-    ]
-    writers = [
-        None if name is None else RunWriter(disk, name, inner.serializer)
-        for name in names
-    ]
-    counts = [0] * len(bands)
-    ok = False
-    try:
-        with disk.use_stats(stats), stats.enter_phase(PARTITION_PHASE):
-            for page_index in range(inner.n_pages):
-                page = disk.read_page(inner.name, page_index)
-                for record in page.records():
-                    s = inner.serializer.decode(record)
-                    b, e = sort_key(s[key_index])
-                    for i, band in enumerate(bands):
-                        if band is None:
-                            continue
-                        low, high = band
-                        stats.count_crisp()
-                        if e >= low and b <= high:
-                            stats.count_move()
-                            writers[i].append(s)
-                            counts[i] += 1
-            for writer in writers:
-                if writer is not None:
-                    writer.close()
-        ok = True
-    finally:
-        if not ok:
-            for writer in writers:
-                if writer is not None:
-                    writer.discard()
-            for name in names:
-                if name is not None:
-                    disk.delete(name)
-    heaps: List[Optional[HeapFile]] = []
-    for name, count in zip(names, counts):
-        if name is None:
-            heaps.append(None)
-            continue
-        heap = HeapFile(name, inner.schema, disk, inner.serializer.fixed_size)
-        heap.n_tuples = count
-        heaps.append(heap)
-    return heaps
+def _reach(heap: HeapFile, attribute: str, stats: OperationStats) -> Tuple[object, object]:
+    """The ``(min b, max e)`` reach of an outer slice's tuples."""
+    key_index = heap.schema.index_of(attribute)
+    low = high = None
+    for t in _tuples(heap):
+        b, e = sort_key(t[key_index])
+        stats.count_crisp(2)
+        low = b if low is None or b < low else low
+        high = e if high is None or e > high else high
+    return low, high
 
 
-class PartitionedMergeJoin:
-    """Coordinator for the partitioned sort + merge-join of one equi-band."""
+def _written(heap: HeapFile) -> Callable:
+    """The builder of an inner slice the coordinator already wrote."""
+    return lambda _slice, _name, _stats: (heap, 0)
+
+
+def _band_route(key_index: int, bands: List[Tuple[object, object]], stats: OperationStats):
+    """Route an inner tuple to every slice whose reach band its support meets."""
+
+    def route(s: FuzzyTuple) -> Iterator[int]:
+        b, e = sort_key(s[key_index])
+        for i, (low, high) in enumerate(bands):
+            stats.count_crisp()
+            if e >= low and b <= high:
+                yield i
+
+    return route
+
+
+class PartitionedBandJoin(MergeJoin):
+    """The band join over placed or sampled slices, else the serial fold."""
 
     def __init__(
         self,
         disk: SimulatedDisk,
         buffer_pages: int,
         stats: OperationStats,
-        workers: int,
+        workers: int = 1,
+        placement=None,
+        tables: Tuple[Optional[str], Optional[str]] = (None, None),
         metrics=None,
         tracer=None,
         guard: Optional[QueryGuard] = None,
-        cancel: Optional[CancelToken] = None,
-        skew_limit: float = 0.8,
-        sample_seed: int = 0,
         partitioner: Optional[RangePartitioner] = None,
     ):
-        self.disk = disk
-        self.buffer_pages = buffer_pages
-        self.stats = stats
+        """``workers >= 2`` enables the sampled source; ``placement`` (a
+        :class:`~repro.shard.ShardedStorage`) the placed one, whose
+        layouts are looked up by the catalog names ``tables`` of the outer
+        and inner input.  An explicit ``partitioner`` replaces boundary
+        sampling — the property tests drive arbitrary cuts with it."""
+        super().__init__(disk, buffer_pages, stats, metrics=metrics, tracer=tracer)
         self.workers = workers
-        self.metrics = metrics
-        self.tracer = tracer
+        self.placement = placement
+        self.tables = tables
         self.guard = guard
-        self.cancel = cancel
-        self.skew_limit = skew_limit
-        self.sample_seed = sample_seed
-        #: An explicit partitioner overrides boundary sampling — the
-        #: property tests use this to drive *arbitrary* partition counts.
         self.partitioner = partitioner
-        #: Why the last :meth:`run` degraded to serial (``None`` = it ran).
-        self.fallback_reason: Optional[str] = None
-        #: The first rung a slice's own merge-join stepped down to while
-        #: the last :meth:`run` ran partitioned (``None`` = none did).
-        self.slice_fallback: Optional[str] = None
+        #: Every disk a slice task may touch: stats and guard go on all.
+        self._disks = [disk] + [n.disk for n in placement.nodes] if placement else [disk]
 
-    def run(
-        self,
-        outer: HeapFile,
-        outer_attr: str,
-        inner: HeapFile,
-        inner_attr: str,
-        pair_degree: PairDegree,
-    ) -> Optional[List[Pair]]:
-        """All joining pairs, or ``None`` to degrade to the serial path.
+    def fold(self, outer, outer_attr, inner, inner_attr, pair_degree, init, step):
+        """:meth:`MergeJoin.fold`, spliced from slices when a source cuts the join.
 
-        The pair list is in the exact order the serial merge-join would
-        stream them; nothing is returned until every partition worker has
-        finished, so a fault can never surface after pairs were consumed.
+        Nothing is yielded until every slice has finished, so a fault can
+        never surface after states were consumed.
         """
-        self.fallback_reason = self.slice_fallback = None
-        if self.workers < 2:
-            return self._fallback("workers < 2")
-        partitioner = self.partitioner
-        if partitioner is None:
-            partitioner = RangePartitioner.from_sample(
-                outer, outer_attr, self.workers, seed=self.sample_seed, stats=self.stats
-            )
-        if partitioner is None:
-            return self._fallback("no usable boundary statistics")
-        try:
-            return self._run_partitioned(
-                partitioner, outer, outer_attr, inner, inner_attr, pair_degree
-            )
-        except DiskFullError:
-            return self._fallback("partition spill hit DiskFullError")
+        sources = []
+        if self.placement is not None:
+            # One task per node: the nodes are independent devices.
+            sources.append((PLACED, self._placed, self.placement.n_shards))
+        if self.workers > 1:
+            sources.append((SAMPLED, self._sampled, self.workers))
+        for source, cut, width in sources:
+            scratch: List[str] = []
+            try:
+                slices = cut(outer, outer_attr, inner, inner_attr, scratch)
+                states = self._gather(
+                    source, slices, width, outer_attr, inner_attr, pair_degree, init, step
+                )
+            except _Decline as decline:
+                self._degrade(f"{source.declined}: {decline}")
+                continue
+            except DiskFullError:
+                self._degrade(f"{source.declined}: {source.spilled}")
+                continue
+            finally:
+                for name in scratch:
+                    self.disk.delete(name)
+            yield from states
+            return
+        yield from super().fold(outer, outer_attr, inner, inner_attr, pair_degree, init, step)
 
-    def _fallback(self, reason: str) -> Optional[List[Pair]]:
-        self.fallback_reason = reason
-        return None
+    # ------------------------------------------------------------------
+    # Slice sources
+    # ------------------------------------------------------------------
+    def _placed(self, outer, outer_attr, inner, inner_attr, scratch) -> List[Slice]:
+        """One slice per non-empty outer primary of a current placement."""
+        storage = self.placement
+        layouts = []
+        for heap, table in zip((outer, inner), self.tables):
+            layout = storage.layout(table) if table is not None else None
+            # A placement cut from another heap epoch is not this input.
+            if layout is None or layout.source != heap.name:
+                raise _Decline("join input is not a placed relation")
+            layouts.append(layout)
+        outer_layout, inner_layout = layouts
+        if outer_layout.attribute != outer_attr or inner_layout.attribute != inner_attr:
+            raise _Decline("join attribute differs from the shard placement attribute")
+        build = partial(self._placed_inner, inner_layout, outer_attr, inner_attr)
+        source = outer_layout.source
+        slices = []
+        # Cuts beyond the node count were clamped into the last node.
+        for spec in outer_layout.specs()[: storage.n_shards]:
+            primary = storage.primary(spec.index, source)
+            if primary is None or primary.n_tuples == 0:
+                continue
+            mirror = Slice(
+                *spec, storage.mirror_primary(spec.index, source), build,
+                storage.mirror_node(spec.index).disk,
+            )
+            slices.append(Slice(*spec, primary, build, storage.nodes[spec.index].disk, mirror))
+        if len(slices) < 2:
+            raise _Decline("fewer than two non-empty outer shards")
+        return slices
 
-    def _run_partitioned(
-        self,
-        partitioner: RangePartitioner,
-        outer: HeapFile,
-        outer_attr: str,
-        inner: HeapFile,
-        inner_attr: str,
-        pair_degree: PairDegree,
-    ) -> Optional[List[Pair]]:
-        outer_parts = partition_heap(
-            self.disk, outer, outer_attr, partitioner, self.stats
+    def _placed_inner(self, layout, outer_attr, inner_attr, sl, name, stats):
+        """A placed slice's inner side: ``band(j_lo)`` plus the primaries
+        ``j_lo .. j_hi`` its reach band touches, filtered by that band;
+        each source read fails over to its mirror on its own."""
+        storage = self.placement
+        source = layout.source
+        with stats.enter_phase(PLACED.kind):
+            low, high = _reach(sl.outer, outer_attr, stats)
+            last = storage.n_shards - 1
+            j_lo = min(layout.shard_of_b(low), last)
+            j_hi = min(layout.shard_of_b(high), last)
+            sources = [(storage.band(j_lo, source), storage.mirror_band(j_lo, source))]
+            sources += [
+                (storage.primary(j, source), storage.mirror_primary(j, source))
+                for j in range(j_lo, j_hi + 1)
+            ]
+            tuples: List[FuzzyTuple] = []
+            failovers = 0
+            for heap, mirror in sources:
+                try:
+                    tuples += _read(heap)
+                except StorageFaultError:
+                    failovers += 1
+                    tuples += _read(mirror)
+            template = sources[0][0] or sources[0][1]
+            route = _band_route(template.schema.index_of(inner_attr), [(low, high)], stats)
+            [heap] = _spill(sl.home, [name], template, tuples, route, stats)
+        return heap, failovers
+
+    def _sampled(self, outer, outer_attr, inner, inner_attr, scratch) -> List[Slice]:
+        """Slices cut at sampled boundaries, written by one coordinator pass."""
+        partitioner = self.partitioner or RangePartitioner.from_sample(
+            outer, outer_attr, self.workers, stats=self.stats
         )
-        inner_parts: List[Optional[HeapFile]] = []
-        try:
-            non_empty = [p for p in outer_parts if p.n_tuples > 0]
-            if len(non_empty) < 2:
-                return self._fallback("fewer than two non-empty partitions")
-            largest = max(p.n_tuples for p in outer_parts)
-            if largest > self.skew_limit * max(1, outer.n_tuples):
-                return self._fallback(
+        if partitioner is None:
+            raise _Decline("no usable boundary statistics")
+        tag = next(_scratch)
+        with self.disk.use_stats(self.stats), self.stats.enter_phase(SAMPLED.kind):
+            names = [f"__part_{outer.name}_{tag}_{i}" for i in range(partitioner.n_partitions)]
+            scratch += names
+            key_index = outer.schema.index_of(outer_attr)
+            parts = _spill(
+                self.disk, names, outer, _tuples(outer),
+                lambda t: (partitioner.partition_index(t[key_index]),), self.stats,
+            )
+            live = [(spec, part) for spec, part in zip(partitioner.specs(), parts) if part.n_tuples]
+            if len(live) < 2:
+                raise _Decline("fewer than two non-empty partitions")
+            largest = max(part.n_tuples for _, part in live)
+            if largest > SKEW_LIMIT * max(1, outer.n_tuples):
+                raise _Decline(
                     f"skewed partitioning (largest slice holds {largest} of "
                     f"{outer.n_tuples} tuples)"
                 )
-            bands = self._reach_bands(outer_parts, outer_attr)
-            inner_parts = replicate_inner(
-                self.disk, inner, inner_attr, bands, self.stats
-            )
-            return self._join_partitions(
-                partitioner, outer_parts, outer_attr, inner_parts, inner_attr,
-                pair_degree,
-            )
-        finally:
-            for part in outer_parts:
-                self.disk.delete(part.name)
-            for part in inner_parts:
-                if part is not None:
-                    self.disk.delete(part.name)
-
-    def _reach_bands(
-        self, outer_parts: List[HeapFile], outer_attr: str
-    ) -> List[Optional[Tuple[object, object]]]:
-        """Per-slice ``(min b, max e)`` reach of the R-tuples, one read pass."""
-        bands: List[Optional[Tuple[object, object]]] = []
-        with self.disk.use_stats(self.stats), self.stats.enter_phase(PARTITION_PHASE):
-            for part in outer_parts:
-                if part.n_tuples == 0:
-                    bands.append(None)
-                    continue
-                key_index = part.schema.index_of(outer_attr)
-                low = high = None
-                for page_index in range(part.n_pages):
-                    page = self.disk.read_page(part.name, page_index)
-                    for record in page.records():
-                        b, e = sort_key(part.serializer.decode(record)[key_index])
-                        self.stats.count_crisp(2)
-                        low = b if low is None or b < low else low
-                        high = e if high is None or e > high else high
-                bands.append((low, high))
-        return bands
-
-    def _join_partitions(
-        self,
-        partitioner: RangePartitioner,
-        outer_parts: List[HeapFile],
-        outer_attr: str,
-        inner_parts: List[Optional[HeapFile]],
-        inner_attr: str,
-        pair_degree: PairDegree,
-    ) -> List[Pair]:
-        deadline = self.guard.deadline if self.guard is not None else None
-        clock = self.tracer.now if self.tracer is not None else None
-        tasks = []
-        live = [
-            (i, outer_parts[i], inner_parts[i])
-            for i in range(len(outer_parts))
-            if outer_parts[i].n_tuples > 0 and inner_parts[i] is not None
+            bands = [_reach(part, outer_attr, self.stats) for _, part in live]
+            names = [f"__part_{inner.name}_{tag}_{spec.index}" for spec, _ in live]
+            scratch += names
+            route = _band_route(inner.schema.index_of(inner_attr), bands, self.stats)
+            inner_parts = _spill(self.disk, names, inner, _tuples(inner), route, self.stats)
+        return [
+            Slice(*spec, part, _written(inner_part), self.disk)
+            for (spec, part), inner_part in zip(live, inner_parts)
         ]
 
-        def make_task(i: int, r_part: HeapFile, s_part: HeapFile):
-            def task(linked: CancelToken):
-                started = clock() if clock is not None else 0.0
-                worker_stats = OperationStats()
-                worker_guard = QueryGuard(deadline=deadline, token=linked)
-                with self.disk.use_guard(worker_guard):
-                    join = MergeJoin(self.disk, self.buffer_pages, worker_stats)
-                    pairs = list(
-                        join.pairs(r_part, outer_attr, s_part, inner_attr, pair_degree)
-                    )
-                ended = clock() if clock is not None else 0.0
-                return i, pairs, worker_stats, started, ended, join.fallback_reason
+    # ------------------------------------------------------------------
+    # Scatter, gather, splice
+    # ------------------------------------------------------------------
+    def _gather(
+        self, source, slices, width, outer_attr, inner_attr, pair_degree, init, step
+    ) -> list:
+        """Run the slices' folds, ``width`` at a time, and splice them in
+        slice order."""
+        clock = self.tracer.now if self.tracer is not None else (lambda: 0.0)
+        fold = (source.kind, outer_attr, inner_attr, pair_degree, init, step)
 
-            return task
+        def task(sl: Slice, linked: CancelToken):
+            started = clock()
+            try:
+                run = self._run(sl, *fold, linked)
+            except StorageFaultError:
+                if sl.mirror is None:
+                    raise
+                # The home disk died: rerun the whole slice on the mirror.
+                # A second storage fault there — slice and replica both
+                # dead — propagates.
+                run = self._run(sl.mirror, *fold, linked)
+                run[2].failovers += 1
+            return (*run, started, clock())
 
-        for i, r_part, s_part in live:
-            tasks.append(make_task(i, r_part, s_part))
-        results = gather_partitions(tasks, self.workers, self.cancel)
-        results.sort(key=lambda item: item[0])
-
-        out: List[Pair] = []
-        specs = partitioner.specs()
-        for i, pairs, worker_stats, started, ended, rung in results:
-            self.stats.merge(worker_stats)
-            out.extend(pairs)
-            if rung is not None and self.slice_fallback is None:
-                self.slice_fallback = f"partition {i}: {rung}"
+        cancel = self.guard.token if self.guard is not None else None
+        runs = gather_partitions([partial(task, sl) for sl in slices], width, cancel)
+        out: list = []
+        rung = None
+        failovers = 0
+        for sl, (states, slice_rung, entry, started, ended) in zip(slices, runs):
+            self.stats.merge(entry.stats)
+            out.extend(states)
+            failovers += entry.failovers
+            if slice_rung is not None and rung is None:
+                rung = f"{source.kind} {sl.index}: {slice_rung}"
             if self.metrics is not None:
-                from ..observe.metrics import PartitionMetrics
-
-                self.metrics.record_partition(PartitionMetrics(
-                    index=i,
-                    lower=specs[i].lower,
-                    upper=specs[i].upper,
-                    outer_tuples=outer_parts[i].n_tuples,
-                    inner_tuples=inner_parts[i].n_tuples,
-                    outer_pages=outer_parts[i].n_pages,
-                    inner_pages=inner_parts[i].n_pages,
-                    rows_out=len(pairs),
-                    stats=worker_stats,
-                ))
+                self.metrics.slices.append(entry)
             if self.tracer is not None:
                 self.tracer.record(
-                    f"partition {i}", started, ended, rows=len(pairs),
+                    f"{source.kind} {sl.index}", started, ended, rows=entry.rows_out
                 )
+        if failovers:
+            if self.metrics is not None:
+                self.metrics.shard_failovers += failovers
+            self._degrade(
+                f"shard failover: {failovers} slice read(s) completed from mirror replicas"
+            )
+        if rung is not None:
+            self._degrade(rung)
         return out
+
+    def _run(self, sl, kind, outer_attr, inner_attr, pair_degree, init, step, linked):
+        """One slice task: build the inner slice, then fold serially.
+
+        Returns the slice's states, the rungs its fold stepped down to,
+        and its metrics entry (``rows_out`` counts the joining pairs).
+        """
+        from ..observe.metrics import PartitionMetrics  # observe imports the engine
+
+        stats = OperationStats()
+        deadline = self.guard.deadline if self.guard is not None else None
+        guard = QueryGuard(deadline=deadline, token=linked)
+        name = f"__slice_{next(_scratch)}_{sl.index}"
+
+        def counted(state, s: FuzzyTuple, degree: float):
+            if degree > 0.0:
+                entry.rows_out += 1
+            return step(state, s, degree)
+
+        with ExitStack() as stack:
+            for disk in self._disks:
+                stack.enter_context(disk.use_stats(stats))
+                stack.enter_context(disk.use_guard(guard))
+            try:
+                inner, failovers = sl.build(sl, name, stats)
+                entry = PartitionMetrics(
+                    kind, sl.index, sl.lower, sl.upper, sl.outer.n_tuples, inner.n_tuples,
+                    sl.outer.n_pages, inner.n_pages, stats=stats, failovers=failovers,
+                )
+                join = MergeJoin(sl.home, self.buffer_pages, stats)
+                states = list(join.fold(
+                    sl.outer, outer_attr, inner, inner_attr, pair_degree, init, counted
+                ))
+            finally:
+                sl.home.delete(name)
+        return states, join.fallback_reason, entry

@@ -8,29 +8,62 @@ are *order-disjoint* under Definition 3.1's ``(b, e)`` lexicographic
 order: sorting each slice independently and concatenating them yields
 exactly the globally sorted file, with no merge across slices.
 
-Boundaries are chosen as quantiles of sampled ``b`` values
-(:func:`repro.engine.statistics.sample_tuples` — page-level sampling, so
-the partitioner's cost is a handful of charged page reads).  When the
-sample is too small, collapses to fewer than two distinct slices, or the
-attribute's endpoints are not mutually comparable, :meth:`from_sample`
-returns ``None`` and the caller degrades to the serial path.
+The geometry is shared by a query's sampled boundaries
+(:meth:`RangePartitioner.from_sample` — page-level sampling, so its cost
+is a handful of charged page reads) and a relation's durable shard
+placement (:class:`~repro.shard.catalog.ShardLayout`): both cut with
+:func:`select_boundaries`, map endpoints to slices with :func:`slice_of`
+and describe slices with :func:`range_specs`.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Sequence
 
 from ..fuzzy.interval_order import sort_key
 from ..storage.heap import HeapFile
 from ..storage.stats import OperationStats
-from .executor import DEFAULT_SAMPLE_SIZE
+
+#: Default page-sample size for boundary selection (matches the fan-out
+#: sampler in :mod:`repro.engine.statistics`).
+DEFAULT_SAMPLE_SIZE = 64
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
+def select_boundaries(endpoints: List, n_slices: int) -> List:
+    """Up to ``n_slices - 1`` strictly increasing quantile cuts of ``endpoints``.
+
+    Cut ``i`` is the ``i/n_slices`` quantile of the sorted left endpoints,
+    deduplicated, so the slices come out roughly equal in tuples (hence
+    pages, under the fixed-size serializer).  An empty list — nothing to
+    cut on — when there are fewer than two slices or endpoints, every
+    endpoint is equal, or the endpoints are not mutually comparable (a
+    mixed numeric/symbolic domain).
+    """
+    if n_slices < 2 or len(endpoints) < 2:
+        return []
+    try:
+        endpoints = sorted(endpoints)
+    except TypeError:
+        return []  # mixed domains: b values not mutually comparable
+    boundaries: List = []
+    for i in range(1, n_slices):
+        cut = endpoints[min(len(endpoints) - 1, i * len(endpoints) // n_slices)]
+        if not boundaries or cut > boundaries[-1]:
+            boundaries.append(cut)
+    # A cut at the global minimum would leave the first slice empty.
+    if boundaries and boundaries[0] <= endpoints[0]:
+        boundaries = boundaries[1:]
+    return boundaries
+
+
+def slice_of(boundaries: Sequence, b) -> int:
+    """The slice a left endpoint ``b`` falls in (a cut belongs to the right)."""
+    return bisect.bisect_right(boundaries, b)
+
+
+class PartitionSpec(NamedTuple):
     """One half-open slice ``[lower, upper)`` of the ``b(v)`` axis.
 
     ``lower is None`` means unbounded below; ``upper is None`` unbounded
@@ -46,9 +79,13 @@ class PartitionSpec:
         """Whether a left endpoint ``b`` falls inside this slice."""
         if self.lower is not None and b < self.lower:
             return False
-        if self.upper is not None and b >= self.upper:
-            return False
-        return True
+        return self.upper is None or b < self.upper
+
+
+def range_specs(boundaries: Sequence) -> List[PartitionSpec]:
+    """The slices ``boundaries`` cut, as ``[lower, upper)`` specs in order."""
+    bounds = [None, *boundaries, None]
+    return [PartitionSpec(i, bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
 
 
 class RangePartitioner:
@@ -66,16 +103,11 @@ class RangePartitioner:
 
     def partition_index(self, value) -> int:
         """The slice the distribution ``value`` sorts into (by ``b(value)``)."""
-        b, _ = sort_key(value)
-        return bisect.bisect_right(self.boundaries, b)
+        return slice_of(self.boundaries, sort_key(value)[0])
 
     def specs(self) -> List[PartitionSpec]:
         """The slices as explicit ``[lower, upper)`` specs, in order."""
-        bounds = [None] + self.boundaries + [None]
-        return [
-            PartitionSpec(i, bounds[i], bounds[i + 1])
-            for i in range(self.n_partitions)
-        ]
+        return range_specs(self.boundaries)
 
     @classmethod
     def from_sample(
@@ -89,36 +121,15 @@ class RangePartitioner:
     ) -> Optional["RangePartitioner"]:
         """Pick up to ``workers - 1`` boundaries from a page sample of ``heap``.
 
-        Boundaries are the ``i/workers`` quantiles of the sampled left
-        endpoints, deduplicated, so the slices come out roughly equal in
-        tuples (hence pages, under the fixed-size serializer).  Returns
-        ``None`` — degrade to serial — when ``workers < 2``, the sample is
-        empty, every sampled endpoint is equal (no usable boundary), or
-        the endpoints are not mutually comparable (a mixed
-        numeric/symbolic domain).
+        Returns ``None`` — degrade to serial — when ``workers < 2`` (nothing
+        is sampled then) or :func:`select_boundaries` finds no cut in the
+        sampled left endpoints.
         """
         if workers < 2:
             return None
-        rng = random.Random(seed)
         from ..engine.statistics import sample_tuples
 
-        sample = sample_tuples(heap, sample_size, rng, stats)
-        if len(sample) < 2:
-            return None
+        sample = sample_tuples(heap, sample_size, random.Random(seed), stats)
         index = heap.schema.index_of(attribute)
-        try:
-            endpoints = sorted(sort_key(t[index])[0] for t in sample)
-        except TypeError:
-            return None  # mixed domains: b values not mutually comparable
-        boundaries: List = []
-        for i in range(1, workers):
-            cut = endpoints[min(len(endpoints) - 1, i * len(endpoints) // workers)]
-            if not boundaries or cut > boundaries[-1]:
-                boundaries.append(cut)
-        # A boundary equal to the global minimum would make the first
-        # slice empty by construction; drop it.
-        if boundaries and boundaries[0] <= endpoints[0]:
-            boundaries = boundaries[1:]
-        if not boundaries:
-            return None
-        return cls(boundaries)
+        boundaries = select_boundaries([sort_key(t[index])[0] for t in sample], workers)
+        return cls(boundaries) if boundaries else None

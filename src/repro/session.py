@@ -202,8 +202,7 @@ class StorageSession(StatementLifecycle):
             attribute = shard_on if shard_on is not None else self.shard_on
             names = {a.name for a in relation.schema}
             if attribute is not None and attribute in names:
-                self._relations[name] = relation
-                self.sharded.place(name, relation, attribute)
+                self._place(name, relation, attribute)
         # Every (re)registration moves the relation's statistics version:
         # cached plans that read this table must be re-validated.
         if not self.stats_versions.observe_cardinality(name, heap.n_tuples):
@@ -261,7 +260,7 @@ class StorageSession(StatementLifecycle):
             raise FuzzyQueryError(f"relation {name} was never placed on the shards")
         layout = self.sharded.layout(name)
         attribute = shard_on if shard_on is not None else layout.attribute
-        self.sharded.place(name, relation, attribute, boundaries=boundaries)
+        self._place(name, relation, attribute, boundaries)
 
     # ------------------------------------------------------------------
     # Writes: WAL-backed DML, snapshots, recovery
@@ -280,17 +279,22 @@ class StorageSession(StatementLifecycle):
         return self._writes
 
     def _replace_placement(self, name: str, relation: FuzzyRelation) -> None:
-        """Refresh the sharded placement of ``name`` after a write.
+        """Re-place ``name`` from its current heap after a write or checkpoint.
 
         Tables never placed (unsharded sessions, or relations without the
         shard attribute) stay unplaced — the main-disk heap remains
-        authoritative and scatter-gather joins simply degrade to it.
+        authoritative and band joins simply run locally on it.
         """
         if self.sharded is None or name not in self._relations:
             return
-        layout = self.sharded.layout(name)
+        self._place(name, relation, self.sharded.layout(name).attribute)
+
+    def _place(self, name: str, relation: FuzzyRelation, attribute: str, boundaries=None) -> None:
+        """Place ``name``'s current heap on the shards, and retire the
+        placements of the heap epochs the write path has collected."""
         self._relations[name] = relation
-        self.sharded.place(name, relation, layout.attribute)
+        self.sharded.place(name, relation, attribute, self.tables[name].name, boundaries)
+        self.sharded.retire(name, self.disk.exists)
 
     def attach(self, name: str, schema) -> HeapFile:
         """Adopt an existing heap file after a restart (no data load).

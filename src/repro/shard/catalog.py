@@ -3,8 +3,8 @@
 A :class:`ShardLayout` records how one relation was placed across the
 shard nodes: the placement attribute and the boundary list that splits
 the ``b(v)`` axis into half-open, *order-disjoint* ranges — exactly the
-:class:`~repro.parallel.partitioner.RangePartitioner` geometry of PR 5,
-promoted from an intra-query decision to durable data placement.  The
+:mod:`~repro.parallel.partitioner` geometry, promoted from an
+intra-query decision to durable data placement.  The
 :class:`ShardCatalog` holds the layout of every placed relation plus a
 monotonically increasing **layout token** per relation; plan-cache
 entries validate against ``(statistics version, layout token)`` pairs,
@@ -14,40 +14,12 @@ invalidates every cached plan that reads it.
 
 from __future__ import annotations
 
-import bisect
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..fuzzy.interval_order import sort_key
-
-
-def select_boundaries(endpoints: List, n_shards: int) -> List:
-    """Quantile boundaries over *all* left endpoints of a relation.
-
-    Same cut-selection and dedup discipline as
-    :meth:`~repro.parallel.partitioner.RangePartitioner.from_sample`, but
-    computed from the full relation at registration time (placement is a
-    load-time decision, so there is nothing to sample around).  Returns
-    up to ``n_shards - 1`` strictly increasing cuts; an empty list means
-    every tuple lands on shard 0 (a degenerate but valid layout — the
-    scatter-gather executor simply declines to engage).
-    """
-    if n_shards < 2 or len(endpoints) < 2:
-        return []
-    try:
-        endpoints = sorted(endpoints)
-    except TypeError:
-        return []  # mixed domains: b values not mutually comparable
-    boundaries: List = []
-    for i in range(1, n_shards):
-        cut = endpoints[min(len(endpoints) - 1, i * len(endpoints) // n_shards)]
-        if not boundaries or cut > boundaries[-1]:
-            boundaries.append(cut)
-    # A boundary at the global minimum would leave shard 0 empty.
-    if boundaries and boundaries[0] <= endpoints[0]:
-        boundaries = boundaries[1:]
-    return boundaries
+from ..parallel.partitioner import PartitionSpec, range_specs, slice_of
 
 
 @dataclass(frozen=True)
@@ -60,11 +32,15 @@ class ShardLayout:
     placement attribute alone; its right endpoint only decides how far
     the ``Rng(r)`` band replicas reach (see
     :meth:`ShardedStorage.place <repro.shard.storage.ShardedStorage.place>`).
+    ``source`` names the heap file (the table's epoch) the placement was
+    cut from, and prefixes the placement's node files; a join over any
+    other epoch of the table does not read it.
     """
 
     relation: str
     attribute: str
-    boundaries: Tuple = field(default_factory=tuple)
+    boundaries: Tuple
+    source: str
     token: int = 0
 
     @property
@@ -74,7 +50,7 @@ class ShardLayout:
 
     def shard_of_b(self, b) -> int:
         """The primary shard of a left endpoint ``b``."""
-        return bisect.bisect_right(list(self.boundaries), b)
+        return slice_of(self.boundaries, b)
 
     def shard_of(self, value) -> int:
         """The primary shard of a fuzzy ``value`` (by its left endpoint)."""
@@ -92,10 +68,9 @@ class ShardLayout:
         b, e = sort_key(value)
         return self.shard_of_b(b), self.shard_of_b(e)
 
-    def specs(self) -> List[Tuple[int, Optional[object], Optional[object]]]:
+    def specs(self) -> List[PartitionSpec]:
         """The shard ranges as ``(index, lower, upper)`` half-open bounds."""
-        bounds = [None] + list(self.boundaries) + [None]
-        return [(i, bounds[i], bounds[i + 1]) for i in range(self.n_shards)]
+        return range_specs(self.boundaries)
 
 
 class ShardCatalog:
@@ -105,12 +80,14 @@ class ShardCatalog:
         self._layouts: Dict[str, ShardLayout] = {}
         self._tokens = itertools.count(1)
 
-    def record(self, relation: str, attribute: str, boundaries) -> ShardLayout:
-        """Persist a (re)placement and advance the relation's layout token."""
+    def record(self, relation: str, attribute: str, boundaries, source: str) -> ShardLayout:
+        """Persist a (re)placement of ``relation`` cut from the heap file
+        ``source`` and advance the relation's layout token."""
         layout = ShardLayout(
             relation=relation.upper(),
             attribute=attribute,
             boundaries=tuple(boundaries),
+            source=source,
             token=next(self._tokens),
         )
         self._layouts[layout.relation] = layout

@@ -2,7 +2,8 @@
 
 :class:`ShardedStorage` scatters each placed relation across ``n_shards``
 independent :class:`~repro.storage.disk.SimulatedDisk` instances.  Node
-``i`` carries four heap files per relation ``NAME``:
+``i`` carries four heap files per placement, named after the heap file
+``NAME`` (``R``, or a later epoch ``R@e2``) it was cut from:
 
 * ``NAME``            — the **primary** slice: tuples whose left endpoint
   ``b(v)`` falls in shard ``i``'s half-open range.
@@ -19,22 +20,27 @@ independent :class:`~repro.storage.disk.SimulatedDisk` instances.  Node
   mirrored as separate files because outer-side failover must read the
   primaries *alone* — merging them would duplicate joining pairs.
 
+Because a write places the new epoch beside the old one, a join that
+bound an older epoch keeps reading that epoch's placement; it goes with
+the epoch (:meth:`ShardedStorage.retire`).
+
 Loading is charged to a scratch ledger (placement happens at
 registration, like :meth:`StorageSession.register
-<repro.session.StorageSession.register>`); every query-time page touch on
-a node is charged to that node's cumulative :attr:`ShardNode.stats`.
+<repro.session.StorageSession.register>`); query-time page touches on a
+node are charged to the ledger of the slice task that made them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..data.relation import FuzzyRelation
+from ..fuzzy.interval_order import sort_key
+from ..parallel.partitioner import select_boundaries
 from ..storage.disk import SimulatedDisk
 from ..storage.heap import HeapFile
 from ..storage.stats import OperationStats
-from .catalog import ShardCatalog, ShardLayout, select_boundaries
-from ..fuzzy.interval_order import sort_key
+from .catalog import ShardCatalog, ShardLayout
 
 #: Suffixes of the four per-relation files a node can carry.  None of
 #: them start with ``__`` — placements are durable, not scratch, and the
@@ -42,17 +48,15 @@ from ..fuzzy.interval_order import sort_key
 BAND_SUFFIX = "#band"
 MIRROR_SUFFIX = "#mirror"
 MIRROR_BAND_SUFFIX = "#mirrorband"
+SUFFIXES = ("", BAND_SUFFIX, MIRROR_SUFFIX, MIRROR_BAND_SUFFIX)
 
 
 class ShardNode:
-    """One simulated disk plus its cumulative per-shard statistics."""
+    """One simulated disk plus the heap handles placed on it."""
 
     def __init__(self, index: int, disk: SimulatedDisk):
         self.index = index
         self.disk = disk
-        #: Cumulative query-time I/O and CPU charged to this shard across
-        #: the session — the per-shard ``Statistics`` of the tentpole.
-        self.stats = OperationStats()
         #: Heap handles by file name (primary, band, and mirror files).
         self.heaps: Dict[str, HeapFile] = {}
 
@@ -88,6 +92,8 @@ class ShardedStorage:
             for i in range(self.n_shards)
         ]
         self.catalog = ShardCatalog()
+        #: Relation name -> the heap files it has placements of.
+        self._sources: Dict[str, List[str]] = {}
 
     # ------------------------------------------------------------------
     # Placement
@@ -97,19 +103,21 @@ class ShardedStorage:
         name: str,
         relation: FuzzyRelation,
         attribute: str,
+        source: str,
         boundaries: Optional[List] = None,
     ) -> ShardLayout:
         """(Re)place a relation across the nodes on ``attribute``.
 
         Boundaries default to the quantiles of *all* left endpoints
-        (:func:`~repro.shard.catalog.select_boundaries`); pass an explicit
-        list to pin the layout (the property tests drive adversarial
-        cuts, :meth:`StorageSession.reshard
+        (:func:`~repro.parallel.partitioner.select_boundaries`); pass an
+        explicit list to pin the layout (the property tests drive
+        adversarial cuts, :meth:`StorageSession.reshard
         <repro.session.StorageSession.reshard>` drives re-layouts).  Each
         tuple is written to its primary shard, replicated into every
         *adjacent* shard its support crosses into (the band), and both
-        slices are mirrored onto the next node.  Load I/O is charged to a
-        scratch ledger, like heap registration.
+        slices are mirrored onto the next node.  ``source`` names the heap
+        file the relation was read from; the node files carry its name.
+        Load I/O is charged to a scratch ledger, like heap registration.
         """
         name = name.upper()
         key_index = relation.schema.index_of(attribute)
@@ -118,7 +126,9 @@ class ShardedStorage:
             boundaries = select_boundaries(
                 [sort_key(t[key_index])[0] for t in tuples], self.n_shards
             )
-        layout = self.catalog.record(name, attribute, boundaries)
+        layout = self.catalog.record(name, attribute, boundaries, source)
+        if source not in self._sources.setdefault(name, []):
+            self._sources[name].append(source)
 
         primaries: List[List] = [[] for _ in range(self.n_shards)]
         bands: List[List] = [[] for _ in range(self.n_shards)]
@@ -134,13 +144,28 @@ class ShardedStorage:
         for i, node in enumerate(self.nodes):
             mirror_of = self.nodes[(i + 1) % self.n_shards]
             with node.disk.use_stats(scratch), mirror_of.disk.use_stats(scratch):
-                self._load(node, name, relation.schema, primaries[i])
-                self._load(node, name + BAND_SUFFIX, relation.schema, bands[i])
-                self._load(mirror_of, name + MIRROR_SUFFIX, relation.schema, primaries[i])
+                self._load(node, source, relation.schema, primaries[i])
+                self._load(node, source + BAND_SUFFIX, relation.schema, bands[i])
+                self._load(mirror_of, source + MIRROR_SUFFIX, relation.schema, primaries[i])
                 self._load(
-                    mirror_of, name + MIRROR_BAND_SUFFIX, relation.schema, bands[i]
+                    mirror_of, source + MIRROR_BAND_SUFFIX, relation.schema, bands[i]
                 )
         return layout
+
+    def retire(self, name: str, live: Callable[[str], bool]) -> None:
+        """Delete the placements of ``name`` whose source heap file
+        ``live`` reports gone — never the current one."""
+        current = self.layout(name).source
+        kept = []
+        for source in self._sources.pop(name.upper(), []):
+            if source == current or live(source):
+                kept.append(source)
+                continue
+            for node in self.nodes:
+                for suffix in SUFFIXES:
+                    node.disk.delete(source + suffix)
+                    node.heaps.pop(source + suffix, None)
+        self._sources[name.upper()] = kept
 
     def _load(self, node: ShardNode, file_name: str, schema, tuples) -> HeapFile:
         node.disk.delete(file_name)
@@ -152,25 +177,26 @@ class ShardedStorage:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def primary(self, shard: int, name: str) -> Optional[HeapFile]:
-        """Shard ``shard``'s primary slice of ``name`` on its home node."""
-        return self.nodes[shard].heap(name.upper())
+    # ``source`` below is a placement's :attr:`ShardLayout.source`.
+    def primary(self, shard: int, source: str) -> Optional[HeapFile]:
+        """Shard ``shard``'s primary slice of ``source`` on its home node."""
+        return self.nodes[shard].heap(source)
 
-    def band(self, shard: int, name: str) -> Optional[HeapFile]:
+    def band(self, shard: int, source: str) -> Optional[HeapFile]:
         """Shard ``shard``'s overlap-band slice on its home node."""
-        return self.nodes[shard].heap(name.upper() + BAND_SUFFIX)
+        return self.nodes[shard].heap(source + BAND_SUFFIX)
 
     def mirror_node(self, shard: int) -> ShardNode:
         """The node carrying shard ``shard``'s mirror (the next node)."""
         return self.nodes[(shard + 1) % self.n_shards]
 
-    def mirror_primary(self, shard: int, name: str) -> Optional[HeapFile]:
+    def mirror_primary(self, shard: int, source: str) -> Optional[HeapFile]:
         """The mirror of shard ``shard``'s primary slice, on the next node."""
-        return self.mirror_node(shard).heap(name.upper() + MIRROR_SUFFIX)
+        return self.mirror_node(shard).heap(source + MIRROR_SUFFIX)
 
-    def mirror_band(self, shard: int, name: str) -> Optional[HeapFile]:
+    def mirror_band(self, shard: int, source: str) -> Optional[HeapFile]:
         """The mirror of shard ``shard``'s band slice, on the next node."""
-        return self.mirror_node(shard).heap(name.upper() + MIRROR_BAND_SUFFIX)
+        return self.mirror_node(shard).heap(source + MIRROR_BAND_SUFFIX)
 
     def layout(self, name: str) -> Optional[ShardLayout]:
         """The persisted layout of ``name`` (``None`` if never placed)."""

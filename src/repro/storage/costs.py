@@ -180,11 +180,13 @@ class CostModel:
     # Intra-query parallelism
     # ------------------------------------------------------------------
     def parallel_response_time(self, stats, partition_stats) -> float:
-        """Modelled response time of a partitioned execution.
+        """Modelled response time of a partitioned execution — sampled
+        partitions or shard tasks alike.
 
         ``stats`` is the coordinator's merged ledger (its own partitioning
         overhead *plus* every worker's counters, folded in after the
-        gather); ``partition_stats`` are the workers' individual ledgers.
+        gather); ``partition_stats`` are the workers' individual ledgers
+        (the ``stats`` of each :class:`~repro.observe.metrics.PartitionMetrics`).
         Workers run concurrently, so their modelled time enters as the
         *maximum* over partitions rather than the sum:
 
@@ -199,22 +201,6 @@ class CostModel:
             return total
         worker_times = [self.response_time(ws) for ws in partition_stats]
         return total - sum(worker_times) + max(worker_times)
-
-    def sharded_response_time(self, stats, shard_stats) -> float:
-        """Modelled response time of a scatter-gather sharded execution.
-
-        Same shape as :meth:`parallel_response_time` — shard tasks run
-        concurrently on independent disks, so the modelled time is the
-        coordinator's serial share plus the slowest shard:
-
-            T_sharded = T(total) - sum_i T(shard_i) + max_i T(shard_i)
-
-        ``shard_stats`` are the per-shard worker ledgers (the ``stats``
-        field of each shard's
-        :class:`~repro.observe.metrics.PartitionMetrics`).  With no
-        shards this degrades to plain :meth:`response_time`.
-        """
-        return self.parallel_response_time(stats, shard_stats)
 
 
 #: The calibrated model used by all paper-reproduction benchmarks.

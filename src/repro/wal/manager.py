@@ -409,6 +409,9 @@ class WriteManager:
                 base.load(contents)
                 disk.sync(name)
                 session.tables[name] = base
+                # Placements are named after the heap they were cut from,
+                # so the new base gets its own (and the folded epochs' go).
+                session._replace_placement(name, FuzzyRelation(heap.schema, contents))
                 for (tname, attr), index in sorted(session.indexes.items()):
                     if tname != name:
                         continue

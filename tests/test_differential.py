@@ -214,11 +214,12 @@ def test_stored_engine_sharded_agree(label, shards):
     """The ``shards=N`` option never changes an answer, for any nesting type.
 
     A sharded session places every registered relation across N simulated
-    disks; the scatter-gather merge-join may engage, or decline (tiny
-    relations often yield no usable shard boundaries, and the grouped /
-    pipelined strategies never reach the merge-join at all) — either way
-    the answer set, *including degrees*, must be bit-identical to the
-    serial run across the same seed sweep.
+    disks on ``V``; every band join — flat, and the JX / JA folds — may run
+    on the placement, or decline to the local join (tiny relations often
+    yield no usable shard boundaries, and the folds band on the
+    correlation ``U``, not on ``V``) — either way the answer set,
+    *including degrees*, must be bit-identical to the serial run across
+    the same seed sweep.
     """
     sql, _ = CASES[label]
     for seed in range(N_CASES):
@@ -341,6 +342,48 @@ def test_sharded_path_actually_engages():
     assert metrics.shards, "scatter-gather join never engaged on a 40-tuple split"
     assert metrics.requested_shards == 4
     assert sum(sh.rows_out for sh in metrics.shards) >= len(got)
+
+
+#: The fold statements: each one band joins on the correlation ``S.U = R.U``.
+FOLD_CASES = {
+    "JX": CASES["JX"][0],
+    "JALL": "SELECT R.K FROM R WHERE R.V > ALL (SELECT S.V FROM S WHERE S.U = R.U)",
+    "JA": CASES["JA"][0],
+}
+
+
+@pytest.mark.parametrize("label", sorted(FOLD_CASES))
+def test_fold_statements_partition(label):
+    """JX / JALL / JA run the same partitioned band join as J.
+
+    With ``workers=4``, and on a ``shards=4`` session placed on the fold's
+    band attribute ``U``, slices really run, and the answer equals the
+    serial one bit for bit and the oracle's.
+    """
+    sql = FOLD_CASES[label]
+    rng = random.Random(7)
+    r = make_relation(rng, 40, 0)
+    s = make_relation(rng, 40, 1000)
+    catalog = Catalog()
+    catalog.register("R", r)
+    catalog.register("S", s)
+
+    def session(**options):
+        out = StorageSession(buffer_pages=16, page_size=512, **options)
+        out.register("R", r)
+        out.register("S", s)
+        return out
+
+    serial = session().query(sql)
+    assert NaiveEvaluator(catalog).evaluate(sql).same_as(serial, 1e-9)
+    for options, query_options in (({}, {"workers": 4}), ({"shards": 4, "shard_on": "U"}, {})):
+        metrics = QueryMetrics()
+        got = session(**options).query(sql, metrics=metrics, **query_options)
+        assert metrics.partitions or metrics.shards, (
+            f"{label} {options or query_options}: no slice ran "
+            f"({metrics.degraded_reason})"
+        )
+        assert got.same_as(serial, 0.0), f"{label} {options or query_options}"
 
 
 def test_unnest_never_silently_skipped():

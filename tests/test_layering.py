@@ -1,12 +1,16 @@
-"""Import-layering lint: the session does not plan, the planner does not serve.
+"""Import-layering lint: the session does not plan, the planner does not
+serve, and the operators do not partition.
 
 ``repro/planner.py`` is the only place on the storage door that knows
 nesting types; ``repro/session.py`` composes catalog, writes and the
 runner around it.  This lint keeps the split from eroding: it parses the
-two modules and fails when the session reaches for the rewrites, the fold
+modules and fails when the session reaches for the rewrites, the fold
 nodes, the join-order DP, the flat compiler or the nesting taxonomy, or
-when the planner reaches for a session or the write path.  Runs in the
-suite and as a standalone CI lint step::
+when the planner reaches for a session or the write path.  Likewise the
+operator modules never import the parallel or shard layers — every band
+join they run comes from ``ExecutionContext.merge_join()`` — and exactly
+one module constructs the partitioned band join.  Runs in the suite and
+as a standalone CI lint step::
 
     python -m pytest -q tests/test_layering.py
 """
@@ -29,14 +33,24 @@ RULES = {
     ),
     "planner.py": (("repro.session", "repro.wal"), ()),
 }
+RULES.update(
+    (module, (("repro.parallel", "repro.shard"), ()))
+    for module in (
+        "engine/operators.py",
+        "engine/grouped.py",
+        "engine/pipelined.py",
+        "columnar/operators.py",
+    )
+)
 
 
 def imported_modules(tree, package="repro"):
-    """Absolute dotted names of everything a top-level-package module imports.
+    """Absolute dotted names of everything a module of ``package`` imports.
 
     ``from . import planner`` yields ``repro.planner``; ``from .x import y``
-    yields both ``repro.x`` and ``repro.x.y`` (``y`` may be a submodule).
-    Function-local imports count: the walk covers the whole tree.
+    yields both ``repro.x`` and ``repro.x.y`` (``y`` may be a submodule);
+    each further leading dot climbs one package.  Function-local imports
+    count: the walk covers the whole tree.
     """
     found = set()
     for node in ast.walk(tree):
@@ -45,7 +59,8 @@ def imported_modules(tree, package="repro"):
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
             if node.level:
-                base = f"{package}.{base}" if base else package
+                parent = package.rsplit(".", node.level - 1)[0]
+                base = f"{parent}.{base}" if base else parent
             found.add(base)
             found.update(f"{base}.{alias.name}" for alias in node.names)
     return found
@@ -56,7 +71,8 @@ def violations():
     out = []
     for file, (packages, names) in RULES.items():
         tree = ast.parse((SRC / file).read_text())
-        for module in sorted(imported_modules(tree)):
+        home = ".".join(["repro", *Path(file).parent.parts])
+        for module in sorted(imported_modules(tree, home)):
             for package in packages:
                 if module == package or module.startswith(package + "."):
                     out.append(f"{file}: imports {module}")
@@ -71,6 +87,23 @@ def test_session_and_planner_keep_their_layers():
     assert not found, "layering violations:\n" + "\n".join(found)
 
 
+def constructors(name):
+    """The ``src/repro`` modules that call ``name(...)``."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        if any(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+            for node in ast.walk(tree)
+        ):
+            found.append(path.relative_to(SRC).as_posix())
+    return found
+
+
+def test_one_module_constructs_the_partitioned_band_join():
+    assert constructors("PartitionedBandJoin") == ["engine/context.py"]
+
+
 def test_the_lint_sees_relative_and_local_imports():
     tree = ast.parse(
         "from . import planner\n"
@@ -81,3 +114,7 @@ def test_the_lint_sees_relative_and_local_imports():
     assert {
         "repro.planner", "repro.engine.grouped", "repro.wal", "repro.wal.WriteManager",
     } <= imported_modules(tree)
+    nested = ast.parse("from ..parallel.join import PartitionedBandJoin\nfrom .context import C\n")
+    assert {"repro.parallel.join", "repro.engine.context"} <= imported_modules(
+        nested, "repro.engine"
+    )

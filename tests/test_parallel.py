@@ -1,11 +1,11 @@
 """Unit tests for the intra-query parallelism layer.
 
 Covers the pieces individually — range partitioner, comparison kernel,
-ordered fan-out, linked cancellation, partitioned merge-join and its
-degrade rules, the parallel cost model —
+ordered fan-out, linked cancellation, the partitioned band join's sampled
+source and its degrade rules, the parallel cost model —
 and then end-to-end through :class:`~repro.session.StorageSession` with
-``workers=N``.  The exhaustive randomized equivalence sweep lives in
-``tests/test_parallel_property.py``.
+``workers=N``.  The randomized equivalence property over both slice
+sources lives in ``tests/test_parallel_property.py``.
 """
 
 import random
@@ -24,7 +24,7 @@ from repro.observe.registry import MetricsRegistry
 from repro.observe.trace import SpanTracer
 from repro.parallel import (
     LinkedCancelToken,
-    PartitionedMergeJoin,
+    PartitionedBandJoin,
     RangePartitioner,
     gather_partitions,
     run_ordered,
@@ -257,6 +257,13 @@ def as_triples(pairs):
     )
 
 
+def partitioned(disk, r, s, **kwargs):
+    """The pairs of a sampled-source band join and the reasons it degraded."""
+    join = PartitionedBandJoin(disk, 8, OperationStats(), **kwargs)
+    pairs = list(join.pairs(r, "X", s, "X", join_degree(EQ_PRED)))
+    return pairs, join.fallback_reason.split("; then ") if join.fallback_reason else []
+
+
 class TestPartitionedMergeJoin:
     def build(self, seed, n_r=40, n_s=40):
         rng = random.Random(seed)
@@ -269,9 +276,9 @@ class TestPartitionedMergeJoin:
         for seed in range(6):
             disk, r, s = self.build(seed)
             expected = as_triples(join_pairs_serial(disk, r, s))
-            join = PartitionedMergeJoin(disk, 8, OperationStats(), workers=4)
-            pairs = join.run(r, "X", s, "X", join_degree(EQ_PRED))
-            assert pairs is not None, join.fallback_reason
+            metrics = QueryMetrics()
+            pairs, reasons = partitioned(disk, r, s, workers=4, metrics=metrics)
+            assert not reasons and metrics.partitions, reasons
             assert as_triples(pairs) == expected
 
     def test_overlap_band_replicates_boundary_straddlers(self):
@@ -282,43 +289,40 @@ class TestPartitionedMergeJoin:
         s = make_heap(disk, [(T(7, 9, 11, 13), 1.0)], name="S", base=1000)
         expected = as_triples(join_pairs_serial(disk, r, s))
         assert len(expected) == 2, "both R tuples must reach the straddler"
-        join = PartitionedMergeJoin(
-            disk, 8, OperationStats(), workers=2,
-            partitioner=RangePartitioner([10.0]),
+        pairs, reasons = partitioned(
+            disk, r, s, workers=2, partitioner=RangePartitioner([10.0])
         )
-        pairs = join.run(r, "X", s, "X", join_degree(EQ_PRED))
-        assert pairs is not None, join.fallback_reason
+        assert not reasons, reasons
         assert as_triples(pairs) == expected
 
     def test_degrades_below_two_workers(self):
         disk, r, s = self.build(1)
-        join = PartitionedMergeJoin(disk, 8, OperationStats(), workers=1)
-        assert join.run(r, "X", s, "X", join_degree(EQ_PRED)) is None
-        assert "workers" in join.fallback_reason
+        metrics = QueryMetrics()
+        pairs, reasons = partitioned(disk, r, s, workers=1, metrics=metrics)
+        assert metrics.partitions == [] and reasons == []  # no source: serial
+        assert as_triples(pairs) == as_triples(join_pairs_serial(disk, r, s))
 
     def test_degrades_without_boundaries(self):
         disk = SimulatedDisk(page_size=256)
         r = make_heap(disk, [(N(7), 1.0) for _ in range(20)], name="R")
         s = make_heap(disk, [(N(7), 1.0) for _ in range(20)], name="S", base=1000)
-        join = PartitionedMergeJoin(disk, 8, OperationStats(), workers=4)
-        assert join.run(r, "X", s, "X", join_degree(EQ_PRED)) is None
-        assert "boundary" in join.fallback_reason
+        pairs, reasons = partitioned(disk, r, s, workers=4)
+        assert len(reasons) == 1 and "boundary" in reasons[0]
+        assert as_triples(pairs) == as_triples(join_pairs_serial(disk, r, s))
 
     def test_degrades_on_skew(self):
         # All the mass in one slice: an explicit boundary at 1000 leaves
         # every tuple below it.
         disk, r, s = self.build(2)
-        join = PartitionedMergeJoin(
-            disk, 8, OperationStats(), workers=2,
-            partitioner=RangePartitioner([1000.0]),
+        pairs, reasons = partitioned(
+            disk, r, s, workers=2, partitioner=RangePartitioner([1000.0])
         )
-        assert join.run(r, "X", s, "X", join_degree(EQ_PRED)) is None
-        assert join.fallback_reason is not None
+        assert reasons and reasons[0].startswith("parallel join fell back to serial")
+        assert as_triples(pairs) == as_triples(join_pairs_serial(disk, r, s))
 
     def test_no_partition_files_leak(self):
         disk, r, s = self.build(3)
-        join = PartitionedMergeJoin(disk, 8, OperationStats(), workers=4)
-        join.run(r, "X", s, "X", join_degree(EQ_PRED))
+        partitioned(disk, r, s, workers=4)
         leftovers = [name for name in disk.files() if name.startswith("__part")]
         assert leftovers == []
 
@@ -326,12 +330,11 @@ class TestPartitionedMergeJoin:
         disk, r, s = self.build(4)
         metrics = QueryMetrics()
         tracer = SpanTracer()
-        join = PartitionedMergeJoin(
-            disk, 8, OperationStats(), workers=4, metrics=metrics, tracer=tracer
-        )
         with tracer.span("join"):
-            pairs = join.run(r, "X", s, "X", join_degree(EQ_PRED))
-        assert pairs is not None, join.fallback_reason
+            pairs, reasons = partitioned(
+                disk, r, s, workers=4, metrics=metrics, tracer=tracer
+            )
+        assert not reasons, reasons
         assert metrics.partitions, "partition metrics missing"
         assert sum(p.rows_out for p in metrics.partitions) == len(pairs)
         assert all(p.stats is not None for p in metrics.partitions)

@@ -1,30 +1,35 @@
-"""Property tests: partitioned execution is bit-identical to serial.
+"""Property: the partitioned band join is the serial merge-join, for any slicing.
 
 Hypothesis draws random relations (overlapping crisp and trapezoidal
-values, duplicated keys, arbitrary degrees) *and* arbitrary partition
-boundary lists, then checks the invariant the parallel layer rests on:
-the partitioned merge-join returns the same pairs as the serial
-merge-join — for any boundary choice — because the outer side is
-partitioned disjointly (half-open ``b`` ranges are order-disjoint) while
-the inner side is replicated into the ``Rng(r)`` overlap band of every
-slice it can reach.  Folding the pairs into a
-:class:`~repro.data.FuzzyRelation` then ``max``-merges duplicates
-identically on both paths.
+values, duplicated keys, arbitrary degrees) and arbitrary boundaries, and
+:func:`check_against_serial` checks, for both fold shapes — ``pairs``,
+and a min-fold whose dangling pairs are neutral (the JX / JALL shape) —
+the one invariant ``docs/parallelism.md`` argues: whatever the slicing,
+the spliced output equals the serial ``MergeJoin.fold`` state for state
+and in order, or the source declines with a reason and the serial fold
+answers; and no disk is left holding a scratch file either way.
 
-The boundaries here are adversarial on purpose: cuts straddling dense
-value clusters, cuts outside the domain, duplicate-heavy relations.  The
-sampled-boundary production path is exercised end-to-end by
-``tests/test_parallel.py`` and the differential sweep.
+Each test below draws one slice source:
+
+* explicit cuts — a :class:`~repro.parallel.RangePartitioner` on
+  adversarial cuts (straddling dense clusters, outside the domain), at
+  four workers and at pool widths of two to six;
+* sampled — boundaries from a page sample of R, the production path;
+* placed — R and S on a :class:`~repro.shard.ShardedStorage`, on shared
+  or independent cuts (sometimes more cuts than nodes, the clamping
+  path); those two tests live in ``tests/test_shard_property.py``
+  beside the placement's own properties (partition, bands, mirrors).
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import FuzzyRelation, FuzzyTuple, Schema
 from repro.fuzzy import CrispNumber, Op, TrapezoidalNumber
-from repro.join import JoinPredicate, MergeJoin, join_degree
-from repro.parallel import PartitionedMergeJoin, RangePartitioner
+from repro.join import JoinPredicate, MergeJoin, antijoin_degree, join_degree
+from repro.observe import QueryMetrics
+from repro.parallel import PartitionedBandJoin, RangePartitioner
+from repro.shard import ShardedStorage
 from repro.storage import HeapFile, OperationStats, SimulatedDisk
 
 N = CrispNumber
@@ -52,117 +57,122 @@ value_lists = st.lists(
 )
 
 #: Boundary cuts anywhere on (and beyond) the value domain, strictly
-#: increasing after dedup; empty and degenerate lists are separate tests.
+#: increasing after dedup.
 boundary_lists = st.lists(
     st.integers(min_value=-2, max_value=24), min_size=1, max_size=5
 ).map(lambda cuts: sorted(set(float(c) for c in cuts)))
 
 
+def make_relation(values, base=0):
+    rel = FuzzyRelation(SCHEMA)
+    for i, (v, d) in enumerate(values):
+        rel.add(FuzzyTuple([N(base + i), v], d))
+    return rel
+
+
 def make_heap(disk, values, name, base=0):
-    tuples = [
-        FuzzyTuple([N(base + i), v], d) for i, (v, d) in enumerate(values)
-    ]
-    return HeapFile(name, SCHEMA, disk, fixed_tuple_size=64).load(tuples)
-
-
-def as_triples(pairs):
-    return sorted(
-        (rt[0].value, st_[0].value, round(d, 12)) for rt, st_, d in pairs
+    return HeapFile(name, SCHEMA, disk, fixed_tuple_size=64).load(
+        make_relation(values, base).tuples()
     )
 
 
-def fold(pairs):
-    """The answer relation a session would build: max-merged duplicates."""
-    out = FuzzyRelation(Schema(["RID"]))
-    for rt, _st, d in pairs:
-        out.add(FuzzyTuple([rt[0]], min(d, rt.degree)))
-    return out
+#: The two fold shapes every example runs: plain pairs, and a min-fold
+#: whose dangling pairs are neutral (the JX / JALL shape).
+SHAPES = ("pairs", "min-fold")
 
 
-# ----------------------------------------------------------------------
-# Join
-# ----------------------------------------------------------------------
-@settings(max_examples=60, deadline=None)
-@given(
-    r_values=value_lists,
-    s_values=value_lists,
-    boundaries=boundary_lists,
-)
-def test_partitioned_join_matches_serial_for_any_boundaries(
-    r_values, s_values, boundaries
-):
+def run(join, shape, r, s):
+    """The join's output as plain values, in the order it was produced."""
+    if shape == "pairs":
+        return [
+            (rt[0].value, st_[0].value, d)
+            for rt, st_, d in join.pairs(r, "X", s, "X", join_degree(EQ_PRED))
+        ]
+    # Dangling pairs contribute mu_R(r) >= init(r): neutral for min.
+    return [
+        (rt[0].value, worst)
+        for rt, worst in join.fold(
+            r, "X", s, "X", antijoin_degree(EQ_PRED),
+            lambda rt: min(rt.degree, 0.75), lambda worst, _s, d: min(worst, d),
+        )
+    ]
+
+
+def placement(r_values, s_values, nodes, r_cuts, s_cuts):
+    """Options for the ``placed`` source: R and S on their own cuts."""
+    storage = ShardedStorage(nodes, page_size=256, fixed_tuple_size=64)
+    storage.place("R", make_relation(r_values), "X", "R", r_cuts)
+    storage.place("S", make_relation(s_values, base=1000), "X", "S", s_cuts)
+    return dict(placement=storage, tables=("R", "S"))
+
+
+def check_against_serial(r_values, s_values, **options):
+    """The property, for both fold shapes: the partitioned band join built
+    with *options* (the slice source) produces the serial ``MergeJoin``
+    output, or declines with one reason; no disk keeps a scratch file.
+    Returns the outputs, one per shape."""
     disk = SimulatedDisk(page_size=256)
     r = make_heap(disk, r_values, "R")
     s = make_heap(disk, s_values, "S", base=1000)
-    # Duplicate-heavy draws overflow even the *serial* merge window; both
-    # sides then finish on the ladder's nested-loop rung and still agree.
-    expected = list(
-        MergeJoin(disk, 8, OperationStats()).pairs(
-            r, "X", s, "X", join_degree(EQ_PRED)
-        )
-    )
-    join = PartitionedMergeJoin(
-        disk, 8, OperationStats(), workers=4,
-        partitioner=RangePartitioner(boundaries),
-    )
-    pairs = join.run(r, "X", s, "X", join_degree(EQ_PRED))
-    if pairs is None:
-        # Legitimate degrades only: skew or a collapsed partitioning —
-        # never an error, and never a wrong answer.
-        assert join.fallback_reason is not None
-        return
-    # Pair-for-pair identical, and the overlap band never duplicates a
-    # pair (R is partitioned disjointly).
-    assert as_triples(pairs) == as_triples(expected)
-    assert len(pairs) == len(expected)
-    # The folded answer relations — what a query returns after the
-    # max-merge of duplicate projected tuples — agree exactly.
-    assert fold(pairs).same_as(fold(expected), 0.0)
+    outputs = []
+    for shape in SHAPES:
+        # Duplicate-heavy draws overflow even the *serial* merge window;
+        # both sides then finish on the ladder's nested-loop rung and
+        # still agree.
+        serial = MergeJoin(disk, 8, OperationStats())
+        expected = run(serial, shape, r, s)
+        metrics = QueryMetrics()
+        join = PartitionedBandJoin(disk, 8, OperationStats(), metrics=metrics, **options)
+        got = run(join, shape, r, s)
+
+        assert got == expected  # same pairs / states, same order
+        if metrics.slices:
+            assert metrics.shard_failovers == 0
+            if shape == "pairs":
+                assert sum(sl.rows_out for sl in metrics.slices) == len(got)
+        else:
+            # Legitimate declines only (skew, a collapsed cut, a lone
+            # non-empty slice): one reason, then the serial fold's own
+            # rung if it took one — never an error or a wrong answer.
+            decline, *rungs = join.fallback_reason.split("; then ")
+            assert "fell back" in decline, decline
+            assert rungs == ([serial.fallback_reason] if serial.fallback_reason else [])
+        outputs.append(got)
+    disks = [disk]
+    if "placement" in options:
+        disks += [node.disk for node in options["placement"].nodes]
+    for each in disks:
+        leaked = [f for f in each.files() if f.startswith("__")]
+        assert leaked == [], f"scratch files leaked: {leaked}"
+    return outputs
+
+
+@settings(max_examples=60, deadline=None)
+@given(r_values=value_lists, s_values=value_lists, cuts=boundary_lists)
+def test_partitioned_join_matches_serial_for_any_boundaries(r_values, s_values, cuts):
+    check_against_serial(r_values, s_values, workers=4, partitioner=RangePartitioner(cuts))
 
 
 @settings(max_examples=40, deadline=None)
 @given(r_values=value_lists, s_values=value_lists)
 def test_sampled_boundaries_join_identically(r_values, s_values):
-    disk = SimulatedDisk(page_size=256)
-    r = make_heap(disk, r_values, "R")
-    s = make_heap(disk, s_values, "S", base=1000)
-    expected = list(
-        MergeJoin(disk, 8, OperationStats()).pairs(
-            r, "X", s, "X", join_degree(EQ_PRED)
-        )
-    )
-    join = PartitionedMergeJoin(disk, 8, OperationStats(), workers=4)
-    pairs = join.run(r, "X", s, "X", join_degree(EQ_PRED))
-    if pairs is None:
-        assert join.fallback_reason is not None
-        return
-    assert as_triples(pairs) == as_triples(expected)
+    check_against_serial(r_values, s_values, workers=4)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     r_values=value_lists,
     s_values=value_lists,
-    boundaries=boundary_lists,
+    cuts=boundary_lists,
     workers=st.integers(min_value=2, max_value=6),
 )
-def test_worker_count_never_changes_the_answer(
-    r_values, s_values, boundaries, workers
-):
-    """Same boundaries, any worker-pool width: identical pairs."""
-    disk = SimulatedDisk(page_size=256)
-    r = make_heap(disk, r_values, "R")
-    s = make_heap(disk, s_values, "S", base=1000)
-    reference = None
-    for w in (2, workers):
-        join = PartitionedMergeJoin(
-            disk, 8, OperationStats(), workers=w,
-            partitioner=RangePartitioner(boundaries),
+def test_worker_count_never_changes_the_answer(r_values, s_values, cuts, workers):
+    """Same boundaries (up to six slices), run two at a time and
+    ``workers`` at a time: the serial answer both ways."""
+    narrow, wide = (
+        check_against_serial(
+            r_values, s_values, workers=w, partitioner=RangePartitioner(cuts)
         )
-        pairs = join.run(r, "X", s, "X", join_degree(EQ_PRED))
-        if pairs is None:
-            return  # degrades identically regardless of pool width
-        if reference is None:
-            reference = as_triples(pairs)
-        else:
-            assert as_triples(pairs) == reference
+        for w in (2, workers)
+    )
+    assert narrow == wide

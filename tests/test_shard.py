@@ -9,6 +9,7 @@ observability / session / shell / database surfaces.
 """
 
 import random
+import threading
 
 import pytest
 
@@ -19,10 +20,11 @@ from repro.errors import FuzzyQueryError
 from repro.fuzzy import CrispNumber, TrapezoidalNumber
 from repro.observe import MetricsRegistry, QueryMetrics
 from repro.session import StorageSession
-from repro.shard import ShardCatalog, ShardLayout, ShardedStorage, select_boundaries
+from repro.parallel import select_boundaries
+from repro.shard import ShardCatalog, ShardLayout, ShardedStorage
 from repro.shard.storage import BAND_SUFFIX, MIRROR_BAND_SUFFIX, MIRROR_SUFFIX
 from repro.shell import FuzzyShell
-from repro.storage import OperationStats, SimulatedDisk
+from repro.storage import BufferPool, OperationStats, SimulatedDisk
 from repro.storage.costs import PAPER_1992
 
 N = CrispNumber
@@ -87,7 +89,7 @@ class TestBoundaries:
 
 class TestLayout:
     def layout(self, boundaries=(2.0, 5.0, 8.0)):
-        return ShardLayout("R", "V", tuple(boundaries), token=7)
+        return ShardLayout("R", "V", tuple(boundaries), "R", token=7)
 
     def test_shard_of_b_is_half_open(self):
         layout = self.layout()
@@ -113,8 +115,8 @@ class TestLayout:
 
     def test_catalog_tokens_are_monotonic_per_replacement(self):
         catalog = ShardCatalog()
-        first = catalog.record("R", "V", [2.0])
-        second = catalog.record("R", "V", [3.0])
+        first = catalog.record("R", "V", [2.0], "R")
+        second = catalog.record("R", "V", [3.0], "R")
         assert second.token > first.token
         assert catalog.token("R") == second.token
         assert catalog.token("NEVER_PLACED") == 0
@@ -129,7 +131,7 @@ class TestPlacement:
     def test_node_file_naming(self):
         rng = random.Random(3)
         storage = ShardedStorage(3, page_size=512)
-        storage.place("R", make_relation(rng, 30, 0), "V")
+        storage.place("R", make_relation(rng, 30, 0), "V", "R")
         for node in storage.nodes:
             names = set(node.disk.files())
             assert "R" in names and "R" + BAND_SUFFIX in names
@@ -160,12 +162,12 @@ class TestShardedCost:
         with total.enter_phase("splice"):
             total.count_read(5)
         expected = (5 + 40) * PAPER_1992.io_time
-        got = PAPER_1992.sharded_response_time(total, shard_ledgers)
+        got = PAPER_1992.parallel_response_time(total, shard_ledgers)
         assert got == pytest.approx(expected)
 
     def test_no_shards_degrades_to_response_time(self):
         stats = self.ledger(12)
-        assert PAPER_1992.sharded_response_time(stats, []) == pytest.approx(
+        assert PAPER_1992.parallel_response_time(stats, []) == pytest.approx(
             PAPER_1992.response_time(stats)
         )
 
@@ -229,6 +231,121 @@ class TestSessionSurfaces:
         assert session.stats_versions.snapshot(["R"]) == versions
         layout = session.sharded.layout("R")
         assert layout.boundaries == (1.0, 4.0)
+
+
+class TestPlacementAfterWrites:
+    """A write installs a new heap epoch (``R@e1``) and places the table
+    from it beside the old epoch's placement; the join finds the placement
+    by catalog name, so it keeps scattering, and a join still running on
+    the old epoch keeps reading the old epoch's files."""
+
+    N_SQL = "SELECT R.K FROM R WHERE R.V IN (SELECT S.V FROM S)"
+    WRITES = (
+        "INSERT INTO R VALUES (5000, 1, 50)",
+        "UPDATE R SET V = 20 WHERE K = 3",
+        "DELETE FROM S WHERE K = 1007",
+    )
+
+    @staticmethod
+    def relation(rng, base):
+        rel = FuzzyRelation(SCHEMA)
+        for i in range(200):
+            c = rng.uniform(0, 100)
+            v = T(c - 2, c, c + 1, c + 3)
+            rel.add(FuzzyTuple([N(base + i), N(rng.randint(0, 5)), v], 1.0))
+        return rel
+
+    @staticmethod
+    def oracle(session):
+        catalog = Catalog()
+        for name, heap in session.tables.items():
+            catalog.register(name, heap.to_relation(BufferPool(session.disk, 8)))
+        return NaiveEvaluator(catalog).evaluate(TestPlacementAfterWrites.N_SQL)
+
+    def test_sharded_join_survives_insert_update_delete(self):
+        rng = random.Random(1)
+        r, s = self.relation(rng, 0), self.relation(rng, 1000)
+        sharded = StorageSession(buffer_pages=16, page_size=1024, shards=2, shard_on="V")
+        serial = StorageSession(buffer_pages=16, page_size=1024)
+        for session in (sharded, serial):
+            session.register("R", r)
+            session.register("S", s)
+        for write in self.WRITES:
+            for session in (sharded, serial):
+                session.execute([write])
+            assert sharded.tables["R"].name.startswith("R@e")  # a new epoch
+            metrics = QueryMetrics()
+            got = sharded.query(self.N_SQL, metrics=metrics)
+            assert metrics.shards, f"after {write!r}: {metrics.degraded_reason}"
+            assert not metrics.degraded, metrics.degraded_reason
+            assert got.same_as(serial.query(self.N_SQL), 0.0)
+            assert got.same_as(self.oracle(serial), 1e-9)
+
+    def test_a_write_landing_mid_gather_leaves_the_running_join_on_its_epoch(self):
+        # The first node page read of the query blocks until an INSERT has
+        # committed on another thread; every other slice task waits behind
+        # it.  The join bound epoch 0, so it must still answer from epoch 0.
+        rng = random.Random(2)
+        r, s = self.relation(rng, 0), self.relation(rng, 1000)
+        armed = threading.Event()
+        lock = threading.Lock()
+
+        def write_once():
+            if not armed.is_set():
+                return
+            with lock:
+                if armed.is_set():
+                    armed.clear()
+                    writer = threading.Thread(
+                        target=sharded.execute, args=(["INSERT INTO R VALUES (5000, 1, 50)"],)
+                    )
+                    writer.start()
+                    writer.join(timeout=60)
+                    assert not writer.is_alive(), "the write did not finish"
+
+        class WriteOnRead(SimulatedDisk):
+            def read_page(self, name, index):
+                write_once()
+                return super().read_page(name, index)
+
+        sharded = StorageSession(
+            buffer_pages=16, page_size=1024, shards=2, shard_on="V",
+            shard_disks=[WriteOnRead(page_size=1024) for _ in range(2)],
+        )
+        serial = StorageSession(buffer_pages=16, page_size=1024)
+        for session in (sharded, serial):
+            session.register("R", r)
+            session.register("S", s)
+        before = serial.query(self.N_SQL)
+
+        metrics = QueryMetrics()
+        armed.set()
+        got = sharded.query(self.N_SQL, metrics=metrics)
+        assert not armed.is_set(), "the write never ran"
+        assert sharded.tables["R"].name == "R@e1"
+        assert metrics.shards and not metrics.degraded, metrics.degraded_reason
+        assert got.same_as(before, 0.0)
+
+        serial.execute(["INSERT INTO R VALUES (5000, 1, 50)"])
+        metrics = QueryMetrics()
+        assert sharded.query(self.N_SQL, metrics=metrics).same_as(serial.query(self.N_SQL), 0.0)
+        assert metrics.shards
+
+    def test_placements_go_with_their_epochs(self):
+        rng = random.Random(3)
+        session = StorageSession(buffer_pages=16, page_size=1024, shards=2, shard_on="V")
+        session.register("R", self.relation(rng, 0))
+        for k in range(4):
+            session.execute([f"INSERT INTO R VALUES ({5000 + k}, 1, 50)"])
+        live = {name for name in session.disk.files() if name.startswith("R")}
+        assert live == {"R", "R@e3", "R@e4"}  # the base plus the retained epochs
+        for node in session.sharded.nodes:
+            sources = {name.split("#")[0] for name in node.disk.files()}
+            assert sources == live
+        session.checkpoint()
+        for node in session.sharded.nodes:
+            assert {name.split("#")[0] for name in node.disk.files()} == {"R"}
+        assert session.sharded.layout("R").source == "R"
 
 
 class TestShellAndDatabase:

@@ -1,8 +1,8 @@
-"""Property tests: the durable shard placement and scatter-gather join.
+"""Property tests: the durable shard placement.
 
 Hypothesis draws random relations (overlapping crisp and trapezoidal
 values, duplicated keys, arbitrary degrees) *and* arbitrary shard
-boundary lists, then checks the invariants the shard layer rests on:
+boundary lists, then checks the invariants the placement rests on:
 
 * **Placement is a partition**: every tuple lands on exactly one primary
   shard — the one owning its left endpoint ``b(v)`` — so the union of
@@ -12,30 +12,28 @@ boundary lists, then checks the invariants the shard layer rests on:
   whose support ``[b, e]`` crosses into shard ``j``'s range.
 * **Mirrors are faithful**: node ``i+1`` carries byte-identical copies
   of node ``i``'s primary and band slices.
-* **Join splice**: the scatter-gather merge-join returns the same pairs
-  as the serial merge-join, for any boundary choice; when it declines it
-  says why, and it never leaves scratch slices on any node disk.
 
 The boundaries are adversarial on purpose: cuts straddling dense value
 clusters, cuts outside the domain, more cuts than the node count (the
-clamping path).  The sampled-boundary production path is exercised
-end-to-end by the differential matrix and ``tests/test_shard.py``.
+clamping path).  That a join over a placement — on shared or on
+independent R and S cuts — equals the serial join is the partitioned
+band join's property, :func:`tests.test_parallel_property.check_against_serial`,
+drawn here on the placed slice source.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import FuzzyRelation, FuzzyTuple, Schema
-from repro.fuzzy import CrispNumber, Op, TrapezoidalNumber
+from repro.fuzzy import CrispNumber, TrapezoidalNumber
 from repro.fuzzy.interval_order import sort_key
-from repro.join import JoinPredicate, MergeJoin, join_degree
-from repro.shard import ShardedMergeJoin, ShardedStorage
-from repro.storage import BufferPool, HeapFile, OperationStats, SimulatedDisk
+from repro.shard import ShardedStorage
+from repro.storage import BufferPool
+from tests.test_parallel_property import check_against_serial, placement
 
 N = CrispNumber
 T = TrapezoidalNumber
 SCHEMA = Schema(["ID", "X"])
-EQ_PRED = [JoinPredicate(SCHEMA, "X", Op.EQ, SCHEMA, "X")]
 
 #: A deliberately narrow domain: heavy overlap, many exact duplicates.
 centers = st.integers(min_value=0, max_value=20)
@@ -73,13 +71,6 @@ def make_relation(values, base=0):
     return rel
 
 
-def make_heap(disk, values, name, base=0):
-    tuples = [
-        FuzzyTuple([N(base + i), v], d) for i, (v, d) in enumerate(values)
-    ]
-    return HeapFile(name, SCHEMA, disk, fixed_tuple_size=64).load(tuples)
-
-
 def heap_ids(node, heap):
     """The ID column of one shard-resident heap, in storage order."""
     if heap is None:
@@ -87,15 +78,9 @@ def heap_ids(node, heap):
     return [int(t[0].value) for t in heap.scan(BufferPool(node.disk, 8))]
 
 
-def as_triples(pairs):
-    return sorted(
-        (rt[0].value, st_[0].value, round(d, 12)) for rt, st_, d in pairs
-    )
-
-
 def placed(values, boundaries, n_shards, name="R"):
     storage = ShardedStorage(n_shards, page_size=256, fixed_tuple_size=64)
-    storage.place(name, make_relation(values), "X", boundaries=boundaries)
+    storage.place(name, make_relation(values), "X", name, boundaries)
     return storage
 
 
@@ -161,7 +146,7 @@ def test_mirrors_are_faithful_copies(values, boundaries, n_shards):
 
 
 # ----------------------------------------------------------------------
-# Join
+# Join — the partitioned band join's property, on the placed source
 # ----------------------------------------------------------------------
 @settings(max_examples=60, deadline=None)
 @given(
@@ -173,35 +158,9 @@ def test_mirrors_are_faithful_copies(values, boundaries, n_shards):
 def test_scatter_gather_join_matches_serial_for_any_boundaries(
     r_values, s_values, boundaries, n_shards
 ):
-    serial_disk = SimulatedDisk(page_size=256)
-    r = make_heap(serial_disk, r_values, "R")
-    s = make_heap(serial_disk, s_values, "S", base=1000)
-    # Duplicate-heavy draws overflow even the *serial* merge window; both
-    # sides then finish on the ladder's nested-loop rung and still agree.
-    expected = list(
-        MergeJoin(serial_disk, 8, OperationStats()).pairs(
-            r, "X", s, "X", join_degree(EQ_PRED)
-        )
+    check_against_serial(
+        r_values, s_values, **placement(r_values, s_values, n_shards, boundaries, boundaries)
     )
-
-    storage = ShardedStorage(n_shards, page_size=256, fixed_tuple_size=64)
-    storage.place("R", make_relation(r_values), "X", boundaries=boundaries)
-    storage.place(
-        "S", make_relation(s_values, base=1000), "X", boundaries=boundaries
-    )
-    join = ShardedMergeJoin(storage, 8, OperationStats())
-    pairs = join.run(r, "X", s, "X", join_degree(EQ_PRED))
-    if pairs is None:
-        # Legitimate declines only (collapsed layout, a lone non-empty
-        # shard) — never an error or wrong answer.
-        assert join.fallback_reason is not None
-    else:
-        assert join.failovers == 0
-        assert as_triples(pairs) == as_triples(expected)
-        assert len(pairs) == len(expected)
-    for node in storage.nodes:
-        leaked = [f for f in node.disk.files() if f.startswith("__")]
-        assert leaked == [], f"shard {node.index} leaked scratch: {leaked}"
 
 
 @settings(max_examples=40, deadline=None)
@@ -214,22 +173,4 @@ def test_scatter_gather_join_matches_serial_for_any_boundaries(
 def test_mismatched_r_and_s_layouts_still_agree(r_values, s_values, r_cuts, s_cuts):
     """R and S may be placed on *different* cuts; the slice is rebuilt per
     shard from S's own layout, so the answer never depends on alignment."""
-    serial_disk = SimulatedDisk(page_size=256)
-    r = make_heap(serial_disk, r_values, "R")
-    s = make_heap(serial_disk, s_values, "S", base=1000)
-    expected = list(
-        MergeJoin(serial_disk, 8, OperationStats()).pairs(
-            r, "X", s, "X", join_degree(EQ_PRED)
-        )
-    )
-    storage = ShardedStorage(3, page_size=256, fixed_tuple_size=64)
-    storage.place("R", make_relation(r_values), "X", boundaries=r_cuts)
-    storage.place(
-        "S", make_relation(s_values, base=1000), "X", boundaries=s_cuts
-    )
-    join = ShardedMergeJoin(storage, 8, OperationStats())
-    pairs = join.run(r, "X", s, "X", join_degree(EQ_PRED))
-    if pairs is None:
-        assert join.fallback_reason is not None
-        return
-    assert as_triples(pairs) == as_triples(expected)
+    check_against_serial(r_values, s_values, **placement(r_values, s_values, 3, r_cuts, s_cuts))
