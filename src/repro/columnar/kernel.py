@@ -13,9 +13,8 @@ abscissae, so ``batch_eq_possibility(probe, ...)[i]`` equals
 ``possibility(value_i, Op.EQ, probe)`` *bit for bit* by construction,
 where ``value_i`` is the distribution the columns encode (f64 values
 round-trip the columnar encoding exactly).  A point is the degenerate
-entry ``a = b = e = d``, so the closed forms need only the abscissae; the
-``kinds`` column is accepted because callers pass a page's columns as
-they are.
+entry ``a = b = e = d``, so the kernels take only the four abscissa
+columns.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ def batch_eq_possibility(
     col_b: Sequence[float],
     col_e: Sequence[float],
     col_d: Sequence[float],
-    kinds: Sequence[int],
     probe_on_left: bool = False,
 ) -> List[float]:
     """``[possibility(value_i, Op.EQ, probe)]`` over a column batch.
@@ -86,7 +84,6 @@ def batch_lt_possibility(
     col_b: Sequence[float],
     col_e: Sequence[float],
     col_d: Sequence[float],
-    kinds: Sequence[int],
     probe_on_left: bool = False,
 ) -> List[float]:
     """``[possibility(value_i, Op.LT, probe)]`` over a column batch.
@@ -106,7 +103,6 @@ def batch_le_possibility(
     col_b: Sequence[float],
     col_e: Sequence[float],
     col_d: Sequence[float],
-    kinds: Sequence[int],
     probe_on_left: bool = False,
 ) -> List[float]:
     """``[possibility(value_i, Op.LE, probe)]`` over a column batch.
@@ -123,7 +119,6 @@ def batch_eq_necessity(
     col_b: Sequence[float],
     col_e: Sequence[float],
     col_d: Sequence[float],
-    kinds: Sequence[int],
 ) -> List[float]:
     """``[necessity(value_i, Op.EQ, probe)]`` over a column batch.
 

@@ -122,20 +122,18 @@ class IndexScan(Scan):
             return d < begin
         return d < begin or end < a
 
-    def _batch_degrees(self, col_a, col_b, col_e, col_d, kinds) -> List[float]:
+    def _batch_degrees(self, col_a, col_b, col_e, col_d) -> List[float]:
         """The op's kernel over one candidate batch (attribute on the left)."""
         if self.op is Op.EQ:
-            return batch_eq_possibility(self.probe, col_a, col_b, col_e, col_d, kinds)
+            return batch_eq_possibility(self.probe, col_a, col_b, col_e, col_d)
         # The scalar library evaluates x > y as y < x, so GT/GE reuse the
         # LT/LE kernels with the probe on the left.
         if self.op in (Op.LT, Op.GT):
             return batch_lt_possibility(
-                self.probe, col_a, col_b, col_e, col_d, kinds,
-                probe_on_left=(self.op is Op.GT),
+                self.probe, col_a, col_b, col_e, col_d, probe_on_left=(self.op is Op.GT)
             )
         return batch_le_possibility(
-            self.probe, col_a, col_b, col_e, col_d, kinds,
-            probe_on_left=(self.op is Op.GE),
+            self.probe, col_a, col_b, col_e, col_d, probe_on_left=(self.op is Op.GE)
         )
 
     def _tuples(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
@@ -170,7 +168,6 @@ class IndexScan(Scan):
                     [columnar.col_b[i] for i in candidates],
                     [columnar.col_e[i] for i in candidates],
                     [columnar.col_d[i] for i in candidates],
-                    [columnar.kinds[i] for i in candidates],
                 )
                 for i, eq in zip(candidates, degrees):
                     degree = min(columnar.degrees[i], eq)

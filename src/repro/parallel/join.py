@@ -36,10 +36,9 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..data.tuples import FuzzyTuple
 from ..errors import DiskFullError, StorageFaultError
-from ..fuzzy.interval_order import sort_key
 from ..join.merge_join import MergeJoin
 from ..resilience import CancelToken, QueryGuard
-from ..sort.runs import RunReader, RunWriter
+from ..sort.runs import RunWriter, run_records
 from ..storage.disk import SimulatedDisk
 from ..storage.heap import HeapFile
 from ..storage.stats import OperationStats
@@ -101,33 +100,38 @@ class Slice:
     mirror: Optional["Slice"] = None
 
 
-def _tuples(heap: HeapFile) -> Iterable[FuzzyTuple]:
-    """A heap's tuples in file order, one charged read per page."""
-    return RunReader(heap.disk, heap.name, heap.serializer)
+def _records(heap: HeapFile) -> Iterator[bytes]:
+    """A heap's encoded records in file order, one charged read per page."""
+    return run_records(heap.disk, heap.name)
 
 
-def _read(heap: Optional[HeapFile]) -> List[FuzzyTuple]:
+def _read(heap: Optional[HeapFile]) -> List[bytes]:
     """A whole heap read into memory (nothing when absent), so a read that
     fails part-way leaves nothing behind to retry around."""
-    return [] if heap is None else list(_tuples(heap))
+    return [] if heap is None else list(_records(heap))
+
+
+def _key(heap: HeapFile, attribute: str) -> Callable[[bytes], Tuple[object, object]]:
+    """The ``(b, e)`` of ``attribute``, read from one of ``heap``'s records."""
+    return partial(heap.serializer.key_at, index=heap.schema.index_of(attribute))
 
 
 def _spill(
     disk: SimulatedDisk,
     names: List[str],
     template: HeapFile,
-    tuples: Iterable[FuzzyTuple],
-    route: Callable[[FuzzyTuple], Iterable[int]],
+    records: Iterable[bytes],
+    route: Callable[[bytes], Iterable[int]],
     stats: OperationStats,
 ) -> List[HeapFile]:
-    """Write ``tuples`` into scratch heaps ``names``: each to every slice
+    """Write ``records`` into scratch heaps ``names``: each to every slice
     ``route`` names, one charged move per copy.  The caller deletes the
     files, whether or not the writes finished."""
-    writers = [RunWriter(disk, name, template.serializer) for name in names]
-    for t in tuples:
-        for i in route(t):
+    writers = [RunWriter(disk, name) for name in names]
+    for record in records:
+        for i in route(record):
             stats.count_move()
-            writers[i].append(t)
+            writers[i].append(record)
     heaps = []
     for writer in writers:
         writer.close()
@@ -139,10 +143,10 @@ def _spill(
 
 def _reach(heap: HeapFile, attribute: str, stats: OperationStats) -> Tuple[object, object]:
     """The ``(min b, max e)`` reach of an outer slice's tuples."""
-    key_index = heap.schema.index_of(attribute)
+    key = _key(heap, attribute)
     low = high = None
-    for t in _tuples(heap):
-        b, e = sort_key(t[key_index])
+    for record in _records(heap):
+        b, e = key(record)
         stats.count_crisp(2)
         low = b if low is None or b < low else low
         high = e if high is None or e > high else high
@@ -154,11 +158,11 @@ def _written(heap: HeapFile) -> Callable:
     return lambda _slice, _name, _stats: (heap, 0)
 
 
-def _band_route(key_index: int, bands: List[Tuple[object, object]], stats: OperationStats):
-    """Route an inner tuple to every slice whose reach band its support meets."""
+def _band_route(key: Callable, bands: List[Tuple[object, object]], stats: OperationStats):
+    """Route an inner record to every slice whose reach band its support meets."""
 
-    def route(s: FuzzyTuple) -> Iterator[int]:
-        b, e = sort_key(s[key_index])
+    def route(record: bytes) -> Iterator[int]:
+        b, e = key(record)
         for i, (low, high) in enumerate(bands):
             stats.count_crisp()
             if e >= low and b <= high:
@@ -278,17 +282,17 @@ class PartitionedBandJoin(MergeJoin):
                 (storage.primary(j, source), storage.mirror_primary(j, source))
                 for j in range(j_lo, j_hi + 1)
             ]
-            tuples: List[FuzzyTuple] = []
+            records: List[bytes] = []
             failovers = 0
             for heap, mirror in sources:
                 try:
-                    tuples += _read(heap)
+                    records += _read(heap)
                 except StorageFaultError:
                     failovers += 1
-                    tuples += _read(mirror)
+                    records += _read(mirror)
             template = sources[0][0] or sources[0][1]
-            route = _band_route(template.schema.index_of(inner_attr), [(low, high)], stats)
-            [heap] = _spill(sl.home, [name], template, tuples, route, stats)
+            route = _band_route(_key(template, inner_attr), [(low, high)], stats)
+            [heap] = _spill(sl.home, [name], template, records, route, stats)
         return heap, failovers
 
     def _sampled(self, outer, outer_attr, inner, inner_attr, scratch) -> List[Slice]:
@@ -302,10 +306,10 @@ class PartitionedBandJoin(MergeJoin):
         with self.disk.use_stats(self.stats), self.stats.enter_phase(SAMPLED.kind):
             names = [f"__part_{outer.name}_{tag}_{i}" for i in range(partitioner.n_partitions)]
             scratch += names
-            key_index = outer.schema.index_of(outer_attr)
+            key = _key(outer, outer_attr)
             parts = _spill(
-                self.disk, names, outer, _tuples(outer),
-                lambda t: (partitioner.partition_index(t[key_index]),), self.stats,
+                self.disk, names, outer, _records(outer),
+                lambda record: (partitioner.partition_index(key(record)[0]),), self.stats,
             )
             live = [(spec, part) for spec, part in zip(partitioner.specs(), parts) if part.n_tuples]
             if len(live) < 2:
@@ -319,8 +323,8 @@ class PartitionedBandJoin(MergeJoin):
             bands = [_reach(part, outer_attr, self.stats) for _, part in live]
             names = [f"__part_{inner.name}_{tag}_{spec.index}" for spec, _ in live]
             scratch += names
-            route = _band_route(inner.schema.index_of(inner_attr), bands, self.stats)
-            inner_parts = _spill(self.disk, names, inner, _tuples(inner), route, self.stats)
+            route = _band_route(_key(inner, inner_attr), bands, self.stats)
+            inner_parts = _spill(self.disk, names, inner, _records(inner), route, self.stats)
         return [
             Slice(*spec, part, _written(inner_part), self.disk)
             for (spec, part), inner_part in zip(live, inner_parts)
@@ -390,10 +394,21 @@ class PartitionedBandJoin(MergeJoin):
         deadline = self.guard.deadline if self.guard is not None else None
         guard = QueryGuard(deadline=deadline, token=linked)
         name = f"__slice_{next(_scratch)}_{sl.index}"
+        # Joining pairs count once their outer tuple's state is yielded: the
+        # window rung re-inits and refolds a half-scanned outer tuple, and
+        # ``init`` (called for a whole block before any step) drops the
+        # pairs counted for it so far.
+        pending = 0
+
+        def begun(r: FuzzyTuple):
+            nonlocal pending
+            pending = 0
+            return init(r)
 
         def counted(state, s: FuzzyTuple, degree: float):
+            nonlocal pending
             if degree > 0.0:
-                entry.rows_out += 1
+                pending += 1
             return step(state, s, degree)
 
         with ExitStack() as stack:
@@ -407,9 +422,13 @@ class PartitionedBandJoin(MergeJoin):
                     sl.outer.n_pages, inner.n_pages, stats=stats, failovers=failovers,
                 )
                 join = MergeJoin(sl.home, self.buffer_pages, stats)
-                states = list(join.fold(
-                    sl.outer, outer_attr, inner, inner_attr, pair_degree, init, counted
-                ))
+                states = []
+                for state in join.fold(
+                    sl.outer, outer_attr, inner, inner_attr, pair_degree, begun, counted
+                ):
+                    entry.rows_out += pending
+                    pending = 0
+                    states.append(state)
             finally:
                 sl.home.delete(name)
         return states, join.fallback_reason, entry

@@ -101,9 +101,9 @@ class RangePartitioner:
         """Number of slices (one more than the boundary count)."""
         return len(self.boundaries) + 1
 
-    def partition_index(self, value) -> int:
-        """The slice the distribution ``value`` sorts into (by ``b(value)``)."""
-        return slice_of(self.boundaries, sort_key(value)[0])
+    def partition_index(self, b) -> int:
+        """The slice a value whose left endpoint is ``b`` sorts into."""
+        return slice_of(self.boundaries, b)
 
     def specs(self) -> List[PartitionSpec]:
         """The slices as explicit ``[lower, upper)`` specs, in order."""

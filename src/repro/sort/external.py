@@ -6,20 +6,23 @@ transfer is charged to the "sort" phase so Table 3's sorting-share rows can
 be reproduced.  Comparisons follow the paper's two-step rule — left
 endpoints first, right endpoints on ties — and each endpoint comparison is
 charged as one crisp comparison.
+
+Records move as bytes: each one is keyed by
+:meth:`~repro.storage.serializer.TupleSerializer.key_at` and copied from
+page to run to output page without ever being decoded into a tuple.
 """
 
 from __future__ import annotations
 
 import heapq
 import threading
-from typing import Iterator, List, Optional
+from operator import itemgetter
+from typing import Iterable, Iterator, List, Optional
 
-from ..data.tuples import FuzzyTuple
-from ..fuzzy.interval_order import sort_key
 from ..storage.disk import SimulatedDisk
 from ..storage.heap import HeapFile
 from ..storage.stats import OperationStats
-from .runs import RunReader, RunWriter, drop_runs, fresh_run_name
+from .runs import RunWriter, drop_runs, fresh_run_name, run_records
 
 SORT_PHASE = "sort"
 
@@ -34,8 +37,8 @@ class _CountingKey:
 
     __slots__ = ("b", "e", "stats")
 
-    def __init__(self, value, stats: OperationStats):
-        self.b, self.e = sort_key(value)
+    def __init__(self, key, stats: OperationStats):
+        self.b, self.e = key
         self.stats = stats
 
     def __lt__(self, other: "_CountingKey") -> bool:
@@ -127,32 +130,42 @@ class ExternalSorter:
     # ------------------------------------------------------------------
     def _generate_runs(self, source: HeapFile, key_index: int, live: List[str]) -> List[str]:
         runs: List[str] = []
-        batch: List[FuzzyTuple] = []
+        batch: list = []
         batch_pages = 0
+        key_at, stats = source.serializer.key_at, self.stats
         for page_index in range(source.n_pages):
             page = self.disk.read_page(source.name, page_index)
             for record in page.records():
-                batch.append(source.serializer.decode(record))
+                batch.append((_CountingKey(key_at(record, key_index), stats), record))
             batch_pages += 1
             if batch_pages >= self.buffer_pages:
-                runs.append(self._write_run(source, batch, key_index, live))
+                runs.append(self._write_run(source, batch, live))
                 batch, batch_pages = [], 0
         if batch:
-            runs.append(self._write_run(source, batch, key_index, live))
+            runs.append(self._write_run(source, batch, live))
         return runs
 
-    def _write_run(
-        self, source: HeapFile, batch: List[FuzzyTuple], key_index: int, live: List[str]
-    ) -> str:
-        batch.sort(key=lambda t: _CountingKey(t[key_index], self.stats))
+    def _write_run(self, source: HeapFile, batch: list, live: List[str]) -> str:
+        # Sort on the key alone: comparing the pairs would charge __eq__.
+        batch.sort(key=itemgetter(0))
         name = fresh_run_name(source.name)
         live.append(name)
-        writer = RunWriter(self.disk, name, source.serializer)
+        self._write(name, self._moved(batch))
+        return name
+
+    def _moved(self, batch: list) -> Iterator[bytes]:
+        """A sorted batch's records, one charged move each."""
+        for _, record in batch:
+            self.stats.count_move()
+            yield record
+
+    def _write(self, name: str, records: Iterable[bytes]) -> RunWriter:
+        """Write ``records`` to the file ``name``; the writer knows the count."""
+        writer = RunWriter(self.disk, name)
         ok = False
         try:
-            for t in batch:
-                self.stats.count_move()
-                writer.append(t)
+            for record in records:
+                writer.append(record)
             ok = True
         finally:
             if ok:
@@ -161,9 +174,9 @@ class ExternalSorter:
                 # Flushing after a failed append could raise again (e.g. a
                 # second DiskFullError) and mask the original fault; drop
                 # the buffered page and let the sort-level handler delete
-                # the partial run file.
+                # the partial file.
                 writer.discard()
-        return name
+        return writer
 
     # ------------------------------------------------------------------
     # Pass 2+: K-way merges
@@ -186,17 +199,7 @@ class ExternalSorter:
                     continue
                 name = fresh_run_name(source.name)
                 live.append(name)
-                writer = RunWriter(self.disk, name, source.serializer)
-                ok = False
-                try:
-                    for t in self._merged(source, group, key_index):
-                        writer.append(t)
-                    ok = True
-                finally:
-                    if ok:
-                        writer.close()
-                    else:
-                        writer.discard()
+                self._write(name, self._merged(source, group, key_index))
                 drop_runs(self.disk, group)
                 next_runs.append(name)
             runs = next_runs
@@ -206,25 +209,31 @@ class ExternalSorter:
         self, source: HeapFile, runs: List[str], key_index: int, out_name: str
     ) -> HeapFile:
         self.disk.delete(out_name)
+        writer = self._write(out_name, self._merged(source, runs, key_index))
+        # The heap adopts the file just written, as a spilled slice does.
         out = HeapFile(out_name, source.schema, self.disk, source.serializer.fixed_size)
-        out.load(self._merged(source, runs, key_index))
+        out.n_tuples = writer.n_tuples
         drop_runs(self.disk, runs)
         return out
 
-    def _merged(self, source: HeapFile, runs: List[str], key_index: int) -> Iterator[FuzzyTuple]:
-        readers = [iter(RunReader(self.disk, name, source.serializer)) for name in runs]
+    def _merged(self, source: HeapFile, runs: List[str], key_index: int) -> Iterator[bytes]:
+        # Heap entries compare as tuples: ``__eq__`` then ``__lt__`` on the
+        # keys (docs/cost_model.md records the over-count), then the run
+        # index, which is unique, so records are never compared.
+        key_at, stats = source.serializer.key_at, self.stats
+        readers = [run_records(self.disk, name) for name in runs]
         heap = []
         for i, reader in enumerate(readers):
             first = next(reader, None)
             if first is not None:
-                heap.append((_CountingKey(first[key_index], self.stats), i, first))
+                heap.append((_CountingKey(key_at(first, key_index), stats), i, first))
         heapq.heapify(heap)
         while heap:
-            key, i, t = heapq.heappop(heap)
-            self.stats.count_move()
-            yield t
+            _, i, record = heapq.heappop(heap)
+            stats.count_move()
+            yield record
             successor = next(readers[i], None)
             if successor is not None:
                 heapq.heappush(
-                    heap, (_CountingKey(successor[key_index], self.stats), i, successor)
+                    heap, (_CountingKey(key_at(successor, key_index), stats), i, successor)
                 )

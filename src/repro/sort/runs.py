@@ -1,14 +1,16 @@
-"""Sorted-run bookkeeping for the external merge sort."""
+"""Sorted-run bookkeeping for the external merge sort.
+
+Runs hold encoded records exactly as the source pages did: nothing here
+builds a tuple, so a record keeps its bytes from input page to output page.
+"""
 
 from __future__ import annotations
 
 import itertools
 from typing import Iterator, List
 
-from ..data.tuples import FuzzyTuple
 from ..storage.disk import SimulatedDisk
 from ..storage.page import Page
-from ..storage.serializer import TupleSerializer
 
 _run_counter = itertools.count()
 
@@ -19,20 +21,18 @@ def fresh_run_name(base: str) -> str:
 
 
 class RunWriter:
-    """Writes a sorted run of tuples to a scratch disk file, page by page."""
+    """Writes a sorted run of records to a scratch disk file, page by page."""
 
-    def __init__(self, disk: SimulatedDisk, name: str, serializer: TupleSerializer):
+    def __init__(self, disk: SimulatedDisk, name: str):
         self.disk = disk
         self.name = name
-        self.serializer = serializer
         self.n_tuples = 0
         self._page = Page(disk.page_size)
         if not disk.exists(name):
             disk.create(name)
 
-    def append(self, t: FuzzyTuple) -> None:
-        """Serialize one tuple into the run, spilling the page when it fills."""
-        record = self.serializer.encode(t)
+    def append(self, record: bytes) -> None:
+        """Add one encoded record to the run, spilling the page when it fills."""
         if not self._page.fits(record):
             self.disk.append_page(self.name, self._page)
             self._page = Page(self.disk.page_size)
@@ -50,19 +50,10 @@ class RunWriter:
         self._page = Page(self.disk.page_size)
 
 
-class RunReader:
-    """Reads a run back sequentially, charging one read per page."""
-
-    def __init__(self, disk: SimulatedDisk, name: str, serializer: TupleSerializer):
-        self.disk = disk
-        self.name = name
-        self.serializer = serializer
-
-    def __iter__(self) -> Iterator[FuzzyTuple]:
-        for index in range(self.disk.n_pages(self.name)):
-            page = self.disk.read_page(self.name, index)
-            for record in page.records():
-                yield self.serializer.decode(record)
+def run_records(disk: SimulatedDisk, name: str) -> Iterator[bytes]:
+    """A file's records in order, charging one read per page."""
+    for index in range(disk.n_pages(name)):
+        yield from disk.read_page(name, index).records()
 
 
 def drop_runs(disk: SimulatedDisk, names: List[str]) -> None:

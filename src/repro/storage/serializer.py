@@ -32,6 +32,9 @@ from ..fuzzy.trapezoid import TrapezoidalNumber
 
 _F64 = struct.Struct(">d")
 _U16 = struct.Struct(">H")
+#: A trapezoid payload's support ``(a, d)``, skipping its core ``b, c``.
+_SUPPORT = struct.Struct(">d16xd")
+_N, _T = ord("N"), ord("T")
 
 
 class SerializationError(ValueError):
@@ -126,6 +129,29 @@ class TupleSerializer:
             value, offset = decode_value(data, offset)
             values.append(value)
         return FuzzyTuple(values, degree)
+
+    def key_at(self, record: bytes, index: int) -> Tuple:
+        """``sort_key`` of column ``index``, read from the record's bytes.
+
+        ``N`` and ``T`` values are skipped and read in place; ``L`` and
+        ``D`` values (the appendix's) are decoded, one value at a time.
+        """
+        offset = 8
+        for _ in range(index):
+            tag = record[offset]
+            if tag == _N:
+                offset += 9
+            elif tag == _T:
+                offset += 33
+            else:
+                offset = decode_value(record, offset)[1]
+        tag = record[offset]
+        if tag == _N:
+            (v,) = _F64.unpack_from(record, offset + 1)
+            return v, v
+        if tag == _T:
+            return _SUPPORT.unpack_from(record, offset + 1)
+        return decode_value(record, offset)[0].interval()
 
     def size_of(self, t: FuzzyTuple) -> int:
         """Encoded size in bytes (the fixed size when one is declared)."""

@@ -147,12 +147,12 @@ class TestColumnarPage:
 # ----------------------------------------------------------------------
 def as_columns(values):
     """Lower a list of crisp/trapezoid values into kernel columns."""
-    cols = ([], [], [], [], [])
+    cols = ([], [], [], [])
     for v in values:
         if isinstance(v, TrapezoidalNumber):
-            entry = (v.a, v.b, v.c, v.d, KIND_POINT if v.a == v.d else KIND_TRAPEZOID)
+            entry = (v.a, v.b, v.c, v.d)
         else:
-            entry = (v.value, v.value, v.value, v.value, KIND_POINT)
+            entry = (v.value, v.value, v.value, v.value)
         for col, x in zip(cols, entry):
             col.append(x)
     return cols
@@ -211,7 +211,7 @@ class TestKernelBitIdenticality:
 
     def test_rejects_non_numeric_probe(self):
         with pytest.raises(TypeError):
-            batch_eq_possibility(DiscreteDistribution({1.0: 1.0}), [], [], [], [], [])
+            batch_eq_possibility(DiscreteDistribution({1.0: 1.0}), [], [], [], [])
 
 
 # ----------------------------------------------------------------------

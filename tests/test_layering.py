@@ -9,8 +9,12 @@ nodes, the join-order DP, the flat compiler or the nesting taxonomy, or
 when the planner reaches for a session or the write path.  Likewise the
 operator modules never import the parallel or shard layers — every band
 join they run comes from ``ExecutionContext.merge_join()`` — and exactly
-one module constructs the partitioned band join.  Runs in the suite and
-as a standalone CI lint step::
+one module constructs the partitioned band join.  The modules that move
+records as bytes — the external sort and the band join's slice spills —
+never parse or build a record: they key it with
+``TupleSerializer.key_at``, so the record format stays behind
+``storage/serializer.py``.  Runs in the suite and as a standalone CI lint
+step::
 
     python -m pytest -q tests/test_layering.py
 """
@@ -43,6 +47,19 @@ RULES.update(
     )
 )
 
+#: The record movers: no ``struct``, no value codec, no ``.decode`` /
+#: ``.encode`` call (a serializer's, or anything else's).
+BYTE_RULES = {
+    module: (
+        ("struct", "repro.storage.serializer.decode_value", "repro.storage.serializer.encode_value"),
+        ("decode", "encode", "decode_value", "encode_value"),
+    )
+    for module in [
+        *sorted(path.relative_to(SRC).as_posix() for path in (SRC / "sort").glob("*.py")),
+        "parallel/join.py",
+    ]
+}
+
 
 def imported_modules(tree, package="repro"):
     """Absolute dotted names of everything a module of ``package`` imports.
@@ -66,25 +83,53 @@ def imported_modules(tree, package="repro"):
     return found
 
 
-def violations():
+def tree_violations(tree, home, packages, names):
+    """The forbidden imports and names of one parsed module of ``home``."""
+    out = []
+    for module in sorted(imported_modules(tree, home)):
+        for package in packages:
+            if module == package or module.startswith(package + "."):
+                out.append(f"imports {module}")
+    mentioned = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    mentioned |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    out.extend(f"names {name}" for name in names if name in mentioned)
+    return out
+
+
+def violations(rules=RULES):
     """Every forbidden import or name, as ``file: what`` strings."""
     out = []
-    for file, (packages, names) in RULES.items():
+    for file, (packages, names) in rules.items():
         tree = ast.parse((SRC / file).read_text())
         home = ".".join(["repro", *Path(file).parent.parts])
-        for module in sorted(imported_modules(tree, home)):
-            for package in packages:
-                if module == package or module.startswith(package + "."):
-                    out.append(f"{file}: imports {module}")
-        mentioned = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        mentioned |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-        out.extend(f"{file}: names {name}" for name in names if name in mentioned)
+        out.extend(f"{file}: {what}" for what in tree_violations(tree, home, packages, names))
     return out
 
 
 def test_session_and_planner_keep_their_layers():
     found = violations()
     assert not found, "layering violations:\n" + "\n".join(found)
+
+
+def test_record_movers_never_box_a_tuple():
+    assert "sort/external.py" in BYTE_RULES and "sort/runs.py" in BYTE_RULES
+    found = violations(BYTE_RULES)
+    assert not found, "record-format leaks:\n" + "\n".join(found)
+
+
+def test_the_byte_rule_sees_codecs_and_struct():
+    tree = ast.parse(
+        "import struct\n"
+        "from ..storage.serializer import decode_value\n"
+        "from ..storage import serializer\n"
+        "def f(heap, record):\n"
+        "    return heap.serializer.decode(record), serializer.encode_value(record)\n"
+    )
+    packages, names = BYTE_RULES["sort/external.py"]
+    assert tree_violations(tree, "repro.sort", packages, names) == [
+        "imports repro.storage.serializer.decode_value", "imports struct",
+        "names decode", "names encode_value",
+    ]
 
 
 def constructors(name):

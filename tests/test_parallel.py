@@ -83,7 +83,7 @@ class TestRangePartitioner:
         p = RangePartitioner([5.0, 15.0])
         specs = p.specs()
         for value in [N(0), N(5), N(14.9), N(15), N(99), T(2, 3, 4, 6)]:
-            i = p.partition_index(value)
+            i = p.partition_index(sort_key(value)[0])
             assert specs[i].contains(sort_key(value)[0])
 
     def test_from_sample_needs_two_workers(self):

@@ -163,6 +163,16 @@ def test_scatter_gather_join_matches_serial_for_any_boundaries(
     )
 
 
+def test_window_rung_counts_each_slice_pair_once():
+    """Shrunk counter-example: a slice's merge window outgrows the buffer
+    part-way through an outer tuple, and the nested-loop rung refolds that
+    tuple; its joining pairs still count once in ``rows_out``."""
+    wide, point = (T(-1, 0, 0, 1), 0.3), (N(0), 0.3)
+    r_values = [wide, point]
+    s_values = [wide if c == "T" else point for c in "TTTTTTNTTNTTTNTNNNNTTT"]
+    check_against_serial(r_values, s_values, **placement(r_values, s_values, 2, [0.0], [0.0]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     r_values=value_lists,

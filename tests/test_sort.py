@@ -29,6 +29,38 @@ def sorted_values(disk, heap):
     return [t[1] for t in heap.scan(pool)]
 
 
+def page_images(disk, name):
+    """Every stored page of a file, byte for byte (checksums included)."""
+    return [disk._fetch(name, i) for i in range(disk.n_pages(name))]
+
+
+def ledger_values():
+    """90 keys over a narrow range: crisp points, trapezoids sharing left
+    endpoints, and repeats of earlier keys, so ties on ``b`` and on the
+    whole key are frequent."""
+    rng = random.Random(26)
+    values = []
+    for _ in range(90):
+        roll = rng.random()
+        b = float(rng.randint(0, 12))
+        if values and roll < 0.25:
+            values.append(rng.choice(values))
+        elif roll < 0.5:
+            values.append(N(b))
+        else:
+            values.append(T(b, b + 1, b + 2, b + rng.randint(2, 4)))
+    return values
+
+
+#: buffer pages -> sort-phase (crisp comparisons, tuple moves, page reads,
+#: page writes) for ``ledger_values()`` on 30 pages.
+LEDGER = {
+    3: (1181, 414, 138, 138),
+    4: (1263, 270, 90, 90),
+    64: (647, 180, 60, 60),
+}
+
+
 class TestSorting:
     def test_crisp_values(self):
         rng = random.Random(7)
@@ -118,6 +150,31 @@ class TestSortAccounting:
         pages = heap.n_pages
         ios = stats.total.page_ios
         assert 2 * pages <= ios <= 4 * pages + 4
+
+    @pytest.mark.parametrize("buffer_pages", sorted(LEDGER))
+    def test_ledger_and_pages_are_pinned(self, buffer_pages):
+        """The sort moves records as bytes: its output pages are exactly a
+        load of the stably sorted tuples, and its per-phase ledger is the
+        one the tuple-boxing sort charged (3 and 4 pages merge in several
+        passes, 64 in one)."""
+        tuples = [FuzzyTuple([N(i), v], 1.0) for i, v in enumerate(ledger_values())]
+        disk = SimulatedDisk(page_size=256)
+        heap = HeapFile("h", SCHEMA, disk, fixed_tuple_size=64).load(tuples)
+        assert heap.n_pages == 30
+        stats = OperationStats()
+        out = ExternalSorter(disk, buffer_pages, stats).sort(heap, "X")
+
+        expected_disk = SimulatedDisk(page_size=256)
+        expected = HeapFile("e", SCHEMA, expected_disk, fixed_tuple_size=64).load(
+            sorted(tuples, key=lambda t: sort_key(t[1]))
+        )
+        assert page_images(disk, out.name) == page_images(expected_disk, expected.name)
+        assert out.n_tuples == len(tuples)
+
+        assert set(stats.phases) == {SORT_PHASE}
+        sort = stats.phase(SORT_PHASE)
+        ledger = (sort.crisp_comparisons, sort.tuple_moves, sort.page_reads, sort.page_writes)
+        assert ledger == LEDGER[buffer_pages]
 
     def test_comparison_count_is_n_log_n_ish(self):
         rng = random.Random(9)

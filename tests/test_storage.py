@@ -1,11 +1,12 @@
 """Tests for the paged storage engine: serializer, pages, disk, buffer, heap."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import FuzzyRelation, FuzzyTuple, Schema
 from repro.fuzzy import CrispLabel, CrispNumber, DiscreteDistribution, TrapezoidalNumber
+from repro.fuzzy.interval_order import sort_key
 from repro.storage import (
     BufferExhaustedError,
     BufferPool,
@@ -101,14 +102,32 @@ class TestSerializer:
         back = ser.decode(ser.encode(t))
         assert back == t
 
-    @settings(max_examples=100, deadline=None)
-    @given(distributions(), distributions(), st.floats(min_value=0.001, max_value=1.0))
-    def test_roundtrip_property(self, v1, v2, degree):
-        ser = TupleSerializer(SCHEMA)
-        t = FuzzyTuple([v1, v2], degree)
-        back = ser.decode(ser.encode(t))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(distributions(), min_size=1, max_size=4),
+        st.floats(min_value=0.001, max_value=1.0),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=40)),
+    )
+    @example([N(-0.0), T(-0.0, 0.0, 0.0, 1.0), L("x"), D({-0.0: 1.0, 2.0: 0.5})], 1.0, None)
+    @example([L("Ann"), D({"y1": 1.0, "y2": 0.8}), N(-0.0), T(-1, 0, 0, 1)], 0.5, 17)
+    def test_roundtrip_property(self, values, degree, padding):
+        """Decode and re-encode reproduce a record byte for byte (padded or
+        not), and ``key_at`` reads every column's ``sort_key`` from it: the
+        sort and the slice spills move records on exactly these two facts."""
+        schema = Schema([f"C{i}" for i in range(len(values))])
+        t = FuzzyTuple(values, degree)
+        fixed = None
+        if padding is not None:
+            fixed = len(TupleSerializer(schema).encode(t)) + padding
+        ser = TupleSerializer(schema, fixed)
+        record = ser.encode(t)
+        back = ser.decode(record)
         assert back == t
         assert back.degree == pytest.approx(degree)
+        assert ser.encode(back) == record
+        for i in range(len(values)):
+            # repr, so a negative zero must keep its sign
+            assert repr(ser.key_at(record, i)) == repr(sort_key(back[i]))
 
 
 class TestPage:
