@@ -229,8 +229,9 @@ class IndexMergeJoinOp(MergeJoinOp):
         right_index: SupportIntervalIndex,
         residual: Sequence[JoinPredicate] = (),
         threshold: float = 0.0,
+        keep: Optional[Sequence[int]] = None,
     ):
-        super().__init__(left, left_attr, right, right_attr, residual=residual)
+        super().__init__(left, left_attr, right, right_attr, residual=residual, keep=keep)
         self.left_index = left_index
         self.right_index = right_index
         self.threshold = threshold
@@ -245,7 +246,7 @@ class IndexMergeJoinOp(MergeJoinOp):
             # Materialized before yielding so a window overflow can still
             # fall back to the parent plan without double-emitting.
             with ctx.disk.use_stats(ctx.stats), ctx.stats.enter_phase(JOIN_PHASE):
-                pairs = list(self._index_pairs(ctx))
+                folded = list(self._index_fold(ctx, *self.fold_steps))
         except _EntryWindowOverflow:
             ctx.mark_degraded(
                 "index merge-join entry window exceeded the buffer; "
@@ -253,13 +254,11 @@ class IndexMergeJoinOp(MergeJoinOp):
             )
             yield from super()._tuples(ctx)
             return
-        for r, s, degree in pairs:
-            yield r.concat(s, degree)
+        yield from self._rows(ctx, folded)
 
-    def _index_pairs(
-        self, ctx: ExecutionContext
-    ) -> Iterator[Tuple[FuzzyTuple, FuzzyTuple, float]]:
-        """The sliding-window merge over the two index entry streams."""
+    def _index_fold(self, ctx: ExecutionContext, init, step) -> Iterator[Tuple[FuzzyTuple, object]]:
+        """The sliding-window merge over the two index entry streams: the
+        ``(r, state)`` of every outer tuple with a surviving pair."""
         stats = ctx.stats
         pair_degree = self.pair_degree_with(ctx.kernel)
         fetch_frames = max(1, (ctx.buffer_pages - 1) // 2)
@@ -289,12 +288,13 @@ class IndexMergeJoinOp(MergeJoinOp):
 
             # Examine resident entries beginning at or before e(r.X).
             scan_done = False
+            found: List[Tuple[FuzzyTuple, FuzzyTuple, float]] = []
             for entry in window:
                 stats.count_crisp()
                 if entry.a > re_:
                     scan_done = True
                     break
-                yield from self._examine(r_entry, entry, pair_degree, left_rows, right_rows, stats)
+                found += self._examine(r_entry, entry, pair_degree, left_rows, right_rows, stats)
 
             # Extend the window from the S entry stream.
             while not scan_done and not exhausted:
@@ -314,7 +314,13 @@ class IndexMergeJoinOp(MergeJoinOp):
                 if entry.a > re_:
                     scan_done = True
                     break
-                yield from self._examine(r_entry, entry, pair_degree, left_rows, right_rows, stats)
+                found += self._examine(r_entry, entry, pair_degree, left_rows, right_rows, stats)
+
+            if found:
+                state = init(found[0][0])
+                for _r, s, degree in found:
+                    state = step(state, s, degree)
+                yield found[0][0], state
 
     def _examine(
         self,
@@ -345,7 +351,5 @@ class IndexMergeJoinOp(MergeJoinOp):
 
     def describe(self) -> str:
         """One-line label: the indexed band attributes and the WITH cut."""
-        return (
-            f"IndexMergeJoin({self.left_attr} = {self.right_attr}, "
-            f"threshold={self.threshold:g})"
-        )
+        kind = "IndexMaxFold" if self.folds else "IndexMergeJoin"
+        return f"{kind}({self.left_attr} = {self.right_attr}, threshold={self.threshold:g})"

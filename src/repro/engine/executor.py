@@ -10,7 +10,8 @@ The compiler pushes single-relation predicates into the scans (the paper:
 p2) positively should be sorted"), picks one fuzzy equi-join predicate per
 new relation as the merge-join band, folds the remaining predicates into
 the pair degree, and falls back to a block nested loop when no equi-join
-predicate links a relation in.
+predicate links a relation in.  A join keeps only the columns read above
+it, and is a max-fold when that leaves none of its new relation's.
 """
 
 from __future__ import annotations
@@ -208,9 +209,11 @@ class FlatCompiler:
             query.from_tables[0], pushdown, domains, threshold
         )
         pending = list(joins)
+        selected = {(item.relation, item.attribute) for item in query.select}
         for table in query.from_tables[1:]:
             plan, columns, pending = self._join_in(
-                plan, columns, table, pushdown, pending, bindings, domains, threshold
+                plan, columns, table, pushdown, pending, bindings, domains, selected,
+                threshold,
             )
 
         if pending:
@@ -377,8 +380,11 @@ class FlatCompiler:
         return IndexScan(heap, predicates, index, probe, threshold, op, name)
 
     def _join_in(
-        self, plan, columns, table, pushdown, pending, bindings, domains, threshold=0.0
+        self, plan, columns, table, pushdown, pending, bindings, domains, selected,
+        threshold=0.0,
     ):
+        """Join ``table`` in, keeping the columns read above: ``selected``
+        and the predicates still pending (none of ``table``'s: a max-fold)."""
         name = table.name.upper()
         heap = self.tables[name]
         scan_columns = [(table.binding, a.name) for a in heap.schema]
@@ -410,7 +416,12 @@ class FlatCompiler:
                 band = predicate
                 break
 
-        new_columns = columns + scan_columns
+        read_above = selected | {
+            (side.relation, side.attribute)
+            for p in deferred for side in (p.left, p.right) if isinstance(side, ColumnRef)
+        }
+        layout = columns + scan_columns
+        keep = [i for i, column in enumerate(layout) if column in read_above]
         if band is not None:
             applicable.remove(band)
             left_ref, right_ref = band.left, band.right
@@ -423,7 +434,7 @@ class FlatCompiler:
             names = self._layout_names(columns)
             left_attr = names[columns.index((left_ref.relation, left_ref.attribute))]
             joined_plan = self._index_join_path(
-                plan, left_attr, left_ref, scan, right_ref, residual, threshold
+                plan, left_attr, left_ref, scan, right_ref, residual, threshold, keep
             )
             if joined_plan is None:
                 joined_plan = MergeJoinOp(
@@ -432,6 +443,7 @@ class FlatCompiler:
                     scan,
                     right_ref.attribute,
                     residual=residual,
+                    keep=keep,
                 )
         else:
             residual = [
@@ -439,12 +451,12 @@ class FlatCompiler:
                 for p in applicable
             ]
             joined_plan = NestedLoopJoinOp(
-                plan, scan, join_degree(residual), label=table.binding
+                plan, scan, join_degree(residual), label=table.binding, keep=keep
             )
-        return joined_plan, new_columns, deferred
+        return joined_plan, [layout[i] for i in keep], deferred
 
     def _index_join_path(
-        self, plan, left_attr, left_ref, scan, right_ref, residual, threshold
+        self, plan, left_attr, left_ref, scan, right_ref, residual, threshold, keep
     ) -> Optional[Operator]:
         """An :class:`~repro.columnar.IndexMergeJoinOp` when one wins on cost.
 
@@ -488,6 +500,7 @@ class FlatCompiler:
             right_index,
             residual=residual,
             threshold=threshold,
+            keep=keep,
         )
 
     # ------------------------------------------------------------------

@@ -19,7 +19,7 @@ from ..data.schema import Schema
 from ..data.tuples import FuzzyTuple
 from ..errors import FuzzyQueryError
 from ..join.nested_loop import NestedLoopJoin
-from ..join.predicates import JoinPredicate, PairDegree
+from ..join.predicates import MAX_FOLD, PAIRS, JoinPredicate, PairDegree
 from ..storage.heap import HeapFile
 from ..storage.stats import OperationStats
 from .context import ExecutionContext
@@ -44,8 +44,8 @@ def unique_names(names: Iterable[str]) -> List[str]:
     return out
 
 
-def concat_schemas(left: Schema, right: Schema) -> Schema:
-    """Concatenate schemas, suffixing clashing attribute names.
+def concat_schemas(left: Schema, right: Schema, keep: Optional[Sequence[int]] = None) -> Schema:
+    """Concatenate schemas (the positions ``keep`` picks, if given), suffixing clashes.
 
     Compiled plans address columns by position (the executor keeps a
     layout map), so the generated names only need to be unique.
@@ -53,6 +53,8 @@ def concat_schemas(left: Schema, right: Schema) -> Schema:
     from ..data.schema import Attribute
 
     attrs = list(left.attributes) + list(right.attributes)
+    if keep is not None:
+        attrs = [attrs[i] for i in keep]
     names = unique_names(a.name for a in attrs)
     return Schema(
         [Attribute(name, attr.type, attr.domain) for name, attr in zip(names, attrs)]
@@ -254,7 +256,63 @@ def _as_heap(source: Operator, ctx: ExecutionContext) -> Tuple[HeapFile, Optiona
     return Materialize(source).materialize(ctx), None
 
 
-class MergeJoinOp(Operator):
+def join_rows(
+    folded: Iterable[Tuple[FuzzyTuple, object]],
+    outer_keep: Sequence[int],
+    inner_keep: Sequence[int] = (),
+    om=None,
+) -> Iterator[FuzzyTuple]:
+    """The one place an operator builds a row: from ``(r, state)`` per outer tuple.
+
+    With no inner column kept, ``state`` is ``r``'s folded degree and
+    ``r``'s kept columns are emitted once when it is positive; otherwise
+    it lists ``r``'s joining ``(s, degree)`` pairs, each emitted as both
+    tuples' kept columns.  ``om`` counts outer tuples in and pruned.
+    """
+    for r, state in folded:
+        if om is not None:
+            om.rows_in += 1
+        if inner_keep and state:
+            kept = tuple(r.values[i] for i in outer_keep)
+            for s, degree in state:
+                yield FuzzyTuple(kept + tuple(s.values[j] for j in inner_keep), degree)
+        elif not inner_keep and state > 0.0:
+            yield FuzzyTuple(tuple(r.values[i] for i in outer_keep), state)
+        elif om is not None:
+            om.prunes += 1
+
+
+class JoinOp(Operator):
+    """A join emitting the columns ``keep`` picks from (left columns, then right).
+
+    ``None`` keeps all of them.  A join that keeps no right column is a
+    **max-fold** (:attr:`folds`): each left tuple is emitted once, at its
+    largest pair degree (``docs/possibility_semantics.md``).
+    """
+
+    def __init__(self, left: Operator, right: Operator, keep: Optional[Sequence[int]] = None):
+        self.left = left
+        self.right = right
+        width = len(left.schema)
+        keep = range(width + len(right.schema)) if keep is None else keep
+        self.outer_keep = [i for i in keep if i < width]
+        self.inner_keep = [i - width for i in keep if i >= width]
+        self.schema = concat_schemas(left.schema, right.schema, keep)
+        self.folds = not self.inner_keep
+        #: The ``(init, step)`` this join hands the band scan.
+        self.fold_steps = MAX_FOLD if self.folds else PAIRS
+
+    def _rows(self, ctx: ExecutionContext, folded) -> Iterator[FuzzyTuple]:
+        """This join's output rows from the band scan's ``(r, state)`` stream."""
+        om = ctx.metrics.op(self) if ctx.metrics is not None else None
+        return join_rows(folded, self.outer_keep, self.inner_keep, om)
+
+    def children(self) -> List[Operator]:
+        """Both join inputs, outer first."""
+        return [self.left, self.right]
+
+
+class MergeJoinOp(JoinOp):
     """Extended merge-join of two child operators on one equi-attribute pair.
 
     Residual predicates (further join conditions of type-J/chain queries)
@@ -269,15 +327,14 @@ class MergeJoinOp(Operator):
         right_attr: str,
         residual: Sequence[JoinPredicate] = (),
         pair_degree: Optional[PairDegree] = None,
+        keep: Optional[Sequence[int]] = None,
     ):
         from ..join.predicates import join_degree
         from ..fuzzy.compare import Op
 
-        self.left = left
-        self.right = right
+        super().__init__(left, right, keep)
         self.left_attr = left_attr
         self.right_attr = right_attr
-        self.schema = concat_schemas(left.schema, right.schema)
         predicates = [
             JoinPredicate(left.schema, left_attr, Op.EQ, right.schema, right_attr)
         ] + list(residual)
@@ -318,54 +375,46 @@ class MergeJoinOp(Operator):
                 if decision.method == "nested-loop":
                     ctx.mark_adapted(decision.reason)
                     fallback = NestedLoopJoin(ctx.disk, ctx.buffer_pages, ctx.stats)
-                    for r, s, degree in fallback.pairs(
-                        left_heap, right_heap, pair_degree
-                    ):
-                        yield r.concat(s, degree)
+                    yield from self._rows(ctx, fallback.fold(
+                        left_heap, right_heap, pair_degree, *self.fold_steps
+                    ))
                     return
                 if decision.workers != ctx.workers:
                     ctx.mark_adapted(decision.reason)
                     workers = decision.workers
 
         with ctx.merge_join(left_table, right_table, workers) as join:
-            for r, s, degree in join.pairs(
-                left_heap, self.left_attr, right_heap, self.right_attr, pair_degree
-            ):
-                yield r.concat(s, degree)
+            yield from self._rows(ctx, join.fold(
+                left_heap, self.left_attr, right_heap, self.right_attr, pair_degree,
+                *self.fold_steps,
+            ))
 
     def describe(self) -> str:
-        """One-line label: join attributes and comparison operator."""
-        return f"MergeJoin({self.left_attr} = {self.right_attr})"
-
-    def children(self) -> List[Operator]:
-        """Both join inputs, outer first."""
-        return [self.left, self.right]
+        """One-line label: the band attributes, as a join or a max-fold."""
+        kind = "MaxFold" if self.folds else "MergeJoin"
+        return f"{kind}({self.left_attr} = {self.right_attr})"
 
 
-class NestedLoopJoinOp(Operator):
+class NestedLoopJoinOp(JoinOp):
     """Block nested-loop join (the baseline every nested query is stuck with)."""
 
-    def __init__(self, left: Operator, right: Operator, pair_degree: PairDegree, label: str = ""):
-        self.left = left
-        self.right = right
+    def __init__(self, left, right, pair_degree: PairDegree, label: str = "", keep=None):
+        super().__init__(left, right, keep)
         self.pair_degree = pair_degree
-        self.schema = concat_schemas(left.schema, right.schema)
         self.label = label
 
     def _tuples(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
         left_heap, _ = _as_heap(self.left, ctx)
         right_heap, _ = _as_heap(self.right, ctx)
         join = NestedLoopJoin(ctx.disk, ctx.buffer_pages, ctx.stats)
-        for r, s, degree in join.pairs(left_heap, right_heap, self.pair_degree):
-            yield r.concat(s, degree)
+        yield from self._rows(ctx, join.fold(
+            left_heap, right_heap, self.pair_degree, *self.fold_steps
+        ))
 
     def describe(self) -> str:
-        """One-line label: join attributes and comparison operator."""
-        return f"NestedLoopJoin({self.label})"
-
-    def children(self) -> List[Operator]:
-        """Both join inputs, outer first."""
-        return [self.left, self.right]
+        """One-line label: the joined binding, as a join or a max-fold."""
+        kind = "NestedLoopMaxFold" if self.folds else "NestedLoopJoin"
+        return f"{kind}({self.label})"
 
 
 class BandFold(Operator):
@@ -426,13 +475,7 @@ class BandFold(Operator):
     ) -> Iterator[FuzzyTuple]:
         """Project the outer tuples whose folded degree is positive."""
         om = ctx.metrics.op(self) if ctx.metrics is not None else None
-        for r, degree in degrees:
-            if om is not None:
-                om.rows_in += 1
-            if degree > 0.0:
-                yield FuzzyTuple(tuple(r[i] for i in self.project_indices), degree)
-            elif om is not None:
-                om.prunes += 1
+        return join_rows(degrees, self.project_indices, om=om)
 
     def children(self) -> List[Operator]:
         """The outer and inner base-table scans."""

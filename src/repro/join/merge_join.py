@@ -46,7 +46,7 @@ from ..storage.disk import SimulatedDisk
 from ..storage.heap import HeapFile
 from ..storage.stats import OperationStats
 from .nested_loop import NestedLoopJoin
-from .predicates import PairDegree
+from .predicates import PAIRS, PairDegree
 
 JOIN_PHASE = "join"
 
@@ -122,15 +122,7 @@ class MergeJoin:
         pair_degree: PairDegree,
     ) -> Iterator[Tuple[FuzzyTuple, FuzzyTuple, float]]:
         """All joining pairs ``(r, s, degree)`` with positive degree."""
-        def init(_r: FuzzyTuple):
-            return []
-
-        def step(matches, s: FuzzyTuple, degree: float):
-            if degree > 0.0:
-                matches.append((s, degree))
-            return matches
-
-        for r, matches in self.fold(outer, outer_attr, inner, inner_attr, pair_degree, init, step):
+        for r, matches in self.fold(outer, outer_attr, inner, inner_attr, pair_degree, *PAIRS):
             for s, degree in matches:
                 yield r, s, degree
 

@@ -17,7 +17,7 @@ from ..data.tuples import FuzzyTuple
 from ..storage.disk import SimulatedDisk
 from ..storage.heap import HeapFile
 from ..storage.stats import OperationStats
-from .predicates import PairDegree
+from .predicates import PAIRS, PairDegree
 
 NL_PHASE = "nested-loop"
 
@@ -41,15 +41,7 @@ class NestedLoopJoin:
         self, outer: HeapFile, inner: HeapFile, pair_degree: PairDegree
     ) -> Iterator[Tuple[FuzzyTuple, FuzzyTuple, float]]:
         """All joining pairs ``(r, s, degree)`` with positive degree."""
-        def init(_r: FuzzyTuple):
-            return []
-
-        def step(matches, s: FuzzyTuple, degree: float):
-            if degree > 0.0:
-                matches.append((s, degree))
-            return matches
-
-        for r, matches in self.fold(outer, inner, pair_degree, init, step):
+        for r, matches in self.fold(outer, inner, pair_degree, *PAIRS):
             for s, degree in matches:
                 yield r, s, degree
 

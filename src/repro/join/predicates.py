@@ -74,6 +74,20 @@ class JoinPredicate:
 PairDegree = Callable[[FuzzyTuple, FuzzyTuple, Optional[OperationStats]], float]
 
 
+def _add_pair(matches: list, s: FuzzyTuple, degree: float) -> list:
+    if degree > 0.0:
+        matches.append((s, degree))
+    return matches
+
+
+#: ``(init, step)`` of the fold collecting each outer tuple's joining ``(s, degree)`` pairs.
+PAIRS = (lambda _r: [], _add_pair)
+
+#: ``(init, step)`` of the max-fold: each outer tuple's largest pair degree,
+#: 0 when nothing joins (``docs/possibility_semantics.md``).
+MAX_FOLD = (lambda _r: 0.0, lambda state, _s, degree: degree if degree > state else state)
+
+
 def join_degree(
     predicates: Sequence[JoinPredicate], kernel: Optional[ComparisonKernel] = None
 ) -> PairDegree:

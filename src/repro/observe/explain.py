@@ -19,9 +19,8 @@ from typing import Dict, List, Optional
 
 from ..engine.operators import (
     BandFold,
+    JoinOp,
     Materialize,
-    MergeJoinOp,
-    NestedLoopJoinOp,
     Operator,
     Project,
     Scan,
@@ -52,15 +51,17 @@ def estimate_rows(
     if isinstance(operator, Scan):
         base = float(operator.heap.n_tuples)
         return base * PREDICATE_SELECTIVITY ** len(operator.predicates)
-    if isinstance(operator, (MergeJoinOp, NestedLoopJoinOp)):
+    if isinstance(operator, JoinOp):
         left = estimate_rows(operator.left, fanout, edge_fanouts)
         right = estimate_rows(operator.right, fanout, edge_fanouts)
         c = fanout
         if edge_fanouts is not None:
             c = edge_fanouts.get(id(operator), fanout)
         # Constant fan-out: each left tuple joins C right tuples, bounded
-        # by the cross product on tiny inputs.
-        return max(1.0, min(left * c, left * max(right, 1.0)))
+        # by the cross product on tiny inputs; a max-fold emits each left
+        # tuple at most once.
+        rows = min(left * c, left * max(right, 1.0))
+        return max(1.0, min(rows, left) if operator.folds else rows)
     if isinstance(operator, Select):
         child = estimate_rows(operator.child, fanout, edge_fanouts)
         return child * PREDICATE_SELECTIVITY ** len(operator.predicates)
@@ -127,7 +128,7 @@ def join_q_errors(
     out: List[float] = []
 
     def walk(operator: Operator) -> None:
-        if isinstance(operator, (MergeJoinOp, NestedLoopJoinOp)):
+        if isinstance(operator, JoinOp):
             om = metrics.for_node(operator)
             if om is not None:
                 out.append(q_error(estimates[id(operator)], om.rows_out))
@@ -160,7 +161,7 @@ def render_plan(
             om = metrics.for_node(operator)
             if om is not None:
                 notes.append(f"rows={om.rows_out}")
-                if isinstance(operator, (MergeJoinOp, NestedLoopJoinOp, BandFold)):
+                if isinstance(operator, (JoinOp, BandFold)):
                     notes.append(
                         f"q={q_error(estimates[id(operator)], om.rows_out):.2f}"
                     )

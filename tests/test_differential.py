@@ -167,7 +167,7 @@ def test_three_engines_agree_on_ramp_crossings(label):
 
 @pytest.mark.parametrize("label", sorted(NESTED_LOOP_CASES))
 def test_three_engines_agree_on_nested_loop_joins(label):
-    check_three_engines_agree(label, POOL, NESTED_LOOP_CASES, "NestedLoopJoin(")
+    check_three_engines_agree(label, POOL, NESTED_LOOP_CASES, "NestedLoop")
 
 
 @pytest.mark.parametrize("label", sorted(CASES))

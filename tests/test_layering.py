@@ -9,7 +9,8 @@ nodes, the join-order DP, the flat compiler or the nesting taxonomy, or
 when the planner reaches for a session or the write path.  Likewise the
 operator modules never import the parallel or shard layers — every band
 join they run comes from ``ExecutionContext.merge_join()`` — and exactly
-one module constructs the partitioned band join.  The modules that move
+one module constructs the partitioned band join, and one function builds
+a join's output rows (``join_rows``).  The modules that move
 records as bytes — the external sort and the band join's slice spills —
 never parse or build a record: they key it with
 ``TupleSerializer.key_at``, so the record format stays behind
@@ -147,6 +148,48 @@ def constructors(name):
 
 def test_one_module_constructs_the_partitioned_band_join():
     assert constructors("PartitionedBandJoin") == ["engine/context.py"]
+
+
+def builds_a_row(node) -> bool:
+    """A ``.concat(...)`` call, or ``FuzzyTuple(...)`` over a kept-column
+    tuple (its values assembled by a comprehension)."""
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Attribute) and node.func.attr == "concat":
+        return True
+    return getattr(node.func, "id", None) == "FuzzyTuple" and bool(node.args) and any(
+        isinstance(n, (ast.GeneratorExp, ast.ListComp)) for n in ast.walk(node.args[0])
+    )
+
+
+def functions_building_rows(tree):
+    """The functions of ``tree`` (a nested one, and its enclosing one) that build a row."""
+    return [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef) and any(map(builds_a_row, ast.walk(function)))
+    ]
+
+
+def test_join_rows_are_built_in_one_function():
+    """Every join, fold and rung emits through ``join_rows``, so none can
+    bypass the keep / max-fold rule of ``FlatCompiler._join_in``."""
+    found = [
+        f"{path.relative_to(SRC).as_posix()}::{name}"
+        for package in ("engine", "columnar")
+        for path in sorted((SRC / package).glob("*.py"))
+        for name in functions_building_rows(ast.parse(path.read_text()))
+    ]
+    assert found == ["engine/operators.py::join_rows"]
+
+
+def test_the_row_rule_sees_concat_and_kept_columns():
+    tree = ast.parse(
+        "def a(r, s, d):\n    return r.concat(s, d)\n"
+        "def b(r, keep, d):\n    return FuzzyTuple(tuple(r[i] for i in keep), d)\n"
+        "def c(values, d):\n    return FuzzyTuple(values, d)\n"
+    )
+    assert functions_building_rows(tree) == ["a", "b"]
 
 
 def test_the_lint_sees_relative_and_local_imports():

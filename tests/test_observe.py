@@ -132,7 +132,7 @@ class TestEstimates:
         session.query(TYPE_J_SQL)
         text = render_plan(session.last_plan)
         assert "est=" in text
-        assert "MergeJoin" in text
+        assert "MaxFold(V = V)" in text
         assert "Scan" in text
 
 
@@ -194,7 +194,7 @@ class TestExplainAnalyze:
         assert "nesting type: J" in report
         assert "rewrite: IN -> flat equi-join (Theorems 4.1/4.2)" in report
         assert "strategy: flat/J: merge-join plan" in report
-        assert "MergeJoin" in report
+        assert "MaxFold(V = V)" in report
         assert "est=" in report and "rows=" in report  # estimated vs actual
         assert "merge passes" in report  # sort shapes
         assert "buffer" in report  # hit/miss profile

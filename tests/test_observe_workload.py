@@ -106,7 +106,7 @@ class TestSpanTracer:
         assert threshold is not None
         project = threshold.find("Project")
         assert project is not None and project is not threshold
-        join = project.find("MergeJoin")
+        join = project.find("MaxFold")
         assert join is not None
         # The join's own phases hang below it: two sorts and the probe.
         sorts = [c for c in join.children if c.name.startswith("sort ")]
@@ -383,7 +383,7 @@ class TestQError:
     def test_explain_analyze_shows_q_error_per_join(self):
         session = build_session()
         report = session.explain_analyze(TYPE_J_SQL)
-        join_lines = [l for l in report.splitlines() if "MergeJoin" in l]
+        join_lines = [l for l in report.splitlines() if "MaxFold" in l]
         assert join_lines
         assert all(re.search(r"q=\d+\.\d\d", l) for l in join_lines)
 
@@ -415,26 +415,31 @@ class TestQError:
         assert session.last_stats.total.page_reads == before
 
     def test_estimate_rows_uses_per_edge_fanout(self):
-        session = build_session()
-        session.query(TYPE_J_SQL)
+        session = build_session(tables=("R", "S", "W"))
+        session.query(CHAIN_SQL)
         plan = session.last_plan
 
         from repro.engine.operators import MergeJoinOp
 
-        stack, join = [plan], None
+        # The chain's R-S edge emits pairs; its W edge is a max-fold.
+        stack, join, fold = [plan], None, None
         while stack:
             op = stack.pop()
             if isinstance(op, MergeJoinOp):
-                join = op
-                break
+                if op.folds:
+                    fold = op
+                else:
+                    join = op
             stack.extend(op.children())
-        assert join is not None
+        assert join is not None and fold is not None and fold.left is join
 
         constant = estimate_rows(join, fanout=7.0)
         doubled = estimate_rows(join, fanout=7.0, edge_fanouts={id(join): 14.0})
         missing = estimate_rows(join, fanout=7.0, edge_fanouts={})
         assert doubled > constant  # the per-edge value overrides
         assert missing == constant  # absent edge falls back to the constant
+        # A max-fold emits each outer tuple at most once, whatever its fan-out.
+        assert estimate_rows(fold, fanout=7.0, edge_fanouts={id(fold): 14.0}) == constant
 
 
 # ----------------------------------------------------------------------
@@ -447,7 +452,7 @@ class TestStrategyReports:
         assert "nesting type: chain" in report
         assert "rewrite: K-level chain -> single flat join (Theorem 8.1)" in report
         assert "strategy: flat/chain: merge-join plan" in report
-        join_lines = [l for l in report.splitlines() if "MergeJoin" in l]
+        join_lines = [l for l in report.splitlines() if "MergeJoin" in l or "MaxFold" in l]
         assert len(join_lines) == 2  # R-S and S-W edges of the chain
         assert all("est=" in l and "q=" in l for l in join_lines)
 

@@ -165,6 +165,32 @@ def test_plans_on_a_stub_catalog_with_zero_io(label, stub, request):
     assert explain_text(nesting, artifact) == session.explain(sql)
 
 
+#: The flat plans: a join that keeps no column of its new relation is a
+#: max-fold, so N, J and SOME fold and the chain joins R-S, then folds W.
+FLAT_PLANS = {
+    "N": ["MaxFold(V = V)", "Scan(R, filter=true)", "Scan(S, filter=true)"],
+    "J": ["MaxFold(V = V)", "Scan(R, filter=true)", "Scan(S, filter=true)"],
+    "SOME": ["NestedLoopMaxFold(S)", "Scan(R, filter=true)", "Scan(S, filter=true)"],
+    "chain": [
+        "MaxFold(U = U)", "MergeJoin(V = V)", "Scan(R, filter=true)",
+        "Scan(S, filter=true)", "Scan(W, filter=true)",
+    ],
+}
+
+
+@pytest.mark.parametrize("label", sorted(FLAT_PLANS))
+def test_flat_plans_fold_the_relations_nobody_reads(label, stub):
+    _disk, catalog = stub
+    query = parse(CASES[label][0])
+    artifact = plan(query, classify(query, catalog.schemas), catalog)
+    lines = [line.strip() for line in artifact.operator.explain().splitlines()]
+    assert lines == ["Threshold(D >= 0.0)", "Project(K)"] + FLAT_PLANS[label]
+    if label == "chain":
+        # R-S carries only what is read above it: R.K, R.V and S.U.
+        pairs = artifact.operator.child.child.left
+        assert [a.name for a in pairs.schema] == ["K", "V", "U"]
+
+
 def test_planned_leaves_remember_their_catalog_name(stub):
     _disk, catalog = stub
     for label in ("J", "JX", "JA", "chain"):
