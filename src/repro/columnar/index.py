@@ -183,7 +183,7 @@ class SupportIntervalIndex:
 
         The write path already holds the installed version's tuples in
         memory *and* their ``(page, slot)`` placements (recorded by
-        :meth:`~repro.storage.heap.HeapFile.load`), so small update /
+        :meth:`~repro.storage.heap.HeapFile.load_records`), so small update /
         delete transactions can patch the index image without re-reading
         a single heap page.  :meth:`_persist` sorts deterministically, so
         the result is bit-identical to a full :meth:`build` over the same

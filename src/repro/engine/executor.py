@@ -22,7 +22,9 @@ from ..data.relation import FuzzyRelation
 from ..data.schema import Attribute, Schema
 from ..data.tuples import FuzzyTuple
 from ..fuzzy.compare import Op, possibility
+from ..fuzzy.crisp import CrispNumber
 from ..fuzzy.linguistic import Vocabulary, lift
+from ..fuzzy.trapezoid import TrapezoidalNumber
 from ..join.predicates import JoinPredicate, join_degree
 from ..sql.ast import ColumnRef, Comparison, Literal, SelectQuery
 from ..sql.parser import parse
@@ -86,6 +88,19 @@ def compile_comparison(
         return possibility(left(t), op, right(t))
 
     return TuplePredicate(degree, label=str(predicate))
+
+
+def interval_probe(predicate: Comparison, domains, vocabulary: Optional[Vocabulary] = None):
+    """``(column, op, value)`` of a ``column op literal`` comparison whose
+    literal lifts to a crisp number or trapezoid (one support interval),
+    else None.  A literal on the left flips ``op`` (``10 < X`` is ``X > 10``)."""
+    column, op, literal = predicate.left, predicate.op, predicate.right
+    if isinstance(literal, ColumnRef):
+        column, op, literal = literal, op.flipped(), column
+    if not isinstance(column, ColumnRef) or not isinstance(literal, Literal):
+        return None
+    value = lift(literal.value, vocabulary, domains.get((column.relation, column.attribute)))
+    return (column, op, value) if isinstance(value, (CrispNumber, TrapezoidalNumber)) else None
 
 
 def compile_conjunction(
@@ -338,37 +353,23 @@ class FlatCompiler:
         ``attribute op literal`` comparison with ``op`` in
         ``{=, <, <=, >, >=}``, the attribute is indexed, and the lifted
         literal has a single-interval support (crisp number or trapezoid)
-        — the shapes the vectorized kernels cover exactly.  A literal on
-        the left flips the operator (``10 < X`` is ``X > 10``).
+        — the shapes the vectorized kernels cover exactly (see
+        :func:`interval_probe`).
         """
         if not self.indexes or len(predicates_ast) != 1:
             return None
-        predicate = predicates_ast[0]
-        if predicate.op not in (Op.EQ, Op.LT, Op.LE, Op.GT, Op.GE):
+        if predicates_ast[0].op not in (Op.EQ, Op.LT, Op.LE, Op.GT, Op.GE):
             return None
-        op = predicate.op
-        column, literal = predicate.left, predicate.right
-        if isinstance(literal, ColumnRef):
-            column, literal = literal, column
-            op = op.flipped()
-        if not isinstance(column, ColumnRef) or not isinstance(literal, Literal):
+        probed = interval_probe(predicates_ast[0], domains, self.vocabulary)
+        if probed is None:
             return None
+        column, op, probe = probed
         index = self.indexes.get((name, column.attribute))
         if index is None:
             return None
         from ..columnar import IndexScan
-        from ..columnar.index import probe_support
-        from ..fuzzy.crisp import CrispNumber
-        from ..fuzzy.trapezoid import TrapezoidalNumber
 
-        probe = lift(
-            literal.value,
-            self.vocabulary,
-            domains.get((column.relation, column.attribute)),
-        )
-        if not isinstance(probe, (CrispNumber, TrapezoidalNumber)):
-            return None
-        begin, end = probe_support(probe)
+        begin, end = probe.interval()
         index_pages = len(index.probe_pages(op, begin, end))
         candidates = index.candidate_entries_for(op, begin, end)
         per_page = max(1, heap.n_tuples // max(1, heap.n_pages))

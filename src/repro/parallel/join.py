@@ -38,7 +38,7 @@ from ..data.tuples import FuzzyTuple
 from ..errors import DiskFullError, StorageFaultError
 from ..join.merge_join import MergeJoin
 from ..resilience import CancelToken, QueryGuard
-from ..sort.runs import RunWriter, run_records
+from ..sort.runs import RunWriter
 from ..storage.disk import SimulatedDisk
 from ..storage.heap import HeapFile
 from ..storage.stats import OperationStats
@@ -100,15 +100,10 @@ class Slice:
     mirror: Optional["Slice"] = None
 
 
-def _records(heap: HeapFile) -> Iterator[bytes]:
-    """A heap's encoded records in file order, one charged read per page."""
-    return run_records(heap.disk, heap.name)
-
-
 def _read(heap: Optional[HeapFile]) -> List[bytes]:
     """A whole heap read into memory (nothing when absent), so a read that
     fails part-way leaves nothing behind to retry around."""
-    return [] if heap is None else list(_records(heap))
+    return [] if heap is None else list(heap.disk.records(heap.name))
 
 
 def _key(heap: HeapFile, attribute: str) -> Callable[[bytes], Tuple[object, object]]:
@@ -145,7 +140,7 @@ def _reach(heap: HeapFile, attribute: str, stats: OperationStats) -> Tuple[objec
     """The ``(min b, max e)`` reach of an outer slice's tuples."""
     key = _key(heap, attribute)
     low = high = None
-    for record in _records(heap):
+    for record in heap.disk.records(heap.name):
         b, e = key(record)
         stats.count_crisp(2)
         low = b if low is None or b < low else low
@@ -308,7 +303,7 @@ class PartitionedBandJoin(MergeJoin):
             scratch += names
             key = _key(outer, outer_attr)
             parts = _spill(
-                self.disk, names, outer, _records(outer),
+                self.disk, names, outer, outer.disk.records(outer.name),
                 lambda record: (partitioner.partition_index(key(record)[0]),), self.stats,
             )
             live = [(spec, part) for spec, part in zip(partitioner.specs(), parts) if part.n_tuples]
@@ -324,7 +319,9 @@ class PartitionedBandJoin(MergeJoin):
             names = [f"__part_{inner.name}_{tag}_{spec.index}" for spec, _ in live]
             scratch += names
             route = _band_route(_key(inner, inner_attr), bands, self.stats)
-            inner_parts = _spill(self.disk, names, inner, _records(inner), route, self.stats)
+            inner_parts = _spill(
+                self.disk, names, inner, inner.disk.records(inner.name), route, self.stats
+            )
         return [
             Slice(*spec, part, _written(inner_part), self.disk)
             for (spec, part), inner_part in zip(live, inner_parts)

@@ -20,7 +20,7 @@ workload sinks) are the shared
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .data.catalog import Catalog
 from .errors import FuzzyQueryError, QueryCancelledError
@@ -32,7 +32,7 @@ from .data.types import AttributeType
 from .data.tuples import FuzzyTuple
 from .engine.adaptive import AdaptiveController
 from .engine.aggregates import DegreePolicy
-from .engine.executor import CompileError, DmlColumns, compile_conjunction
+from .engine.executor import CompileError, DmlColumns, compile_conjunction, interval_probe
 from .engine.histogram import HistogramStore
 from .engine.operators import ExecutionContext
 from .engine.semantics import NaiveEvaluator
@@ -40,6 +40,7 @@ from .engine.statistics import StatisticsVersions
 from .observe.explain import annotate_estimates, render_plan, render_report
 from .observe.metrics import QueryMetrics
 from .observe.trace import SpanTracer, maybe_span
+from .fuzzy.compare import Op
 from .fuzzy.linguistic import Vocabulary
 from . import planner
 from .service.lifecycle import StatementLifecycle
@@ -62,6 +63,13 @@ from .sql.statements import (
 from .storage.disk import SimulatedDisk
 from .storage.heap import HeapFile
 from .storage.stats import OperationStats
+
+
+def _misses(serializer, record: bytes, band) -> bool:
+    """Whether the ``N`` / ``T`` value in column ``at`` of ``band = (at, b, e)`` misses ``[b, e]``."""
+    at, b, e = band
+    support = serializer.key_at(record, at, numeric_only=True)
+    return support is not None and (support[1] < b or e < support[0])
 
 
 class StorageSession(StatementLifecycle):
@@ -278,15 +286,17 @@ class StorageSession(StatementLifecycle):
             self._writes = WriteManager(self)
         return self._writes
 
-    def _replace_placement(self, name: str, relation: FuzzyRelation) -> None:
+    def _replace_placement(self, name: str, rows: Callable[[], List[FuzzyTuple]]) -> None:
         """Re-place ``name`` from its current heap after a write or checkpoint.
 
         Tables never placed (unsharded sessions, or relations without the
         shard attribute) stay unplaced — the main-disk heap remains
-        authoritative and band joins simply run locally on it.
+        authoritative and band joins simply run locally on it — and
+        ``rows`` (the decoded contents) is never called for them.
         """
         if self.sharded is None or name not in self._relations:
             return
+        relation = FuzzyRelation(self.tables[name].schema, rows())
         self._place(name, relation, self.sharded.layout(name).attribute)
 
     def _place(self, name: str, relation: FuzzyRelation, attribute: str, boundaries=None) -> None:
@@ -309,11 +319,7 @@ class StorageSession(StatementLifecycle):
         scratch = OperationStats()
         with self.disk.use_stats(scratch):
             heap = HeapFile.attach(name, schema, self.disk, self.fixed_tuple_size)
-            contents = [
-                heap.serializer.decode(record)
-                for page_index in range(heap.n_pages)
-                for record in self.disk.read_page(heap.name, page_index).records()
-            ]
+            contents = [heap.serializer.decode(r) for r in self.disk.records(heap.name)]
         self.tables[name] = heap
         self.schemas.register(name, FuzzyRelation(schema))
         built = self.histograms.build_table(name, schema, contents)
@@ -363,17 +369,22 @@ class StorageSession(StatementLifecycle):
         string otherwise) or the list of results.
 
         Victim sets of UPDATE / DELETE are computed against the table
-        version current when the statement enters the batch.
+        version current when the statement enters the batch.  An UPDATE /
+        DELETE on a table with pending ops flushes them first; every
+        flush's ledger is merged into the one :attr:`last_stats`.
         """
         single = not isinstance(statements, (list, tuple))
         items = [statements] if single else list(statements)
         parsed = [parse_statement(s) if isinstance(s, str) else s for s in items]
         results: list = []
         pending: List[Tuple[str, str, list]] = []
+        ledger = OperationStats()
 
         def flush() -> None:
             if pending:
                 results.extend(self.writes.apply_ops(list(pending), tracer=tracer))
+                ledger.merge(self.last_stats)
+                self.last_stats = ledger
                 pending.clear()
 
         for stmt in parsed:
@@ -507,36 +518,34 @@ class StorageSession(StatementLifecycle):
         The match degree of a row is ``min(μ(row), μ(WHERE))``; with no
         threshold any positive match qualifies, with ``WITH D >= z`` the
         degree must reach ``z``.  The scan is charged to a scratch ledger
-        (the WAL apply owns the statement's ledger).
+        (the WAL apply owns the statement's ledger).  A row whose ``N`` /
+        ``T`` column support misses a ``col = literal`` conjunct's crisp or
+        trapezoid literal has ``Poss(=) = 0`` (Definition 3.1, the merge
+        band's test) and is skipped undecoded — unless ``z <= 0``, which
+        selects degree-0 rows.
         """
         heap = self._heap_of(name)
-        match = self._dml_match(heap, table_as_typed, where)
+        columns = DmlColumns({None, table_as_typed, table_as_typed.upper(), heap.name}, heap.schema)
+        try:
+            match = compile_conjunction(where or (), columns, columns, self.vocabulary)
+        except CompileError as exc:
+            raise FuzzyQueryError(f"UPDATE/DELETE WHERE: {exc}") from None
+        probes = filter(None, (interval_probe(p, columns, self.vocabulary) for p in where or ()))
+        bands = [
+            (columns.index((c.relation, c.attribute)), *value.interval())
+            for c, op, value in probes if op is Op.EQ and (threshold is None or threshold > 0)
+        ]
         victims = []
         scratch = OperationStats()
         with self.disk.use_stats(scratch):
-            for page_index in range(heap.n_pages):
-                page = self.disk.read_page(heap.name, page_index)
-                for record in page.records():
-                    t = heap.serializer.decode(record)
-                    d = min(t.degree, match(t))
-                    if (d >= threshold) if threshold is not None else (d > 0.0):
-                        victims.append(t)
+            for record in self.disk.records(heap.name):
+                if any(_misses(heap.serializer, record, band) for band in bands):
+                    continue
+                t = heap.serializer.decode(record)
+                d = min(t.degree, match(t))
+                if (d >= threshold) if threshold is not None else (d > 0.0):
+                    victims.append(t)
         return victims
-
-    def _dml_match(self, heap: HeapFile, table_as_typed: str, where):
-        """Compile the WHERE conjunction of an UPDATE / DELETE.
-
-        Only flat comparisons are accepted; column references may be
-        unqualified or qualified by the table name (as typed or upper).
-        """
-        columns = DmlColumns(
-            {None, table_as_typed, table_as_typed.upper(), heap.name},
-            heap.schema,
-        )
-        try:
-            return compile_conjunction(where or (), columns, columns, self.vocabulary)
-        except CompileError as exc:
-            raise FuzzyQueryError(f"UPDATE/DELETE WHERE: {exc}") from None
 
     # ------------------------------------------------------------------
     # Queries
@@ -867,10 +876,8 @@ class StorageSession(StatementLifecycle):
         with maybe_span(tracer, "scan tables"), self.disk.use_stats(stats):
             for name, heap in self.tables.items():
                 relation = FuzzyRelation(heap.schema)
-                for page_index in range(heap.n_pages):
-                    page = self.disk.read_page(heap.name, page_index)
-                    for record in page.records():
-                        relation.add(heap.serializer.decode(record))
+                for record in self.disk.records(heap.name):
+                    relation.add(heap.serializer.decode(record))
                 catalog.register(name, relation)
         evaluator = NaiveEvaluator(
             catalog, aggregate_policy=self.aggregate_policy, stats=stats

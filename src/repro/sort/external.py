@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, List, Optional
 from ..storage.disk import SimulatedDisk
 from ..storage.heap import HeapFile
 from ..storage.stats import OperationStats
-from .runs import RunWriter, drop_runs, fresh_run_name, run_records
+from .runs import RunWriter, drop_runs, fresh_run_name
 
 SORT_PHASE = "sort"
 
@@ -221,7 +221,7 @@ class ExternalSorter:
         # keys (docs/cost_model.md records the over-count), then the run
         # index, which is unique, so records are never compared.
         key_at, stats = source.serializer.key_at, self.stats
-        readers = [run_records(self.disk, name) for name in runs]
+        readers = [self.disk.records(name) for name in runs]
         heap = []
         for i, reader in enumerate(readers):
             first = next(reader, None)

@@ -7,7 +7,7 @@ builds a tuple, so a record keeps its bytes from input page to output page.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, List
+from typing import List
 
 from ..storage.disk import SimulatedDisk
 from ..storage.page import Page
@@ -48,12 +48,6 @@ class RunWriter:
     def discard(self) -> None:
         """Drop the buffered page without flushing (error-path close)."""
         self._page = Page(self.disk.page_size)
-
-
-def run_records(disk: SimulatedDisk, name: str) -> Iterator[bytes]:
-    """A file's records in order, charging one read per page."""
-    for index in range(disk.n_pages(name)):
-        yield from disk.read_page(name, index).records()
 
 
 def drop_runs(disk: SimulatedDisk, names: List[str]) -> None:

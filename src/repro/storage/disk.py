@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from ..errors import TransientIOError
 from ..resilience import QueryGuard, RetryPolicy
@@ -228,6 +228,11 @@ class SimulatedDisk:
         if guard is not None:
             guard.check()
         return Page.from_bytes(data, self.page_size)
+
+    def records(self, name: str) -> Iterator[bytes]:
+        """A file's records in page order, charging one read per page."""
+        for index in range(self.n_pages(name)):
+            yield from self.read_page(name, index).records()
 
     def write_page(self, name: str, index: int, page: Page) -> None:
         """Overwrite the page at ``(name, index)``, charging one page write."""

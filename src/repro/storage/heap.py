@@ -40,22 +40,25 @@ class HeapFile:
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
-    def load(
+    def load(self, tuples: Iterable[FuzzyTuple]) -> "HeapFile":
+        """Append tuples, packing pages greedily; returns self for chaining."""
+        return self.load_records(map(self.serializer.encode, tuples))
+
+    def load_records(
         self,
-        tuples: Iterable[FuzzyTuple],
+        records: Iterable[bytes],
         placements: Optional[List[Tuple[int, int]]] = None,
     ) -> "HeapFile":
-        """Append tuples, packing pages greedily; returns self for chaining.
+        """Append encoded records, packing pages greedily; returns self.
 
-        Pass a list as ``placements`` to receive one ``(page, slot)`` row
-        id per loaded tuple, in load order — index maintenance uses this
-        to rebuild postings from in-memory rows without re-scanning the
-        freshly written pages.
+        The one packing loop (:meth:`load` encodes into it).  Pass a list
+        as ``placements`` to receive one ``(page, slot)`` row id per
+        record, in load order — index maintenance uses this to rebuild
+        postings without re-scanning the freshly written pages.
         """
         page = Page(self.disk.page_size)
         page_index = self.n_pages
-        for t in tuples:
-            record = self.serializer.encode(t)
+        for record in records:
             if not page.fits(record):
                 if len(page) == 0:
                     raise PageFullError(
@@ -101,10 +104,7 @@ class HeapFile:
         if not disk.exists(name):
             raise FileNotFoundError(f"no heap file {name!r} on the disk")
         heap = cls(name, schema, disk, fixed_tuple_size)
-        heap.n_tuples = sum(
-            len(list(disk.read_page(name, index).records()))
-            for index in range(disk.n_pages(name))
-        )
+        heap.n_tuples = sum(1 for _ in disk.records(name))
         return heap
 
     # ------------------------------------------------------------------

@@ -34,7 +34,8 @@ _F64 = struct.Struct(">d")
 _U16 = struct.Struct(">H")
 #: A trapezoid payload's support ``(a, d)``, skipping its core ``b, c``.
 _SUPPORT = struct.Struct(">d16xd")
-_N, _T = ord("N"), ord("T")
+_N, _T, _L, _D = ord("N"), ord("T"), ord("L"), ord("D")
+_NEG_ZERO = _F64.pack(-0.0)
 
 
 class SerializationError(ValueError):
@@ -95,6 +96,23 @@ def decode_value(data: bytes, offset: int) -> Tuple[Distribution, int]:
     raise SerializationError(f"unknown value tag {tag!r} at offset {offset - 1}")
 
 
+def _unsign_zeros(data: bytearray, offset: int) -> int:
+    """Rewrite each ``-0.0`` of the value at ``offset`` as ``0.0``; returns the next offset."""
+    tag = data[offset]
+    if tag == _L:
+        return offset + 3 + _U16.unpack_from(data, offset + 1)[0]
+    if tag == _D:
+        end = offset + 3
+        for _ in range(_U16.unpack_from(data, offset + 1)[0]):
+            end = _unsign_zeros(data, end) + 8  # the element, then its degree (> 0)
+        return end
+    end = offset + (9 if tag == _N else 33)
+    for at in range(offset + 1, end, 8):
+        if data[at:at + 8] == _NEG_ZERO:
+            data[at] = 0
+    return end
+
+
 class TupleSerializer:
     """Encodes/decodes :class:`FuzzyTuple` records for one schema.
 
@@ -130,11 +148,12 @@ class TupleSerializer:
             values.append(value)
         return FuzzyTuple(values, degree)
 
-    def key_at(self, record: bytes, index: int) -> Tuple:
+    def key_at(self, record: bytes, index: int, numeric_only: bool = False) -> Optional[Tuple]:
         """``sort_key`` of column ``index``, read from the record's bytes.
 
         ``N`` and ``T`` values are skipped and read in place; ``L`` and
-        ``D`` values (the appendix's) are decoded, one value at a time.
+        ``D`` values (the appendix's) are decoded, one value at a time —
+        or, with ``numeric_only``, give ``None``.
         """
         offset = 8
         for _ in range(index):
@@ -151,7 +170,21 @@ class TupleSerializer:
             return v, v
         if tag == _T:
             return _SUPPORT.unpack_from(record, offset + 1)
-        return decode_value(record, offset)[0].interval()
+        return None if numeric_only else decode_value(record, offset)[0].interval()
+
+    def identity(self, record: bytes) -> bytes:
+        """A record's value identity: its bytes after the 8-byte degree.
+
+        Equal identities are equal ``value_key()``s: a ``-0.0`` is keyed
+        as ``0.0`` (NaN, which no key equals, is matched by its bytes).
+        """
+        key = record[8:]
+        if _NEG_ZERO not in key:
+            return key
+        data, offset = bytearray(record), 8
+        for _ in range(len(self.schema)):
+            offset = _unsign_zeros(data, offset)
+        return bytes(data[8:])
 
     def size_of(self, t: FuzzyTuple) -> int:
         """Encoded size in bytes (the fixed size when one is declared)."""

@@ -28,11 +28,12 @@ bit-identical files.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..columnar.index import SupportIntervalIndex, index_file_name
-from ..data.relation import FuzzyRelation
 from ..data.tuples import FuzzyTuple
 from ..errors import RecoveryError
 from ..observe.trace import maybe_span
@@ -53,19 +54,23 @@ from .snapshot import SnapshotManager, version_file_name
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..session import StorageSession
 
+_F64 = struct.Struct(">d")  # a record's leading degree
+
 
 class TableState:
-    """Mutable replay state of one table: its tuples in storage order.
+    """Mutable replay state of one table: its records in storage order.
 
     Both the live apply path and crash recovery mutate a ``TableState``
-    with :meth:`insert` / :meth:`delete` and then pack ``tuples`` into a
-    heap file — one code path, one deterministic result.
+    with :meth:`insert` / :meth:`delete` and then pack :meth:`records`
+    into a heap file — one code path, one deterministic result.  Rows
+    are keyed by :meth:`TupleSerializer.identity`; a delete leaves a
+    tombstone (``None``), so a multi-row delete is linear.
     """
 
-    def __init__(self, serializer: TupleSerializer, tuples: List[FuzzyTuple]):
+    def __init__(self, serializer: TupleSerializer, records: Iterable[bytes]):
         self.serializer = serializer
-        self.tuples = list(tuples)
-        self._positions = {t.value_key(): i for i, t in enumerate(self.tuples)}
+        self._rows: List[Optional[bytes]] = list(records)
+        self._positions = {serializer.identity(r): i for i, r in enumerate(self._rows)}
         #: ``True`` while every change so far only appended new rows at
         #: the end — the condition for staged index delta-merges.
         self.appended_only = True
@@ -77,28 +82,32 @@ class TableState:
         self.patchable = False
 
     def insert(self, row: bytes) -> None:
-        """Apply one INSERT record (fuzzy-OR: duplicates keep max degree)."""
-        t = self.serializer.decode(row)
-        key = t.value_key()
+        """Apply one INSERT record (fuzzy-OR: a duplicate's higher degree
+        replaces the stored record's 8 degree bytes)."""
+        key = self.serializer.identity(row)
         at = self._positions.get(key)
         if at is None:
-            self._positions[key] = len(self.tuples)
-            self.tuples.append(t)
-        elif t.degree > self.tuples[at].degree:
-            self.tuples[at] = FuzzyTuple(self.tuples[at].values, t.degree)
+            self._positions[key] = len(self._rows)
+            self._rows.append(row)
+        elif _F64.unpack_from(row) > _F64.unpack_from(self._rows[at]):
+            self._rows[at] = row[:8] + self._rows[at][8:]
             self.appended_only = False
 
     def delete(self, row: bytes) -> None:
         """Apply one DELETE record (value-identity match; no-op if absent)."""
-        key = self.serializer.decode(row).value_key()
-        at = self._positions.pop(key, None)
-        if at is None:
-            return
-        del self.tuples[at]
-        for k, i in self._positions.items():
-            if i > at:
-                self._positions[k] = i - 1
-        self.appended_only = False
+        at = self._positions.pop(self.serializer.identity(row), None)
+        if at is not None:
+            self._rows[at] = None
+            self.appended_only = False
+
+    def records(self) -> List[bytes]:
+        """The live records in storage order (tombstones dropped)."""
+        return [r for r in self._rows if r is not None]
+
+    @cached_property
+    def tuples(self) -> List[FuzzyTuple]:
+        """The live rows decoded — built only when a consumer reads values."""
+        return [self.serializer.decode(r) for r in self.records()]
 
 
 def replay_record(state: TableState, record: WalRecord) -> None:
@@ -234,7 +243,7 @@ class WriteManager:
         """Replay ``rows`` onto ``name`` and install the new heap version."""
         session = self.session
         heap = session.tables[name]
-        state = TableState(heap.serializer, self._contents(heap))
+        state = TableState(heap.serializer, heap.disk.records(heap.name))
         for record in rows:
             replay_record(state, record)
         # A single-row update is DELETE-old + INSERT-new; a single-row
@@ -257,7 +266,7 @@ class WriteManager:
         disk.delete(file)
         new_heap = HeapFile(file, old_heap.schema, disk, session.fixed_tuple_size)
         placements: List[Tuple[int, int]] = []
-        new_heap.load(state.tuples, placements=placements)
+        new_heap.load_records(state.records(), placements=placements)
         index_files = self._maintain_indexes(
             name, old_heap, new_heap, state, epoch, placements
         )
@@ -270,7 +279,7 @@ class WriteManager:
         else:
             session.stats_versions.observe_cardinality(name, new_heap.n_tuples)
             session.stats_versions.bump(name)
-        session._replace_placement(name, FuzzyRelation(new_heap.schema, state.tuples))
+        session._replace_placement(name, lambda: state.tuples)
         if registry is not None:
             registry.count_wal(snapshots=1)
         return epoch
@@ -315,7 +324,7 @@ class WriteManager:
         kept its row ids — and only the appended tail is scanned).
         Single-row update / delete transactions are *patched*: the write
         path already holds the new image's tuples in memory and the
-        placements :meth:`~repro.storage.heap.HeapFile.load` just
+        placements :meth:`~repro.storage.heap.HeapFile.load_records` just
         recorded, so the postings are regenerated from those without
         touching a heap page — :meth:`SupportIntervalIndex.from_rows`
         persists a file bit-identical to a full rebuild.  Anything larger
@@ -365,15 +374,6 @@ class WriteManager:
                 )
         return files
 
-    def _contents(self, heap: HeapFile) -> List[FuzzyTuple]:
-        """Decode a heap file's tuples in storage order (charged reads)."""
-        disk = self.session.disk
-        tuples: List[FuzzyTuple] = []
-        for page_index in range(heap.n_pages):
-            page = disk.read_page(heap.name, page_index)
-            tuples.extend(heap.serializer.decode(r) for r in page.records())
-        return tuples
-
     def _serializer(self, name: str) -> TupleSerializer:
         """The serializer of table ``name`` (WAL rows share its layout)."""
         try:
@@ -402,16 +402,16 @@ class WriteManager:
                 if self.snapshots.epoch(name) == 0:
                     disk.sync(name)
                     continue
-                contents = self._contents(heap)
+                contents = list(disk.records(heap.name))
                 self.snapshots.forget(name)
                 disk.delete(name)
                 base = HeapFile(name, heap.schema, disk, session.fixed_tuple_size)
-                base.load(contents)
+                base.load_records(contents)
                 disk.sync(name)
                 session.tables[name] = base
                 # Placements are named after the heap they were cut from,
                 # so the new base gets its own (and the folded epochs' go).
-                session._replace_placement(name, FuzzyRelation(heap.schema, contents))
+                session._replace_placement(name, lambda: list(map(base.serializer.decode, contents)))
                 for (tname, attr), index in sorted(session.indexes.items()):
                     if tname != name:
                         continue
@@ -499,7 +499,7 @@ class WriteManager:
                 state.appended_only = False
                 self._recover_base_indexes(name)
                 self._install(name, session.tables[name], state, epoch)
-                report.tables[name] = (epoch, len(state.tuples))
+                report.tables[name] = (epoch, session.tables[name].n_tuples)
             self.next_txn = max(self.next_txn, max_txn + 1)
         self.recoveries += 1
         session.last_stats = stats
@@ -521,7 +521,7 @@ class WriteManager:
                 raise RecoveryError(
                     f"WAL references table {name} but the session never attached it"
                 )
-            states[name] = state = TableState(heap.serializer, self._contents(heap))
+            states[name] = state = TableState(heap.serializer, heap.disk.records(heap.name))
         return state
 
     def _recover_base_indexes(self, name: str) -> None:

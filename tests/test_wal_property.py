@@ -10,13 +10,31 @@ tear the durable log at.  Whatever it draws:
   installed goes missing before the second run) still converges to the
   same state: replay starts from the epoch-0 bases every time, so a
   half-finished install is simply overwritten.
+
+The write path replays record bytes, not tuples.  Two more properties
+hold it to the tuple semantics it replaced:
+
+* replay over records equals :class:`TupleModel` (value-key identity,
+  fuzzy-OR duplicates, deletes by value) for histories over crisp,
+  trapezoid, label and discrete values including ``±0.0``, and every file
+  of the live session equals the file ``recover()`` writes for it;
+* the victim scan's support skip returns exactly the victims of a full
+  decode-and-match scan.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data import FuzzyRelation, FuzzyTuple, Schema
+from repro.data.schema import Attribute
+from repro.data.types import AttributeType
+from repro.engine.executor import DmlColumns, compile_conjunction
+from repro.fuzzy import CrispLabel, CrispNumber, DiscreteDistribution, TrapezoidalNumber
 from repro.session import StorageSession
-from repro.wal import WAL_FILE
+from repro.sql.statements import parse_statement
+from repro.storage.serializer import TupleSerializer
+from repro.wal import WAL_FILE, TableState, replay_record
+from repro.wal.record import KIND_DELETE, KIND_INSERT, WalRecord
 
 DDL = [
     "CREATE TABLE R (K NUMERIC, U NUMERIC, V NUMERIC)",
@@ -114,3 +132,180 @@ def test_recovery_converges_after_a_mid_replay_crash(draws, cut_fraction):
             crashed.disk.delete(name)
     crashed.recover()
     assert disk_bytes(crashed) == disk_bytes(reference)
+
+
+# ----------------------------------------------------------------------
+# Record-level replay against the tuple-level model
+# ----------------------------------------------------------------------
+N, T, L, D = CrispNumber, TrapezoidalNumber, CrispLabel, DiscreteDistribution
+
+#: Values whose bytes and keys disagree somewhere: signed zeros in every
+#: float slot, and two discrete values that are equal only up to the sign
+#: of a zero whose repr reorders their elements (so they are *not* equal).
+POOL = [
+    N(0.0), N(-0.0), N(2.5), N(-3.0),
+    T(-1.0, 0.0, 0.0, 1.0), T(-1.0, -0.0, 0.0, 1.0), T(-0.0, 0.0, 1.0, 2.0), T(0.0, 0.0, 1.0, 2.0),
+    L("a"), L("b"),
+    D({-0.0: 0.5, 2.0: 1.0}), D({0.0: 0.5, 2.0: 1.0}),
+    D({-0.0: 0.5, -1.0: 1.0}), D({0.0: 0.5, -1.0: 1.0}),
+    D({"x": 0.4, "y": 1.0}),
+]
+PAIR_SCHEMA = Schema(["A", "B"])
+
+
+class TupleModel:
+    """The tuple-level replay the record-level ``TableState`` replaced.
+
+    Rows are decoded tuples matched by ``value_key()``: an INSERT of an
+    existing key keeps the max degree in place, a DELETE removes the
+    match (if any) and later rows move up.
+    """
+
+    def __init__(self, serializer):
+        self.serializer = serializer
+        self.tuples = []
+
+    def _find(self, key):
+        return next((i for i, t in enumerate(self.tuples) if t.value_key() == key), None)
+
+    def apply(self, record: WalRecord) -> None:
+        t = self.serializer.decode(record.row)
+        at = self._find(t.value_key())
+        if record.kind == KIND_DELETE:
+            if at is not None:
+                del self.tuples[at]
+        elif at is None:
+            self.tuples.append(t)
+        elif t.degree > self.tuples[at].degree:
+            self.tuples[at] = FuzzyTuple(self.tuples[at].values, t.degree)
+
+
+def row_of(a: int, b: int, degree: float) -> FuzzyTuple:
+    return FuzzyTuple([POOL[a], POOL[b]], degree)
+
+
+def swapped(t: FuzzyTuple) -> FuzzyTuple:
+    """An UPDATE's new row: the old one with its two columns swapped."""
+    return FuzzyTuple(t.values[::-1], t.degree)
+
+
+def row_records(verb: str, t: FuzzyTuple):
+    """``(kind, tuple)`` of the WAL rows one op logs for ``t`` (UPDATE = DELETE + INSERT)."""
+    if verb == "update":
+        return [(KIND_DELETE, t), (KIND_INSERT, swapped(t))]
+    return [(KIND_INSERT if verb == "insert" else KIND_DELETE, t)]
+
+
+PICK = st.integers(min_value=0, max_value=len(POOL) - 1)
+ROWS = st.lists(st.tuples(PICK, PICK, st.sampled_from([0.2, 0.5, 1.0])), min_size=1, max_size=4)
+#: One transaction: insert, delete (present or absent, one or many) or update rows.
+TXNS = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete", "update"]), ROWS), min_size=1, max_size=8
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(txns=TXNS, fixed=st.sampled_from([None, 128]))
+def test_record_replay_equals_the_tuple_model(txns, fixed):
+    serializer = TupleSerializer(PAIR_SCHEMA, fixed)
+    model, records = TupleModel(serializer), []
+    for verb, rows in txns:
+        state = TableState(serializer, records)
+        for row in rows:
+            for kind, t in row_records(verb, row_of(*row)):
+                record = WalRecord(kind, 1, "R", serializer.encode(t))
+                replay_record(state, record)
+                model.apply(record)
+        records = state.records()
+        assert records == [serializer.encode(t) for t in model.tuples]
+        assert state.tuples == model.tuples
+        assert [t.degree for t in state.tuples] == [t.degree for t in model.tuples]
+
+
+@settings(max_examples=30, deadline=None)
+@given(initial=ROWS, txns=TXNS, fixed=st.sampled_from([None, 128]))
+def test_live_files_equal_the_files_recovery_writes(initial, txns, fixed):
+    geometry = dict(page_size=512, buffer_pages=16, fixed_tuple_size=fixed)
+    session = StorageSession(**geometry)
+    relation = FuzzyRelation(PAIR_SCHEMA, [row_of(*row) for row in initial])
+    session.register("R", relation)
+    model = TupleModel(session.tables["R"].serializer)
+    model.tuples.extend(relation)
+    for verb, rows in txns:
+        tuples = [row_of(*row) for row in rows]
+        payload = [(t, swapped(t)) for t in tuples] if verb == "update" else tuples
+        session.writes.apply_ops([(verb, "R", payload)])
+        for t in tuples:
+            for kind, u in row_records(verb, t):
+                model.apply(WalRecord(kind, 1, "R", model.serializer.encode(u)))
+    heap = session.tables["R"]
+    live = disk_bytes(session)
+    assert heap_records(session, heap.name) == [model.serializer.encode(t) for t in model.tuples]
+    survivor = StorageSession(disk=session.disk, **geometry)
+    survivor.attach("R", PAIR_SCHEMA)
+    survivor.recover()
+    recovered = disk_bytes(survivor)
+    assert survivor.tables["R"].name == heap.name
+    assert recovered == {name: live[name] for name in recovered}
+
+
+def heap_records(session, name):
+    """Every record of file ``name``, in storage order."""
+    return list(session.disk.records(name))
+
+
+# ----------------------------------------------------------------------
+# The victim scan's support skip
+# ----------------------------------------------------------------------
+SKIP_SCHEMA = Schema([
+    Attribute("K"),
+    Attribute("U", domain="DOM"),
+    Attribute("L", AttributeType.LABEL),
+    Attribute("X"),
+])
+U_POOL = [N(1.0), N(2.0), N(5.0), T(0.0, 1.0, 2.0, 4.0), T(3.0, 5.0, 5.0, 7.0), T(2.0, 2.0, 2.0, 2.0)]
+L_POOL = [L("a"), L("b")]
+X_POOL = [D({1.0: 0.5, 2.0: 1.0}), D({5.0: 1.0}), D({"a": 1.0}), N(2.0)]
+CONJUNCTS = [
+    "K = 2", "K = 7", "K < 3", "K <> 4", "U = 2", "U = 'near2'", "U = 'far'",
+    "U < 2", "L = 'a'", "L = 2", "X = 2", "X = 5", "2 = K",
+]
+THRESHOLDS = ["", " WITH D >= 0", " WITH D >= 0.0", " WITH D >= 0.4", " WITH D >= 0.9"]
+
+
+def full_scan_victims(session, stmt):
+    """Every row decoded and matched: the scan before the support skip."""
+    heap = session.tables["R"]
+    columns = DmlColumns({None, "R", heap.name}, heap.schema)
+    match = compile_conjunction(stmt.where, columns, columns, session.vocabulary)
+    victims = []
+    for t in map(heap.serializer.decode, heap_records(session, heap.name)):
+        d = min(t.degree, match(t))
+        if (d >= stmt.threshold) if stmt.threshold is not None else (d > 0.0):
+            victims.append(t)
+    return victims
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, 8), st.sampled_from(U_POOL), st.sampled_from(L_POOL),
+            st.sampled_from(X_POOL), st.sampled_from([0.2, 0.5, 1.0]),
+        ),
+        min_size=1, max_size=12,
+    ),
+    where=st.lists(st.sampled_from(CONJUNCTS), min_size=1, max_size=3),
+    threshold=st.sampled_from(THRESHOLDS),
+)
+def test_support_skip_returns_the_full_scan_victims(rows, where, threshold):
+    session = StorageSession(page_size=512, buffer_pages=16)
+    session.vocabulary.define("near2", T(1.0, 2.0, 2.0, 3.0), "DOM")
+    session.vocabulary.define("far", T(40.0, 50.0, 50.0, 60.0), "DOM")
+    session.register("R", FuzzyRelation(
+        SKIP_SCHEMA, [FuzzyTuple([N(k), u, lab, x], d) for k, u, lab, x, d in rows]
+    ))
+    stmt = parse_statement(f"DELETE FROM R WHERE {' AND '.join(where)}{threshold}")
+    got = session._dml_victims("R", "R", stmt.where, stmt.threshold)
+    want = full_scan_victims(session, stmt)
+    assert [(t.value_key(), t.degree) for t in got] == [(t.value_key(), t.degree) for t in want]
