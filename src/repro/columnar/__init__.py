@@ -1,38 +1,32 @@
-"""Columnar storage, vectorized trapezoid kernels, and the support-interval index.
+"""The index as a sorted copy, and the trapezoid kernels over column batches.
 
 The paper replaces tuple-at-a-time nested iteration with sort-merge over
-the support-interval order ``(b(v), e(v))``; this package pushes the same
-idea one layer down.  Trapezoid attributes are stored column-at-a-time
-(:mod:`~repro.columnar.pages`), comparison degrees for a probe against a
-whole column batch are computed in one pass by a pure-python vectorized
-kernel (:mod:`~repro.columnar.kernel`), and a persistent secondary index
-keyed on the interval order (:mod:`~repro.columnar.index`) turns selective
-``WITH D >= z`` predicates and joins into index range scans and
-index-assisted merge-joins (:mod:`~repro.columnar.operators`) instead of
-full external sorts.
+the support-interval order ``(b(v), e(v))``; an index keeps that order on
+disk.  ``create_index(T, X)`` writes T's records into a clustered copy
+sorted on X with per-page fences (:mod:`~repro.columnar.index`): a band
+join reads it without sorting, and :class:`~repro.columnar.operators.IndexScan`
+reads only the page range a selective comparison can reach.  The batch
+kernels of :mod:`~repro.columnar.kernel` compute comparison degrees for a
+probe against whole ``(a, b, e, d)`` columns.
 """
 
-from .index import SupportIntervalIndex, UnsupportedIndexError, index_file_name
+from .index import UnsupportedIndexError, clustered_copy, fenced_pages, index_file_name
 from .kernel import (
     batch_eq_necessity,
     batch_eq_possibility,
     batch_le_possibility,
     batch_lt_possibility,
 )
-from .operators import IndexMergeJoinOp, IndexScan
-from .pages import ColumnarPage, KIND_POINT, KIND_TRAPEZOID
+from .operators import IndexScan
 
 __all__ = [
-    "ColumnarPage",
-    "IndexMergeJoinOp",
     "IndexScan",
-    "KIND_POINT",
-    "KIND_TRAPEZOID",
-    "SupportIntervalIndex",
     "UnsupportedIndexError",
     "batch_eq_necessity",
     "batch_eq_possibility",
     "batch_le_possibility",
     "batch_lt_possibility",
+    "clustered_copy",
+    "fenced_pages",
     "index_file_name",
 ]

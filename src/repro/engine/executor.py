@@ -40,6 +40,7 @@ from .operators import (
     Select,
     Threshold,
     TuplePredicate,
+    cluster,
     unique_names,
 )
 
@@ -172,12 +173,13 @@ class FlatCompiler:
     ``tables`` and ``indexes`` are keyed by *catalog name* — ``TABLE`` and
     ``(TABLE, attribute)`` — and every leaf remembers the name it was
     compiled for, so the plan binds to the live heap and index versions
-    at execution (:func:`~repro.engine.operators.live_heap`).  When a
-    :class:`~repro.columnar.SupportIntervalIndex` applies, the compiler
-    costs the index access paths (``index_scan``, ``index_merge_join``)
-    against the row paths under the paper's cost model and picks the
-    cheaper plan.  Either choice produces the bit-identical query answer,
-    so the decision is pure economics.
+    at execution (:func:`~repro.engine.operators.live_heap`).  An index
+    (``indexes``, the clustered copies) serves two ways: a band join's
+    predicate-free base input on the indexed attribute reads the copy
+    and skips its sort (:func:`~repro.engine.operators.cluster`), and a
+    pushed-down comparison on it may become a fence-pruned
+    :class:`~repro.columnar.IndexScan` when that reads fewer pages.
+    Either way the answer is the row path's.
     """
 
     def __init__(
@@ -215,20 +217,12 @@ class FlatCompiler:
         if optimize and len(query.from_tables) > 1:
             query = self._reorder(query, joins, fanout)
 
-        # By compile time the WITH cut is a concrete float (prepared-query
-        # placeholders are substituted before recompilation), so index
-        # access paths can bake it in for result-preserving pruning.
-        threshold = query.with_threshold if query.with_threshold is not None else 0.0
-
-        plan, columns = self._initial_scan(
-            query.from_tables[0], pushdown, domains, threshold
-        )
+        plan, columns = self._initial_scan(query.from_tables[0], pushdown, domains)
         pending = list(joins)
         selected = {(item.relation, item.attribute) for item in query.select}
         for table in query.from_tables[1:]:
             plan, columns, pending = self._join_in(
-                plan, columns, table, pushdown, pending, bindings, domains, selected,
-                threshold,
+                plan, columns, table, pushdown, pending, bindings, domains, selected
             )
 
         if pending:
@@ -244,6 +238,7 @@ class FlatCompiler:
             for item in query.select
         ]
         plan = Project(plan, selected)
+        threshold = query.with_threshold if query.with_threshold is not None else 0.0
         return Threshold(plan, threshold)
 
     def execute(self, query: Union[str, SelectQuery], ctx: ExecutionContext) -> FuzzyRelation:
@@ -327,9 +322,7 @@ class FlatCompiler:
     # ------------------------------------------------------------------
     # Plan construction
     # ------------------------------------------------------------------
-    def _initial_scan(
-        self, table, pushdown, domains, threshold: float = 0.0
-    ) -> Tuple[Operator, List[Column]]:
+    def _initial_scan(self, table, pushdown, domains) -> Tuple[Operator, List[Column]]:
         name = table.name.upper()
         heap = self.tables[name]
         columns = [(table.binding, a.name) for a in heap.schema]
@@ -337,53 +330,41 @@ class FlatCompiler:
         predicates = [
             self._combined_predicate(p, columns, domains) for p in predicates_ast
         ]
-        indexed = self._index_scan_path(
-            name, heap, predicates_ast, predicates, domains, threshold
-        )
+        indexed = self._index_scan_path(name, heap, predicates_ast, predicates, domains)
         if indexed is not None:
             return indexed, columns
         return Scan(heap, predicates, name), columns
 
     def _index_scan_path(
-        self, name, heap, predicates_ast, predicates, domains, threshold
+        self, name, heap, predicates_ast, predicates, domains
     ) -> Optional[Operator]:
-        """An :class:`~repro.columnar.IndexScan` when one wins on cost.
+        """An :class:`~repro.columnar.IndexScan` when it reads fewer pages.
 
         Applicable iff the binding's entire pushdown is a single
         ``attribute op literal`` comparison with ``op`` in
         ``{=, <, <=, >, >=}``, the attribute is indexed, and the lifted
-        literal has a single-interval support (crisp number or trapezoid)
-        — the shapes the vectorized kernels cover exactly (see
-        :func:`interval_probe`).
+        literal has one support interval (:func:`interval_probe`).  It is
+        priced by what it reads: the copy pages its fences select.
         """
         if not self.indexes or len(predicates_ast) != 1:
-            return None
-        if predicates_ast[0].op not in (Op.EQ, Op.LT, Op.LE, Op.GT, Op.GE):
             return None
         probed = interval_probe(predicates_ast[0], domains, self.vocabulary)
         if probed is None:
             return None
         column, op, probe = probed
-        index = self.indexes.get((name, column.attribute))
-        if index is None:
+        copy = self.indexes.get((name, column.attribute))
+        if copy is None or op not in (Op.EQ, Op.LT, Op.LE, Op.GT, Op.GE):
             return None
-        from ..columnar import IndexScan
+        from ..columnar import IndexScan, fenced_pages
 
-        begin, end = probe.interval()
-        index_pages = len(index.probe_pages(op, begin, end))
-        candidates = index.candidate_entries_for(op, begin, end)
-        per_page = max(1, heap.n_tuples // max(1, heap.n_pages))
-        data_pages = min(heap.n_pages, -(-candidates // per_page))
-        index_cost = PAPER_1992.index_scan_seconds(index_pages, candidates, data_pages)
-        seq_cost = PAPER_1992.seq_scan_seconds(heap.n_pages, heap.n_tuples)
-        if index_cost >= seq_cost:
+        pages = fenced_pages(copy, op, *probe.interval())
+        rows = sum(copy.fences[i][2] for i in pages)
+        index_cost = PAPER_1992.seq_scan_seconds(len(pages), rows)
+        if index_cost >= PAPER_1992.seq_scan_seconds(heap.n_pages, heap.n_tuples):
             return None
-        return IndexScan(heap, predicates, index, probe, threshold, op, name)
+        return IndexScan(heap, predicates, name, column.attribute, op, probe, len(pages))
 
-    def _join_in(
-        self, plan, columns, table, pushdown, pending, bindings, domains, selected,
-        threshold=0.0,
-    ):
+    def _join_in(self, plan, columns, table, pushdown, pending, bindings, domains, selected):
         """Join ``table`` in, keeping the columns read above: ``selected``
         and the predicates still pending (none of ``table``'s: a max-fold)."""
         name = table.name.upper()
@@ -434,18 +415,11 @@ class FlatCompiler:
             ]
             names = self._layout_names(columns)
             left_attr = names[columns.index((left_ref.relation, left_ref.attribute))]
-            joined_plan = self._index_join_path(
-                plan, left_attr, left_ref, scan, right_ref, residual, threshold, keep
+            cluster(plan, left_ref.attribute, self.indexes)
+            cluster(scan, right_ref.attribute, self.indexes)
+            joined_plan = MergeJoinOp(
+                plan, left_attr, scan, right_ref.attribute, residual=residual, keep=keep
             )
-            if joined_plan is None:
-                joined_plan = MergeJoinOp(
-                    plan,
-                    left_attr,
-                    scan,
-                    right_ref.attribute,
-                    residual=residual,
-                    keep=keep,
-                )
         else:
             residual = [
                 self._residual_predicate(p, columns, table.binding, heap.schema)
@@ -455,54 +429,6 @@ class FlatCompiler:
                 plan, scan, join_degree(residual), label=table.binding, keep=keep
             )
         return joined_plan, [layout[i] for i in keep], deferred
-
-    def _index_join_path(
-        self, plan, left_attr, left_ref, scan, right_ref, residual, threshold, keep
-    ) -> Optional[Operator]:
-        """An :class:`~repro.columnar.IndexMergeJoinOp` when one wins on cost.
-
-        Applicable iff both band inputs are predicate-free base-table
-        scans (the index enumerates the *whole* relation, so any pushed
-        selection would be lost) with support-interval indexes on both
-        band attributes.  Residual predicates ride along in the pair
-        degree, exactly as on the sort-merge path.
-        """
-        if not self.indexes:
-            return None
-        if type(plan) is not Scan or plan.predicates:
-            return None
-        if type(scan) is not Scan or scan.predicates:
-            return None
-        left_index = self.indexes.get((plan.table, left_ref.attribute))
-        right_index = self.indexes.get((scan.table, right_ref.attribute))
-        if left_index is None or right_index is None:
-            return None
-        from ..columnar import IndexMergeJoinOp
-
-        index_pages = left_index.n_pages + right_index.n_pages
-        entries = left_index.n_entries + right_index.n_entries
-        index_cost = PAPER_1992.index_merge_join_seconds(
-            index_pages, entries, plan.heap.n_pages + scan.heap.n_pages
-        )
-        sort_cost = PAPER_1992.sort_merge_join_seconds(
-            plan.heap.n_pages,
-            scan.heap.n_pages,
-            plan.heap.n_tuples,
-            scan.heap.n_tuples,
-        )
-        if index_cost >= sort_cost:
-            return None
-        return IndexMergeJoinOp(
-            plan,
-            left_attr,
-            scan,
-            right_ref.attribute,
-            left_index,
-            right_index,
-            residual=residual,
-            threshold=threshold,
-            keep=keep,
-        )
 
     # ------------------------------------------------------------------
     # Predicate compilation

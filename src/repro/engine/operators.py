@@ -155,12 +155,15 @@ class Scan(Operator):
         #: The catalog name this leaf was planned for (``None``: built
         #: directly from ``heap``); :func:`live_heap` binds it per execution.
         self.table = table
+        #: The attribute whose clustered copy this leaf reads instead of
+        #: the heap (``None``: the heap); set by :func:`cluster`.
+        self.clustered: Optional[str] = None
 
     def _tuples(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
         om = ctx.metrics.op(self) if ctx.metrics is not None else None
         heap = live_heap(self, ctx.catalog)
         with ctx.disk.use_stats(ctx.stats):
-            for page_index in range(heap.n_pages):
+            for page_index in self._pages(heap, ctx.stats):
                 page = ctx.disk.read_page(heap.name, page_index)
                 for record in page.records():
                     t = heap.serializer.decode(record)
@@ -176,34 +179,40 @@ class Scan(Operator):
                     elif om is not None:
                         om.prunes += 1
 
+    def _pages(self, heap: HeapFile, stats: OperationStats) -> Iterable[int]:
+        return range(heap.n_pages)
+
     def describe(self) -> str:
-        """One-line label: heap name plus pushed-down filters."""
+        """One-line label: heap name, pushed-down filters, and the copy read."""
         preds = ", ".join(p.label for p in self.predicates) or "true"
-        return f"Scan({self.heap.name}, filter={preds})"
+        copy = f", clustered on {self.clustered}" if self.clustered else ""
+        return f"Scan({self.heap.name}, filter={preds}{copy})"
 
 
 def live_heap(leaf: Scan, catalog) -> HeapFile:
     """The heap ``leaf`` reads when executed against ``catalog``.
 
     The one binding rule: a leaf planned for a catalog name reads that
-    table's *current* heap epoch — whether its plan is fresh, cached or
-    prepared — so a plan that outlived a DML install never scans a
-    replaced version; a leaf built directly from a heap (``table`` is
+    table's *current* heap epoch — or, when :func:`cluster` marked it,
+    the current epoch's clustered copy — whether its plan is fresh,
+    cached or prepared, so a plan that outlived a DML install never scans
+    a replaced version; a leaf built directly from a heap (``table`` is
     ``None``), or run without a catalog, reads that heap.
     """
     if catalog is None or leaf.table is None:
         return leaf.heap
+    if leaf.clustered is not None:
+        key = (leaf.table, leaf.clustered)
+        return _live(catalog.indexes, key, f"the index on {leaf.table}.{leaf.clustered}")
     return _live(catalog.tables, leaf.table, leaf.table)
 
 
-def live_index(leaf: Scan, index, catalog):
-    """The current index on ``leaf``'s table for ``index``'s attribute —
-    :func:`live_heap`'s rule for the access paths: row ids are only valid
-    against the heap epoch their index was maintained for."""
-    if catalog is None or leaf.table is None:
-        return index
-    key = (leaf.table, index.attribute)
-    return _live(catalog.indexes, key, f"the index on {leaf.table}.{index.attribute}")
+def cluster(leaf: Operator, attribute: str, indexes) -> None:
+    """Mark ``leaf`` to read its table's copy clustered on ``attribute``
+    when it is a predicate-free base scan and ``indexes`` holds that copy:
+    a band join on ``attribute`` then skips sorting it."""
+    if type(leaf) is Scan and not leaf.predicates and (leaf.table, attribute) in indexes:
+        leaf.clustered = attribute
 
 
 def _live(mapping, key, what):

@@ -1,7 +1,8 @@
 """The extended merge-join of Section 3.
 
 Both relations are sorted on the join attribute by the interval order
-``(b(v), e(v))``; the join phase then walks R one page at a time while
+``(b(v), e(v))`` (an index's clustered copy already is, and skips its
+sort); the join phase then walks R one page at a time while
 sweeping a *window* of S-tuples.  For the current R-tuple ``r``:
 
 * S-tuples at the window front with ``e(s.X) < b(r.X)`` are retired for
@@ -70,6 +71,12 @@ class _WindowEntry:
         self.tuple = t
         self.b, self.e = key
         self.page = page
+
+
+def _in_order(sorter: ExternalSorter, heap: HeapFile, attribute: str) -> HeapFile:
+    """``heap`` itself when it is stored in ``attribute``'s interval order
+    (a clustered copy), else its external sort on ``attribute``."""
+    return heap if heap.order == attribute else sorter.sort(heap, attribute)
 
 
 class MergeJoin:
@@ -142,7 +149,9 @@ class MergeJoin:
         S-tuples *outside* ``Rng(r)``, whose predicates are unsatisfiable);
         ``step`` is invoked once per examined pair with its degree.  Yields
         ``(r, final_state)`` in R's sorted order (file order if the sort
-        itself could not spill — see the module docstring's ladder).
+        itself could not spill — see the module docstring's ladder).  An
+        input whose :attr:`~repro.storage.heap.HeapFile.order` is its band
+        attribute is not sorted: it already is the sort's output.
         """
         from ..observe.trace import maybe_span
 
@@ -154,11 +163,12 @@ class MergeJoin:
             sorted_r = sorted_s = None
             # The sorted temporaries are deleted in a finally so a fault
             # during the sort or join phase (or an abandoned generator)
-            # cannot strand them on the shared disk.
+            # cannot strand them on the shared disk; an input already in
+            # its band order is read as it is, and never deleted.
             try:
                 try:
-                    sorted_r = sorter.sort(outer, outer_attr)
-                    sorted_s = sorter.sort(inner, inner_attr)
+                    sorted_r = _in_order(sorter, outer, outer_attr)
+                    sorted_s = _in_order(sorter, inner, inner_attr)
                 except DiskFullError:
                     # Every sort write precedes the first pair and the
                     # nested loop only reads, so nothing is emitted twice.
@@ -173,10 +183,9 @@ class MergeJoin:
                         sorted_r, outer_attr, sorted_s, inner_attr, pair_degree, init, step
                     )
             finally:
-                if sorted_r is not None:
-                    self.disk.delete(sorted_r.name)
-                if sorted_s is not None:
-                    self.disk.delete(sorted_s.name)
+                for heap, source in ((sorted_r, outer), (sorted_s, inner)):
+                    if heap is not None and heap is not source:
+                        self.disk.delete(heap.name)
 
     # ------------------------------------------------------------------
     # Join phase

@@ -287,14 +287,10 @@ def render_report(
                 f"crisp={counters.crisp_comparisons}, "
                 f"fuzzy={counters.fuzzy_evaluations}"
             )
-            # Columnar access-path overlays, shown only when the phase
-            # actually used an index so row-path reports stay unchanged.
+            # Shown only when the phase range-scanned an index, so
+            # row-path reports stay unchanged.
             if counters.index_pages_read:
                 line += f", index pages read={counters.index_pages_read}"
-            if counters.columns_scanned:
-                line += f", columns scanned={counters.columns_scanned}"
-            if counters.kernel_batches:
-                line += f", kernel batches={counters.kernel_batches}"
             lines.append(line)
 
     for name, seconds in metrics.spans.items():

@@ -113,9 +113,6 @@ class MetricsRegistry:
         self.wal_bytes_synced_total = 0
         self.wal_truncated_bytes_total = 0
         self.wal_snapshots_total = 0
-        self.wal_index_delta_merges_total = 0
-        self.wal_index_rebuilds_total = 0
-        self.wal_index_patches_total = 0
         self.wal_recoveries_total = 0
         self.wal_replayed_records_total = 0
         #: Adaptive-execution counters: join edges re-costed mid-query
@@ -247,9 +244,6 @@ class MetricsRegistry:
         group_commits: int = 0,
         bytes_synced: int = 0,
         snapshots: int = 0,
-        index_delta_merges: int = 0,
-        index_rebuilds: int = 0,
-        index_patches: int = 0,
         recoveries: int = 0,
         replayed_records: int = 0,
         truncated_bytes: int = 0,
@@ -262,9 +256,6 @@ class MetricsRegistry:
             self.wal_group_commits_total += group_commits
             self.wal_bytes_synced_total += bytes_synced
             self.wal_snapshots_total += snapshots
-            self.wal_index_delta_merges_total += index_delta_merges
-            self.wal_index_rebuilds_total += index_rebuilds
-            self.wal_index_patches_total += index_patches
             self.wal_recoveries_total += recoveries
             self.wal_replayed_records_total += replayed_records
             self.wal_truncated_bytes_total += truncated_bytes
@@ -423,9 +414,6 @@ class MetricsRegistry:
             ("wal_bytes_synced_total", "Bytes made durable by WAL syncs.", self.wal_bytes_synced_total),
             ("wal_truncated_bytes_total", "Torn WAL tail bytes truncated by recovery.", self.wal_truncated_bytes_total),
             ("wal_snapshots_total", "Heap versions installed by the write path.", self.wal_snapshots_total),
-            ("wal_index_delta_merges_total", "Index maintenance runs taking the staged delta-merge path.", self.wal_index_delta_merges_total),
-            ("wal_index_rebuilds_total", "Index maintenance runs taking the full-rebuild path.", self.wal_index_rebuilds_total),
-            ("wal_index_patches_total", "Index maintenance runs taking the single-row patch path.", self.wal_index_patches_total),
             ("wal_recoveries_total", "Crash recoveries completed.", self.wal_recoveries_total),
             ("wal_replayed_records_total", "Row records replayed by crash recovery.", self.wal_replayed_records_total),
             ("replans_total", "Join edges re-costed by mid-query adaptive re-planning.", self.replans_total),

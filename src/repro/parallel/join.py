@@ -237,8 +237,9 @@ class PartitionedBandJoin(MergeJoin):
         layouts = []
         for heap, table in zip((outer, inner), self.tables):
             layout = storage.layout(table) if table is not None else None
-            # A placement cut from another heap epoch is not this input.
-            if layout is None or layout.source != heap.name:
+            # A placement cut from another heap epoch is not this input
+            # (an index's clustered copy holds its source heap's records).
+            if layout is None or layout.source != heap.source:
                 raise _Decline("join input is not a placed relation")
             layouts.append(layout)
         outer_layout, inner_layout = layouts

@@ -18,11 +18,12 @@ function, and the only place on the storage door that knows nesting types:
 Planning does no disk I/O and needs no session.  The *catalog view* is any
 object with ``schemas`` (the schema-only :class:`~repro.data.catalog.Catalog`,
 vocabulary included), ``tables`` and ``indexes`` (heap files by ``TABLE``,
-support-interval indexes by ``(TABLE, attribute)``) and
+clustered copies by ``(TABLE, attribute)``) and
 ``aggregate_policy`` — :class:`~repro.session.StorageSession` passes
 itself, a unit test a stub.  Every leaf built here remembers the catalog
-name it was planned for and binds to that table's live heap and index
-versions at execution (:func:`~repro.engine.operators.live_heap`).
+name it was planned for and binds to that table's live heap — or, for a
+band-join leaf whose table is indexed on its band attribute, the live
+clustered copy — at execution (:func:`~repro.engine.operators.live_heap`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import List, Optional, Tuple
 
 from .engine.executor import CompileError, FlatCompiler, compile_conjunction
 from .engine.grouped import CrossSpec, GroupedAntiJoin, GroupMode
-from .engine.operators import Operator, Scan, Threshold
+from .engine.operators import BandFold, Operator, Scan, Threshold, cluster
 from .engine.pipelined import JAPipeline
 from .fuzzy.compare import Op
 from .observe.trace import SpanTracer, maybe_span
@@ -190,7 +191,7 @@ def _plan_grouped(query: SelectQuery, nesting: NestingType, catalog) -> PlanArti
     band = "merge-join" if fold.band else "nested-loop"
     return PlanArtifact(
         "grouped",
-        operator=_with_cut(fold, query),
+        operator=_with_cut(_clustered(fold, fold.band, catalog), query),
         strategy=f"grouped/{nesting.value}: {band} min-fold",
         rule=rule,
     )
@@ -219,10 +220,19 @@ def _plan_ja(query: SelectQuery, nesting: NestingType, catalog) -> PlanArtifact:
     )
     return PlanArtifact(
         "ja",
-        operator=_with_cut(pipeline, query),
+        operator=_with_cut(_clustered(pipeline, (u_attr, v_attr), catalog), query),
         strategy=f"pipelined/{nesting.value}: T1/T2 merge pass",
         rule=JA_RULE,
     )
+
+
+def _clustered(fold: BandFold, band: Optional[Tuple[str, str]], catalog) -> BandFold:
+    """``fold`` with each leaf reading its table's copy clustered on its
+    ``band`` attribute, where one exists: the merge-join skips that sort."""
+    if band is not None:
+        cluster(fold.outer, band[0], catalog.indexes)
+        cluster(fold.inner, band[1], catalog.indexes)
+    return fold
 
 
 def _with_cut(fold: Operator, query: SelectQuery) -> Operator:

@@ -125,10 +125,11 @@ class StorageSession(StatementLifecycle):
         self.aggregate_policy = aggregate_policy
         self.fixed_tuple_size = fixed_tuple_size
         self.tables: Dict[str, HeapFile] = {}
-        #: Support-interval indexes by ``(TABLE, attribute)``; created via
-        #: :meth:`create_index`, rebuilt automatically on re-registration,
-        #: and offered to every compiled plan as candidate access paths.
-        self.indexes: Dict[Tuple[str, str], "SupportIntervalIndex"] = {}
+        #: Indexes by ``(TABLE, attribute)``: each the table's clustered
+        #: copy on that attribute.  Created via :meth:`create_index`,
+        #: rebuilt on re-registration and on every write, and read by
+        #: compiled plans in place of sorts and full scans.
+        self.indexes: Dict[Tuple[str, str], HeapFile] = {}
         #: In-memory relations retained for re-placement (:meth:`reshard`);
         #: only populated on sharded sessions.
         self._relations: Dict[str, FuzzyRelation] = {}
@@ -221,30 +222,31 @@ class StorageSession(StatementLifecycle):
             self.create_index(table, attribute)
         return heap
 
-    def create_index(self, name: str, attribute: str) -> "SupportIntervalIndex":
-        """Build (or rebuild) a support-interval index on ``name.attribute``.
+    def create_index(self, name: str, attribute: str) -> HeapFile:
+        """Build (or rebuild) the index on ``name.attribute``: its clustered copy.
 
-        The index persists the paper's interval order ``(b(v), e(v))`` for
-        one attribute as columnar pages on the session disk; compiled
-        plans then cost ``index_scan`` / ``index_merge_join`` access paths
-        against the row paths.  Build I/O goes to a scratch ledger (like
+        The index is ``name``'s records kept in ``attribute``'s interval
+        order ``(b(v), e(v))`` — the file ``__idx_<name>_<attribute>``
+        (:func:`~repro.columnar.clustered_copy`), returned here and held
+        in :attr:`indexes`.  Compiled plans then read it where a band join
+        would sort ``name`` on ``attribute``, and range-scan it for
+        selective comparisons.  Build I/O goes to a scratch ledger (like
         :meth:`register`), and the relation's statistics version is bumped
-        so cached plans recompile against the new access path.  Raises
+        so cached plans recompile against it.  Raises
         :class:`~repro.columnar.UnsupportedIndexError` for attributes
         whose values have no single-interval support.
         """
-        from .columnar import SupportIntervalIndex
+        from .columnar import clustered_copy, index_file_name
 
         name = name.upper()
         heap = self.tables.get(name)
         if heap is None:
             raise FuzzyQueryError(f"no relation registered as {name!r}")
-        scratch = OperationStats()
-        with self.disk.use_stats(scratch):
-            index = SupportIntervalIndex.build(name, attribute, heap, self.disk)
-        self.indexes[(name, attribute)] = index
+        with self.disk.use_stats(OperationStats()):
+            copy = clustered_copy(heap, attribute, index_file_name(name, attribute))
+        self.indexes[(name, attribute)] = copy
         self.stats_versions.bump(name)
-        return index
+        return copy
 
     def reshard(
         self,
@@ -451,8 +453,7 @@ class StorageSession(StatementLifecycle):
             self.disk.delete(heap.name)
             self.disk.delete(name)
             for key in [k for k in self.indexes if k[0] == name]:
-                index = self.indexes.pop(key)
-                self.disk.delete(index.file)
+                self.disk.delete(self.indexes.pop(key).name)
                 self.disk.delete(index_file_name(name, key[1]))
         self.schemas.remove(name)
         self._relations.pop(name, None)

@@ -92,20 +92,9 @@ class CostModel:
     # Access-path estimates (planner inputs, same unit costs)
     # ------------------------------------------------------------------
     def seq_scan_seconds(self, n_pages: int, n_tuples: int) -> float:
-        """Estimated cost of a full scan with one pushed-down fuzzy filter."""
+        """Estimated cost of scanning ``n_pages`` holding ``n_tuples`` with one
+        pushed-down fuzzy filter — a full scan, or an index's fenced page range."""
         return n_pages * self.io_time + n_tuples * self.fuzzy_eval_time
-
-    def index_scan_seconds(self, index_pages: int, candidates: int, data_pages: int) -> float:
-        """Estimated cost of an index range scan.
-
-        ``index_pages`` come from the fence-key directory, ``candidates``
-        is the posting count on those pages (each costs one crisp overlap
-        test plus one kernel-computed fuzzy degree), and ``data_pages``
-        bounds the row fetches for qualifying entries.
-        """
-        return (index_pages + data_pages) * self.io_time + candidates * (
-            self.fuzzy_eval_time + self.crisp_compare_time
-        )
 
     def sort_merge_join_seconds(
         self,
@@ -152,29 +141,6 @@ class CostModel:
         io = (left_pages + max(1, left_pages) * right_pages) * self.io_time
         cpu = left_tuples * right_tuples * self.fuzzy_eval_time
         return io + cpu
-
-    def index_merge_join_seconds(
-        self,
-        index_pages: int,
-        entries: int,
-        data_pages: int,
-        fanout: float = 8.0,
-    ) -> float:
-        """Estimated cost of the index-assisted merge-join.
-
-        The indexes already hold the interval order, so there is no sort:
-        the window merge runs over ``entries`` postings from
-        ``index_pages`` index pages, and only surviving pairs (``fanout``
-        per outer entry, before threshold pruning) fetch ``data_pages``
-        worth of rows and pay full pair-degree evaluations.
-        """
-        merge_cpu = 3.0 * entries * self.crisp_compare_time
-        survivors = (entries / 2.0) * fanout
-        return (
-            (index_pages + data_pages) * self.io_time
-            + merge_cpu
-            + survivors * self.fuzzy_eval_time
-        )
 
     # ------------------------------------------------------------------
     # Intra-query parallelism

@@ -34,6 +34,15 @@ class HeapFile:
         self.disk = disk
         self.serializer = TupleSerializer(schema, fixed_tuple_size)
         self.n_tuples = 0
+        #: The attribute whose interval order the records are stored in
+        #: (``None``: load order); a merge join skips sorting such an input.
+        self.order: Optional[str] = None
+        #: Per page, ``(first b, max e, rows)`` of :attr:`order` (``None``
+        #: when unordered): the fences a range scan prunes pages with.
+        self.fences: Optional[List[Tuple[float, float, int]]] = None
+        #: The heap whose records this file holds: itself, or the heap a
+        #: clustered copy was built from.
+        self.source = name
         if not disk.exists(name):
             disk.create(name)
 
@@ -45,35 +54,32 @@ class HeapFile:
         return self.load_records(map(self.serializer.encode, tuples))
 
     def load_records(
-        self,
-        records: Iterable[bytes],
-        placements: Optional[List[Tuple[int, int]]] = None,
+        self, records: Iterable[bytes], page_rows: Optional[List[int]] = None
     ) -> "HeapFile":
         """Append encoded records, packing pages greedily; returns self.
 
         The one packing loop (:meth:`load` encodes into it).  Pass a list
-        as ``placements`` to receive one ``(page, slot)`` row id per
-        record, in load order — index maintenance uses this to rebuild
-        postings without re-scanning the freshly written pages.
+        as ``page_rows`` to receive the record count of every page written.
         """
         page = Page(self.disk.page_size)
-        page_index = self.n_pages
         for record in records:
             if not page.fits(record):
                 if len(page) == 0:
                     raise PageFullError(
                         f"a single record of {len(record)} bytes exceeds the page size"
                     )
-                self.disk.append_page(self.name, page)
+                self._flush(page, page_rows)
                 page = Page(self.disk.page_size)
-                page_index += 1
-            if placements is not None:
-                placements.append((page_index, len(page)))
             page.append(record)
             self.n_tuples += 1
         if len(page):
-            self.disk.append_page(self.name, page)
+            self._flush(page, page_rows)
         return self
+
+    def _flush(self, page: Page, page_rows: Optional[List[int]]) -> None:
+        self.disk.append_page(self.name, page)
+        if page_rows is not None:
+            page_rows.append(len(page))
 
     @classmethod
     def from_relation(

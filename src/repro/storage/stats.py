@@ -23,16 +23,11 @@ class Counters:
     fuzzy_evaluations: int = 0
     tuple_moves: int = 0
     io_retries: int = 0
-    #: Index pages read by the columnar access paths.  Every index page
-    #: read *also* charges :attr:`page_reads` (the device did the same
-    #: work), so the cost model is unchanged; this counter only splits
-    #: out how much of the I/O was index traffic.
+    #: Clustered-copy pages read by an index range scan.  Every one
+    #: *also* charges :attr:`page_reads` (the device did the same work),
+    #: so the cost model is unchanged; this counter only splits out how
+    #: much of the I/O was index traffic.
     index_pages_read: int = 0
-    #: Column arrays processed by the vectorized kernel (4 abscissa
-    #: columns per columnar page batch).
-    columns_scanned: int = 0
-    #: Vectorized kernel invocations (one per column batch).
-    kernel_batches: int = 0
 
     def merge(self, other: "Counters") -> None:
         """Add another counter set into this one."""
@@ -43,8 +38,6 @@ class Counters:
         self.tuple_moves += other.tuple_moves
         self.io_retries += other.io_retries
         self.index_pages_read += other.index_pages_read
-        self.columns_scanned += other.columns_scanned
-        self.kernel_batches += other.kernel_batches
 
     @property
     def page_ios(self) -> int:
@@ -61,8 +54,6 @@ class Counters:
             self.tuple_moves,
             self.io_retries,
             self.index_pages_read,
-            self.columns_scanned,
-            self.kernel_batches,
         )
 
 
@@ -150,14 +141,6 @@ class OperationStats:
         same bytes either way); this counter only classifies the traffic.
         """
         (self._active or self._activate()).index_pages_read += pages
-
-    def count_columns(self, n: int = 1) -> None:
-        """Charge column array(s) processed by a vectorized kernel batch."""
-        (self._active or self._activate()).columns_scanned += n
-
-    def count_kernel_batch(self, n: int = 1) -> None:
-        """Charge vectorized kernel batch invocation(s)."""
-        (self._active or self._activate()).kernel_batches += n
 
     # ------------------------------------------------------------------
     # Aggregation

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from ..columnar.index import SupportIntervalIndex, index_file_name
+from ..columnar.index import clustered_copy, index_file_name
 from ..data.tuples import FuzzyTuple
 from ..errors import RecoveryError
 from ..observe.trace import maybe_span
@@ -71,15 +71,6 @@ class TableState:
         self.serializer = serializer
         self._rows: List[Optional[bytes]] = list(records)
         self._positions = {serializer.identity(r): i for i, r in enumerate(self._rows)}
-        #: ``True`` while every change so far only appended new rows at
-        #: the end — the condition for staged index delta-merges.
-        self.appended_only = True
-        #: Set by the live apply path for single-row update / delete
-        #: transactions: indexes may be patched from the in-memory rows
-        #: and their recorded placements instead of rescanning the heap.
-        #: Recovery never sets it (row ids shift arbitrarily across a
-        #: whole log of transactions).
-        self.patchable = False
 
     def insert(self, row: bytes) -> None:
         """Apply one INSERT record (fuzzy-OR: a duplicate's higher degree
@@ -91,14 +82,12 @@ class TableState:
             self._rows.append(row)
         elif _F64.unpack_from(row) > _F64.unpack_from(self._rows[at]):
             self._rows[at] = row[:8] + self._rows[at][8:]
-            self.appended_only = False
 
     def delete(self, row: bytes) -> None:
         """Apply one DELETE record (value-identity match; no-op if absent)."""
         at = self._positions.pop(self.serializer.identity(row), None)
         if at is not None:
             self._rows[at] = None
-            self.appended_only = False
 
     def records(self) -> List[bytes]:
         """The live records in storage order (tombstones dropped)."""
@@ -106,7 +95,8 @@ class TableState:
 
     @cached_property
     def tuples(self) -> List[FuzzyTuple]:
-        """The live rows decoded — built only when a consumer reads values."""
+        """The live rows decoded — built only when a consumer reads values
+        (adaptive histograms, a shard placement)."""
         return [self.serializer.decode(r) for r in self.records()]
 
 
@@ -149,12 +139,6 @@ class WriteManager:
         self.snapshots = SnapshotManager(session.disk)
         self.next_txn = 1
         self.statements = 0
-        self.index_delta_merges = 0
-        self.index_rebuilds = 0
-        #: Index maintenance runs that patched postings from the in-memory
-        #: rows (single-row update / delete) instead of re-scanning the
-        #: heap — each one is a full rebuild avoided.
-        self.index_patches = 0
         self.recoveries = 0
 
     # ------------------------------------------------------------------
@@ -246,12 +230,6 @@ class WriteManager:
         state = TableState(heap.serializer, heap.disk.records(heap.name))
         for record in rows:
             replay_record(state, record)
-        # A single-row update is DELETE-old + INSERT-new; a single-row
-        # delete is one DELETE.  Either way at most one row id shifted
-        # region exists and the in-memory tuples + load placements fully
-        # describe the new image — indexes can be patched, not rebuilt.
-        deletes = sum(1 for r in rows if r.kind == KIND_DELETE)
-        state.patchable = deletes == 1 and len(rows) <= 2
         epoch = self.snapshots.epoch(name) + 1
         return self._install(name, heap, state, epoch)
 
@@ -264,14 +242,20 @@ class WriteManager:
         disk = session.disk
         file = version_file_name(name, epoch)
         disk.delete(file)
+        records = state.records()
         new_heap = HeapFile(file, old_heap.schema, disk, session.fixed_tuple_size)
-        placements: List[Tuple[int, int]] = []
-        new_heap.load_records(state.records(), placements=placements)
-        index_files = self._maintain_indexes(
-            name, old_heap, new_heap, state, epoch, placements
-        )
+        new_heap.load_records(records)
+        files = [file]
+        # Every index is the new epoch's records, sorted again.
+        for table, attr in sorted(session.indexes):
+            if table == name:
+                copy_file = version_file_name(index_file_name(name, attr), epoch)
+                session.indexes[(table, attr)] = clustered_copy(
+                    new_heap, attr, copy_file, records
+                )
+                files.append(copy_file)
         if epoch > 0:
-            self.snapshots.publish(name, epoch, [file] + index_files)
+            self.snapshots.publish(name, epoch, files)
         session.tables[name] = new_heap
         registry = getattr(session, "registry", None)
         if getattr(session, "adaptive", False):
@@ -307,72 +291,6 @@ class WriteManager:
             session.stats_versions.bump(name)
         else:
             session.stats_versions.note_cardinality(name, new_heap.n_tuples)
-
-    def _maintain_indexes(
-        self,
-        name: str,
-        old_heap: HeapFile,
-        new_heap: HeapFile,
-        state: TableState,
-        epoch: int,
-        placements: Optional[List[Tuple[int, int]]] = None,
-    ) -> List[str]:
-        """Carry every index of ``name`` over to the new heap version.
-
-        Append-only transactions take the staged delta + merge path
-        (existing postings are reused verbatim — the shared page prefix
-        kept its row ids — and only the appended tail is scanned).
-        Single-row update / delete transactions are *patched*: the write
-        path already holds the new image's tuples in memory and the
-        placements :meth:`~repro.storage.heap.HeapFile.load_records` just
-        recorded, so the postings are regenerated from those without
-        touching a heap page — :meth:`SupportIntervalIndex.from_rows`
-        persists a file bit-identical to a full rebuild.  Anything larger
-        falls back to the full heap-scanning rebuild.
-        """
-        session = self.session
-        disk = session.disk
-        files = []
-        for (tname, attr), index in sorted(session.indexes.items()):
-            if tname != name:
-                continue
-            new_file = version_file_name(index_file_name(name, attr), epoch)
-            delta, rebuilds, patches = 0, 0, 0
-            if state.appended_only:
-                first_new_page = max(0, old_heap.n_pages - 1)
-                skip = 0
-                if old_heap.n_pages:
-                    skip = len(list(
-                        disk.read_page(old_heap.name, first_new_page).records()
-                    ))
-                new_index = index.merged_with_tail(
-                    new_heap, disk, first_new_page, skip, new_file
-                )
-                self.index_delta_merges += 1
-                delta = 1
-            elif state.patchable and placements is not None:
-                new_index = SupportIntervalIndex.from_rows(
-                    name, attr, new_heap.schema, state.tuples, placements,
-                    disk, new_file,
-                )
-                self.index_patches += 1
-                patches = 1
-            else:
-                new_index = SupportIntervalIndex.build(
-                    name, attr, new_heap, disk, new_file
-                )
-                self.index_rebuilds += 1
-                rebuilds = 1
-            session.indexes[(tname, attr)] = new_index
-            files.append(new_file)
-            registry = getattr(session, "registry", None)
-            if registry is not None:
-                registry.count_wal(
-                    index_delta_merges=delta,
-                    index_rebuilds=rebuilds,
-                    index_patches=patches,
-                )
-        return files
 
     def _serializer(self, name: str) -> TupleSerializer:
         """The serializer of table ``name`` (WAL rows share its layout)."""
@@ -412,12 +330,11 @@ class WriteManager:
                 # Placements are named after the heap they were cut from,
                 # so the new base gets its own (and the folded epochs' go).
                 session._replace_placement(name, lambda: list(map(base.serializer.decode, contents)))
-                for (tname, attr), index in sorted(session.indexes.items()):
-                    if tname != name:
-                        continue
-                    rebuilt = SupportIntervalIndex.build(name, attr, base, disk)
-                    disk.sync(rebuilt.file)
-                    session.indexes[(tname, attr)] = rebuilt
+                for table, attr in sorted(session.indexes):
+                    if table == name:
+                        copy = clustered_copy(base, attr, index_file_name(name, attr), contents)
+                        disk.sync(copy.name)
+                        session.indexes[(table, attr)] = copy
                 session.stats_versions.bump(name)
                 folded += 1
             self.wal.reset()
@@ -447,22 +364,26 @@ class WriteManager:
                 if "@e" in file:
                     disk.delete(file)
             # Replay starts from the epoch-0 bases: re-point every table
-            # (and any index whose version file was just deleted) at the
-            # base file, so recovery is restartable — a second run, or one
-            # on a session that already holds versioned heaps, sees the
-            # same starting state.
+            # and every index at its base file — adopting the base copy a
+            # pre-crash ``create_index`` left on the disk — so recovery is
+            # restartable: a second run, or one on a session that already
+            # holds versioned heaps, sees the same starting state.
             for name in sorted(session.tables):
                 heap = session.tables[name]
                 if heap.name != name:
-                    session.tables[name] = HeapFile.attach(
+                    heap = session.tables[name] = HeapFile.attach(
                         name, heap.schema, disk, session.fixed_tuple_size
                     )
                     session.stats_versions.bump(name)
-            for (tname, attr), index in sorted(session.indexes.items()):
-                if "@e" in index.file:
-                    session.indexes[(tname, attr)] = SupportIntervalIndex.build(
-                        tname, attr, session.tables[tname], disk
-                    )
+                for attr in heap.schema.names():
+                    base_file = index_file_name(name, attr)
+                    copy = session.indexes.get((name, attr))
+                    if copy is None:
+                        rebuild = disk.exists(base_file)
+                    else:
+                        rebuild = copy.name != base_file
+                    if rebuild:
+                        session.indexes[(name, attr)] = clustered_copy(heap, attr, base_file)
             self.snapshots = SnapshotManager(disk, self.snapshots.retain)
             image = self.wal.image()
             result = scan(image)
@@ -493,12 +414,7 @@ class WriteManager:
                         report.records_replayed += len(rows)
             for name in sorted(touched):
                 epoch = touched[name]
-                state = states[name]
-                # Recovery rebuilds from scratch: append-only detection
-                # does not apply across a whole log of transactions.
-                state.appended_only = False
-                self._recover_base_indexes(name)
-                self._install(name, session.tables[name], state, epoch)
+                self._install(name, session.tables[name], states[name], epoch)
                 report.tables[name] = (epoch, session.tables[name].n_tuples)
             self.next_txn = max(self.next_txn, max_txn + 1)
         self.recoveries += 1
@@ -524,28 +440,6 @@ class WriteManager:
             states[name] = state = TableState(heap.serializer, heap.disk.records(heap.name))
         return state
 
-    def _recover_base_indexes(self, name: str) -> None:
-        """Re-register indexes whose base files survived the crash.
-
-        A pre-crash ``create_index`` left ``__idx_<table>_<attr>`` on the
-        disk; recovery adopts it into ``session.indexes`` (built against
-        the base, epoch 0) so the subsequent install carries it forward
-        to the recovered epoch — no stale index entry can outlive a
-        crash.
-        """
-        session = self.session
-        heap = session.tables[name]
-        for attr in heap.schema.names():
-            if (name, attr) in session.indexes:
-                continue
-            base_file = index_file_name(name, attr)
-            if session.disk.exists(base_file):
-                column = heap.schema.index_of(attr)
-                session.indexes[(name, attr)] = SupportIntervalIndex.build(
-                    name, attr, heap, session.disk
-                )
-                assert session.indexes[(name, attr)].column == column
-
     # ------------------------------------------------------------------
     # Status
     # ------------------------------------------------------------------
@@ -560,9 +454,7 @@ class WriteManager:
             f"records={wal.records_appended} commits={wal.commits_appended} "
             f"syncs={wal.syncs} group_commits={wal.group_commits} "
             f"truncated_bytes={wal.truncated_bytes}",
-            f"index maintenance: {self.index_delta_merges} delta merges, "
-            f"{self.index_patches} patches, "
-            f"{self.index_rebuilds} rebuilds; recoveries={self.recoveries}",
+            f"indexes: {len(session.indexes)}; recoveries={self.recoveries}",
         ]
         versions = ", ".join(
             f"{name}@e{self.snapshots.epoch(name)} ({session.tables[name].n_tuples} rows)"

@@ -1,6 +1,6 @@
 """The adaptive feedback loop: histograms, drift eviction, re-planning.
 
-Four contracts, each pinned here:
+Three contracts, each pinned here:
 
 * **Statistics** — equi-depth histograms over support intervals record
   the distribution a plan was costed against; fingerprints move only on
@@ -16,9 +16,9 @@ Four contracts, each pinned here:
   edges re-cost and the executor may switch join method or worker
   count; every adapted run must stay bit-identical to the unadapted
   answer, across the full nesting-type × shards × workers matrix.
-* **Index patching** — single-row update / delete transactions patch
-  the support-interval index from in-memory rows instead of re-scanning
-  the heap, producing a bit-identical index file.
+* **Index upkeep** — after a single-row update / delete the index's
+  clustered copy is byte-identical to one built afresh from the live
+  heap, and indexed queries answer what unindexed ones do.
 """
 
 import random
@@ -27,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.columnar import SupportIntervalIndex
+from repro.columnar import clustered_copy
 from repro.data import FuzzyRelation, FuzzyTuple, Schema
 from repro.engine.histogram import AttributeHistogram, HistogramStore
 from repro.engine.adaptive import AdaptiveController, q_error
@@ -345,71 +345,40 @@ def test_benign_ingest_keeps_fold_plans_and_they_read_the_live_table(sql):
 
 
 # ----------------------------------------------------------------------
-# Index patching on single-row update / delete
+# Index upkeep on single-row update / delete
 # ----------------------------------------------------------------------
-def indexed_session(n=30) -> StorageSession:
+def indexed_session(n=30, indexed=True) -> StorageSession:
     rng = random.Random(17)
     rel = FuzzyRelation(SCHEMA)
     for i in range(n):
         rel.add(FuzzyTuple([N(i), rng.choice(POOL), rng.choice(POOL)], 1.0))
     session = StorageSession()
     session.register("R", rel)
-    session.create_index("R", "V")
+    if indexed:
+        session.create_index("R", "V")
     return session
 
 
 def index_image(session, file):
     disk = session.disk
-    return [
-        list(disk.read_page(file, i).records()) for i in range(disk.n_pages(file))
-    ]
+    return [disk.read_page(file, i).to_bytes() for i in range(disk.n_pages(file))]
 
 
 class TestIndexPatch:
-    def test_single_row_update_patches_instead_of_rebuilding(self):
-        session = indexed_session()
-        session.execute("UPDATE R SET U = 99 WHERE K = 5")
-        assert session.writes.index_patches == 1
-        assert session.writes.index_rebuilds == 0
-        assert " 1 patches, " in session.wal_status()
-
-    def test_single_row_delete_patches(self):
-        session = indexed_session()
-        session.execute("DELETE FROM R WHERE K = 7")
-        assert session.writes.index_patches == 1
-        assert session.writes.index_rebuilds == 0
-
     def test_patched_image_bit_identical_to_full_rebuild(self):
         session = indexed_session()
         session.execute("UPDATE R SET U = 99 WHERE K = 5")
         live = session.indexes[("R", "V")]
-        check = SupportIntervalIndex.build(
-            "R", "V", session.tables["R"], session.disk, "__idx_check"
-        )
-        assert index_image(session, live.file) == index_image(session, check.file)
-        assert live.directory == check.directory
-        assert live.n_entries == check.n_entries
-
-    def test_multi_row_delete_still_rebuilds(self):
-        session = indexed_session()
-        session.execute("DELETE FROM R WHERE R.V = 0")  # several matches
-        assert session.writes.index_patches == 0
-        assert session.writes.index_rebuilds == 1
-
-    def test_patch_counter_reaches_the_registry(self):
-        session = indexed_session()
-        session.registry = MetricsRegistry()
-        session.execute("UPDATE R SET U = 99 WHERE K = 5")
-        assert session.registry.wal_index_patches_total == 1
-        assert "fuzzysql_wal_index_patches_total 1" in session.registry.render_prometheus()
+        check = clustered_copy(session.tables["R"], "V", "__idx_check")
+        assert index_image(session, live.name) == index_image(session, check.name)
+        assert live.fences == check.fences
+        assert live.n_tuples == check.n_tuples
 
     def test_queries_identical_after_patch(self):
         patched = indexed_session()
         patched.execute("UPDATE R SET U = 99 WHERE K = 5")
-        plain = indexed_session()
+        plain = indexed_session(indexed=False)
         plain.execute("UPDATE R SET U = 99 WHERE K = 5")
-        # Force the rebuild path on the control session by making the
-        # transaction multi-row: delete a row, then re-insert it.
         sql = "SELECT R.K FROM R WHERE R.V = 0 WITH D >= 0.5"
         assert plain.query(sql).same_as(patched.query(sql), 0.0)
 

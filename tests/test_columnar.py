@@ -1,18 +1,18 @@
-"""Columnar pages, the vectorized kernel, and the support-interval index.
+"""The index as a clustered copy, its range scan, and the column kernels.
 
 Three layers, three contracts:
 
-* :class:`~repro.columnar.pages.ColumnarPage` round-trips every column
-  bit-for-bit through its serialized form (the kernel's inputs must be
-  the exact floats the row path decodes);
-* the vectorized kernels in :mod:`repro.columnar.kernel` are
-  *bit-identical* to the scalar library — pinned on structured edge
-  cases and hammered by Hypothesis across random crisp/trapezoid pairs;
-* the index-assisted access paths (:class:`IndexScan`,
-  :class:`IndexMergeJoinOp`) answer exactly what the row path answers,
-  while doing strictly less I/O and fuzzy work on selective probes, and
-  degrade safely (window overflow, sharded execution) back to the row
-  path.
+* the clustered copy ``create_index(T, X)`` writes is T's records in
+  X's interval order, byte-identical to :class:`ExternalSorter`'s output,
+  with fences that bound their pages;
+* the batch kernels in :mod:`repro.columnar.kernel` are *bit-identical*
+  to the scalar library — pinned on structured edge cases and hammered
+  by Hypothesis across random crisp/trapezoid pairs;
+* the access paths — :class:`IndexScan` and a band join over copies —
+  answer exactly what the row path answers: the scan reads only the
+  pages the planner priced, the join skips its sorts and never deletes
+  the copy it read, and both fall back the row path's way (window rung,
+  sharded execution).
 """
 
 import random
@@ -22,23 +22,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.columnar import (
-    ColumnarPage,
-    IndexMergeJoinOp,
     IndexScan,
-    KIND_POINT,
-    KIND_TRAPEZOID,
-    SupportIntervalIndex,
     UnsupportedIndexError,
     batch_eq_necessity,
     batch_eq_possibility,
+    fenced_pages,
     index_file_name,
 )
-from repro.columnar.pages import ENTRY_BYTES
 from repro.data import FuzzyRelation, FuzzyTuple, Schema
+from repro.engine.context import ExecutionContext
+from repro.errors import StorageFaultError
+from repro.faults import FaultPlan, FaultyDisk
 from repro.fuzzy import CrispNumber, DiscreteDistribution, TrapezoidalNumber
 from repro.fuzzy.compare import Op, necessity, possibility
+from repro.join.merge_join import WINDOW_RUNG
 from repro.observe import QueryMetrics
 from repro.session import StorageSession
+from repro.sort.external import ExternalSorter
+from repro.storage import BufferPool
 from repro.storage.stats import OperationStats
 from repro.testing import trapezoids
 
@@ -49,7 +50,8 @@ POOL = [N(0.0), N(5.0), T(0, 1, 2, 4), T(3, 5, 5, 7), T(4, 6, 8, 12)]
 
 
 def clustered_session(
-    n=60, tables=("R", "S"), index_attr=None, seed=23, page_size=1024, buffer_pages=16
+    n=60, tables=("R", "S"), index_attr=None, seed=23, page_size=1024, buffer_pages=16,
+    disk=None,
 ):
     """A session whose heaps arrive clustered on ``V``'s interval order.
 
@@ -58,7 +60,7 @@ def clustered_session(
     so any divergence between them is the index path's fault.
     """
     rng = random.Random(seed)
-    session = StorageSession(page_size=page_size, buffer_pages=buffer_pages)
+    session = StorageSession(page_size=page_size, buffer_pages=buffer_pages, disk=disk)
 
     def rel():
         rows = [
@@ -87,59 +89,38 @@ def answers(relation):
 
 
 # ----------------------------------------------------------------------
-# ColumnarPage
+# Pages of the clustered copy
 # ----------------------------------------------------------------------
 class TestColumnarPage:
-    def entries(self):
-        return [
-            (0.0, 0.0, 0.0, 0.0, 1.0, 0, 0, KIND_POINT),
-            (0.5, 1.25, 2.75, 4.0, 0.3, 1, 7, KIND_TRAPEZOID),
-            (-3.5, -1.0, 0.0, 2.0, 0.6, 4_000_000_000, 65_535, KIND_TRAPEZOID),
-            (7.0, 7.0, 7.0, 7.0, 0.125, 2, 3, KIND_POINT),
+    def test_round_trip_is_bit_exact(self):
+        session = StorageSession(page_size=1024, buffer_pages=16)
+        rows = [
+            FuzzyTuple([N(0.0), T(0.5, 1.25, 2.75, 4.0), N(-0.0)], 0.3),
+            FuzzyTuple([N(1.0), T(-3.5, -1.0, 0.0, 2.0), N(1e-300)], 0.6),
+            FuzzyTuple([N(2.0), N(7.0), T(0.1, 0.2, 0.3, 0.7)], 0.125),
+        ]
+        session.register("R", FuzzyRelation(SCHEMA, rows))
+        copy = session.create_index("R", "V")
+        back = list(copy.to_relation(BufferPool(session.disk, 4)))
+        expected = sorted(rows, key=lambda t: t[1].interval())
+        # repr pins every float's bits (and the sign of -0.0).
+        assert [(tuple(map(repr, t.values)), t.degree) for t in back] == [
+            (tuple(map(repr, t.values)), t.degree) for t in expected
         ]
 
-    def test_round_trip_is_bit_exact(self):
-        page = ColumnarPage()
-        for entry in self.entries():
-            page.append(*entry)
-        back = ColumnarPage.from_bytes(page.to_bytes())
-        assert len(back) == len(page)
-        for i, entry in enumerate(self.entries()):
-            assert back.entry(i) == entry  # == on floats is the bit check here
-
-    def test_capacity_matches_entry_bytes(self):
-        from repro.storage.page import Page
-
-        usable = 1024 - Page.HEADER_SIZE - Page.RECORD_OVERHEAD - 2
-        assert ColumnarPage.capacity(1024) == usable // ENTRY_BYTES
-        # Degenerate page sizes still admit one entry, so builds terminate.
-        assert ColumnarPage.capacity(16) == 1
-
-    def test_fits_is_the_capacity_boundary(self):
-        page = ColumnarPage()
-        cap = ColumnarPage.capacity(1024)
-        for i in range(cap):
-            assert page.fits(1024)
-            page.append(float(i), float(i), float(i), float(i), 1.0, 0, i, KIND_POINT)
-        assert not page.fits(1024)
-
     def test_fence_key_properties(self):
-        page = ColumnarPage()
-        page.append(0.0, 1.0, 2.0, 9.0, 1.0, 0, 0, KIND_TRAPEZOID)
-        page.append(2.0, 3.0, 4.0, 5.0, 1.0, 0, 1, KIND_TRAPEZOID)
-        assert page.min_a == 0.0
-        assert page.max_a == 2.0
-        assert page.max_d == 9.0  # largest support end, not the last entry's
-        assert list(page.supports()) == [(0.0, 9.0), (2.0, 5.0)]
-
-    def test_serialized_page_fits_its_carrier(self):
-        page = ColumnarPage()
-        for i in range(ColumnarPage.capacity(1024)):
-            page.append(float(i), float(i), float(i), float(i), 1.0, 0, i, KIND_POINT)
-        from repro.storage.page import Page
-
-        carrier = Page(1024)
-        assert carrier.fits(page.to_bytes())
+        session = StorageSession(page_size=1024, buffer_pages=16)
+        rows = [
+            FuzzyTuple([N(1.0), T(2, 3, 4, 5), N(0.0)], 1.0),
+            FuzzyTuple([N(0.0), T(0, 1, 2, 9), N(0.0)], 1.0),
+        ]
+        session.register("R", FuzzyRelation(SCHEMA, rows))
+        copy = session.create_index("R", "V")
+        with session.disk.use_stats(OperationStats()):
+            assert keys_of(copy) == [(0.0, 9.0), (2.0, 5.0)]
+        # One page: its first support begin, and the largest support end
+        # on it (not the last row's), over its two rows.
+        assert copy.fences == [(0.0, 9.0, 2)]
 
 
 # ----------------------------------------------------------------------
@@ -215,59 +196,88 @@ class TestKernelBitIdenticality:
 
 
 # ----------------------------------------------------------------------
-# SupportIntervalIndex
+# The clustered copy
 # ----------------------------------------------------------------------
+def page_images(disk, name):
+    """Every page of file ``name`` as raw bytes."""
+    return [disk.read_page(name, i).to_bytes() for i in range(disk.n_pages(name))]
+
+
+def keys_of(copy):
+    """``(b, e)`` of the clustered attribute for every record, in file order."""
+    column = copy.schema.index_of(copy.order)
+    return [copy.serializer.key_at(r, column) for r in copy.disk.records(copy.name)]
+
+
 class TestSupportIntervalIndex:
     def build(self, n=60):
-        session = clustered_session(n=n, tables=("R",))
-        index = session.create_index("R", "V")
-        return session, index
+        session = clustered_session(n=n, tables=("R",), seed=5)
+        rng = random.Random(3)
+        # Shuffle the heap: the copy must sort, not inherit, its order.
+        rows = list(session.tables["R"].to_relation(BufferPool(session.disk, 4)))
+        rng.shuffle(rows)
+        session.register("R", FuzzyRelation(SCHEMA, rows))
+        copy = session.create_index("R", "V")
+        return session, copy
 
     def test_entries_come_back_in_interval_order(self):
-        session, index = self.build()
+        session, copy = self.build()
         with session.disk.use_stats(OperationStats()):
-            entries = list(index.scan_entries(session.disk))
-        assert len(entries) == index.n_entries == 60
-        keys = [(e.a, e.d) for e in entries]
+            keys = keys_of(copy)
+        assert copy.name == index_file_name("R", "V") and copy.order == "V"
+        assert len(keys) == copy.n_tuples == 60
         assert keys == sorted(keys)
 
+    def test_copy_is_the_sorters_output_byte_for_byte(self):
+        session, copy = self.build()
+        disk = session.disk
+        with disk.use_stats(OperationStats()):
+            # A 3-page buffer forces several runs and merge passes.
+            sorted_heap = ExternalSorter(disk, 3, OperationStats()).sort(
+                session.tables["R"], "V", "__check"
+            )
+            assert page_images(disk, copy.name) == page_images(disk, sorted_heap.name)
+            assert copy.n_pages > 3
+
     def test_directory_matches_pages(self):
-        session, index = self.build()
-        assert index.n_pages == len(index.directory)
-        assert sum(d[3] for d in index.directory) == index.n_entries
-        # Fence keys really bound their pages.
+        session, copy = self.build()
+        assert len(copy.fences) == copy.n_pages
+        assert sum(rows for _, _, rows in copy.fences) == copy.n_tuples
+        column = copy.schema.index_of("V")
         with session.disk.use_stats(OperationStats()):
-            for i, (first_a, last_a, max_d, count) in enumerate(index.directory):
-                page = index.fetch(session.disk, i)
-                assert len(page) == count
-                assert page.min_a == first_a
-                assert page.max_a == last_a
-                assert page.max_d == max_d
+            for i, (first_b, max_e, rows) in enumerate(copy.fences):
+                keys = [
+                    copy.serializer.key_at(r, column)
+                    for r in session.disk.read_page(copy.name, i).records()
+                ]
+                assert rows == len(keys)
+                assert first_b == keys[0][0]
+                assert max_e == max(e for _, e in keys)  # not the last row's
 
     def test_overlapping_pages_prunes_but_never_drops(self):
-        session, index = self.build(n=240)
-        assert index.n_pages > 3
-        hits = index.overlapping_pages(0.0, 0.0)
-        assert 0 < len(hits) < index.n_pages  # a selective probe prunes pages
-        # Soundness: every entry overlapping the probe lives on a hit page.
+        session, copy = self.build(n=240)
+        assert copy.n_pages > 3
+        hits = fenced_pages(copy, Op.EQ, 0.0, 0.0)
+        assert 0 < len(hits) < copy.n_pages  # a selective probe prunes pages
+        # Soundness: every row overlapping the probe lives on a hit page.
+        column = copy.schema.index_of("V")
         with session.disk.use_stats(OperationStats()):
-            for e in index.scan_entries(session.disk):
-                if e.a <= 0.0 <= e.d:
-                    assert e.idx_page in hits
-        assert index.candidate_entries(0.0, 0.0) == sum(
-            index.directory[i][3] for i in hits
-        )
+            for i in range(copy.n_pages):
+                for record in session.disk.read_page(copy.name, i).records():
+                    b, e = copy.serializer.key_at(record, column)
+                    if b <= 0.0 <= e:
+                        assert i in hits
         # A probe past every support touches nothing.
-        assert index.overlapping_pages(1e9, 2e9) == []
-        assert index.candidate_entries(1e9, 2e9) == 0
+        assert fenced_pages(copy, Op.EQ, 1e9, 2e9) == []
+        assert fenced_pages(copy, Op.LE, -1e9, -1e9) == []
+        assert fenced_pages(copy, Op.GE, 1e9, 1e9) == []
 
     def test_fetch_charges_tagged_index_reads(self):
-        session, index = self.build()
-        stats = OperationStats()
-        with session.disk.use_stats(stats):
-            index.fetch(session.disk, 0)
-        assert stats.total.page_reads == 1
-        assert stats.total.index_pages_read == 1
+        session = clustered_session(n=240, tables=("R",), index_attr="V")
+        session.query(SCAN_SQL)
+        total = session.last_stats.total
+        assert "IndexScan(" in session.last_plan.explain()
+        assert total.index_pages_read == total.page_reads > 0
 
     def test_unindexable_attribute_refused_cleanly(self):
         session = StorageSession(page_size=1024, buffer_pages=16)
@@ -281,21 +291,29 @@ class TestSupportIntervalIndex:
 
     def test_register_rebuilds_existing_indexes(self):
         session = clustered_session(n=30, tables=("R",), index_attr="V")
-        before = session.indexes[("R", "V")].n_entries
+        before = session.indexes[("R", "V")].n_tuples
         rng = random.Random(99)
         fresh = FuzzyRelation(SCHEMA)
         for i in range(50):
             fresh.add(FuzzyTuple([N(i), rng.choice(POOL), rng.choice(POOL)], 1.0))
         session.register("R", fresh)
         after = session.indexes[("R", "V")]
-        assert before == 30 and after.n_entries == 50
+        assert before == 30 and after.n_tuples == 50
 
 
 # ----------------------------------------------------------------------
-# Access paths: bit-identity and strictly-less work
+# Access paths: the row path's answer, less work
 # ----------------------------------------------------------------------
 SCAN_SQL = "SELECT R.K FROM R WHERE R.V = 0 WITH D >= 0.5"
 JOIN_SQL = "SELECT R.K, S.K FROM R, S WHERE R.V = S.V AND R.U = S.U WITH D >= 0.6"
+
+
+def index_scan_of(session):
+    """The :class:`IndexScan` node of the session's last plan."""
+    node = session.last_plan
+    while not isinstance(node, IndexScan):
+        [node] = node.children()
+    return node
 
 
 class TestIndexScanPath:
@@ -313,8 +331,6 @@ class TestIndexScanPath:
         assert idx.page_reads < row.page_reads
         assert idx.fuzzy_evaluations < row.fuzzy_evaluations
         assert idx.index_pages_read > 0
-        assert idx.columns_scanned > 0
-        assert idx.kernel_batches > 0
 
     def test_zero_threshold_still_bit_identical(self):
         sql = "SELECT R.K FROM R WHERE R.V = 0"
@@ -323,21 +339,37 @@ class TestIndexScanPath:
         assert answers(indexed.query(sql)) == answers(plain.query(sql))
 
     def test_planner_declines_when_seq_scan_is_cheaper(self):
-        # At n=60 the fixed-pool probe overlaps most pages; the cost model
-        # correctly keeps the sequential scan.
+        # A probe every page can match: the fences prune nothing, so the
+        # range scan would read what the sequential scan reads.
+        sql = "SELECT R.K FROM R WHERE R.V >= 0 WITH D >= 0.5"
         indexed = clustered_session(n=60, tables=("R",), index_attr="V")
-        indexed.query(SCAN_SQL)
+        indexed.query(sql)
         assert "IndexScan(" not in indexed.last_plan.explain()
 
     def test_explain_analyze_reports_index_counters(self):
         indexed = clustered_session(n=240, tables=("R",), index_attr="V")
         report = indexed.explain_analyze(SCAN_SQL)
         assert "index pages read=" in report
-        assert "columns scanned=" in report
-        assert "kernel batches=" in report
 
         plain = clustered_session(n=240, tables=("R",))
         assert "index pages read=" not in plain.explain_analyze(SCAN_SQL)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT R.K FROM R WHERE R.V = 17", "SELECT R.K FROM R WHERE R.V <= 3",
+    ])
+    def test_priced_pages_are_the_pages_read(self, sql):
+        rng = random.Random(1)
+        session = StorageSession()
+        session.register("R", FuzzyRelation(
+            Schema(["K", "V"]),
+            [FuzzyTuple([N(i), N(rng.randrange(400))], 1.0) for i in range(2000)],
+        ))
+        session.create_index("R", "V")
+        session.query(sql)
+        scan = index_scan_of(session)
+        assert 0 < scan.pages < session.tables["R"].n_pages
+        assert f"pages={scan.pages}" in scan.describe()
+        assert session.last_stats.total.page_reads == scan.pages
 
 
 class TestIndexMergeJoinPath:
@@ -351,16 +383,19 @@ class TestIndexMergeJoinPath:
         idx = indexed.last_stats.total
 
         assert answers(got) == answers(want)
-        assert "IndexMergeJoin(" in indexed.last_plan.explain()
+        plan = indexed.last_plan.explain()
+        assert "Scan(R, filter=true, clustered on V)" in plan
+        assert "Scan(S, filter=true, clustered on V)" in plan
         assert idx.page_reads < row.page_reads
         assert idx.page_writes == 0  # no external sort, no scratch writes
-        assert idx.fuzzy_evaluations < row.fuzzy_evaluations
-        assert idx.index_pages_read > 0
+        # The same fold: every pair degree the row path evaluates.
+        assert idx.fuzzy_evaluations == row.fuzzy_evaluations
+        assert "sort" not in indexed.last_stats.phases
 
     def test_window_overflow_falls_back_bit_identically(self):
-        # Every V identical: the entry window must span the whole index,
-        # which cannot fit in a tiny buffer — the operator must degrade to
-        # the sort-merge plan, not fail and not change the answer.
+        # Every V identical: the merge window must span the whole copy,
+        # which cannot fit in a tiny buffer — the fold must step down its
+        # window rung, not fail and not change the answer.
         def build(indexed):
             rng = random.Random(5)
             session = StorageSession(page_size=1024, buffer_pages=4)
@@ -386,8 +421,8 @@ class TestIndexMergeJoinPath:
         indexed = build(True)
         metrics = QueryMetrics()
         got = indexed.query(JOIN_SQL, metrics=metrics)
-        assert "IndexMergeJoin(" in indexed.last_plan.explain()
-        assert "sort-merge fallback" in (metrics.degraded_reason or "")
+        assert "clustered on V" in indexed.last_plan.explain()
+        assert WINDOW_RUNG in (metrics.degraded_reason or "")
         assert answers(got) == answers(want)
 
     def test_sharded_execution_delegates_bit_identically(self):
@@ -414,5 +449,41 @@ class TestIndexMergeJoinPath:
         sharded.register("S", rel())
         sharded.create_index("R", "V")
         sharded.create_index("S", "V")
-        got = sharded.query(JOIN_SQL)
+        metrics = QueryMetrics()
+        got = sharded.query(JOIN_SQL, metrics=metrics)
         assert answers(got) == answers(want)
+        # The copies hold the placed heaps' records: the placed join runs.
+        assert [entry.kind for entry in metrics.slices] == ["shard"] * len(metrics.slices)
+        assert metrics.slices
+        assert "not a placed relation" not in (metrics.degraded_reason or "")
+
+    def test_a_fault_in_the_join_phase_leaves_the_copies(self):
+        """The fold never deletes an input it did not sort."""
+        plan = FaultPlan()
+        disk = FaultyDisk(plan, page_size=1024, armed=False)
+        indexed = clustered_session(n=120, index_attr="V", disk=disk)
+        want = clustered_session(n=120).query(JOIN_SQL)
+        assert answers(indexed.query(JOIN_SQL)) == answers(want)
+        assert "sort" not in indexed.last_stats.phases
+        query_plan = indexed.last_plan
+        files = sorted(disk.files())
+        copies = {key: page_images(disk, c.name) for key, c in indexed.indexes.items()}
+
+        # Every read of the indexed J is in its join phase; the third one
+        # fails past the retry budget.
+        plan.fail_read(disk._read_ordinal + 2, times=10)
+        disk.armed = True
+        with pytest.raises(StorageFaultError):
+            indexed.query(JOIN_SQL)
+        pool = BufferPool(disk, capacity=8)
+        plan.fail_read(disk._read_ordinal + 2, times=10)
+        ctx = ExecutionContext(disk, indexed.buffer_pages, pool=pool, catalog=indexed)
+        with pytest.raises(StorageFaultError):
+            query_plan.to_relation(ctx)
+        disk.armed = False
+
+        assert pool.in_use == 0
+        assert sorted(disk.files()) == files
+        for key, copy in indexed.indexes.items():
+            assert page_images(disk, copy.name) == copies[key]
+        assert answers(indexed.query(JOIN_SQL)) == answers(want)

@@ -128,13 +128,13 @@ def indexed_pair() -> StorageSession:
 )
 def test_cached_index_merge_join_follows_both_indexes(dml):
     session = indexed_pair()
-    assert "IndexMaxFold(" in session.explain(IN_SQL)
+    assert "Scan(R, filter=true, clustered on V)" in session.explain(IN_SQL)
     assert oracle(session, IN_SQL).same_as(session.query(IN_SQL), 1e-9)
     session.execute(dml)
     metrics = QueryMetrics()
     cached = session.query(IN_SQL, metrics=metrics)
     assert metrics.plan_cache == "hit"
-    assert "IndexMaxFold(" in session.last_plan.explain()
+    assert "Scan(R, filter=true, clustered on V)" in session.last_plan.explain()
     assert oracle(session, IN_SQL).same_as(cached, 1e-9)
 
 

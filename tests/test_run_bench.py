@@ -194,18 +194,14 @@ class TestCommittedBaseline:
             sharded["counters"]["shard_page_reads"]
             <= sharded["counters"]["page_reads"]
         )
-        # The columnar slices must have run the index access paths (their
-        # tagged counters are nonzero) and beaten the row path strictly on
-        # page reads and fuzzy evaluations — the committed win the
-        # subsystem exists for.  The harness itself hard-fails on
-        # bit-identity, so rows alone suffice here.
-        for name in ("columnar_J", "indexed_J"):
-            counters = data["workloads"][name]["counters"]
-            assert counters["index_pages_read"] > 0
-            assert counters["page_reads"] < counters["row_page_reads"]
-            assert counters["fuzzy_evaluations"] < counters["row_fuzzy_evaluations"]
-        assert data["workloads"]["columnar_J"]["counters"]["kernel_batches"] > 0
-        assert data["workloads"]["columnar_J"]["counters"]["columns_scanned"] > 0
+        # The index slices must show what the clustered copy does: the
+        # range scan reads copy pages and fewer pages than the row path,
+        # and the band join over copies writes no sort page.  The harness
+        # itself hard-fails on bit-identity, so rows alone suffice here.
+        scan = data["workloads"]["columnar_J"]["counters"]
+        assert scan["index_pages_read"] > 0
+        assert scan["page_reads"] < scan["row_page_reads"]
+        assert data["workloads"]["indexed_J"]["counters"]["sort_page_writes"] == 0
         # The adaptive slice must prove the feedback loop pays for itself:
         # re-planning engaged and the adapted modelled cost landed strictly
         # below the static plan's (the harness also hard-fails on
@@ -221,14 +217,10 @@ class TestCommittedBaseline:
         assert upkeep["histogram_refreshes_total"] > 0
         assert upkeep["histogram_drift_rebuilds_total"] > 0
         # The WAL slices must have exercised the durable write path: group
-        # commit engaged, indexes maintained by delta merges and single-row
-        # patches (not only full rebuilds), and recovery actually replayed
-        # the ingested log.
+        # commit engaged and recovery actually replayed the ingested log.
         ingest = data["workloads"]["wal_ingest"]["counters"]
         assert ingest["wal_commits_total"] > 0
         assert ingest["wal_group_commits_total"] > 0
-        assert ingest["wal_index_delta_merges_total"] > 0
-        assert ingest["wal_index_patches_total"] > 0
         recovery = data["workloads"]["wal_recovery"]["counters"]
         assert recovery["wal_recoveries_total"] == 1
         assert recovery["txns_replayed"] == ingest["wal_commits_total"]

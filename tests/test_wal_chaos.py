@@ -31,6 +31,7 @@ import pytest
 from repro.faults import CrashPointError, FaultPlan, FaultyDisk
 from repro.session import StorageSession
 from repro.wal import KIND_COMMIT, WAL_FILE, scan
+from tests.test_wal_property import stale_copies
 
 #: DDL executed before arming any fault schedule (bases become durable).
 DDL = [
@@ -114,20 +115,8 @@ def assert_matches_reference(session, n_committed, cases=()):
 
 
 def assert_no_stale_index(session):
-    """Every index posting matches a fresh rebuild from the live heap."""
-    from repro.columnar import SupportIntervalIndex
-
-    for (table, attribute), index in session.indexes.items():
-        live = sorted(
-            e[:5] for e in index.scan_entries(session.disk)
-        )
-        rebuilt = SupportIntervalIndex.build(
-            table, attribute, session.tables[table], session.disk,
-            file_name="__idx_scratch",
-        )
-        fresh = sorted(e[:5] for e in rebuilt.scan_entries(session.disk))
-        session.disk.delete("__idx_scratch")
-        assert live == fresh, (table, attribute)
+    """Every clustered copy is the external sort of its live heap, byte for byte."""
+    assert stale_copies(session) == []
 
 
 def assert_no_leaks(session):

@@ -20,6 +20,11 @@ hold it to the tuple semantics it replaced:
   of the live session equals the file ``recover()`` writes for it;
 * the victim scan's support skip returns exactly the victims of a full
   decode-and-match scan.
+
+And one for indexes: an indexed session and a plain one, run through the
+same history of DML batches, checkpoints and crashes, answer every J / N /
+JX statement alike after every step, and every index's clustered copy is
+byte-identical to :class:`ExternalSorter`'s output over the live heap.
 """
 
 from hypothesis import given, settings
@@ -29,10 +34,13 @@ from repro.data import FuzzyRelation, FuzzyTuple, Schema
 from repro.data.schema import Attribute
 from repro.data.types import AttributeType
 from repro.engine.executor import DmlColumns, compile_conjunction
+from repro.faults import FaultPlan, FaultyDisk
 from repro.fuzzy import CrispLabel, CrispNumber, DiscreteDistribution, TrapezoidalNumber
 from repro.session import StorageSession
+from repro.sort.external import ExternalSorter
 from repro.sql.statements import parse_statement
 from repro.storage.serializer import TupleSerializer
+from repro.storage.stats import OperationStats
 from repro.wal import WAL_FILE, TableState, replay_record
 from repro.wal.record import KIND_DELETE, KIND_INSERT, WalRecord
 
@@ -309,3 +317,108 @@ def test_support_skip_returns_the_full_scan_victims(rows, where, threshold):
     got = session._dml_victims("R", "R", stmt.where, stmt.threshold)
     want = full_scan_victims(session, stmt)
     assert [(t.value_key(), t.degree) for t in got] == [(t.value_key(), t.degree) for t in want]
+
+
+# ----------------------------------------------------------------------
+# Indexed sessions under writes
+# ----------------------------------------------------------------------
+def page_images(disk, name):
+    """Every page of file ``name`` as raw bytes."""
+    return [disk.read_page(name, i).to_bytes() for i in range(disk.n_pages(name))]
+
+
+def stale_copies(session):
+    """The indexes whose clustered copy is not, page for page,
+    :class:`ExternalSorter`'s output over the table's live heap."""
+    disk, stale = session.disk, []
+    with disk.use_stats(OperationStats()):
+        for (table, attribute), copy in sorted(session.indexes.items()):
+            check = ExternalSorter(disk, 3, OperationStats()).sort(
+                session.tables[table], attribute, "__check"
+            )
+            if page_images(disk, copy.name) != page_images(disk, check.name):
+                stale.append((table, attribute))
+            disk.delete(check.name)
+    return stale
+
+
+INDEX_DDL = DDL + ["CREATE TABLE S (K NUMERIC, U NUMERIC, V NUMERIC)"]
+INDEXED = (("R", "V"), ("S", "V"), ("R", "U"))
+READS = [
+    "SELECT R.K FROM R WHERE R.V IN (SELECT S.V FROM S)",
+    "SELECT R.K FROM R WHERE R.V IN (SELECT S.V FROM S WHERE S.U = R.U)",
+    "SELECT R.K FROM R WHERE R.V NOT IN (SELECT S.V FROM S WHERE S.U = R.U)",
+]
+ROW = st.tuples(
+    st.sampled_from("RS"),
+    st.integers(min_value=1, max_value=6),   # key
+    st.integers(min_value=0, max_value=9),   # value selector
+    st.sampled_from([0.3, 0.6, 1.0]),
+)
+STEP = st.one_of(
+    st.tuples(st.just("dml"), st.lists(st.tuples(st.integers(0, 2), ROW), min_size=1, max_size=4)),
+    st.tuples(st.just("checkpoint")),
+    st.tuples(st.just("crash")),
+)
+
+
+def dml_batch(ops):
+    """One ``execute`` batch of INSERT / UPDATE / DELETE statements."""
+    batch = []
+    for kind, (table, key, b, degree) in ops:
+        v, u = VALUES[b % len(VALUES)], VALUES[(key + b) % len(VALUES)]
+        if kind == 0:
+            batch.append(f"INSERT INTO {table} VALUES ({key}, {u}, {v}) WITH D {degree}")
+        elif kind == 1:
+            batch.append(f"UPDATE {table} SET V = {v} WHERE K = {key}")
+        else:
+            batch.append(f"DELETE FROM {table} WHERE K = {key}")
+    return batch
+
+
+def fresh(disk, indexed):
+    """A session on ``disk`` with six rows per table in its base files (and indexed)."""
+    session = StorageSession(page_size=256, buffer_pages=8, disk=disk)
+    session.execute(INDEX_DDL)
+    session.execute(dml_batch([(0, (t, k, k, 0.6)) for t in "RS" for k in range(1, 7)]))
+    session.checkpoint()
+    if indexed:
+        for table, attribute in INDEXED:
+            session.create_index(table, attribute)
+    return session
+
+
+def survivor(disk, session):
+    """A new session attached to ``disk`` after a crash, recovered."""
+    after = StorageSession(page_size=256, buffer_pages=8, disk=disk)
+    for name in ("R", "S"):
+        after.attach(name, session.tables[name].schema)
+    after.recover()
+    return after
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    steps=st.lists(STEP, min_size=1, max_size=6),
+    z=st.sampled_from([0.3, 0.6]),
+)
+def test_indexed_sessions_answer_alike_under_writes(steps, z):
+    disks = {indexed: FaultyDisk(FaultPlan(seed=0), page_size=256, armed=False) for indexed in (True, False)}
+    sessions = {indexed: fresh(disk, indexed) for indexed, disk in disks.items()}
+    for disk in disks.values():
+        disk.armed = True
+    for step in steps:
+        for indexed, session in list(sessions.items()):
+            if step[0] == "dml":
+                session.execute(dml_batch(step[1]))
+            elif step[0] == "checkpoint":
+                session.checkpoint()
+            else:
+                disks[indexed].crash()
+                sessions[indexed] = survivor(disks[indexed], session)
+        indexed, plain = sessions[True], sessions[False]
+        assert sorted(indexed.indexes) == sorted(INDEXED)
+        assert stale_copies(indexed) == []
+        for sql in READS:
+            for text in (sql, f"{sql} WITH D >= {z}"):
+                assert indexed.query(text).same_as(plain.query(text), 0.0), (step, text)
