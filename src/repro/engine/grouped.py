@@ -9,7 +9,8 @@ degree of an outer tuple is a *min* fold over pair degrees
     op ALL:  d'_{r,s} = min(mu_R(r), 1 - min(mu_S(s), p2, cross, 1 - d(Y op Z)))
 
 seeded with ``min(mu_R(r), p1(r))`` (the value every pair outside Rng(r)
-contributes, since its inner conjunction is 0).
+contributes, since its inner conjunction is 0).  The state only falls, so
+the fold is decided once it fails the outer ``WITH D >= z`` (or is 0).
 
 When one of the cross predicates (or the NOT-IN link) is a fuzzy equality
 between attributes, it serves as the merge-join band; otherwise the fold
@@ -23,6 +24,7 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from ..data.tuples import FuzzyTuple
 from ..fuzzy.compare import Op, possibility
+from ..join.predicates import min_decided
 from ..storage.heap import HeapFile
 from .operators import BandFold, ExecutionContext
 
@@ -122,11 +124,11 @@ class GroupedAntiJoin(BandFold):
     # ------------------------------------------------------------------
     def run(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
         """The min-fold over the band on ``ctx``: one answer per outer tuple
-        whose worst pair degree stays positive."""
+        whose worst pair degree stays positive (and meets the cut)."""
         step = lambda worst, _s, d: d if d < worst else worst
-        yield from self._answers(
-            ctx, self._fold(ctx, self.band, self._pair_degree, self._init, step)
-        )
+        yield from self._answers(ctx, self._fold(
+            ctx, self.band, self._pair_degree, self._init, step, min_decided(self.cut)
+        ))
 
     def describe(self) -> str:
         """One-line label: the quantifier and the two relations."""

@@ -19,7 +19,7 @@ from ..data.schema import Schema
 from ..data.tuples import FuzzyTuple
 from ..errors import FuzzyQueryError
 from ..join.nested_loop import NestedLoopJoin
-from ..join.predicates import MAX_FOLD, PAIRS, JoinPredicate, PairDegree
+from ..join.predicates import MAX_FOLD, PAIRS, JoinPredicate, PairDegree, under_cut
 from ..storage.heap import HeapFile
 from ..storage.stats import OperationStats
 from .context import ExecutionContext
@@ -85,6 +85,8 @@ class Operator:
     """Base class: every operator produces a stream of fuzzy tuples."""
 
     schema: Schema
+    #: The ``WITH D >= z`` a :class:`Threshold` above handed down (0: none).
+    cut = 0.0
     #: Stamped by :func:`repro.observe.explain.annotate_estimates`.
     estimated_rows: Optional[float] = None
 
@@ -270,14 +272,18 @@ def join_rows(
     outer_keep: Sequence[int],
     inner_keep: Sequence[int] = (),
     om=None,
+    stats: Optional[OperationStats] = None,
 ) -> Iterator[FuzzyTuple]:
     """The one place an operator builds a row: from ``(r, state)`` per outer tuple.
 
     With no inner column kept, ``state`` is ``r``'s folded degree and
     ``r``'s kept columns are emitted once when it is positive; otherwise
     it lists ``r``'s joining ``(s, degree)`` pairs, each emitted as both
-    tuples' kept columns.  ``om`` counts outer tuples in and pruned.
+    tuples' kept columns.  ``om`` counts outer tuples in and pruned, and
+    the pairs the fold charged to ``stats`` as decided (its inputs are
+    materialized before its scan starts: nothing else charges meanwhile).
     """
+    before = stats.total.decided_pairs if om and stats else 0
     for r, state in folded:
         if om is not None:
             om.rows_in += 1
@@ -289,6 +295,8 @@ def join_rows(
             yield FuzzyTuple(tuple(r.values[i] for i in outer_keep), state)
         elif om is not None:
             om.prunes += 1
+    if om and stats:
+        om.decided += stats.total.decided_pairs - before
 
 
 class JoinOp(Operator):
@@ -308,13 +316,16 @@ class JoinOp(Operator):
         self.inner_keep = [i - width for i in keep if i >= width]
         self.schema = concat_schemas(left.schema, right.schema, keep)
         self.folds = not self.inner_keep
-        #: The ``(init, step)`` this join hands the band scan.
-        self.fold_steps = MAX_FOLD if self.folds else PAIRS
+
+    @property
+    def fold_steps(self) -> tuple:
+        """The ``(init, step, decided)`` this join hands the band scan."""
+        return under_cut(MAX_FOLD if self.folds else PAIRS, self.cut)
 
     def _rows(self, ctx: ExecutionContext, folded) -> Iterator[FuzzyTuple]:
         """This join's output rows from the band scan's ``(r, state)`` stream."""
         om = ctx.metrics.op(self) if ctx.metrics is not None else None
-        return join_rows(folded, self.outer_keep, self.inner_keep, om)
+        return join_rows(folded, self.outer_keep, self.inner_keep, om, ctx.stats)
 
     def children(self) -> List[Operator]:
         """Both join inputs, outer first."""
@@ -466,6 +477,7 @@ class BandFold(Operator):
         pair_degree: PairDegree,
         init: Callable,
         step: Callable,
+        decided: Optional[Callable] = None,
     ) -> Iterator[Tuple[FuzzyTuple, object]]:
         """``(r, state)`` per outer tuple: the merge-join over ``band``
         (outer attribute, inner attribute), or every pair on the block
@@ -474,17 +486,17 @@ class BandFold(Operator):
         inner = live_heap(self.inner, ctx.catalog)
         if band is None:
             join = NestedLoopJoin(ctx.disk, ctx.buffer_pages, ctx.stats)
-            yield from join.fold(outer, inner, pair_degree, init, step)
+            yield from join.fold(outer, inner, pair_degree, init, step, decided)
             return
         with ctx.merge_join(self.outer.table, self.inner.table) as join:
-            yield from join.fold(outer, band[0], inner, band[1], pair_degree, init, step)
+            yield from join.fold(outer, band[0], inner, band[1], pair_degree, init, step, decided)
 
     def _answers(
         self, ctx: ExecutionContext, degrees: Iterable[Tuple[FuzzyTuple, float]]
     ) -> Iterator[FuzzyTuple]:
         """Project the outer tuples whose folded degree is positive."""
         om = ctx.metrics.op(self) if ctx.metrics is not None else None
-        return join_rows(degrees, self.project_indices, om=om)
+        return join_rows(degrees, self.project_indices, om=om, stats=ctx.stats)
 
     def children(self) -> List[Operator]:
         """The outer and inner base-table scans."""
@@ -549,12 +561,19 @@ class Project(Operator):
 
 
 class Threshold(Operator):
-    """The WITH clause applied to the answer stream."""
+    """The WITH clause applied to the answer stream, and handed down as the
+    ``cut`` of every operator beneath: each is a ``min`` or a ``max`` of
+    degrees, so a fold that can no longer meet it yields only dropped rows."""
 
     def __init__(self, child: Operator, threshold: float):
         self.child = child
         self.threshold = threshold
         self.schema = child.schema
+        below = [child]
+        while below:
+            node = below.pop()
+            node.cut = threshold
+            below.extend(node.children())
 
     def _tuples(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
         from ..fuzzy.logic import meets_threshold

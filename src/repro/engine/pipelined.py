@@ -15,6 +15,9 @@ R-tuples r with r.U = u1 ... the degree d_r is computed".
 
 The COUNT left outer join (Query COUNT') falls out naturally: an R-tuple
 whose group is empty compares against the constant 0.
+
+Under an outer ``WITH D >= z`` an R-tuple with ``mu_R(r) < z`` is decided
+before its scan: it collects no group and leaves the memo to a later one.
 """
 
 from __future__ import annotations
@@ -111,13 +114,19 @@ class JAPipeline(BandFold):
                     members[key] = (s[self.z_index], degree)
             return members
 
+        z = self.cut
+        decided = (lambda r, _members: r.degree < z) if z > 0.0 else None
+
         def outer_degrees():
             # Whatever join yields the groups (the merge scan or, down the
             # ladder, a block of the nested loop), aggregation happens
             # once per distinct u: pairs outside Rng(r) contribute 0.
             for r, members in self._fold(
-                ctx, (self.u_attr, self.v_attr), pair, init, step
+                ctx, (self.u_attr, self.v_attr), pair, init, step, decided
             ):
+                if decided is not None and decided(r, members):
+                    yield r, 0.0  # fails the cut; its empty group is not T'(u)
+                    continue
                 u_key = r[self.u_index].key()
                 if u_key not in groups:
                     # Pipeline hand-off: T'(u) just completed; apply AGG once.

@@ -22,7 +22,7 @@ buffer can hold one R page plus the pages spanned by the largest window
 
 :meth:`MergeJoin.fold` is also the one place a band join steps down — the
 fallback ladder of ``docs/robustness.md``.  Both rungs run the caller's
-``pair_degree`` / ``init`` / ``step`` on
+``pair_degree`` / ``init`` / ``step`` / ``decided`` on
 :meth:`~repro.join.nested_loop.NestedLoopJoin.fold`, which is sound for
 every fold whose out-of-range pairs are neutral (the same condition the
 window scan already relies on), keep every event charged so far, and set
@@ -142,12 +142,17 @@ class MergeJoin:
         pair_degree: PairDegree,
         init: Callable[[FuzzyTuple], State],
         step: Callable[[State, FuzzyTuple, float], State],
+        decided: Optional[Callable[[FuzzyTuple, State], bool]] = None,
     ) -> Iterator[Tuple[FuzzyTuple, State]]:
         """Per-R-tuple fold over the examined S-window.
 
         ``init(r)`` seeds the accumulator (it must already account for the
         S-tuples *outside* ``Rng(r)``, whose predicates are unsatisfiable);
-        ``step`` is invoked once per examined pair with its degree.  Yields
+        ``step`` is invoked once per examined pair with its degree.  Once
+        ``decided(r, state)`` holds, no step can change what the caller
+        makes of the state: ``r``'s window is still walked (same crisp
+        counts, reads and rung) but its pairs are charged as
+        ``decided_pairs`` instead of evaluated.  Yields
         ``(r, final_state)`` in R's sorted order (file order if the sort
         itself could not spill — see the module docstring's ladder).  An
         input whose :attr:`~repro.storage.heap.HeapFile.order` is its band
@@ -173,14 +178,15 @@ class MergeJoin:
                     # Every sort write precedes the first pair and the
                     # nested loop only reads, so nothing is emitted twice.
                     yield from self._nested_loop(SPILL_RUNG).fold(
-                        outer, inner, pair_degree, init, step
+                        outer, inner, pair_degree, init, step, decided
                     )
                     return
                 with self.stats.enter_phase(JOIN_PHASE), maybe_span(
                     self.tracer, f"probe {outer.name} x {inner.name}"
                 ):
                     yield from self._join_phase(
-                        sorted_r, outer_attr, sorted_s, inner_attr, pair_degree, init, step
+                        sorted_r, outer_attr, sorted_s, inner_attr,
+                        pair_degree, init, step, decided,
                     )
             finally:
                 for heap, source in ((sorted_r, outer), (sorted_s, inner)):
@@ -199,6 +205,7 @@ class MergeJoin:
         pair_degree: PairDegree,
         init: Callable[[FuzzyTuple], State],
         step: Callable[[State, FuzzyTuple, float], State],
+        decided: Optional[Callable[[FuzzyTuple, State], bool]],
     ) -> Iterator[Tuple[FuzzyTuple, State]]:
         r_index = sorted_r.schema.index_of(outer_attr)
         s_index = sorted_s.schema.index_of(inner_attr)
@@ -224,6 +231,8 @@ class MergeJoin:
                         break
 
                 state = init(r)
+                live = decided is None or not decided(r, state)
+                skipped = 0
 
                 # Examine resident window tuples beginning at or before e(r.X).
                 scan_done = False
@@ -235,7 +244,11 @@ class MergeJoin:
                     if self.indicator and entry.e < rb:
                         self.stats.count_crisp()  # the indicator test
                         continue  # dangling: provably non-intersecting
+                    if not live:
+                        skipped += 1
+                        continue
                     state = step(state, entry.tuple, pair_degree(r, entry.tuple, self.stats))
+                    live = decided is None or not decided(r, state)
 
                 # Extend the window from the S stream until past e(r.X).
                 while not scan_done and not exhausted:
@@ -251,7 +264,7 @@ class MergeJoin:
                             # sorted by b, so no remaining R-tuple reaches
                             # a page before the window's first.
                             yield from self._nested_loop(WINDOW_RUNG).fold(
-                                sorted_r, sorted_s, pair_degree, init, step,
+                                sorted_r, sorted_s, pair_degree, init, step, decided,
                                 outer_start=(r_page, r_record),
                                 inner_start=window[0].page,
                             )
@@ -264,8 +277,14 @@ class MergeJoin:
                     if self.indicator and entry.e < rb:
                         self.stats.count_crisp()  # the indicator test
                         continue
+                    if not live:
+                        skipped += 1
+                        continue
                     state = step(state, entry.tuple, pair_degree(r, entry.tuple, self.stats))
+                    live = decided is None or not decided(r, state)
 
+                if skipped:
+                    self.stats.count_decided(skipped)
                 yield r, state
 
     def _s_tuples(self, sorted_s: HeapFile, s_index: int) -> Iterator[_WindowEntry]:

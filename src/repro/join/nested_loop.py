@@ -5,13 +5,13 @@ relation and the rest to the outer relation in order to minimize I/O cost".
 With ``M`` buffer pages, R is consumed in blocks of ``M - 1`` pages and S is
 scanned once per block, giving the paper's
 ``b_R + ceil(b_R / (M-1)) * b_S`` page transfers and ``n_R * n_S`` fuzzy
-predicate evaluations.
+predicate evaluations (fewer for a fold that can tell it is decided).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, List, Tuple, TypeVar
+from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
 
 from ..data.tuples import FuzzyTuple
 from ..storage.disk import SimulatedDisk
@@ -52,13 +52,16 @@ class NestedLoopJoin:
         pair_degree: PairDegree,
         init: Callable[[FuzzyTuple], State],
         step: Callable[[State, FuzzyTuple, float], State],
+        decided: Optional[Callable[[FuzzyTuple, State], bool]] = None,
         outer_start: Tuple[int, int] = (0, 0),
         inner_start: int = 0,
     ) -> Iterator[Tuple[FuzzyTuple, State]]:
         """Per-R-tuple fold over *every* S-tuple.
 
         Unlike the merge-join, the nested loop examines all ``n_R * n_S``
-        pairs, so ``init`` needs no out-of-range allowance.
+        pairs, so ``init`` needs no out-of-range allowance.  A tuple leaves
+        its block once ``decided(r, state)`` holds (``decided_pairs`` counts
+        its skipped pairs), and a block with none left stops reading S.
 
         ``outer_start`` (page, record) and ``inner_start`` (page) restrict
         the fold to the tail of both files — how the merge-join finishes a
@@ -76,12 +79,25 @@ class NestedLoopJoin:
                 if block_start == first_page:
                     del block[:first_record]
                 states = [init(r) for r in block]
+                live = [(i, r) for i, r in enumerate(block)
+                        if decided is None or not decided(r, states[i])]
                 for s_page in range(inner_start, inner.n_pages):
+                    if decided is not None and not live:
+                        break
                     page = self.disk.read_page(inner.name, s_page)
                     for record in page.records():
                         s = inner.serializer.decode(record)
-                        for i, r in enumerate(block):
-                            states[i] = step(states[i], s, pair_degree(r, s, self.stats))
+                        if len(live) < len(block):
+                            self.stats.count_decided(len(block) - len(live))
+                        settled = False
+                        for i, r in live:
+                            state = states[i] = step(states[i], s, pair_degree(r, s, self.stats))
+                            if decided is not None and decided(r, state):
+                                settled = True
+                        if settled:
+                            live = [(i, r) for i, r in live if not decided(r, states[i])]
+                            if not live:
+                                break
                 for r, state in zip(block, states):
                     yield r, state
 

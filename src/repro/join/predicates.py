@@ -80,12 +80,29 @@ def _add_pair(matches: list, s: FuzzyTuple, degree: float) -> list:
     return matches
 
 
-#: ``(init, step)`` of the fold collecting each outer tuple's joining ``(s, degree)`` pairs.
-PAIRS = (lambda _r: [], _add_pair)
+#: ``(init, step, decided)`` of the fold collecting each outer tuple's
+#: joining ``(s, degree)`` pairs; on its own it never decides.
+PAIRS = (lambda _r: [], _add_pair, None)
 
-#: ``(init, step)`` of the max-fold: each outer tuple's largest pair degree,
-#: 0 when nothing joins (``docs/possibility_semantics.md``).
-MAX_FOLD = (lambda _r: 0.0, lambda state, _s, degree: degree if degree > state else state)
+#: ``(init, step, decided)`` of the max-fold: each outer tuple's largest
+#: pair degree, 0 when nothing joins; decided at ``mu_R(r)``, which bounds
+#: every pair degree (``docs/possibility_semantics.md``).
+MAX_FOLD = (
+    lambda _r: 0.0,
+    lambda state, _s, degree: degree if degree > state else state,
+    lambda r, state: state >= r.degree,
+)
+
+
+def under_cut(fold: tuple, z: float) -> tuple:
+    """``fold`` beneath ``WITH D >= z``: a tuple whose ``mu_R`` fails the
+    cut is decided at ``init``, as every answer from it is at most ``mu_R``."""
+    init, step, decided = fold
+    if z <= 0.0:
+        return fold
+    if decided is None:
+        return init, step, lambda r, _state: r.degree < z
+    return init, step, lambda r, state: r.degree < z or decided(r, state)
 
 
 def join_degree(
@@ -146,3 +163,11 @@ def all_quantifier_degree(
         return min(r.degree, 1.0 - inner)
 
     return degree
+
+
+def min_decided(z: float) -> Callable[[FuzzyTuple, float], bool]:
+    """``decided`` of a min-fold (JX', JALL') beneath ``WITH D >= z``: its
+    state only falls, so once it fails the cut the tuple is no answer."""
+    if z > 0.0:
+        return lambda _r, worst: worst < z
+    return lambda _r, worst: worst <= 0.0

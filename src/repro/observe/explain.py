@@ -169,6 +169,8 @@ def render_plan(
                     notes.append(f"in={om.rows_in}")
                 if om.prunes:
                     notes.append(f"prunes={om.prunes}")
+                if om.decided:
+                    notes.append(f"decided={om.decided}")
                 notes.append(f"time={om.wall_seconds * 1000.0:.2f}ms")
         lines.append("  " * depth + operator.describe() + "  (" + ", ".join(notes) + ")")
         for child in operator.children():
@@ -237,6 +239,8 @@ def render_report(
                 notes.append(f"in={om.rows_in}")
             if om.prunes:
                 notes.append(f"prunes={om.prunes}")
+            if om.decided:
+                notes.append(f"decided={om.decided}")
             notes.append(f"time={om.wall_seconds * 1000.0:.2f}ms")
             lines.append(f"{om.label}  (" + ", ".join(notes) + ")")
 

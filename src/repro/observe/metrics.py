@@ -2,8 +2,8 @@
 
 One collector instance accompanies one query execution.  It gathers
 
-* per-operator counters (rows in/out, degree-threshold prunes, inclusive
-  wall time) keyed by operator identity;
+* per-operator counters (rows in/out, degree-threshold prunes, pairs a
+  fold skipped as decided, inclusive wall time) keyed by operator identity;
 * external-sort shape (initial runs, merge passes) per sort;
 * buffer-pool hits and misses (reported by a
   :class:`~repro.storage.buffer.BufferPool` carrying the collector);
@@ -41,6 +41,7 @@ class OperatorMetrics:
     rows_in: int = 0
     rows_out: int = 0
     prunes: int = 0  # tuples dropped because their degree fell to/below the bar
+    decided: int = 0  # pairs a fold skipped: their outer tuple was already decided
     wall_seconds: float = 0.0
 
 

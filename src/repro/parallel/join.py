@@ -196,7 +196,7 @@ class PartitionedBandJoin(MergeJoin):
         #: Every disk a slice task may touch: stats and guard go on all.
         self._disks = [disk] + [n.disk for n in placement.nodes] if placement else [disk]
 
-    def fold(self, outer, outer_attr, inner, inner_attr, pair_degree, init, step):
+    def fold(self, outer, outer_attr, inner, inner_attr, pair_degree, init, step, decided=None):
         """:meth:`MergeJoin.fold`, spliced from slices when a source cuts the join.
 
         Nothing is yielded until every slice has finished, so a fault can
@@ -213,7 +213,8 @@ class PartitionedBandJoin(MergeJoin):
             try:
                 slices = cut(outer, outer_attr, inner, inner_attr, scratch)
                 states = self._gather(
-                    source, slices, width, outer_attr, inner_attr, pair_degree, init, step
+                    source, slices, width,
+                    (outer_attr, inner_attr, pair_degree, init, step, decided),
                 )
             except _Decline as decline:
                 self._degrade(f"{source.declined}: {decline}")
@@ -226,7 +227,9 @@ class PartitionedBandJoin(MergeJoin):
                     self.disk.delete(name)
             yield from states
             return
-        yield from super().fold(outer, outer_attr, inner, inner_attr, pair_degree, init, step)
+        yield from super().fold(
+            outer, outer_attr, inner, inner_attr, pair_degree, init, step, decided
+        )
 
     # ------------------------------------------------------------------
     # Slice sources
@@ -331,13 +334,12 @@ class PartitionedBandJoin(MergeJoin):
     # ------------------------------------------------------------------
     # Scatter, gather, splice
     # ------------------------------------------------------------------
-    def _gather(
-        self, source, slices, width, outer_attr, inner_attr, pair_degree, init, step
-    ) -> list:
+    def _gather(self, source, slices, width, fold) -> list:
         """Run the slices' folds, ``width`` at a time, and splice them in
-        slice order."""
+        slice order.  ``fold`` is ``(outer_attr, inner_attr, pair_degree,
+        init, step, decided)``."""
         clock = self.tracer.now if self.tracer is not None else (lambda: 0.0)
-        fold = (source.kind, outer_attr, inner_attr, pair_degree, init, step)
+        fold = (source.kind, *fold)
 
         def task(sl: Slice, linked: CancelToken):
             started = clock()
@@ -380,7 +382,7 @@ class PartitionedBandJoin(MergeJoin):
             self._degrade(rung)
         return out
 
-    def _run(self, sl, kind, outer_attr, inner_attr, pair_degree, init, step, linked):
+    def _run(self, sl, kind, outer_attr, inner_attr, pair_degree, init, step, decided, linked):
         """One slice task: build the inner slice, then fold serially.
 
         Returns the slice's states, the rungs its fold stepped down to,
@@ -422,7 +424,7 @@ class PartitionedBandJoin(MergeJoin):
                 join = MergeJoin(sl.home, self.buffer_pages, stats)
                 states = []
                 for state in join.fold(
-                    sl.outer, outer_attr, inner, inner_attr, pair_degree, begun, counted
+                    sl.outer, outer_attr, inner, inner_attr, pair_degree, begun, counted, decided
                 ):
                     entry.rows_out += pending
                     pending = 0

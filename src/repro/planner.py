@@ -13,7 +13,8 @@ function, and the only place on the storage door that knows nesting types:
 * type JA with one equality correlation → the Section 6 pipelined
   T1/T2/JA' merge pass (:class:`~repro.engine.pipelined.JAPipeline`);
 * everything else (GENERAL, type A, exotic JA shapes) → a ``naive``
-  artifact: the statement has no unnested form.
+  artifact: the statement has no unnested form, and the artifact says
+  which rule refused it (``refused``, EXPLAIN's ``refused:`` line).
 
 Planning does no disk I/O and needs no session.  The *catalog view* is any
 object with ``schemas`` (the schema-only :class:`~repro.data.catalog.Catalog`,
@@ -60,6 +61,12 @@ FLAT_TYPES = {
     NestingType.TYPE_SOME,
     NestingType.TYPE_JSOME,
     NestingType.CHAIN,
+}
+
+#: Why the types with neither a flat nor a fold form are refused.
+REFUSED = {
+    NestingType.TYPE_A: "the Type A rewrite has a step: not a single flat query",
+    NestingType.GENERAL: "no rewrite for nesting type general",
 }
 
 #: Nesting types answered by the Section 5 / 7 grouped fold: its mode and
@@ -116,17 +123,19 @@ def plan(
                 if nesting is NestingType.TYPE_JA:
                     return _plan_ja(query, nesting, catalog)
                 return _plan_grouped(query, nesting, catalog)
-    except (UnnestError, CompileError):
-        pass
-    return naive(nesting)
+    except (UnnestError, CompileError) as refusal:
+        return naive(nesting, str(refusal))
+    return naive(nesting, REFUSED[nesting])
 
 
-def naive(nesting: NestingType) -> PlanArtifact:
-    """The artifact of a statement with no unnested form."""
+def naive(nesting: NestingType, reason: str = "") -> PlanArtifact:
+    """The artifact of a statement with no unnested form; ``reason`` says
+    which rule refused it."""
     return PlanArtifact(
         "naive",
         rule="none (naive fallback)",
         strategy=f"naive/{nesting.value}: in-memory nested evaluation",
+        refused=reason,
     )
 
 
@@ -158,9 +167,9 @@ def finish(
         try:
             with maybe_span(tracer, "compile"):
                 return query, replace(artifact, operator=_compile(flat, catalog))
-        except CompileError:
+        except CompileError as refusal:
             # The bound values left the unnested fragment.
-            return query, naive(prepared.nesting)
+            return query, naive(prepared.nesting, str(refusal))
     return query, artifact
 
 

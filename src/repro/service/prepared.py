@@ -66,6 +66,9 @@ class PlanArtifact:
     strategy: str = ""
     #: ``memory``: the :class:`UnnestedPlan` for the in-memory engine.
     plan: object = None
+    #: ``naive``: why the planner refused every unnested form (EXPLAIN's
+    #: ``refused:`` line; empty when no rewrite was tried).
+    refused: str = ""
 
 
 class PreparedQuery:

@@ -766,6 +766,8 @@ class StorageSession(StatementLifecycle):
         lines = [f"nesting type: {prepared.nesting.value}"]
         if artifact.rule:
             lines.append(f"rewrite: {artifact.rule}")
+        if artifact.refused:
+            lines.append(f"refused: {artifact.refused}")
         lines.append(f"strategy: {artifact.strategy}")
         if artifact.operator is not None:
             lines.append(render_plan(artifact.operator))

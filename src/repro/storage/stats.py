@@ -28,6 +28,9 @@ class Counters:
     #: so the cost model is unchanged; this counter only splits out how
     #: much of the I/O was index traffic.
     index_pages_read: int = 0
+    #: Pairs a band scan skipped as decided: no work, so the cost model
+    #: ignores it; it only says how much the decided folds saved.
+    decided_pairs: int = 0
 
     def merge(self, other: "Counters") -> None:
         """Add another counter set into this one."""
@@ -38,6 +41,7 @@ class Counters:
         self.tuple_moves += other.tuple_moves
         self.io_retries += other.io_retries
         self.index_pages_read += other.index_pages_read
+        self.decided_pairs += other.decided_pairs
 
     @property
     def page_ios(self) -> int:
@@ -54,6 +58,7 @@ class Counters:
             self.tuple_moves,
             self.io_retries,
             self.index_pages_read,
+            self.decided_pairs,
         )
 
 
@@ -141,6 +146,10 @@ class OperationStats:
         same bytes either way); this counter only classifies the traffic.
         """
         (self._active or self._activate()).index_pages_read += pages
+
+    def count_decided(self, pairs: int = 1) -> None:
+        """Note pair(s) a fold skipped as decided — charged to nothing else."""
+        (self._active or self._activate()).decided_pairs += pairs
 
     # ------------------------------------------------------------------
     # Aggregation

@@ -139,6 +139,8 @@ def explain_text(nesting, artifact) -> str:
     lines = [f"nesting type: {nesting.value}"]
     if artifact.rule:
         lines.append(f"rewrite: {artifact.rule}")
+    if artifact.refused:
+        lines.append(f"refused: {artifact.refused}")
     lines.append(f"strategy: {artifact.strategy}")
     if artifact.operator is not None:
         lines.append(render_plan(artifact.operator))
