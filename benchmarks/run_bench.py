@@ -686,158 +686,6 @@ def _wal_workloads() -> dict:
     return out
 
 
-#: The ``fuzzysql_`` registry scalars gated by the adaptive slices.
-ADAPTIVE_COUNTER_KEYS = (
-    "replans_total",
-    "queries_adapted_total",
-    "histogram_builds_total",
-    "histogram_refreshes_total",
-    "histogram_drift_rebuilds_total",
-)
-
-#: The mis-estimated three-way join the adaptive slice re-plans: the
-#: R⋈S intermediate feeds the S⋈W edge, and its observed cardinality
-#: diverges from the histogram estimate past the q-error threshold.
-ADAPTIVE_SQL = "SELECT R.K FROM R, S, W WHERE R.V = S.V AND S.U = W.U WITH D >= 0.6"
-
-
-def _adaptive_session(adaptive: bool, seed: int = 11, n: int = 40) -> StorageSession:
-    """Three 40-tuple relations whose V/U estimates are off enough to replan.
-
-    The registry attaches *before* registration so the histogram builds
-    land in ``fuzzysql_histogram_builds_total``.
-    """
-    from repro.fuzzy import CrispNumber as N
-    from repro.fuzzy import TrapezoidalNumber as T
-
-    pool = [
-        N(0), N(2), N(5), N(9),
-        T(0, 1, 2, 4), T(1, 3, 4, 6), T(3, 5, 5, 7), T(4, 6, 8, 11),
-    ]
-    rng = random.Random(seed)
-    kwargs = dict(adaptive=True, adapt_threshold=1.2) if adaptive else {}
-    session = StorageSession(buffer_pages=16, page_size=1024, **kwargs)
-    session.registry = MetricsRegistry()
-    schema = Schema(["K", "V", "U"])
-    for name in ("R", "S", "W"):
-        session.register(
-            name,
-            FuzzyRelation(
-                schema,
-                [
-                    FuzzyTuple(
-                        [N(float(i)), rng.choice(pool), rng.choice(pool)],
-                        rng.choice([0.3, 0.6, 1.0]),
-                    )
-                    for i in range(n)
-                ],
-            ),
-        )
-    return session
-
-
-def _adaptive_workloads() -> dict:
-    """The feedback-loop slices: mid-query re-planning and histogram upkeep.
-
-    ``adaptive_J`` runs the mis-estimated three-way join once on a static
-    session and once with adaptation on.  It hard-fails unless the
-    adapted answer is *bit-identical* to the static one, re-planning
-    actually engaged (``metrics.adapted`` with ``replans_total >= 1``
-    gated as a counter), and the adapted run's modelled cost is
-    *strictly below* the static plan's — the slice exists to prove the
-    feedback loop pays for itself on a skewed workload.  The static
-    modelled cost is committed alongside so the artifact records the
-    delta.  ``histogram_build`` ingests a benign-then-skewed DML stream
-    through an adaptive session and gates the histogram maintenance
-    counters: registration builds, write-path delta refreshes, and the
-    drift-triggered rebuilds the skewed burst must cause.  Wall time is
-    recorded, never gated.
-    """
-    out = {}
-    static = _adaptive_session(False)
-    static_result = static.query(ADAPTIVE_SQL)
-    static_modelled = PAPER_1992.response_time(static.last_stats)
-
-    session = _adaptive_session(True)
-    metrics = QueryMetrics()
-    started = time.perf_counter()
-    result = session.query(ADAPTIVE_SQL, metrics=metrics)
-    wall = time.perf_counter() - started
-    if not result.same_as(static_result, 0.0):
-        raise AssertionError("adaptive_J: adapted answer differs from the static plan")
-    if not metrics.adapted:
-        raise AssertionError("adaptive_J: re-planning never engaged")
-    modelled = PAPER_1992.response_time(session.last_stats)
-    if modelled >= static_modelled:
-        raise AssertionError(
-            f"adaptive_J: adapted modelled cost {modelled:.4f}s is not strictly "
-            f"below the static plan's {static_modelled:.4f}s"
-        )
-    counters = _counters(session.last_stats)
-    state = session.registry.snapshot_state()
-    for key in ADAPTIVE_COUNTER_KEYS:
-        counters[key] = state[key]
-    if not counters["replans_total"]:
-        raise AssertionError("adaptive_J: fuzzysql_replans_total is zero")
-    out["adaptive_J"] = {
-        "modelled_seconds": modelled,
-        "static_modelled_seconds": static_modelled,
-        "adapt_reason": metrics.adapt_reason,
-        "wall_seconds": wall,
-        "rows": len(result),
-        "strategy": session.last_strategy,
-        "counters": counters,
-    }
-
-    session = StorageSession(
-        buffer_pages=16, page_size=1024, adaptive=True, drift_threshold=0.25
-    )
-    session.registry = MetricsRegistry()
-    schema = Schema(["K", "U", "V"])
-    from repro.fuzzy import CrispNumber as N
-
-    for name in ("A", "B"):
-        rel = FuzzyRelation(schema)
-        for i in range(20):
-            rel.add(FuzzyTuple([N(i), N(i % 5), N(i % 7)], 1.0))
-        session.register(name, rel)
-    totals = {key: 0 for key in COUNTER_KEYS}
-    modelled = 0.0
-    started = time.perf_counter()
-    # Benign singles first (delta refreshes, fingerprints untouched),
-    # then a skewed burst that must cross the drift threshold.
-    for i in range(4):
-        session.execute(f"INSERT INTO A VALUES ({100 + i}, {i % 5}, {i % 7})")
-        modelled += PAPER_1992.response_time(session.last_stats)
-        for key, value in _counters(session.last_stats).items():
-            totals[key] += value
-    session.execute(
-        [f"INSERT INTO A VALUES ({200 + i}, 3, 3)" for i in range(30)]
-    )
-    modelled += PAPER_1992.response_time(session.last_stats)
-    for key, value in _counters(session.last_stats).items():
-        totals[key] += value
-    wall = time.perf_counter() - started
-    state = session.registry.snapshot_state()
-    for key in ADAPTIVE_COUNTER_KEYS:
-        totals[key] = state[key]
-    if not totals["histogram_builds_total"]:
-        raise AssertionError("histogram_build: registration built no histograms")
-    if not totals["histogram_refreshes_total"]:
-        raise AssertionError("histogram_build: the write path never delta-refreshed")
-    if not totals["histogram_drift_rebuilds_total"]:
-        raise AssertionError(
-            "histogram_build: the skewed burst never crossed the drift threshold"
-        )
-    out["histogram_build"] = {
-        "modelled_seconds": modelled,
-        "wall_seconds": wall,
-        "rows": session.tables["A"].n_tuples,
-        "counters": totals,
-    }
-    return out
-
-
 def run_all(scale: int) -> dict:
     workloads = {}
     workloads.update(_method_workloads(scale))
@@ -847,7 +695,6 @@ def run_all(scale: int) -> dict:
     workloads.update(_sharded_workloads())
     workloads.update(_fault_workloads())
     workloads.update(_columnar_workloads())
-    workloads.update(_adaptive_workloads())
     workloads.update(_wal_workloads())
     return {
         "version": VERSION,

@@ -9,6 +9,7 @@ automatic strategy against the forced naive fallback on the same data.
 from conftest import emit
 
 from repro.bench.experiments import ExperimentResult, PAGE_SIZE, _buffer_pages, _scaled
+from repro import planner
 from repro.session import StorageSession
 from repro.sql import classify, parse
 from repro.storage import BufferPool, PAPER_1992
@@ -49,7 +50,7 @@ def session_sweep(scale):
         naive = fresh_session()
         query = parse(sql)
         answer_naive = naive._run_naive(
-            query, classify(query, naive.schemas), naive.last_stats
+            query, planner.naive(classify(query, naive.schemas)), naive.last_stats
         )
         naive_seconds = PAPER_1992.response_time(naive.last_stats)
         if not answer_auto.same_as(answer_naive, 1e-9):

@@ -56,7 +56,6 @@ class ExecutionContext:
         kernel=None,
         shards: int = 1,
         sharded=None,
-        adapt=None,
         catalog=None,
     ):
         from ..fuzzy.compare import ComparisonKernel
@@ -71,11 +70,6 @@ class ExecutionContext:
         self.shards = max(1, shards)
         self.sharded = sharded
         self.catalog = catalog
-        #: Optional :class:`~repro.engine.adaptive.AdaptiveController`;
-        #: when present, every merge-join edge re-costs itself against
-        #: observed input cardinalities before dispatching.  ``None``
-        #: (the default) keeps the exact pre-adaptive code paths.
-        self.adapt = adapt
         #: Per-execution memoizing comparison kernel, shared by every
         #: operator (and every slice worker) of this one execution.
         self.kernel = kernel if kernel is not None else ComparisonKernel()
@@ -122,13 +116,11 @@ class ExecutionContext:
         self,
         outer_table: Optional[str] = None,
         inner_table: Optional[str] = None,
-        workers: Optional[int] = None,
     ) -> Iterator[MergeJoin]:
         """The band join for one join edge of this execution.
 
         The one place serial, sampled or placed execution is chosen: with
-        a shard placement or more than one worker (``workers`` overrides
-        the context's budget for this edge) it is a
+        a shard placement or more than one worker it is a
         :class:`~repro.parallel.join.PartitionedBandJoin`, whose placed
         source looks the inputs' layouts up by their catalog names
         ``outer_table`` / ``inner_table`` (``None``: not a base table);
@@ -138,14 +130,13 @@ class ExecutionContext:
         ends, also when it ends in an error, so a failed query still
         shows the rungs it had taken.
         """
-        workers = self.workers if workers is None else workers
-        if workers > 1 or self.placement is not None:
+        if self.workers > 1 or self.placement is not None:
             # Imported here: a serial session never loads the thread pool.
             from ..parallel.join import PartitionedBandJoin
 
             join = PartitionedBandJoin(
                 self.disk, self.buffer_pages, self.stats,
-                workers=workers,
+                workers=self.workers,
                 placement=self.placement,
                 tables=(outer_table, inner_table),
                 metrics=self.metrics, tracer=self.tracer,
@@ -161,25 +152,6 @@ class ExecutionContext:
         finally:
             if join.fallback_reason is not None:
                 self.mark_degraded(join.fallback_reason)
-
-    def count_replan(self) -> None:
-        """Record that a join edge re-costed itself mid-query."""
-        if self.metrics is not None:
-            self.metrics.replans += 1
-
-    def mark_adapted(self, reason: str) -> None:
-        """Record that re-costing actually changed an edge's execution.
-
-        Mirrors :meth:`mark_degraded`: metrics-guarded, and additionally
-        emits a ``replan`` tracer span so the switch is visible in the
-        span tree next to the join phases it altered.
-        """
-        if self.metrics is not None:
-            self.metrics.adapted = True
-            self.metrics.adapt_reason = reason
-        if self.tracer is not None:
-            with self.tracer.span(f"replan: {reason}"):
-                pass
 
     def release(self) -> None:
         """Free everything this execution held: scratch files and pins.

@@ -381,29 +381,7 @@ class MergeJoinOp(JoinOp):
         right_heap, right_table = _as_heap(self.right, ctx)
         pair_degree = self.pair_degree_with(ctx.kernel)
 
-        workers = None
-        if ctx.adapt is not None:
-            # The feedback loop: the inputs are materialized, so their
-            # true cardinalities are known.  Past the q-error threshold
-            # the edge re-costs itself and may switch join method or
-            # give back its parallel budget — both alternatives are
-            # bit-identical in results (the nested-loop path is PR 4's
-            # degrade target, the serial path is PR 5's baseline).
-            decision = ctx.adapt.consider(self, left_heap, right_heap, ctx.workers)
-            if decision is not None:
-                ctx.count_replan()
-                if decision.method == "nested-loop":
-                    ctx.mark_adapted(decision.reason)
-                    fallback = NestedLoopJoin(ctx.disk, ctx.buffer_pages, ctx.stats)
-                    yield from self._rows(ctx, fallback.fold(
-                        left_heap, right_heap, pair_degree, *self.fold_steps
-                    ))
-                    return
-                if decision.workers != ctx.workers:
-                    ctx.mark_adapted(decision.reason)
-                    workers = decision.workers
-
-        with ctx.merge_join(left_table, right_table, workers) as join:
+        with ctx.merge_join(left_table, right_table) as join:
             yield from self._rows(ctx, join.fold(
                 left_heap, self.left_attr, right_heap, self.right_attr, pair_degree,
                 *self.fold_steps,

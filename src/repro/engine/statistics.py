@@ -45,10 +45,13 @@ class StatisticsVersions:
     can record the versions it was built against and detect staleness with
     one dict comparison.
 
-    Version bumps come from two sources:
+    Version bumps come from three sources:
 
-    * :meth:`observe_cardinality` — the relation's tuple count changed
-      (data was loaded, re-registered, or mutated);
+    * :meth:`bump` — the relation was (re)registered, re-indexed or
+      otherwise changed under every plan;
+    * :meth:`observe_cardinality` — a write moved the relation's tuple
+      count by more than a quarter of the count at its last bump (the
+      one plan-cache rule, see ``docs/query_service.md``);
     * :meth:`record_fanout` — a sampled join fan-out for one of the
       relation's attributes drifted by more than ``tolerance`` (relative),
       meaning join-order and window-size decisions made under the old
@@ -57,6 +60,10 @@ class StatisticsVersions:
     All methods are thread-safe; concurrent sessions share one instance.
     """
 
+    #: A write keeps cached plans while the row count stays within this
+    #: fraction of the count at the relation's last version bump.
+    GROWTH_TOLERANCE = 0.25
+
     def __init__(self, fanout_tolerance: float = 0.25):
         self.fanout_tolerance = fanout_tolerance
         self._versions: Dict[str, int] = {}
@@ -64,10 +71,16 @@ class StatisticsVersions:
         self._fanouts: Dict[Tuple[str, str], float] = {}
         self._lock = threading.Lock()
 
-    def bump(self, name: str) -> int:
-        """Unconditionally advance ``name``'s version; returns the new one."""
+    def bump(self, name: str, n_tuples: Optional[int] = None) -> int:
+        """Unconditionally advance ``name``'s version; returns the new one.
+
+        ``n_tuples``, when given, becomes the count the cache rule of
+        :meth:`observe_cardinality` measures growth against.
+        """
         name = name.upper()
         with self._lock:
+            if n_tuples is not None:
+                self._cardinalities[name] = n_tuples
             self._versions[name] = self._versions.get(name, 0) + 1
             return self._versions[name]
 
@@ -80,27 +93,22 @@ class StatisticsVersions:
         return {n.upper(): self.version(n) for n in names}
 
     def observe_cardinality(self, name: str, n_tuples: int) -> bool:
-        """Record a tuple count; bump and return True when it changed."""
+        """The one plan-cache rule for a write: bump and return True when
+        ``n_tuples`` moved past :attr:`GROWTH_TOLERANCE` of the count at
+        the last bump (any row into an empty table does).
+
+        Smaller moves keep the version, so cached plans stay hits; that
+        is safe because every plan leaf binds the live heap version at
+        execution (:func:`~repro.engine.operators.live_heap`).
+        """
         name = name.upper()
         with self._lock:
-            known = self._cardinalities.get(name)
-            self._cardinalities[name] = n_tuples
-            if known is not None and known == n_tuples:
+            base = self._cardinalities.get(name, 0)
+            if abs(n_tuples - base) <= self.GROWTH_TOLERANCE * base:
                 return False
+            self._cardinalities[name] = n_tuples
             self._versions[name] = self._versions.get(name, 0) + 1
             return True
-
-    def note_cardinality(self, name: str, n_tuples: int) -> None:
-        """Record a tuple count *without* bumping the version.
-
-        The adaptive write path uses this for benign ingest: when the
-        histogram drift check says cached plans are still good, the
-        cardinality book-keeping must not evict them as a side effect —
-        statistics drift, not every version bump, is the invalidation
-        rule there.
-        """
-        with self._lock:
-            self._cardinalities[name.upper()] = n_tuples
 
     def record_fanout(self, name: str, attribute: str, fanout: float) -> bool:
         """Record a sampled fan-out; bump and return True on real drift.

@@ -37,7 +37,7 @@ window scan already relies on), keep every event charged so far, and set
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterator, Optional, Tuple, TypeVar
+from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
 
 from ..data.tuples import FuzzyTuple
 from ..errors import DiskFullError
@@ -211,7 +211,8 @@ class MergeJoin:
         s_index = sorted_s.schema.index_of(inner_attr)
         window: "deque[_WindowEntry]" = deque()
         window_pages = 0  # distinct S pages currently spanned by the window
-        s_stream = self._s_tuples(sorted_s, s_index)
+        page_rows: List[int] = []  # tuples on each S page streamed so far
+        s_stream = self._s_tuples(sorted_s, s_index, page_rows)
         exhausted = False
 
         for r_page in range(sorted_r.n_pages):
@@ -267,6 +268,7 @@ class MergeJoin:
                                 sorted_r, sorted_s, pair_degree, init, step, decided,
                                 outer_start=(r_page, r_record),
                                 inner_start=window[0].page,
+                                inner_rows=sorted_s.n_tuples - sum(page_rows[:window[0].page]),
                             )
                             return
                     window.append(entry)
@@ -287,9 +289,12 @@ class MergeJoin:
                     self.stats.count_decided(skipped)
                 yield r, state
 
-    def _s_tuples(self, sorted_s: HeapFile, s_index: int) -> Iterator[_WindowEntry]:
+    def _s_tuples(
+        self, sorted_s: HeapFile, s_index: int, page_rows: List[int]
+    ) -> Iterator[_WindowEntry]:
         for page_index in range(sorted_s.n_pages):
             page = self.disk.read_page(sorted_s.name, page_index)
+            page_rows.append(len(page))
             for record in page.records():
                 t = sorted_s.serializer.decode(record)
                 yield _WindowEntry(t, sort_key(t[s_index]), page_index)

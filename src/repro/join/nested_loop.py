@@ -55,19 +55,26 @@ class NestedLoopJoin:
         decided: Optional[Callable[[FuzzyTuple, State], bool]] = None,
         outer_start: Tuple[int, int] = (0, 0),
         inner_start: int = 0,
+        inner_rows: Optional[int] = None,
     ) -> Iterator[Tuple[FuzzyTuple, State]]:
         """Per-R-tuple fold over *every* S-tuple.
 
         Unlike the merge-join, the nested loop examines all ``n_R * n_S``
         pairs, so ``init`` needs no out-of-range allowance.  A tuple leaves
-        its block once ``decided(r, state)`` holds (``decided_pairs`` counts
-        its skipped pairs), and a block with none left stops reading S.
+        its block once ``decided(r, state)`` holds, and a block with none
+        left stops reading S; ``decided_pairs`` counts every pair skipped
+        either way, the unread rest of S included, so examined plus
+        decided pairs is always the block's size times S's.
 
         ``outer_start`` (page, record) and ``inner_start`` (page) restrict
         the fold to the tail of both files — how the merge-join finishes a
-        scan whose window outgrew the buffer (see ``docs/robustness.md``).
+        scan whose window outgrew the buffer (see ``docs/robustness.md``);
+        ``inner_rows`` is the number of S tuples on that tail (default: all
+        of S, so pass it whenever ``inner_start`` is not 0).
         """
         first_page, first_record = outer_start
+        if inner_rows is None:
+            inner_rows = inner.n_tuples
         with self.disk.use_stats(self.stats), self.stats.enter_phase(NL_PHASE):
             block_frames = self.buffer_pages - 1
             for block_start in range(first_page, outer.n_pages, block_frames):
@@ -81,11 +88,13 @@ class NestedLoopJoin:
                 states = [init(r) for r in block]
                 live = [(i, r) for i, r in enumerate(block)
                         if decided is None or not decided(r, states[i])]
+                read = 0  # S tuples this block stepped through
                 for s_page in range(inner_start, inner.n_pages):
                     if decided is not None and not live:
                         break
                     page = self.disk.read_page(inner.name, s_page)
                     for record in page.records():
+                        read += 1
                         s = inner.serializer.decode(record)
                         if len(live) < len(block):
                             self.stats.count_decided(len(block) - len(live))
@@ -98,6 +107,8 @@ class NestedLoopJoin:
                             live = [(i, r) for i, r in live if not decided(r, states[i])]
                             if not live:
                                 break
+                if read < inner_rows:
+                    self.stats.count_decided(len(block) * (inner_rows - read))
                 for r, state in zip(block, states):
                     yield r, state
 

@@ -201,6 +201,8 @@ def render_report(
         lines.append(f"nesting type: {metrics.nesting_type}")
     if metrics.rewrite is not None:
         lines.append(f"rewrite: {metrics.rewrite}")
+    if metrics.refused:
+        lines.append(f"refused: {metrics.refused}")
     if metrics.strategy is not None:
         lines.append(f"strategy: {metrics.strategy}")
     if metrics.plan_cache is not None:
@@ -218,11 +220,6 @@ def render_report(
     if metrics.degraded:
         reason = metrics.degraded_reason or "fallback strategy"
         lines.append(f"degraded=True ({reason})")
-    if getattr(metrics, "adapted", False):
-        reason = metrics.adapt_reason or "mid-query re-plan"
-        lines.append(f"adapted=True ({reason})")
-    if getattr(metrics, "replans", 0):
-        lines.append(f"replans={metrics.replans}")
     if metrics.outcome != "ok":
         lines.append(f"outcome: {metrics.outcome}")
     if metrics.stats is not None and metrics.stats.total.io_retries:

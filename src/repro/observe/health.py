@@ -2,8 +2,8 @@
 
 The time series (:mod:`repro.observe.timeseries`) turns the registry into
 window rates; this module turns those rates into an operational verdict.
-Five rules, each deliberately shaped as the input signal the ROADMAP's
-adaptive-optimization item will consume:
+Five rules, each an input signal a statistics-driven planner could
+consume:
 
 * **degraded-rate** — fraction of queries answered by a fallback
   strategy; any degradation warns, a majority is critical.
@@ -14,8 +14,7 @@ adaptive-optimization item will consume:
 * **shard-skew** — max-over-mean per-shard page I/O; a hot shard warns,
   a pathological imbalance is critical.
 * **q-error drift** — mean per-join q-error; estimates drifting far from
-  measured fan-outs mean plans are being chosen on stale statistics
-  (the re-planning trigger).
+  measured fan-outs mean plans are being chosen on stale statistics.
 * **cache-hit floor** — the plan-cache hit rate falling through a floor
   (judged only once enough lookups happened to be meaningful).
 

@@ -140,6 +140,9 @@ class QueryMetrics:
         self.rewrite: Optional[str] = None
         self.nesting_type: Optional[str] = None
         self.strategy: Optional[str] = None
+        #: Why the planner refused every unnested form, for a statement
+        #: that ran naive (EXPLAIN's ``refused:`` line); empty otherwise.
+        self.refused: str = ""
         #: Plan-cache outcome for this query: "hit", "miss",
         #: "invalidated", or None when no cache was consulted.
         self.plan_cache: Optional[str] = None
@@ -172,14 +175,6 @@ class QueryMetrics:
         #: no extra I/O — and the input of the registry's q-error drift
         #: signal.
         self.q_errors: List[float] = []
-        #: True when mid-query re-planning changed how an edge executed
-        #: (merge-join ↔ nested-loop, or a workers adjustment).
-        self.adapted: bool = False
-        #: Human-readable reason for the last adaptation, if any.
-        self.adapt_reason: Optional[str] = None
-        #: Join edges that re-costed themselves mid-query (each one past
-        #: the q-error threshold, whether or not the plan changed).
-        self.replans: int = 0
 
     # ------------------------------------------------------------------
     # Parallel / sharded execution

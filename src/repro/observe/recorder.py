@@ -15,8 +15,8 @@ zero-overhead-when-off contract is untouched: with no recorder attached
 no event is ever built.
 
 Per-fingerprint aggregation (:meth:`FlightRecorder.top`) answers the
-fleet-level question the ROADMAP's adaptive-optimization item starts
-from: *which statement shapes dominate cost* — count, total modelled
+fleet-level question a cost-based planner starts from: *which
+statement shapes dominate cost* — count, total modelled
 cost, page I/O, and p50/p95 latency per statement template, surfaced in
 the shell as ``\\top``.
 """
@@ -56,6 +56,8 @@ class QueryEvent:
     nesting: str
     rewrite: str
     strategy: str
+    #: Why the planner refused every unnested form ("" unless naive).
+    refused: str
     plan_cache: str
     prepared: bool
     outcome: str
@@ -142,7 +144,7 @@ class FlightRecorder:
         canonical = canonicalize_sql(str(sql))
         printed = fingerprint(canonical)
         reads = writes = crisp = fuzzy = moves = retries = 0
-        nesting = rewrite = strategy = cache = ""
+        nesting = rewrite = strategy = refused = cache = ""
         outcome, prepared, degraded, reason = "ok", False, False, ""
         workers = partitions = failovers = 0
         shard_ios: Tuple[ShardIO, ...] = ()
@@ -152,6 +154,7 @@ class FlightRecorder:
             nesting = metrics.nesting_type or ""
             rewrite = metrics.rewrite or ""
             strategy = metrics.strategy or ""
+            refused = metrics.refused
             cache = metrics.plan_cache or ""
             prepared = bool(metrics.prepared)
             outcome = getattr(metrics, "outcome", "ok")
@@ -187,6 +190,7 @@ class FlightRecorder:
                 nesting=nesting,
                 rewrite=rewrite,
                 strategy=strategy,
+                refused=refused,
                 plan_cache=cache,
                 prepared=prepared,
                 outcome=outcome,

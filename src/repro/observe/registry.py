@@ -115,15 +115,6 @@ class MetricsRegistry:
         self.wal_snapshots_total = 0
         self.wal_recoveries_total = 0
         self.wal_replayed_records_total = 0
-        #: Adaptive-execution counters: join edges re-costed mid-query
-        #: and queries whose execution actually changed because of it.
-        self.replans_total = 0
-        self.queries_adapted_total = 0
-        #: Histogram maintenance counters, fed by the session / write
-        #: path via :meth:`count_histogram`.
-        self.histogram_builds_total = 0
-        self.histogram_refreshes_total = 0
-        self.histogram_drift_rebuilds_total = 0
         self.operator_rows: Counter = Counter()  # keyed by operator kind
         #: Typed errors raised, keyed by exception class name — every name
         #: in :data:`repro.errors.__all__` is a possible label.
@@ -202,9 +193,6 @@ class MetricsRegistry:
                 self.join_q_error_count += 1
             if metrics.degraded:
                 self.queries_degraded_total += 1
-            self.replans_total += getattr(metrics, "replans", 0)
-            if getattr(metrics, "adapted", False):
-                self.queries_adapted_total += 1
             outcome = getattr(metrics, "outcome", "ok")
             if outcome == "timeout":
                 self.queries_timeout_total += 1
@@ -259,18 +247,6 @@ class MetricsRegistry:
             self.wal_recoveries_total += recoveries
             self.wal_replayed_records_total += replayed_records
             self.wal_truncated_bytes_total += truncated_bytes
-
-    def count_histogram(
-        self,
-        builds: int = 0,
-        refreshes: int = 0,
-        drift_rebuilds: int = 0,
-    ) -> None:
-        """Fold histogram maintenance into the ``fuzzysql_histogram_*`` counters."""
-        with self._lock:
-            self.histogram_builds_total += builds
-            self.histogram_refreshes_total += refreshes
-            self.histogram_drift_rebuilds_total += drift_rebuilds
 
     def count_error(self, type_name: str) -> None:
         """Record one raised error by its exception class name."""
@@ -416,11 +392,6 @@ class MetricsRegistry:
             ("wal_snapshots_total", "Heap versions installed by the write path.", self.wal_snapshots_total),
             ("wal_recoveries_total", "Crash recoveries completed.", self.wal_recoveries_total),
             ("wal_replayed_records_total", "Row records replayed by crash recovery.", self.wal_replayed_records_total),
-            ("replans_total", "Join edges re-costed by mid-query adaptive re-planning.", self.replans_total),
-            ("queries_adapted_total", "Queries whose execution changed via adaptive re-planning.", self.queries_adapted_total),
-            ("histogram_builds_total", "Attribute histograms built at registration.", self.histogram_builds_total),
-            ("histogram_refreshes_total", "Attribute histogram delta refreshes by the write path.", self.histogram_refreshes_total),
-            ("histogram_drift_rebuilds_total", "Histogram rebuilds triggered by statistics drift.", self.histogram_drift_rebuilds_total),
             ("join_q_error_sum", "Sum of per-join q-errors stamped on collectors.", self.join_q_error_sum),
             ("join_q_error_count", "Number of per-join q-error observations.", self.join_q_error_count),
         ):

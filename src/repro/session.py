@@ -30,14 +30,12 @@ from .data.relation import FuzzyRelation
 from .data.schema import Attribute, Schema
 from .data.types import AttributeType
 from .data.tuples import FuzzyTuple
-from .engine.adaptive import AdaptiveController
 from .engine.aggregates import DegreePolicy
 from .engine.executor import CompileError, DmlColumns, compile_conjunction, interval_probe
-from .engine.histogram import HistogramStore
 from .engine.operators import ExecutionContext
 from .engine.semantics import NaiveEvaluator
 from .engine.statistics import StatisticsVersions
-from .observe.explain import annotate_estimates, render_plan, render_report
+from .observe.explain import render_plan, render_report
 from .observe.metrics import QueryMetrics
 from .observe.trace import SpanTracer, maybe_span
 from .fuzzy.compare import Op
@@ -73,7 +71,15 @@ def _misses(serializer, record: bytes, band) -> bool:
 
 
 class StorageSession(StatementLifecycle):
-    """Heap-file-backed query execution with automatic unnesting."""
+    """Heap-file-backed query execution with automatic unnesting.
+
+    ``adaptive`` is accepted and has no effect: every session keeps its
+    cached plans across benign writes (:meth:`~repro.engine.statistics.
+    StatisticsVersions.observe_cardinality`), which was the one thing an
+    adaptive session did better.  The keyword stays only because the
+    frozen wall benchmark passes it; the benchmark's own change (ROADMAP
+    item 7) drops it.
+    """
 
     def __init__(
         self,
@@ -88,9 +94,6 @@ class StorageSession(StatementLifecycle):
         shard_on: Optional[str] = None,
         shard_disks: Optional[List[SimulatedDisk]] = None,
         adaptive: bool = False,
-        adapt_threshold: float = 4.0,
-        histogram_buckets: int = 8,
-        drift_threshold: float = 0.25,
     ):
         #: Pass ``disk`` to run the session on a caller-provided device —
         #: e.g. a :class:`~repro.faults.FaultyDisk` for chaos testing.
@@ -137,27 +140,11 @@ class StorageSession(StatementLifecycle):
         self.schemas = Catalog(vocabulary)
         self.last_stats = OperationStats()
         self.last_strategy: str = ""
-        #: Per-relation statistics versions; bumped on (re)registration and
-        #: on sampled fan-out drift.  Plan-cache entries validate against
+        #: Per-relation statistics versions; bumped on (re)registration,
+        #: on a write that moves a row count past the cache rule, and on
+        #: sampled fan-out drift.  Plan-cache entries validate against
         #: these tokens.
         self.stats_versions = StatisticsVersions()
-        #: Adaptive feedback-driven optimization.  Histograms over the
-        #: join attributes' support intervals are maintained
-        #: unconditionally (register builds, the WAL apply path delta-
-        #: refreshes) — they are pure CPU over in-memory rows and touch no
-        #: gated counter.  Everything that changes *behaviour* is gated on
-        #: ``adaptive=True``: drift-based (rather than version-bump)
-        #: plan-cache invalidation on ingest, and mid-query re-planning
-        #: past ``adapt_threshold`` q-error.
-        self.adaptive = adaptive
-        self.histograms = HistogramStore(
-            buckets=histogram_buckets, drift_threshold=drift_threshold
-        )
-        #: The session's re-planner (None when ``adaptive`` is off); its
-        #: ``replans`` tally is what benchmarks gate on.
-        self.adapt_controller = (
-            AdaptiveController(threshold=adapt_threshold) if adaptive else None
-        )
         #: LRU cache of prepared plans for textual ``query()`` calls.
         #: Assign ``None`` to disable caching entirely.
         self.plan_cache: Optional[PlanCache] = PlanCache()
@@ -200,13 +187,6 @@ class StorageSession(StatementLifecycle):
             heap.load(relation.tuples())
         self.tables[name] = heap
         self.schemas.register(name, FuzzyRelation(relation.schema))
-        # Equi-depth histograms over the support intervals (b(v), e(v)):
-        # the planner's per-edge fan-outs and the drift-invalidation rule
-        # both read them.  Pure CPU over the in-memory rows — no counter,
-        # no I/O — so non-adaptive workloads are untouched.
-        built = self.histograms.build_table(name, relation.schema, relation.tuples())
-        if built and self.registry is not None:
-            self.registry.count_histogram(builds=built)
         if self.sharded is not None:
             attribute = shard_on if shard_on is not None else self.shard_on
             names = {a.name for a in relation.schema}
@@ -214,8 +194,7 @@ class StorageSession(StatementLifecycle):
                 self._place(name, relation, attribute)
         # Every (re)registration moves the relation's statistics version:
         # cached plans that read this table must be re-validated.
-        if not self.stats_versions.observe_cardinality(name, heap.n_tuples):
-            self.stats_versions.bump(name)
+        self.stats_versions.bump(name, heap.n_tuples)
         # Indexes follow their relation: rebuild any that exist on it so
         # index plans never read postings for replaced tuples.
         for (table, attribute) in [k for k in self.indexes if k[0] == name]:
@@ -318,17 +297,11 @@ class StorageSession(StatementLifecycle):
         """
         name = name.upper()
         schema = schema if isinstance(schema, Schema) else Schema(schema)
-        scratch = OperationStats()
-        with self.disk.use_stats(scratch):
+        with self.disk.use_stats(OperationStats()):
             heap = HeapFile.attach(name, schema, self.disk, self.fixed_tuple_size)
-            contents = [heap.serializer.decode(r) for r in self.disk.records(heap.name)]
         self.tables[name] = heap
         self.schemas.register(name, FuzzyRelation(schema))
-        built = self.histograms.build_table(name, schema, contents)
-        if built and self.registry is not None:
-            self.registry.count_histogram(builds=built)
-        if not self.stats_versions.observe_cardinality(name, heap.n_tuples):
-            self.stats_versions.bump(name)
+        self.stats_versions.bump(name, heap.n_tuples)
         return heap
 
     def snapshot(self):
@@ -457,7 +430,6 @@ class StorageSession(StatementLifecycle):
                 self.disk.delete(index_file_name(name, key[1]))
         self.schemas.remove(name)
         self._relations.pop(name, None)
-        self.histograms.forget(name)
         self.stats_versions.bump(name)
         return f"table {name} dropped"
 
@@ -635,27 +607,21 @@ class StorageSession(StatementLifecycle):
             text = str(sql)
         return PreparedQuery(self, text, template, nesting, n_params, artifact)
 
-    def _plan_tokens(self, names) -> Dict[str, Tuple[int, int, int]]:
-        """Validation tokens per relation:
-        ``(stats version, layout token, histogram fingerprint)``.
+    def _plan_tokens(self, names) -> Dict[str, Tuple[int, int]]:
+        """Validation tokens per relation: ``(stats version, layout token)``.
 
-        Plan-cache entries are stale when *any* component moved — a
-        re-registration bumps the statistics version, :meth:`reshard`
-        advances only the layout token (placement changes which physical
-        files a scatter-gather join reads, so a cached plan's sharded
-        execution must be re-validated even though the data — and hence
-        the statistics — did not change), and the histogram fingerprint
-        records the distribution a plan was *costed* against: it changes
-        only when a histogram is rebuilt (registration, or an adaptive
-        drift-triggered rebuild), so benign ingest below the drift
-        threshold leaves cached plans valid.
+        Plan-cache entries are stale when either component moved — a
+        re-registration, an index build or a write past the cache rule
+        bumps the statistics version, and :meth:`reshard` advances only
+        the layout token (placement changes which physical files a
+        scatter-gather join reads, so a cached plan's sharded execution
+        must be re-validated even though the data did not change).
         """
         versions = self.stats_versions.snapshot(names)
         return {
             name: (
                 version,
                 self.sharded.catalog.token(name) if self.sharded is not None else 0,
-                self.histograms.fingerprint(name),
             )
             for name, version in versions.items()
         }
@@ -695,9 +661,7 @@ class StorageSession(StatementLifecycle):
             query, artifact = planner.finish(prepared, params, self, tracer)
             operator = artifact.operator
             if operator is None:
-                return self._run_naive(query, prepared.nesting, stats, metrics, tracer)
-            if self.adaptive:
-                annotate_estimates(operator)
+                return self._run_naive(query, artifact, stats, metrics, tracer)
             self.last_plan = operator
             self._announce(artifact, metrics)
             return operator.to_relation(
@@ -711,7 +675,6 @@ class StorageSession(StatementLifecycle):
                     guard=guard,
                     shards=shards,
                     sharded=self.sharded,
-                    adapt=self.adapt_controller,
                     catalog=self,
                 )
             )
@@ -722,6 +685,7 @@ class StorageSession(StatementLifecycle):
         if metrics is not None:
             metrics.rewrite = artifact.rule
             metrics.strategy = artifact.strategy
+            metrics.refused = artifact.refused
 
     def run_batch(
         self,
@@ -869,12 +833,12 @@ class StorageSession(StatementLifecycle):
     def _run_naive(
         self,
         query: SelectQuery,
-        nesting,
+        artifact: PlanArtifact,
         stats: OperationStats,
         metrics: Optional[QueryMetrics] = None,
         tracer: Optional[SpanTracer] = None,
     ) -> FuzzyRelation:
-        self._announce(planner.naive(nesting), metrics)
+        self._announce(artifact, metrics)
         catalog = Catalog(self.vocabulary)
         with maybe_span(tracer, "scan tables"), self.disk.use_stats(stats):
             for name, heap in self.tables.items():

@@ -16,12 +16,10 @@ Command    Effect
               modelled cost, page I/O, p50/p95 latency)
 ``\\health``  the health report: threshold rules over workload rates
 ``\\events``  the flight recorder's last N events as JSONL
-``\\stats``   per-table attribute histograms with live drift distances
-              and the fingerprints plan-cache entries validate against
 ``\\explain`` EXPLAIN for the rest of the line (no execution); when the
-              statement has a plan-cache entry, also the statistics
-              tokens (version, layout, histogram fingerprint) the
-              cached plan was costed against
+              statement has a plan-cache entry, also the validation
+              tokens (statistics version, layout) the cached plan
+              was built against
 ``\\analyze`` EXPLAIN ANALYZE for the rest of the line (executes)
 ``\\trace``   span tree of the rest of the line (executes)
 ``\\timeout`` set/clear the per-query deadline in ms (no argument
@@ -67,9 +65,8 @@ HELP = """\
 \\top K      top K statements by fingerprint (default 5)
 \\health     health report: ok/warn/critical over workload rates
 \\events N   last N flight-recorder events as JSONL (default 10)
-\\stats      per-table histograms, drift distances, and fingerprints
 \\explain Q  strategy and plan of query Q, without executing it (plus
-            the cached plan's statistics tokens when one exists)
+            the cached plan's validation tokens when one exists)
 \\analyze Q  EXPLAIN ANALYZE of query Q (executes it)
 \\trace Q    span tree of query Q (executes it)
 \\timeout N  set the per-query deadline to N ms (\\timeout alone clears it)
@@ -135,8 +132,6 @@ class FuzzyShell:
         if command == "\\events":
             n = int(argument) if argument else 10
             return self.session.recorder.to_jsonl(last=n)
-        if command == "\\stats":
-            return self.session.histograms.render()
         if command == "\\explain":
             return self._explain(argument)
         if command == "\\analyze":
@@ -164,11 +159,9 @@ class FuzzyShell:
     def _explain(self, sql: str) -> str:
         """EXPLAIN plus, for cached statements, the plan's token snapshot.
 
-        The token lines show what the *cached* plan was costed against —
-        reading them next to ``\\stats`` (the live fingerprints) makes a
-        pending drift invalidation visible before the next lookup
-        performs it.  :meth:`~repro.service.plancache.PlanCache.peek`
-        leaves the cache's counters and LRU order untouched.
+        The token lines show what the *cached* plan was built against;
+        :meth:`~repro.service.plancache.PlanCache.peek` leaves the
+        cache's counters and LRU order untouched.
         """
         rendered = self.session.explain(sql)
         cache = self.session.plan_cache
@@ -181,11 +174,8 @@ class FuzzyShell:
             return rendered
         lines = [rendered, "cached plan tokens:"]
         for name in sorted(entry.tokens):
-            version, layout, fingerprint = entry.tokens[name]
-            lines.append(
-                f"  {name}: stats_version={version} layout_token={layout} "
-                f"histogram_fingerprint=0x{fingerprint:08x}"
-            )
+            version, layout = entry.tokens[name]
+            lines.append(f"  {name}: stats_version={version} layout_token={layout}")
         return "\n".join(lines)
 
     def _sql(self, sql: str) -> str:

@@ -96,52 +96,6 @@ class CostModel:
         pushed-down fuzzy filter — a full scan, or an index's fenced page range."""
         return n_pages * self.io_time + n_tuples * self.fuzzy_eval_time
 
-    def sort_merge_join_seconds(
-        self,
-        left_pages: int,
-        right_pages: int,
-        left_tuples: int,
-        right_tuples: int,
-        fanout: float = 8.0,
-    ) -> float:
-        """Estimated cost of the sort-based extended merge-join.
-
-        Both inputs pay an external sort (write + re-read of every page,
-        ``n log n`` interval comparisons) before the window merge, which
-        examines ``fanout`` window tuples per outer tuple.
-        """
-        from math import log2
-
-        sort_io = 4.0 * (left_pages + right_pages) * self.io_time
-        sort_cpu = sum(
-            n * log2(max(n, 2)) for n in (left_tuples, right_tuples)
-        ) * self.crisp_compare_time
-        join_io = (left_pages + right_pages) * self.io_time
-        join_cpu = (
-            (left_tuples + right_tuples) * self.crisp_compare_time
-            + left_tuples * fanout * self.fuzzy_eval_time
-        )
-        return sort_io + sort_cpu + join_io + join_cpu
-
-    def nested_loop_join_seconds(
-        self,
-        left_pages: int,
-        right_pages: int,
-        left_tuples: int,
-        right_tuples: int,
-    ) -> float:
-        """Estimated cost of the block nested-loop join.
-
-        One pass over the outer plus one inner pass per outer page, and a
-        fuzzy evaluation for every tuple pair.  No sorts — which is why
-        the adaptive re-planner picks it when an input turns out far
-        smaller than estimated: the sort-merge path's fixed sorting cost
-        dominates tiny inputs.
-        """
-        io = (left_pages + max(1, left_pages) * right_pages) * self.io_time
-        cpu = left_tuples * right_tuples * self.fuzzy_eval_time
-        return io + cpu
-
     # ------------------------------------------------------------------
     # Intra-query parallelism
     # ------------------------------------------------------------------

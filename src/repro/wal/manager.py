@@ -96,7 +96,7 @@ class TableState:
     @cached_property
     def tuples(self) -> List[FuzzyTuple]:
         """The live rows decoded — built only when a consumer reads values
-        (adaptive histograms, a shard placement)."""
+        (a shard placement)."""
         return [self.serializer.decode(r) for r in self.records()]
 
 
@@ -257,40 +257,14 @@ class WriteManager:
         if epoch > 0:
             self.snapshots.publish(name, epoch, files)
         session.tables[name] = new_heap
-        registry = getattr(session, "registry", None)
-        if getattr(session, "adaptive", False):
-            self._refresh_statistics(name, new_heap, state, registry)
-        else:
-            session.stats_versions.observe_cardinality(name, new_heap.n_tuples)
-            session.stats_versions.bump(name)
+        # The one plan-cache rule: only a write that moves the row count
+        # past a quarter of the count at the last bump invalidates.
+        session.stats_versions.observe_cardinality(name, new_heap.n_tuples)
         session._replace_placement(name, lambda: state.tuples)
+        registry = getattr(session, "registry", None)
         if registry is not None:
             registry.count_wal(snapshots=1)
         return epoch
-
-    def _refresh_statistics(self, name: str, new_heap: HeapFile, state: TableState, registry) -> None:
-        """Adaptive-session statistics maintenance after an install.
-
-        Live bucket counts are refreshed first; only when the table has
-        *drifted* past the session threshold do the histograms rebuild —
-        changing their fingerprints and bumping the statistics version,
-        which together evict every dependent plan-cache entry.  A benign
-        ingest instead records the new cardinality without a version bump,
-        so cached plans stay hits (every artifact is an operator tree
-        whose leaves bind to the live heap version at execution).
-        """
-        session = self.session
-        refreshed = session.histograms.refresh_table(name, new_heap.schema, state.tuples)
-        if refreshed and registry is not None:
-            registry.count_histogram(refreshes=refreshed)
-        if session.histograms.drifted(name):
-            rebuilt = session.histograms.build_table(name, new_heap.schema, state.tuples)
-            if rebuilt and registry is not None:
-                registry.count_histogram(drift_rebuilds=rebuilt)
-            session.stats_versions.observe_cardinality(name, new_heap.n_tuples)
-            session.stats_versions.bump(name)
-        else:
-            session.stats_versions.note_cardinality(name, new_heap.n_tuples)
 
     def _serializer(self, name: str) -> TupleSerializer:
         """The serializer of table ``name`` (WAL rows share its layout)."""
@@ -335,7 +309,7 @@ class WriteManager:
                         copy = clustered_copy(base, attr, index_file_name(name, attr), contents)
                         disk.sync(copy.name)
                         session.indexes[(table, attr)] = copy
-                session.stats_versions.bump(name)
+                session.stats_versions.bump(name, base.n_tuples)
                 folded += 1
             self.wal.reset()
             disk.sync(self.wal.file)

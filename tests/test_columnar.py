@@ -25,6 +25,7 @@ from repro.columnar import (
     IndexScan,
     UnsupportedIndexError,
     batch_eq_necessity,
+    clustered_copy,
     batch_eq_possibility,
     fenced_pages,
     index_file_name,
@@ -306,6 +307,41 @@ class TestSupportIntervalIndex:
 # ----------------------------------------------------------------------
 SCAN_SQL = "SELECT R.K FROM R WHERE R.V = 0 WITH D >= 0.5"
 JOIN_SQL = "SELECT R.K, S.K FROM R, S WHERE R.V = S.V AND R.U = S.U WITH D >= 0.6"
+
+
+def indexed_session(n=30, indexed=True) -> StorageSession:
+    """A 30-row ``R`` over ``(K, U, V)``, with or without its ``V`` index."""
+    rng = random.Random(17)
+    rel = FuzzyRelation(Schema(["K", "U", "V"]))
+    for i in range(n):
+        rel.add(FuzzyTuple([N(i), rng.choice(POOL), rng.choice(POOL)], 1.0))
+    session = StorageSession()
+    session.register("R", rel)
+    if indexed:
+        session.create_index("R", "V")
+    return session
+
+
+class TestIndexPatch:
+    """After a single-row write the index's clustered copy is byte-identical
+    to one built afresh from the live heap."""
+
+    def test_patched_image_bit_identical_to_full_rebuild(self):
+        session = indexed_session()
+        session.execute("UPDATE R SET U = 99 WHERE K = 5")
+        live = session.indexes[("R", "V")]
+        check = clustered_copy(session.tables["R"], "V", "__idx_check")
+        assert page_images(session.disk, live.name) == page_images(session.disk, check.name)
+        assert live.fences == check.fences
+        assert live.n_tuples == check.n_tuples
+
+    def test_queries_identical_after_patch(self):
+        patched = indexed_session()
+        patched.execute("UPDATE R SET U = 99 WHERE K = 5")
+        plain = indexed_session(indexed=False)
+        plain.execute("UPDATE R SET U = 99 WHERE K = 5")
+        sql = "SELECT R.K FROM R WHERE R.V = 0 WITH D >= 0.5"
+        assert plain.query(sql).same_as(patched.query(sql), 0.0)
 
 
 def index_scan_of(session):

@@ -37,7 +37,7 @@ from repro.join import (
 from repro.join.merge_join import SPILL_RUNG, WINDOW_RUNG
 from repro.join.predicates import MAX_FOLD, PAIRS, min_decided, under_cut
 from repro.parallel import PartitionedBandJoin
-from repro.observe import QueryMetrics
+from repro.observe import FlightRecorder, QueryMetrics
 from repro.session import StorageSession
 from repro.shard import ShardedStorage
 from repro.storage import HeapFile, OperationStats, SimulatedDisk
@@ -187,6 +187,67 @@ def test_a_max_fold_stops_at_mu_r_and_a_cut_decides_at_init():
     assert sharp_stats.total.fuzzy_evaluations < stats.total.fuzzy_evaluations
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    r_values=rows,
+    s_values=rows,
+    shape=st.sampled_from(["max", "not in", "all"]),
+    z=st.sampled_from(CUTS),
+    buffer_pages=st.sampled_from([2, 3, 4]),
+)
+def test_a_block_nested_loop_charges_every_pair_it_does_not_examine(
+    r_values, s_values, shape, z, buffer_pages
+):
+    """Examined plus decided pairs are ``n_R × n_S``, also when a block
+    stops reading S because every one of its tuples is decided."""
+    disk = SimulatedDisk(page_size=256)
+    r = HeapFile("R", SCHEMA, disk, fixed_tuple_size=96).load(relation(r_values, 0).tuples())
+    s = HeapFile("S", SCHEMA, disk, fixed_tuple_size=96).load(relation(s_values, 1000).tuples())
+    pair, init, step, decide = fold_of(shape, z)
+    examined = []
+
+    def counting(a, b, stats):
+        examined.append(1)
+        return pair(a, b, stats)
+
+    stats = OperationStats()
+    list(NestedLoopJoin(disk, buffer_pages, stats).fold(r, s, counting, init, step, decide))
+    assert len(examined) + stats.total.decided_pairs == len(r_values) * len(s_values)
+
+
+@pytest.mark.parametrize("shape, z", [("max", None), ("max", 0.6), ("not in", 0.6)])
+def test_the_window_rung_charges_every_pair_of_its_tail(monkeypatch, shape, z):
+    """On the window rung the nested loop's examined plus decided pairs are
+    the remaining outer tuples times the S tuples from the rung's page on."""
+    fold, seen = NestedLoopJoin.fold, {}
+
+    def spy(self, outer, inner, pair_degree, init, step, decided, outer_start, inner_start,
+            inner_rows):
+        def rows_from(heap, first_page):
+            return sum(len(heap.disk.read_page(heap.name, i)) for i in range(first_page, heap.n_pages))
+
+        with outer.disk.use_stats(OperationStats()):
+            n_outer = rows_from(outer, outer_start[0]) - outer_start[1]
+            n_tail = rows_from(inner, inner_start)
+        examined = []
+
+        def counting(a, b, stats):
+            examined.append(1)
+            return pair_degree(a, b, stats)
+
+        yield from fold(self, outer, inner, counting, init, step, decided,
+                        outer_start, inner_start, inner_rows)
+        seen.update(pairs=n_outer * n_tail, examined=len(examined))
+
+    monkeypatch.setattr(NestedLoopJoin, "fold", spy)
+    rng = random.Random(3)
+    values = [(rng.choice(POOL), rng.choice(POOL), rng.choice([0.3, 0.6, 1.0])) for _ in range(24)]
+    _, stats, join = run("window", values, values, shape, z, True, 3)
+    assert join.fallback_reason == WINDOW_RUNG
+    assert seen["examined"] < seen["pairs"]
+    assert seen["examined"] + stats.phases[NL_PHASE].decided_pairs == seen["pairs"]
+
+
 # ----------------------------------------------------------------------
 # Through the planner: the cut reaches every fold beneath WITH D >= z
 # ----------------------------------------------------------------------
@@ -271,3 +332,16 @@ def test_a_refused_statement_says_which_rule_refused_it():
         "SELECT R.K FROM R WHERE EXISTS (SELECT S.K FROM S WHERE S.U = R.U)"
     )
     assert "refused: no rewrite for nesting type general" in general
+
+
+def test_a_refused_statement_says_why_when_it_runs():
+    """EXPLAIN ANALYZE and the flight-recorder event carry the planner's
+    ``refused:`` reason of a statement that ran naive; ``last_strategy``
+    reads as it always did."""
+    session = pool_session(pool_tables(5))
+    session.recorder = FlightRecorder()
+    sql = "SELECT R.K FROM R WHERE R.V > (SELECT MAX(S.V) FROM S)"  # type A
+    [refused] = [line for line in session.explain(sql).splitlines() if line.startswith("refused: ")]
+    assert refused in session.explain_analyze(sql).splitlines()
+    assert "refused: " + session.recorder.events()[-1].refused == refused
+    assert session.last_strategy == "naive/A: in-memory nested evaluation"

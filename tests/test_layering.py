@@ -10,7 +10,12 @@ when the planner reaches for a session or the write path.  Likewise the
 operator modules never import the parallel or shard layers — every band
 join they run comes from ``ExecutionContext.merge_join()`` — and exactly
 one module constructs the partitioned band join, and one function builds
-a join's output rows (``join_rows``).  The modules that move
+a join's output rows (``join_rows``).  Inside the engine the block nested
+loop is chosen in two places only — a join no equality links
+(``NestedLoopJoinOp``) and a fold with no band (``BandFold``) — so no
+second join-method chooser can grow beside ``ExecutionContext.merge_join()``;
+and ``StorageSession``'s constructor keywords are pinned, so a new knob
+is an edit here, made on purpose.  The modules that move
 records as bytes — the external sort and the band join's slice spills —
 never parse or build a record: they key it with
 ``TupleSerializer.key_at``, so the record format stays behind
@@ -148,6 +153,52 @@ def constructors(name):
 
 def test_one_module_constructs_the_partitioned_band_join():
     assert constructors("PartitionedBandJoin") == ["engine/context.py"]
+
+
+def construction_sites(package, name):
+    """``module::Class.method`` of every ``name(...)`` call under ``package``."""
+    found = []
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                walk(child, [*where, child.name])
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == name:
+                found.append(f"{path.relative_to(SRC).as_posix()}::{'.'.join(where)}")
+            walk(child, where)
+
+    for path in sorted((SRC / package).glob("*.py")):
+        walk(ast.parse(path.read_text()), [])
+    return found
+
+
+def test_the_engine_builds_the_nested_loop_in_two_places():
+    assert construction_sites("engine", "NestedLoopJoin") == [
+        "engine/operators.py::NestedLoopJoinOp._tuples",
+        "engine/operators.py::BandFold._fold",
+    ]
+
+
+#: ``StorageSession.__init__``'s keywords.  ``adaptive`` is accepted and
+#: inert (the frozen wall benchmark passes it).
+SESSION_KEYWORDS = [
+    "vocabulary", "page_size", "buffer_pages", "aggregate_policy", "fixed_tuple_size",
+    "disk", "workers", "shards", "shard_on", "shard_disks", "adaptive",
+]
+
+
+def test_the_session_constructor_grows_no_knob_unnoticed():
+    tree = ast.parse((SRC / "session.py").read_text())
+    [init] = [
+        node
+        for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "StorageSession"
+        for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    ]
+    arguments = init.args
+    names = [a.arg for a in [*arguments.args, *arguments.kwonlyargs]]
+    assert names[0] == "self" and arguments.vararg is None and arguments.kwarg is None
+    assert names[1:] == SESSION_KEYWORDS
 
 
 def builds_a_row(node) -> bool:

@@ -19,6 +19,9 @@ from repro.data import Attribute, AttributeType, Catalog, FuzzyRelation, FuzzyTu
 from repro.data.tuples import FuzzyTuple as TupleClass
 from repro.engine import NaiveEvaluator
 from repro.engine.operators import JoinOp
+from repro.join.merge_join import WINDOW_RUNG
+from repro.join.nested_loop import NestedLoopJoin
+from repro.join.predicates import MAX_FOLD
 from repro.fuzzy import CrispLabel, CrispNumber, DiscreteDistribution, Op, TrapezoidalNumber
 from repro.fuzzy import possibility
 from repro.observe import QueryMetrics
@@ -43,7 +46,7 @@ POOLS = {
 }
 
 #: Session geometries: the window rung, sampled slices, a placement, the
-#: adaptive re-coster and the index access paths.
+#: ``adaptive=True`` keyword (accepted and inert) and the index access paths.
 SESSIONS = ["plain", "window", "workers", "shards", "adaptive", "indexed"]
 
 
@@ -80,7 +83,7 @@ def session_for(geometry: str, relations) -> StorageSession:
     options = {
         "window": {"buffer_pages": 3, "page_size": 128},
         "shards": {"shards": 2, "shard_on": "V"},
-        "adaptive": {"adaptive": True, "adapt_threshold": 1.0},
+        "adaptive": {"adaptive": True},
     }.get(geometry, {})
     session = StorageSession(**{"buffer_pages": 16, "page_size": 512, **options})
     for name, relation in relations.items():
@@ -176,3 +179,28 @@ def test_the_chain_carries_three_columns_and_folds_w():
     fold, pairs = sorted(joins(session.last_plan), key=lambda op: not op.folds)
     assert fold.folds and fold.left is pairs and not pairs.folds
     assert len(pairs.schema) == 3 and len(fold.schema) == 1
+
+
+def test_the_window_rung_runs_the_max_fold_on_the_nested_loop(monkeypatch):
+    """A session reaches ``NestedLoopJoin.fold`` with the max-fold: a band
+    scan whose window outgrew the buffer finishes on the nested loop."""
+    relations = seeded()
+    session = StorageSession(buffer_pages=3, page_size=128)
+    catalog = Catalog()
+    for name, relation in relations.items():
+        session.register(name, relation)
+        catalog.register(name, relation)
+    steps = []
+    fold = NestedLoopJoin.fold
+    monkeypatch.setattr(
+        NestedLoopJoin, "fold",
+        lambda self, outer, inner, pair_degree, init, step, *rest, **kw:
+            steps.append(step) or fold(self, outer, inner, pair_degree, init, step, *rest, **kw),
+    )
+    sql = SHAPES["N"].format(p="")
+    metrics = QueryMetrics()
+    got = session.query(sql, metrics=metrics)
+    (join,) = joins(session.last_plan)
+    assert join.folds and steps == [MAX_FOLD[1]]
+    assert WINDOW_RUNG in metrics.degraded_reason
+    assert NaiveEvaluator(catalog).evaluate(sql).same_as(got, 1e-9)

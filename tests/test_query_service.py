@@ -542,9 +542,11 @@ class TestStatisticsVersions:
         from repro.engine.statistics import StatisticsVersions
 
         versions = StatisticsVersions()
-        assert versions.observe_cardinality("R", 10)
+        assert versions.observe_cardinality("R", 10)  # from nothing
         assert not versions.observe_cardinality("R", 10)
-        assert versions.observe_cardinality("R", 11)
+        assert not versions.observe_cardinality("R", 12)  # +20 %: within a quarter
+        assert versions.observe_cardinality("R", 13)  # +30 % of the count at the bump
+        assert not versions.observe_cardinality("R", 10)  # -23 % of 13
         assert versions.version("R") == 2
 
     def test_fanout_drift_bumps_only_past_tolerance(self):

@@ -143,7 +143,7 @@ class TestCommittedBaseline:
             data = json.load(handle)
         assert data["version"] == 1
         assert data["scale"] == 32  # CI runs at the default scale
-        assert len(data["workloads"]) == 23
+        assert len(data["workloads"]) == 21
         assert set(data["workloads"]) >= {
             "service_cold_J",
             "service_cached_J",
@@ -156,8 +156,6 @@ class TestCommittedBaseline:
             "faulted_J",
             "columnar_J",
             "indexed_J",
-            "adaptive_J",
-            "histogram_build",
         }
         assert data["workloads"]["service_cold_J"]["plan_cache"] == "miss"
         assert data["workloads"]["service_cached_J"]["plan_cache"] == "hit"
@@ -202,20 +200,6 @@ class TestCommittedBaseline:
         assert scan["index_pages_read"] > 0
         assert scan["page_reads"] < scan["row_page_reads"]
         assert data["workloads"]["indexed_J"]["counters"]["sort_page_writes"] == 0
-        # The adaptive slice must prove the feedback loop pays for itself:
-        # re-planning engaged and the adapted modelled cost landed strictly
-        # below the static plan's (the harness also hard-fails on
-        # bit-identity).  The histogram slice must exercise every
-        # maintenance path: registration builds, write-path delta
-        # refreshes, and a drift-triggered rebuild.
-        adaptive = data["workloads"]["adaptive_J"]
-        assert adaptive["counters"]["replans_total"] >= 1
-        assert adaptive["counters"]["queries_adapted_total"] >= 1
-        assert adaptive["modelled_seconds"] < adaptive["static_modelled_seconds"]
-        upkeep = data["workloads"]["histogram_build"]["counters"]
-        assert upkeep["histogram_builds_total"] > 0
-        assert upkeep["histogram_refreshes_total"] > 0
-        assert upkeep["histogram_drift_rebuilds_total"] > 0
         # The WAL slices must have exercised the durable write path: group
         # commit engaged and recovery actually replayed the ingested log.
         ingest = data["workloads"]["wal_ingest"]["counters"]

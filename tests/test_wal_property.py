@@ -36,6 +36,7 @@ from repro.data.types import AttributeType
 from repro.engine.executor import DmlColumns, compile_conjunction
 from repro.faults import FaultPlan, FaultyDisk
 from repro.fuzzy import CrispLabel, CrispNumber, DiscreteDistribution, TrapezoidalNumber
+from repro.observe import QueryMetrics
 from repro.session import StorageSession
 from repro.sort.external import ExternalSorter
 from repro.sql.statements import parse_statement
@@ -403,8 +404,14 @@ def survivor(disk, session):
     z=st.sampled_from([0.3, 0.6]),
 )
 def test_indexed_sessions_answer_alike_under_writes(steps, z):
+    """Both sessions answer alike after every step; a batch of UPDATEs
+    keeps every row count, so the reads after it are plan-cache hits."""
     disks = {indexed: FaultyDisk(FaultPlan(seed=0), page_size=256, armed=False) for indexed in (True, False)}
     sessions = {indexed: fresh(disk, indexed) for indexed, disk in disks.items()}
+    texts = [text for sql in READS for text in (sql, f"{sql} WITH D >= {z}")]
+    for session in sessions.values():
+        for text in texts:
+            session.query(text)
     for disk in disks.values():
         disk.armed = True
     for step in steps:
@@ -416,9 +423,12 @@ def test_indexed_sessions_answer_alike_under_writes(steps, z):
             else:
                 disks[indexed].crash()
                 sessions[indexed] = survivor(disks[indexed], session)
+        updates_only = step[0] == "dml" and all(kind == 1 for kind, _row in step[1])
         indexed, plain = sessions[True], sessions[False]
         assert sorted(indexed.indexes) == sorted(INDEXED)
         assert stale_copies(indexed) == []
-        for sql in READS:
-            for text in (sql, f"{sql} WITH D >= {z}"):
-                assert indexed.query(text).same_as(plain.query(text), 0.0), (step, text)
+        for text in texts:
+            metrics = QueryMetrics()
+            assert indexed.query(text, metrics=metrics).same_as(plain.query(text), 0.0), (step, text)
+            if updates_only:
+                assert metrics.plan_cache == "hit", (step, text)

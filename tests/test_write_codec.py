@@ -1,11 +1,12 @@
 """The write path decodes and encodes only the rows a statement changes.
 
-A plain session (no index, no shards, not adaptive) applies DML and
+A plain session (no index, no shards) applies DML and
 recovers on record bytes: a one-row INSERT encodes its one WAL row and
 decodes nothing, ``recover()`` decodes nothing, and an UPDATE / DELETE
 decodes only the rows whose ``K`` support meets the literal — the rest are
 skipped on the bytes.  Sessions whose consumers read values (an index,
-adaptive histograms, a sharded placement) decode lazily and must keep the
+a sharded placement) decode lazily, and a session built with the inert
+``adaptive=True`` keyword is a plain one: all must keep the
 same answers and the same heap files.  Also pinned here: one DML ledger
 per ``execute()`` call, and a multi-row DELETE that is linear in the rows.
 """
