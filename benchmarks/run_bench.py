@@ -552,15 +552,16 @@ def measure_recorder_overhead(repeats: int = 5) -> dict:
     }
 
 
-def emit_events(events_path: str, health_path: str) -> None:
+def emit_events(events_path: str, health_path: str) -> StorageSession:
     """The observability artifact pass: run the differential sweep with
-    every workload sink attached, dump the flight-recorder events as
-    JSONL, and render the health report.
+    both workload sinks attached, dump the flight-recorder events as
+    JSONL, and render the health report judged over those events.
 
     Runs on its own sessions *after* the gated workloads, so the emitted
     events never perturb the regression numbers.  Every line of the JSONL
-    must parse back (checked here, so a malformed event fails the bench
-    job, not a downstream consumer).
+    must parse back, one per query the registry counted (checked here, so
+    a malformed event fails the bench job, not a downstream consumer).
+    Returns the session, its registry and recorder attached.
     """
     session = build_session()
     session.registry = MetricsRegistry()
@@ -571,16 +572,18 @@ def emit_events(events_path: str, health_path: str) -> None:
     count = session.recorder.dump_jsonl(events_path)
     with open(events_path) as handle:
         parsed = [json.loads(line) for line in handle if line.strip()]
-    if len(parsed) != count or count != 2 * len(SESSION_QUERIES):
+    expected = 2 * len(SESSION_QUERIES)
+    if not len(parsed) == count == session.registry.queries_total == expected:
         raise AssertionError(
-            f"emit-events: expected {2 * len(SESSION_QUERIES)} parseable "
-            f"events, wrote {count}, parsed {len(parsed)}"
+            f"emit-events: expected {expected} parseable events, wrote {count}, "
+            f"parsed {len(parsed)}, registry counted {session.registry.queries_total}"
         )
     report = session.health()
     with open(health_path, "w") as handle:
         handle.write(report.render())
         handle.write("\n")
     print(f"wrote {events_path} ({count} events) and {health_path} ({report.level})")
+    return session
 
 
 #: The ``fuzzysql_wal_*`` registry scalars gated by the write-path slice.

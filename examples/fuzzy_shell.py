@@ -23,7 +23,7 @@ Meta commands:
                        writes Chrome trace_event JSON to fuzzy_trace.json
     \\metrics [prefix]  dump cumulative session counters (Prometheus format,
                        optionally filtered to names starting with prefix)
-    \\log               summarize the session's query log (slow queries first)
+    \\log               summarize the recorded queries (slow queries first)
     \\top [k]           top K statement templates from the flight recorder
     \\health            the health report (ok / warn / critical)
     \\events [n]        last N flight-recorder events as JSON Lines
@@ -60,14 +60,13 @@ TRACE_PATH = "fuzzy_trace.json"
 
 
 def make_database() -> FuzzyDatabase:
-    from repro.observe import FlightRecorder, MetricsRegistry, QueryLog
+    from repro.observe import FlightRecorder, MetricsRegistry
 
     catalog = dating_catalog()
     db = FuzzyDatabase(catalog.vocabulary)
     for name in catalog.names():
         db.register(name, catalog.get(name))
     db.registry = MetricsRegistry()
-    db.query_log = QueryLog(slow_threshold_seconds=0.05)
     db.recorder = FlightRecorder()
     return db
 
@@ -116,10 +115,10 @@ def handle_meta(command: str, db: FuzzyDatabase) -> bool:
             prefix = parts[1].strip() if len(parts) > 1 else None
             print(db.registry.render_prometheus(name_prefix=prefix), end="")
     elif head == "\\log":
-        if db.query_log is None or len(db.query_log) == 0:
+        if db.recorder is None or len(db.recorder) == 0:
             print("query log is empty")
         else:
-            print(db.query_log.summarize())
+            print(db.recorder.summarize(slow_threshold=0.05))
     elif head == "\\top":
         if db.recorder is None or db.recorder.recorded_total == 0:
             print("no queries recorded yet")
@@ -127,7 +126,7 @@ def handle_meta(command: str, db: FuzzyDatabase) -> bool:
             k = int(parts[1]) if len(parts) > 1 else 5
             print(db.recorder.render_top(k))
     elif head == "\\health":
-        if db.registry is None or db.registry.queries_total == 0:
+        if db.recorder is None or len(db.recorder) == 0:
             print("no queries observed yet")
         else:
             print(db.health().render())

@@ -202,7 +202,7 @@ class FuzzyDatabase(StatementLifecycle):
         ``workers <= 1`` degenerates to a serial loop.  Parallel and
         serial runs return bit-identical relations (asserted by the
         differential sweep) because each query is independent and the
-        shared registry/log/plan-cache are internally locked.
+        shared registry, recorder and plan cache are internally locked.
         """
         from .parallel.executor import run_ordered
 

@@ -15,27 +15,29 @@ must be able to *show its work*.  This package provides
 * :class:`~repro.observe.trace.SpanTracer` — a hierarchical span tracer
   (parse / bind / rewrite / sort / merge / probe) exportable as Chrome
   ``trace_event`` JSON for ``chrome://tracing`` / Perfetto;
-* :class:`~repro.observe.registry.MetricsRegistry` — process-lifetime
-  cumulative counters plus a latency histogram, rendered in the
-  Prometheus text exposition format;
-* :class:`~repro.observe.querylog.QueryLog` — a bounded query log with a
-  slow-query threshold and a workload summary report;
+* :class:`~repro.observe.recorder.QueryEvent` — the one per-query record
+  (plan summary, cache outcome, page I/O, comparison counts, modelled
+  seconds, per-shard I/O, q-errors, typed failure), built once per query
+  by :func:`~repro.observe.recorder.build_event` and handed to both
+  workload sinks:
+
+  - :class:`~repro.observe.registry.MetricsRegistry` — process-lifetime
+    cumulative counters plus a latency histogram, rendered in the
+    Prometheus text exposition format;
+  - :class:`~repro.observe.recorder.FlightRecorder` — a bounded ring of
+    events exportable as JSONL, with per-fingerprint top-K aggregation
+    and the slow-query report;
+
 * :mod:`~repro.observe.fingerprint` — the shared statement canonicalizer
   and ``pg_stat_statements``-style fingerprinting (literals → ``?``) that
-  the plan cache, query log, flight recorder, and shell analytics all key
+  the plan cache, the flight recorder, and shell analytics all key
   statement identity on;
-* :class:`~repro.observe.recorder.FlightRecorder` — a bounded ring of
-  structured per-query events (plan summary, cache outcome, per-shard
-  I/O, q-errors, typed failures) exportable as JSONL, with per-fingerprint
-  top-K aggregation;
-* :class:`~repro.observe.timeseries.TimeSeries` — windowed snapshots of
-  registry counter deltas exposing rates (queries/s, degraded rate,
-  failover rate, cache hit rate, shard skew) over time;
-* :mod:`~repro.observe.health` — threshold rules over those rates folding
-  into an ``ok / warn / critical`` :class:`~repro.observe.health.HealthReport`.
+* :mod:`~repro.observe.health` — threshold rules over the rates of a list
+  of events, folding into an ``ok / warn / critical``
+  :class:`~repro.observe.health.HealthReport`.
 
-Collection is strictly opt-in: with no collector, tracer, registry, query
-log, or recorder attached the hot paths run the exact same code as before
+Collection is strictly opt-in: with no collector, tracer, registry or
+recorder attached the hot paths run the exact same code as before
 (guarded by ``if ctx.metrics is not None`` / ``if tracer is not None``).
 """
 
@@ -67,10 +69,14 @@ from .metrics import (
     QueryMetrics,
     SortMetrics,
 )
-from .querylog import QueryLog, QueryLogEntry
-from .recorder import FingerprintSummary, FlightRecorder, QueryEvent, ShardIO
+from .recorder import (
+    FingerprintSummary,
+    FlightRecorder,
+    QueryEvent,
+    ShardIO,
+    build_event,
+)
 from .registry import Histogram, MetricsRegistry
-from .timeseries import TimeSeries, Window, lifetime_window
 from .trace import Span, SpanTracer, maybe_span
 
 __all__ = [
@@ -86,23 +92,19 @@ __all__ = [
     "OperatorMetrics",
     "PageAccess",
     "QueryEvent",
-    "QueryLog",
-    "QueryLogEntry",
     "QueryMetrics",
     "ShardIO",
     "SortMetrics",
     "Span",
     "SpanTracer",
-    "TimeSeries",
-    "Window",
     "annotate_estimates",
+    "build_event",
     "canonicalize_sql",
     "estimate_rows",
     "evaluate_health",
     "fingerprint",
     "fingerprint_sql",
     "join_q_errors",
-    "lifetime_window",
     "maybe_span",
     "q_error",
     "render_plan",

@@ -2,14 +2,14 @@
 
 One normalizer, three consumers: the plan cache keys entries on
 :func:`canonicalize_sql` (whitespace collapsed, literals preserved —
-``'very  tall'`` and ``'very tall'`` are different linguistic terms), the
-query log stores the same canonical text, and workload analytics group on
+``'very  tall'`` and ``'very tall'`` are different linguistic terms), each
+query event stores the same canonical text, and workload analytics group on
 :func:`fingerprint_sql` — a stable short id of the *statement template*,
 where every literal and ``?`` placeholder collapses to ``?``.  Two
 executions of the same statement shape with different constants (or
 different prepared-statement bindings) therefore share a fingerprint,
-which is what lets ``\\top``, the flight recorder, and the query log
-aggregate a workload by statement identity instead of by raw text.
+which is what lets ``\\top`` and the slow-query report aggregate a
+workload by statement identity instead of by raw text.
 
 The split matters: the plan cache must *not* conflate different literals
 (a grouped anti-join bakes its comparison values into the compiled

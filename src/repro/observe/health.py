@@ -1,9 +1,10 @@
 """Threshold rules over workload rates: the ``ok / warn / critical`` surface.
 
-The time series (:mod:`repro.observe.timeseries`) turns the registry into
-window rates; this module turns those rates into an operational verdict.
-Five rules, each an input signal a statistics-driven planner could
-consume:
+:func:`evaluate_health` computes its rates directly from a list of
+:class:`~repro.observe.recorder.QueryEvent` — ``session.health()`` passes
+the flight recorder's retained events, or the last N of them — and turns
+them into an operational verdict.  Six rules, each an input signal a
+statistics-driven planner could consume:
 
 * **degraded-rate** — fraction of queries answered by a fallback
   strategy; any degradation warns, a majority is critical.
@@ -26,9 +27,9 @@ deployment can tighten or relax them without touching the rules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence
 
-from .timeseries import Window
+from .recorder import QueryEvent
 
 #: Severity order used to fold signals into the report level.
 LEVELS = ("ok", "warn", "critical")
@@ -72,8 +73,7 @@ class HealthReport:
 
     level: str
     signals: List[HealthSignal] = field(default_factory=list)
-    queries: float = 0.0
-    duration: float = 0.0
+    queries: int = 0
 
     @property
     def ok(self) -> bool:
@@ -89,11 +89,7 @@ class HealthReport:
 
     def render(self) -> str:
         """The ``\\health`` text: overall level, then one line per rule."""
-        header = f"health: {self.level} ({self.queries:g} queries"
-        if self.duration > 0:
-            header += f" over {self.duration:.1f}s"
-        header += ")"
-        lines = [header]
+        lines = [f"health: {self.level} ({self.queries} queries)"]
         for signal in self.signals:
             lines.append(f"  [{signal.level:>8}] {signal.name}: {signal.message}")
         return "\n".join(lines)
@@ -108,13 +104,18 @@ def _grade(value: float, warn: float, critical: float) -> str:
 
 
 def evaluate_health(
-    window: Window, thresholds: Optional[HealthThresholds] = None
+    events: Sequence[QueryEvent], thresholds: Optional[HealthThresholds] = None
 ) -> HealthReport:
-    """Apply every rule to one window's rates and fold the verdict."""
+    """Apply every rule to the rates of ``events`` and fold the verdict."""
     t = thresholds if thresholds is not None else HealthThresholds()
+    queries = len(events)
+
+    def per_query(count: float) -> float:
+        return count / queries if queries else 0.0
+
     signals: List[HealthSignal] = []
 
-    degraded = window.degraded_rate
+    degraded = per_query(sum(1 for e in events if e.degraded))
     signals.append(HealthSignal(
         "degraded-rate",
         _grade(degraded, t.degraded_warn, t.degraded_critical),
@@ -122,7 +123,7 @@ def evaluate_health(
         f"{degraded:.1%} of queries answered degraded",
     ))
 
-    failover = window.failover_rate
+    failover = per_query(sum(e.shard_failovers for e in events))
     signals.append(HealthSignal(
         "failover-rate",
         _grade(failover, t.failover_warn, t.failover_critical),
@@ -130,7 +131,7 @@ def evaluate_health(
         f"{failover:.2f} replica failovers per query",
     ))
 
-    errors = window.error_rate
+    errors = per_query(sum(1 for e in events if e.outcome != "ok"))
     signals.append(HealthSignal(
         "error-rate",
         _grade(errors, t.error_warn, t.error_critical),
@@ -138,7 +139,7 @@ def evaluate_health(
         f"{errors:.1%} of queries failed, timed out, or were cancelled",
     ))
 
-    skew = window.shard_skew
+    skew = _shard_skew(events)
     signals.append(HealthSignal(
         "shard-skew",
         _grade(skew, t.shard_skew_warn, t.shard_skew_critical),
@@ -146,12 +147,13 @@ def evaluate_health(
         f"hottest shard at {skew:.2f}x the mean page I/O",
     ))
 
-    q = window.mean_q_error
-    if q is None:
+    q_errors = [q for e in events for q in e.q_errors]
+    if not q_errors:
         signals.append(HealthSignal(
-            "q-error-drift", "ok", 1.0, "no q-error observations this window"
+            "q-error-drift", "ok", 1.0, "no q-error observations"
         ))
     else:
+        q = sum(q_errors) / len(q_errors)
         signals.append(HealthSignal(
             "q-error-drift",
             _grade(q, t.q_error_warn, t.q_error_critical),
@@ -159,17 +161,15 @@ def evaluate_health(
             f"mean join q-error {q:.2f} (1.00 = perfect estimates)",
         ))
 
-    hit_rate = window.cache_hit_rate
-    lookups = (
-        window.delta("plan_cache_hits_total")
-        + window.delta("plan_cache_misses_total")
-    )
-    if hit_rate is None or lookups < t.cache_min_lookups:
+    hits = sum(1 for e in events if e.plan_cache == "hit")
+    lookups = hits + sum(1 for e in events if e.plan_cache in ("miss", "invalidated"))
+    if not lookups or lookups < t.cache_min_lookups:
         signals.append(HealthSignal(
             "cache-hit-floor", "ok", 1.0,
-            f"too few plan-cache lookups to judge ({lookups:g} < {t.cache_min_lookups})",
+            f"too few plan-cache lookups to judge ({lookups} < {t.cache_min_lookups})",
         ))
     else:
+        hit_rate = hits / lookups
         if hit_rate < t.cache_hit_floor_critical:
             level = "critical"
         elif hit_rate < t.cache_hit_floor_warn:
@@ -184,12 +184,24 @@ def evaluate_health(
         ))
 
     level = LEVELS[max(LEVELS.index(s.level) for s in signals)]
-    return HealthReport(
-        level=level,
-        signals=signals,
-        queries=window.queries,
-        duration=window.duration,
-    )
+    return HealthReport(level=level, signals=signals, queries=queries)
+
+
+def _shard_skew(events: Sequence[QueryEvent]) -> float:
+    """Max-over-mean per-shard page I/O (reads + writes) over ``events``.
+
+    1.0 (balanced) when fewer than two shards saw traffic: skew is
+    undefined, not alarming, on an unsharded or idle workload.
+    """
+    io: Dict[int, int] = {}
+    for event in events:
+        for shard in event.shards:
+            io[shard.index] = io.get(shard.index, 0) + shard.page_reads + shard.page_writes
+    busy = [v for v in io.values() if v > 0]
+    if len(busy) < 2:
+        return 1.0
+    mean = sum(busy) / len(busy)
+    return max(busy) / mean
 
 
 __all__ = [

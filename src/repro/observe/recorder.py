@@ -1,35 +1,38 @@
 """The workload flight recorder: a bounded ring of per-query events.
 
-Where :class:`~repro.observe.registry.MetricsRegistry` keeps cumulative
-counters and :class:`~repro.observe.querylog.QueryLog` keeps a human
-summary, the flight recorder keeps the *structured* record a fleet
-operator replays after the fact: one :class:`QueryEvent` per executed
-statement — fingerprint, strategy, plan-cache outcome, worker budget,
-per-shard I/O and failovers, partition counts, degraded flag, join
-q-errors, and the typed error name on failure — in a bounded ring,
-exportable as JSON Lines.
+A :class:`QueryEvent` is the one per-query record.  The statement
+lifecycle builds it once per finished query with :func:`build_event` and
+hands the same event to every workload sink: the
+:class:`~repro.observe.registry.MetricsRegistry` folds it into lifetime
+counters, and the flight recorder keeps it — fingerprint, strategy,
+plan-cache outcome, worker budget, per-shard I/O and failovers, partition
+counts, degraded flag, join q-errors, sort shapes, rows per operator kind,
+the typed error name on failure — in a bounded ring, exportable as JSON
+Lines.
 
 Attach one by assigning ``session.recorder`` (or ``db.recorder``); the
 session records every query for you, on the query boundary only, so the
-zero-overhead-when-off contract is untouched: with no recorder attached
-no event is ever built.
+zero-overhead-when-off contract is untouched: with no sink attached no
+event is ever built.
 
-Per-fingerprint aggregation (:meth:`FlightRecorder.top`) answers the
-fleet-level question a cost-based planner starts from: *which
-statement shapes dominate cost* — count, total modelled
-cost, page I/O, and p50/p95 latency per statement template, surfaced in
-the shell as ``\\top``.
+The workload reports are views over the retained events:
+:meth:`FlightRecorder.top` ranks statement templates by modelled cost
+(the shell's ``\\top``), :meth:`FlightRecorder.summarize` renders the
+slow-query report (the shell's ``\\log``), and
+:func:`~repro.observe.health.evaluate_health` judges the same events
+(``session.health()``).
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from collections import deque
-from dataclasses import asdict, dataclass, field
+from collections import Counter, deque
+from dataclasses import asdict, dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..storage.costs import CostModel, PAPER_1992
+from ..storage.costs import PAPER_1992
+from ..storage.stats import Counters
 from .fingerprint import canonicalize_sql, fingerprint
 from .metrics import QueryMetrics
 
@@ -49,6 +52,7 @@ class ShardIO:
 class QueryEvent:
     """One executed statement, fully structured for machine consumption."""
 
+    #: Arrival number in a :class:`FlightRecorder` (0 until recorded).
     seq: int
     fingerprint: str
     template: str
@@ -78,13 +82,88 @@ class QueryEvent:
     fuzzy_evaluations: int
     tuple_moves: int
     io_retries: int
+    sort_runs: int
+    sort_merge_passes: int
+    #: ``(operator kind, rows produced)`` pairs, sorted by kind; the kind
+    #: is the operator label up to any parenthesis or bracket.
+    operator_rows: Tuple[Tuple[str, int], ...]
+
+    @property
+    def page_ios(self) -> int:
+        """Total page reads plus writes for the query."""
+        return self.page_reads + self.page_writes
 
     def to_json(self) -> str:
         """The event as one JSON line (stable key order)."""
         payload = asdict(self)
         payload["shards"] = [asdict(sh) for sh in self.shards]
         payload["q_errors"] = list(self.q_errors)
+        payload["operator_rows"] = dict(self.operator_rows)
         return json.dumps(payload, sort_keys=True)
+
+
+def build_event(
+    sql: str,
+    metrics: Optional[QueryMetrics] = None,
+    wall_seconds: float = 0.0,
+    rows: int = 0,
+    error: str = "",
+) -> QueryEvent:
+    """The one builder of :class:`QueryEvent`, from a finished collector.
+
+    The collector is only read, never mutated, so a caller-supplied
+    ``QueryMetrics`` stays usable afterwards.  Modelled seconds are
+    priced with :data:`~repro.storage.costs.PAPER_1992`.
+    """
+    canonical = canonicalize_sql(str(sql))
+    printed = fingerprint(canonical)
+    m = metrics if metrics is not None else QueryMetrics()
+    total = m.stats.total if m.stats is not None else Counters()
+    operator_rows: Counter = Counter()
+    for om in m.operators.values():
+        operator_rows[om.label.split("(", 1)[0].split("[", 1)[0]] += om.rows_out
+    return QueryEvent(
+        seq=0,
+        fingerprint=printed.id,
+        template=printed.template,
+        sql=canonical,
+        nesting=m.nesting_type or "",
+        rewrite=m.rewrite or "",
+        strategy=m.strategy or "",
+        refused=m.refused,
+        plan_cache=m.plan_cache or "",
+        prepared=bool(m.prepared),
+        outcome=m.outcome,
+        error=error,
+        degraded=bool(m.degraded),
+        degraded_reason=m.degraded_reason or "",
+        workers=m.parallel_workers,
+        partitions=len(m.partitions),
+        shards=tuple(
+            ShardIO(
+                index=sh.index,
+                rows=sh.rows_out,
+                page_reads=sh.stats.total.page_reads if sh.stats is not None else 0,
+                page_writes=sh.stats.total.page_writes if sh.stats is not None else 0,
+                failovers=sh.failovers,
+            )
+            for sh in m.shards
+        ),
+        shard_failovers=m.shard_failovers,
+        q_errors=tuple(m.q_errors),
+        rows=rows,
+        wall_seconds=wall_seconds,
+        modelled_seconds=PAPER_1992.response_seconds(total),
+        page_reads=total.page_reads,
+        page_writes=total.page_writes,
+        crisp_comparisons=total.crisp_comparisons,
+        fuzzy_evaluations=total.fuzzy_evaluations,
+        tuple_moves=total.tuple_moves,
+        io_retries=total.io_retries,
+        sort_runs=sum(sort.runs for sort in m.sorts),
+        sort_merge_passes=sum(sort.merge_passes for sort in m.sorts),
+        operator_rows=tuple(sorted(operator_rows.items())),
+    )
 
 
 @dataclass
@@ -111,107 +190,27 @@ class FingerprintSummary:
         return ordered[rank]
 
 
+def _clip(text: str, width: int) -> str:
+    return text if len(text) <= width else text[:width - 3] + "..."
+
+
 class FlightRecorder:
     """A thread-safe bounded ring of :class:`QueryEvent`."""
 
-    def __init__(self, capacity: int = 2048, cost_model: CostModel = PAPER_1992):
+    def __init__(self, capacity: int = 2048):
         if capacity <= 0:
             raise ValueError("flight recorder capacity must be positive")
         self.capacity = capacity
-        self.cost_model = cost_model
         self._events: Deque[QueryEvent] = deque(maxlen=capacity)
         #: Totals survive ring eviction.
         self.recorded_total = 0
         self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
-    def record(
-        self,
-        sql: str,
-        metrics: Optional[QueryMetrics] = None,
-        wall_seconds: float = 0.0,
-        rows: int = 0,
-        error: str = "",
-    ) -> QueryEvent:
-        """Build and append one event from a finished collector.
-
-        The collector is only read, never mutated — same discipline as
-        the registry fold, so a caller-supplied ``QueryMetrics`` stays
-        usable afterwards.
-        """
-        canonical = canonicalize_sql(str(sql))
-        printed = fingerprint(canonical)
-        reads = writes = crisp = fuzzy = moves = retries = 0
-        nesting = rewrite = strategy = refused = cache = ""
-        outcome, prepared, degraded, reason = "ok", False, False, ""
-        workers = partitions = failovers = 0
-        shard_ios: Tuple[ShardIO, ...] = ()
-        q_errors: Tuple[float, ...] = ()
-        modelled = 0.0
-        if metrics is not None:
-            nesting = metrics.nesting_type or ""
-            rewrite = metrics.rewrite or ""
-            strategy = metrics.strategy or ""
-            refused = metrics.refused
-            cache = metrics.plan_cache or ""
-            prepared = bool(metrics.prepared)
-            outcome = getattr(metrics, "outcome", "ok")
-            degraded = bool(metrics.degraded)
-            reason = metrics.degraded_reason or ""
-            workers = getattr(metrics, "parallel_workers", 0)
-            partitions = len(getattr(metrics, "partitions", ()))
-            failovers = getattr(metrics, "shard_failovers", 0)
-            q_errors = tuple(getattr(metrics, "q_errors", ()))
-            shard_ios = tuple(
-                ShardIO(
-                    index=sh.index,
-                    rows=sh.rows_out,
-                    page_reads=sh.stats.total.page_reads if sh.stats is not None else 0,
-                    page_writes=sh.stats.total.page_writes if sh.stats is not None else 0,
-                    failovers=getattr(sh, "failovers", 0),
-                )
-                for sh in getattr(metrics, "shards", ())
-            )
-            if metrics.stats is not None:
-                total = metrics.stats.total
-                reads, writes = total.page_reads, total.page_writes
-                crisp, fuzzy = total.crisp_comparisons, total.fuzzy_evaluations
-                moves, retries = total.tuple_moves, total.io_retries
-                modelled = self.cost_model.response_time(metrics.stats)
+    def record(self, event: QueryEvent) -> QueryEvent:
+        """Append one event stamped with its arrival number; returns it."""
         with self._lock:
             self.recorded_total += 1
-            event = QueryEvent(
-                seq=self.recorded_total,
-                fingerprint=printed.id,
-                template=printed.template,
-                sql=canonical,
-                nesting=nesting,
-                rewrite=rewrite,
-                strategy=strategy,
-                refused=refused,
-                plan_cache=cache,
-                prepared=prepared,
-                outcome=outcome,
-                error=error,
-                degraded=degraded,
-                degraded_reason=reason,
-                workers=workers,
-                partitions=partitions,
-                shards=shard_ios,
-                shard_failovers=failovers,
-                q_errors=q_errors,
-                rows=rows,
-                wall_seconds=wall_seconds,
-                modelled_seconds=modelled,
-                page_reads=reads,
-                page_writes=writes,
-                crisp_comparisons=crisp,
-                fuzzy_evaluations=fuzzy,
-                tuple_moves=moves,
-                io_retries=retries,
-            )
+            event = replace(event, seq=self.recorded_total)
             self._events.append(event)
         return event
 
@@ -238,6 +237,65 @@ class FlightRecorder:
                 handle.write("\n")
         return len(events)
 
+    def slow(self, threshold: float = 0.1) -> List[QueryEvent]:
+        """Retained events at or above ``threshold`` seconds, slowest first."""
+        return sorted(
+            (e for e in self.events() if e.wall_seconds >= threshold),
+            key=lambda e: e.wall_seconds,
+            reverse=True,
+        )
+
+    def summarize(self, top: int = 5, slow_threshold: float = 0.1) -> str:
+        """The slow-query report (the shell's ``\\log``): per-strategy
+        rollup, failure outcomes, the top statement templates by total
+        wall time and the slowest queries, over the retained events."""
+        events = self.events()
+        slow = sum(1 for e in events if e.wall_seconds >= slow_threshold)
+        lines = [
+            f"query log: {self.recorded_total} recorded "
+            f"({len(events)} retained), {slow} slow "
+            f"(>= {slow_threshold * 1000.0:.0f}ms)"
+        ]
+        by_strategy: Counter = Counter()
+        wall_by_strategy: Counter = Counter()
+        for event in events:
+            key = event.strategy or "(unknown)"
+            by_strategy[key] += 1
+            wall_by_strategy[key] += event.wall_seconds
+        for key, n in by_strategy.most_common():
+            mean_ms = 1000.0 * wall_by_strategy[key] / n
+            lines.append(f"  {key}: {n} queries, mean {mean_ms:.2f}ms")
+        outcomes: Counter = Counter(e.outcome for e in events)
+        degraded = sum(1 for e in events if e.degraded)
+        retries = sum(e.io_retries for e in events)
+        if degraded or retries or set(outcomes) - {"ok"}:
+            rollup = " ".join(f"{k}={outcomes[k]}" for k in sorted(outcomes))
+            lines.append(
+                f"outcomes: {rollup} (degraded={degraded}, io_retries={retries})"
+            )
+        groups = sorted(
+            self.by_fingerprint().values(),
+            key=lambda s: (s.total_wall_seconds, s.count),
+            reverse=True,
+        )[:top]
+        if groups:
+            lines.append(f"top {len(groups)} statements by total wall time:")
+            for s in groups:
+                lines.append(
+                    f"  {s.fingerprint}  n={s.count}  "
+                    f"total={s.total_wall_seconds * 1000.0:.2f}ms  "
+                    f"ios={s.page_ios}  {_clip(s.template, 60)}"
+                )
+        slowest = sorted(events, key=lambda e: e.wall_seconds, reverse=True)[:top]
+        if slowest:
+            lines.append(f"slowest {len(slowest)}:")
+            for event in slowest:
+                lines.append(
+                    f"  {event.wall_seconds * 1000.0:8.2f}ms  rows={event.rows}  "
+                    f"ios={event.page_ios}  {_clip(event.sql, 72)}"
+                )
+        return "\n".join(lines)
+
     # ------------------------------------------------------------------
     # Per-fingerprint aggregation
     # ------------------------------------------------------------------
@@ -253,7 +311,7 @@ class FlightRecorder:
             summary.errors += 1 if event.outcome != "ok" else 0
             summary.degraded += 1 if event.degraded else 0
             summary.rows += event.rows
-            summary.page_ios += event.page_reads + event.page_writes
+            summary.page_ios += event.page_ios
             summary.total_modelled_seconds += event.modelled_seconds
             summary.total_wall_seconds += event.wall_seconds
             summary.walls.append(event.wall_seconds)
@@ -283,7 +341,6 @@ class FlightRecorder:
             f"({len(self)} retained), top {len(summaries)} by modelled cost"
         ]
         for s in summaries:
-            template = s.template if len(s.template) <= 56 else s.template[:53] + "..."
             flags = ""
             if s.degraded:
                 flags += f" degraded={s.degraded}"
@@ -292,7 +349,7 @@ class FlightRecorder:
             lines.append(
                 f"  {s.fingerprint}  n={s.count}  model={s.total_modelled_seconds:.3f}s  "
                 f"ios={s.page_ios}  p50={s.percentile(0.50) * 1000.0:.2f}ms  "
-                f"p95={s.percentile(0.95) * 1000.0:.2f}ms{flags}  {template}"
+                f"p95={s.percentile(0.95) * 1000.0:.2f}ms{flags}  {_clip(s.template, 56)}"
             )
         return "\n".join(lines)
 
@@ -306,4 +363,4 @@ class FlightRecorder:
         )
 
 
-__all__ = ["FingerprintSummary", "FlightRecorder", "QueryEvent", "ShardIO"]
+__all__ = ["FingerprintSummary", "FlightRecorder", "QueryEvent", "ShardIO", "build_event"]

@@ -1,7 +1,7 @@
 """A process-lifetime metrics registry with Prometheus text exposition.
 
 :class:`QueryMetrics` observes *one* query; a :class:`MetricsRegistry`
-folds successive collectors into cumulative workload-level counters —
+folds successive query events into cumulative workload-level counters —
 queries per strategy, rewrites per rule, page I/O, comparison counts,
 sort shapes, rows returned — plus a latency histogram, and renders them
 in the Prometheus text exposition format so an exporter endpoint (or a
@@ -9,19 +9,21 @@ test) can scrape them.
 
 Attach one to a :class:`~repro.session.StorageSession` (or a
 :class:`~repro.db.FuzzyDatabase`) by assigning ``session.registry``; the
-session then folds every query's collector in exactly once.  The fold is
-read-only over a *finished* collector, so attaching a registry never
-perturbs the per-query trace (see the no-double-counting regression test
-in ``tests/test_observe_workload.py``).
+session then folds every query's
+:class:`~repro.observe.recorder.QueryEvent` in exactly once — the same
+event the flight recorder keeps.  The event is built after the query
+finished, so attaching a registry never perturbs the per-query trace (see
+the no-double-counting regression test in
+``tests/test_observe_workload.py``).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .metrics import QueryMetrics
+from .recorder import QueryEvent
 
 #: Default latency buckets (seconds) — log-ish spacing from 0.5 ms to 10 s.
 DEFAULT_BUCKETS = (
@@ -45,12 +47,10 @@ def _format_number(value: float) -> str:
 
 
 class Histogram:
-    """A fixed-bucket cumulative histogram (Prometheus semantics)."""
+    """A cumulative histogram over :data:`DEFAULT_BUCKETS` (Prometheus semantics)."""
 
-    def __init__(self, buckets: Iterable[float] = DEFAULT_BUCKETS):
-        self.bounds: Tuple[float, ...] = tuple(sorted(buckets))
-        if not self.bounds:
-            raise ValueError("a histogram needs at least one bucket bound")
+    def __init__(self):
+        self.bounds: Tuple[float, ...] = DEFAULT_BUCKETS
         self.bucket_counts: List[int] = [0] * len(self.bounds)
         self.sum = 0.0
         self.count = 0
@@ -77,7 +77,7 @@ class Histogram:
 class MetricsRegistry:
     """Cumulative counters over every query observed in this process."""
 
-    def __init__(self, latency_buckets: Iterable[float] = DEFAULT_BUCKETS):
+    def __init__(self):
         self.queries_by_strategy: Counter = Counter()
         self.queries_by_nesting: Counter = Counter()
         self.rewrites: Counter = Counter()
@@ -119,15 +119,14 @@ class MetricsRegistry:
         #: Typed errors raised, keyed by exception class name — every name
         #: in :data:`repro.errors.__all__` is a possible label.
         self.errors_by_type: Counter = Counter()
-        #: Per-shard page I/O, keyed by shard index (as a string label) —
-        #: the raw material of the time-series shard-skew signal.
+        #: Per-shard page I/O, keyed by shard index (as a string label).
         self.shard_page_reads: Counter = Counter()
         self.shard_page_writes: Counter = Counter()
         #: Join q-error accumulation (sum + observation count), folded
-        #: from collectors whose session stamped per-join q-errors.
+        #: from events whose session stamped per-join q-errors.
         self.join_q_error_sum = 0.0
         self.join_q_error_count = 0
-        self.latency = Histogram(latency_buckets)
+        self.latency = Histogram()
         #: Folding is serialized so concurrent sessions can share a
         #: registry (``run_batch`` drives queries from worker threads).
         self._lock = threading.Lock()
@@ -140,84 +139,67 @@ class MetricsRegistry:
         """Number of queries folded into the registry so far."""
         return self.latency.count
 
-    def observe(
-        self,
-        metrics: QueryMetrics,
-        wall_seconds: float = 0.0,
-        rows: Optional[int] = None,
-    ) -> None:
-        """Fold one finished collector into the cumulative counters.
+    def observe(self, event: QueryEvent) -> None:
+        """Fold one query's :class:`~repro.observe.recorder.QueryEvent`
+        into the cumulative counters.
 
-        Call this exactly once per query; the session does so for you when
-        a registry is attached.  The collector is only *read* — folding
-        never mutates it, so a caller-supplied ``QueryMetrics`` stays
-        usable for per-query analysis afterwards.
+        The statement lifecycle calls this exactly once per query with the
+        same event it hands the flight recorder, so the two sinks agree
+        by construction.
         """
         with self._lock:
-            self.latency.observe(wall_seconds)
-            if metrics.strategy:
-                self.queries_by_strategy[metrics.strategy] += 1
-            if metrics.nesting_type:
-                self.queries_by_nesting[metrics.nesting_type] += 1
-            if metrics.rewrite:
-                self.rewrites[metrics.rewrite] += 1
-            if metrics.plan_cache == "hit":
+            self.latency.observe(event.wall_seconds)
+            if event.strategy:
+                self.queries_by_strategy[event.strategy] += 1
+            if event.nesting:
+                self.queries_by_nesting[event.nesting] += 1
+            if event.rewrite:
+                self.rewrites[event.rewrite] += 1
+            if event.plan_cache == "hit":
                 self.plan_cache_hits_total += 1
-            elif metrics.plan_cache in ("miss", "invalidated"):
+            elif event.plan_cache in ("miss", "invalidated"):
                 self.plan_cache_misses_total += 1
-                if metrics.plan_cache == "invalidated":
+                if event.plan_cache == "invalidated":
                     self.plan_cache_invalidations_total += 1
-            if metrics.prepared:
+            if event.prepared:
                 self.prepared_executions_total += 1
-            partitions = getattr(metrics, "partitions", None)
-            if partitions:
+            if event.partitions:
                 # A query counts as parallel only when a partitioned plan
-                # actually ran — a worker budget alone (parallel_workers)
-                # may have degraded to the serial path.
+                # actually ran — a worker budget alone may have degraded
+                # to the serial path.
                 self.parallel_queries_total += 1
-                self.partitions_total += len(partitions)
-            shards = getattr(metrics, "shards", None)
-            if shards:
+                self.partitions_total += event.partitions
+            if event.shards:
                 # Same discipline as parallel queries: a shard budget
                 # alone may have degraded to local execution.
                 self.sharded_queries_total += 1
-                self.shards_total += len(shards)
-                for shard in shards:
-                    if shard.stats is not None:
-                        total = shard.stats.total
-                        self.shard_page_reads[str(shard.index)] += total.page_reads
-                        self.shard_page_writes[str(shard.index)] += total.page_writes
-            self.shard_failovers_total += getattr(metrics, "shard_failovers", 0)
-            for q in getattr(metrics, "q_errors", ()):
+                self.shards_total += len(event.shards)
+                for shard in event.shards:
+                    self.shard_page_reads[str(shard.index)] += shard.page_reads
+                    self.shard_page_writes[str(shard.index)] += shard.page_writes
+            self.shard_failovers_total += event.shard_failovers
+            for q in event.q_errors:
                 self.join_q_error_sum += q
                 self.join_q_error_count += 1
-            if metrics.degraded:
+            if event.degraded:
                 self.queries_degraded_total += 1
-            outcome = getattr(metrics, "outcome", "ok")
-            if outcome == "timeout":
+            if event.outcome == "timeout":
                 self.queries_timeout_total += 1
-            elif outcome == "cancelled":
+            elif event.outcome == "cancelled":
                 self.queries_cancelled_total += 1
-            elif outcome != "ok":
+            elif event.outcome != "ok":
                 self.queries_failed_total += 1
-            if rows is not None:
-                self.rows_returned_total += rows
-            if metrics.stats is not None:
-                total = metrics.stats.total
-                self.page_reads_total += total.page_reads
-                self.page_writes_total += total.page_writes
-                self.crisp_comparisons_total += total.crisp_comparisons
-                self.fuzzy_evaluations_total += total.fuzzy_evaluations
-                self.tuple_moves_total += total.tuple_moves
-                self.io_retries_total += total.io_retries
-            for sort in metrics.sorts:
-                self.sort_runs_total += sort.runs
-                self.sort_merge_passes_total += sort.merge_passes
-            for om in metrics.operators.values():
-                # Key by operator kind (the label up to any parenthesis) to
-                # keep the label cardinality bounded.
-                kind = om.label.split("(", 1)[0].split("[", 1)[0]
-                self.operator_rows[kind] += om.rows_out
+            self.rows_returned_total += event.rows
+            self.page_reads_total += event.page_reads
+            self.page_writes_total += event.page_writes
+            self.crisp_comparisons_total += event.crisp_comparisons
+            self.fuzzy_evaluations_total += event.fuzzy_evaluations
+            self.tuple_moves_total += event.tuple_moves
+            self.io_retries_total += event.io_retries
+            self.sort_runs_total += event.sort_runs
+            self.sort_merge_passes_total += event.sort_merge_passes
+            for kind, rows in event.operator_rows:
+                self.operator_rows[kind] += rows
 
     def count_prepared(self) -> None:
         """Record one ``prepare()`` call (a statement entering the service)."""
@@ -254,7 +236,7 @@ class MetricsRegistry:
             self.errors_by_type[type_name] += 1
 
     # ------------------------------------------------------------------
-    # Snapshots (the time-series feed)
+    # Snapshots
     # ------------------------------------------------------------------
     def snapshot_state(self) -> Dict[str, float]:
         """A flat, lock-consistent copy of every counter.
@@ -262,9 +244,7 @@ class MetricsRegistry:
         Scalar counters appear under their attribute name; labelled
         families under ``family:label`` (``shard_page_reads:0``); the
         latency histogram under ``latency_sum`` / ``latency_count`` /
-        ``latency_bucket:<bound>``.  This is what
-        :class:`~repro.observe.timeseries.TimeSeries` diffs window to
-        window, so it must cover every signal a health rule reads.
+        ``latency_bucket:<bound>``.
         """
         with self._lock:
             state: Dict[str, float] = {

@@ -8,9 +8,9 @@ alike::
     text -> cache lookup -> prepare -> artifact -> run -> observe
 
 :class:`StatementLifecycle` owns the stages that do not depend on the
-engine (lookup, the collector / tracer / timing wrapper, the fold into the
-workload sinks, failure recording, health); a front door supplies three
-hooks:
+engine (lookup, the collector / tracer / timing wrapper, the one
+:class:`~repro.observe.recorder.QueryEvent` handed to the workload sinks,
+failure recording, health); a front door supplies three hooks:
 
 ``_prepare(statement, tracer, text)``
     parse + classify + plan, returning a :class:`PreparedQuery`;
@@ -26,10 +26,9 @@ import time
 from typing import Optional
 
 from ..errors import FuzzyQueryError, QueryCancelledError, QueryTimeoutError
-from ..observe.explain import join_q_errors
 from ..observe.health import HealthReport, HealthThresholds, evaluate_health
 from ..observe.metrics import QueryMetrics
-from ..observe.timeseries import lifetime_window
+from ..observe.recorder import build_event
 from ..observe.trace import maybe_span
 from ..sql.params import ParameterError, referenced_tables
 from .plancache import normalize_sql
@@ -41,18 +40,13 @@ class StatementLifecycle:
 
     #: The typed error this door raises for its own misuse.
     error = FuzzyQueryError
-    #: Workload-level sinks: a :class:`~repro.observe.registry.MetricsRegistry`,
-    #: a :class:`~repro.observe.querylog.QueryLog` and/or a
-    #: :class:`~repro.observe.recorder.FlightRecorder`.  Every query is
-    #: folded in / logged / recorded automatically (one collector per
-    #: query, read exactly once); all three key statement identity on the
-    #: shared canonicalizer in :mod:`repro.observe.fingerprint`.
+    #: Workload-level sinks: a :class:`~repro.observe.registry.MetricsRegistry`
+    #: (lifetime counters) and/or a
+    #: :class:`~repro.observe.recorder.FlightRecorder` (the query ring the
+    #: slow-query report and :meth:`health` read).  Both receive the same
+    #: :class:`~repro.observe.recorder.QueryEvent` for every query.
     registry = None
-    query_log = None
     recorder = None
-    #: Optional :class:`~repro.observe.timeseries.TimeSeries` over the
-    #: registry; once snapshotted, :meth:`health` judges its recent windows.
-    timeseries = None
     #: LRU cache of prepared plans for textual queries (``None``: off).
     plan_cache = None
     #: The compiled operator tree of the last query, when it had one.
@@ -113,11 +107,7 @@ class StatementLifecycle:
         if text is None and isinstance(statement, str):
             text = statement
         collector = metrics
-        if collector is None and (
-            self.registry is not None
-            or self.query_log is not None
-            or self.recorder is not None
-        ):
+        if collector is None and (self.registry is not None or self.recorder is not None):
             collector = QueryMetrics()
         self.last_metrics = collector
         self.last_plan = None
@@ -150,27 +140,21 @@ class StatementLifecycle:
         return result
 
     def _observe_query(self, sql_text, collector, wall, rows, error="") -> None:
-        """Fold one finished query into every attached workload sink.
+        """Hand one finished query to every attached workload sink.
 
-        The single funnel for the registry, query log, and flight
-        recorder, so all three always agree on query counts and statement
-        identity.  Per-join q-errors are stamped onto the collector first
-        (successful flat plans only) — pure arithmetic over the compiled
-        plan and the collector's already-measured row counts, no extra
-        I/O — so every sink sees the same estimate-drift numbers.
+        The single funnel: one :class:`~repro.observe.recorder.QueryEvent`
+        is built from the collector and both the registry and the flight
+        recorder receive that same event, so they agree on query counts,
+        statement identity and every total.  No event is built when no
+        sink is attached.
         """
-        if collector is None:
+        if collector is None or (self.registry is None and self.recorder is None):
             return
-        if not error and self.last_plan is not None:
-            collector.q_errors = join_q_errors(self.last_plan, collector)
+        event = build_event(sql_text, collector, wall, rows, error)
         if self.registry is not None:
-            self.registry.observe(collector, wall_seconds=wall, rows=rows)
-        if self.query_log is not None:
-            self.query_log.record(sql_text, collector, wall_seconds=wall, rows=rows)
+            self.registry.observe(event)
         if self.recorder is not None:
-            self.recorder.record(
-                sql_text, collector, wall_seconds=wall, rows=rows, error=error
-            )
+            self.recorder.record(event)
 
     def _record_failure(self, sql_text, collector, started, exc) -> None:
         """Fold a failed query into the sinks with its typed outcome."""
@@ -192,22 +176,15 @@ class StatementLifecycle:
         thresholds: Optional[HealthThresholds] = None,
         last: Optional[int] = None,
     ) -> HealthReport:
-        """Evaluate the health rules over this door's workload.
+        """Evaluate the health rules over this door's recorded queries.
 
-        With a :attr:`timeseries` attached and at least one snapshot
-        taken, the report covers the merged recent windows (optionally the
-        ``last`` N); otherwise it covers the :attr:`registry`'s lifetime
-        totals.  Raises the door's typed :attr:`error` when neither sink
-        is attached — there is nothing to judge.
+        The report covers the :attr:`recorder`'s retained events, or the
+        ``last`` N of them.  Raises the door's typed :attr:`error` when no
+        recorder is attached — there is nothing to judge.
         """
-        if self.timeseries is not None and len(self.timeseries):
-            return evaluate_health(self.timeseries.merged(last), thresholds)
-        registry = self.registry
-        if registry is None and self.timeseries is not None:
-            registry = self.timeseries.registry
-        if registry is None:
+        if self.recorder is None:
             raise self.error(
-                "health() needs a registry or timeseries attached "
-                "(assign .registry = MetricsRegistry())"
+                "health() needs a flight recorder attached "
+                "(assign .recorder = FlightRecorder())"
             )
-        return evaluate_health(lifetime_window(registry), thresholds)
+        return evaluate_health(self.recorder.events(last), thresholds)

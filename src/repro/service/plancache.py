@@ -24,7 +24,7 @@ HIT, MISS, INVALIDATED = "hit", "miss", "invalidated"
 
 #: The cache key normalizer — the *shared* statement canonicalizer
 #: (:func:`repro.observe.fingerprint.canonicalize_sql`), so the plan
-#: cache, the query log, and workload fingerprinting can never disagree
+#: cache, the flight recorder, and workload fingerprints never disagree
 #: about statement identity.  Literals are preserved: the cache must not
 #: conflate ``'very  tall'`` with ``'very tall'`` (different terms) nor
 #: two statements differing only in a constant a compiled predicate bakes

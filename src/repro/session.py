@@ -35,7 +35,7 @@ from .engine.executor import CompileError, DmlColumns, compile_conjunction, inte
 from .engine.operators import ExecutionContext
 from .engine.semantics import NaiveEvaluator
 from .engine.statistics import StatisticsVersions
-from .observe.explain import render_plan, render_report
+from .observe.explain import join_q_errors, render_plan, render_report
 from .observe.metrics import QueryMetrics
 from .observe.trace import SpanTracer, maybe_span
 from .fuzzy.compare import Op
@@ -539,17 +539,17 @@ class StorageSession(StatementLifecycle):
         transfer, operator counters, sort shapes, the nesting type, which
         rewrite fired, and the strategy taken.  With ``tracer`` the
         parse/bind/rewrite/sort/merge/probe phases are recorded as a span
-        tree.  When a :attr:`registry` or :attr:`query_log` is attached, a
-        collector is created as needed and folded in exactly once.  With
-        nothing attached, nothing extra runs — operators stream their raw
-        generators.
+        tree.  When a :attr:`registry` or :attr:`recorder` is attached, a
+        collector is created as needed and both receive the query's one
+        event.  With nothing attached, nothing extra runs — operators
+        stream their raw generators.
 
         ``timeout_ms`` sets a per-query deadline and ``cancel`` a
         cooperative :class:`~repro.resilience.CancelToken`; both are
         checked at every page transfer, raising
         :class:`~repro.errors.QueryTimeoutError` /
         :class:`~repro.errors.QueryCancelledError`.  Failed queries are
-        still folded into the registry and query log with their typed
+        still handed to the registry and recorder with their typed
         outcome before the error propagates.
 
         Textual queries go through the :attr:`plan_cache`: the second run
@@ -664,7 +664,7 @@ class StorageSession(StatementLifecycle):
                 return self._run_naive(query, artifact, stats, metrics, tracer)
             self.last_plan = operator
             self._announce(artifact, metrics)
-            return operator.to_relation(
+            relation = operator.to_relation(
                 ExecutionContext(
                     self.disk,
                     self.buffer_pages,
@@ -678,6 +678,11 @@ class StorageSession(StatementLifecycle):
                     catalog=self,
                 )
             )
+        if metrics is not None:
+            # This run's own plan, not the shared ``last_plan`` another
+            # thread of ``run_batch`` may have replaced meanwhile.
+            metrics.q_errors = join_q_errors(operator, metrics)
+        return relation
 
     def _announce(self, artifact: PlanArtifact, metrics: Optional[QueryMetrics]) -> None:
         """Publish the strategy about to run (``last_strategy``, collector)."""
@@ -700,8 +705,8 @@ class StorageSession(StatementLifecycle):
         and with ``workers <= 1`` the loop is plain serial execution —
         the differential tests assert both modes produce bit-identical
         relations.  Each query gets its own stats ledger (disk accounting
-        is thread-local), and a shared :attr:`registry` / :attr:`query_log`
-        is folded under its own lock.
+        is thread-local), and the shared :attr:`registry` and
+        :attr:`recorder` each fold or append under their own lock.
 
         ``timeout_ms`` applies per query (not to the whole batch); a
         shared ``cancel`` token abandons the batch cooperatively — it is

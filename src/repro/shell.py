@@ -1,20 +1,21 @@
 """A line-oriented shell over :class:`~repro.session.StorageSession`.
 
 Plain lines are Fuzzy SQL and execute through the session (so they hit
-the plan cache, the registry, and the query log exactly like library
+the plan cache, the registry, and the flight recorder exactly like library
 callers); lines starting with a backslash are meta-commands in the
 ``psql`` tradition:
 
 ========== ===========================================================
 Command    Effect
 ========== ===========================================================
-``\\log``     the query-log workload report (strategy rollup, failure
-              outcomes, slowest statements)
+``\\log``     the slow-query report over the flight recorder (strategy
+              rollup, failure outcomes, slowest statements)
 ``\\metrics`` the metrics registry in Prometheus text exposition
               (optional name-prefix filter: ``\\metrics fuzzysql_shard``)
 ``\\top``     per-fingerprint top-K from the flight recorder (count,
               modelled cost, page I/O, p50/p95 latency)
-``\\health``  the health report: threshold rules over workload rates
+``\\health``  the health report: threshold rules over the recorded
+              queries' rates
 ``\\events``  the flight recorder's last N events as JSONL
 ``\\explain`` EXPLAIN for the rest of the line (no execution); when the
               statement has a plan-cache entry, also the validation
@@ -36,8 +37,7 @@ DROP route through :meth:`~repro.session.StorageSession.execute` — DML
 is WAL-logged, group-committed, and crash-recoverable; the shell prints
 the status line of each statement.
 
-The shell owns a :class:`~repro.observe.registry.MetricsRegistry`, a
-:class:`~repro.observe.querylog.QueryLog`, and a
+The shell owns a :class:`~repro.observe.registry.MetricsRegistry` and a
 :class:`~repro.observe.recorder.FlightRecorder` (attaching them to the
 session unless it already has its own), so failure outcomes — timeouts,
 cancellations, degraded fallbacks, retry counts — surface directly in
@@ -53,17 +53,16 @@ import sys
 from typing import Iterable, Optional
 
 from .errors import FuzzyQueryError
-from .observe.querylog import QueryLog
 from .observe.recorder import FlightRecorder
 from .observe.registry import MetricsRegistry
 from .session import StorageSession
 
 #: One help line per meta-command, rendered by ``\help``.
 HELP = """\
-\\log        query log report: strategies, outcomes, slowest statements
+\\log        slow-query report: strategies, outcomes, slowest statements
 \\metrics P  metrics registry (Prometheus text; optional name prefix P)
 \\top K      top K statements by fingerprint (default 5)
-\\health     health report: ok/warn/critical over workload rates
+\\health     health report: ok/warn/critical over the recorded queries
 \\events N   last N flight-recorder events as JSONL (default 10)
 \\explain Q  strategy and plan of query Q, without executing it (plus
             the cached plan's validation tokens when one exists)
@@ -86,8 +85,6 @@ class FuzzyShell:
         self.session = session
         if session.registry is None:
             session.registry = MetricsRegistry()
-        if session.query_log is None:
-            session.query_log = QueryLog()
         if session.recorder is None:
             session.recorder = FlightRecorder()
         #: Deadline applied to every SQL line, in milliseconds (``None``
@@ -106,7 +103,7 @@ class FuzzyShell:
         Typed query failures (timeouts, storage faults, …) are rendered
         as ``error: …`` lines rather than raised: a shell must survive a
         failing statement, and the failure is already recorded in the
-        query log and registry for ``\\log`` / ``\\metrics`` to show.
+        flight recorder and registry for ``\\log`` / ``\\metrics`` to show.
         """
         line = line.strip()
         if not line:
@@ -119,7 +116,7 @@ class FuzzyShell:
         command, _, argument = line.partition(" ")
         argument = argument.strip()
         if command == "\\log":
-            return self.session.query_log.summarize()
+            return self.session.recorder.summarize()
         if command == "\\metrics":
             return self.session.registry.render_prometheus(
                 name_prefix=argument or None

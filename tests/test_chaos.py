@@ -10,7 +10,7 @@ The resilience contract under injected storage faults is three-sided:
   files on the disk, no pages left pinned in a shared buffer pool;
 * the failure is **observable**: retries, degradations, timeouts and
   cancellations land in the stats ledger, the metrics registry, the
-  query log, and EXPLAIN ANALYZE.
+  flight recorder's events, and EXPLAIN ANALYZE.
 
 Fault schedules are deterministic (seeded :class:`~repro.faults.FaultPlan`),
 so every failure here replays exactly.
@@ -32,7 +32,7 @@ from repro.errors import (
 from repro.faults import FaultPlan, FaultyDisk
 from repro.fuzzy import CrispNumber, TrapezoidalNumber
 from repro.observe.metrics import QueryMetrics
-from repro.observe.querylog import QueryLog
+from repro.observe.recorder import FlightRecorder
 from repro.observe.registry import MetricsRegistry
 from repro.resilience import CancelToken
 from repro.session import StorageSession
@@ -215,16 +215,16 @@ def test_absorbed_faults_are_counted():
     plan = FaultPlan(seed=3, transient_read_rate=0.1, transient_burst=2)
     session = build_faulted(0, plan)
     session.registry = MetricsRegistry()
-    session.query_log = QueryLog()
+    session.recorder = FlightRecorder()
     got = session.query(sql)
     assert got.same_as(expected, 0.0)
     assert plan.injected.transient_reads > 0, "schedule injected nothing"
     retries = session.last_stats.total.io_retries
     assert retries == plan.injected.transient_reads
     assert session.registry.io_retries_total == retries
-    entry = session.query_log.entries[-1]
-    assert entry.outcome == "ok" and entry.io_retries == retries
-    assert "io_retries" in session.query_log.summarize()
+    event = session.recorder.events()[-1]
+    assert event.outcome == "ok" and event.io_retries == retries
+    assert "io_retries" in session.recorder.summarize()
 
 
 def test_scripted_burst_beyond_budget_escapes_typed():
@@ -244,14 +244,14 @@ def test_latency_spike_trips_timeout():
     plan = FaultPlan().spike_read(2, seconds=5.0)
     session = build_faulted(0, plan)
     session.registry = MetricsRegistry()
-    session.query_log = QueryLog()
+    session.recorder = FlightRecorder()
     with pytest.raises(QueryTimeoutError):
         session.query(CASES["J"], timeout_ms=50)
     # The spike sleep is capped to the guard's remaining deadline, so the
     # 5-second stall cannot make the query oversleep its 50 ms budget.
     assert plan.injected.latency_spikes == 1
     assert session.registry.queries_timeout_total == 1
-    assert session.query_log.entries[-1].outcome == "timeout"
+    assert session.recorder.events()[-1].outcome == "timeout"
     assert_no_leaks(session)
 
 
@@ -317,14 +317,14 @@ def test_disk_full_degrades_to_correct_nested_loop(label):
     expected = build_session(0).query(sql)
     session, plan = degraded_session(label)
     session.registry = MetricsRegistry()
-    session.query_log = QueryLog()
+    session.recorder = FlightRecorder()
     metrics = QueryMetrics()
     got = session.query(sql, metrics=metrics)
     assert got.same_as(expected, 0.0)
     assert metrics.degraded and "nested-loop fallback" in metrics.degraded_reason
     assert plan.injected.disk_full > 0
     assert session.registry.queries_degraded_total == 1
-    assert session.query_log.entries[-1].degraded
+    assert session.recorder.events()[-1].degraded
     assert_no_leaks(session)
 
 

@@ -19,8 +19,11 @@ is an edit here, made on purpose.  The modules that move
 records as bytes — the external sort and the band join's slice spills —
 never parse or build a record: they key it with
 ``TupleSerializer.key_at``, so the record format stays behind
-``storage/serializer.py``.  Runs in the suite and as a standalone CI lint
-step::
+``storage/serializer.py``.  Every query's
+:class:`~repro.observe.recorder.QueryEvent` is built in one function and
+handed to the registry and the flight recorder in one place, so the two
+workload sinks cannot drift apart.  Runs in the suite and as a standalone
+CI lint step::
 
     python -m pytest -q tests/test_layering.py
 """
@@ -155,8 +158,9 @@ def test_one_module_constructs_the_partitioned_band_join():
     assert constructors("PartitionedBandJoin") == ["engine/context.py"]
 
 
-def construction_sites(package, name):
-    """``module::Class.method`` of every ``name(...)`` call under ``package``."""
+def call_sites(package, matches):
+    """``module::Class.method`` of every call under ``package`` (every
+    module of ``src/repro`` for ``""``) whose ``ast.Call`` ``matches``."""
     found = []
 
     def walk(node, where):
@@ -164,19 +168,43 @@ def construction_sites(package, name):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 walk(child, [*where, child.name])
                 continue
-            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == name:
+            if isinstance(child, ast.Call) and matches(child):
                 found.append(f"{path.relative_to(SRC).as_posix()}::{'.'.join(where)}")
             walk(child, where)
 
-    for path in sorted((SRC / package).glob("*.py")):
+    for path in sorted((SRC / package).rglob("*.py")):
         walk(ast.parse(path.read_text()), [])
     return found
+
+
+def construction_sites(package, name):
+    """``module::Class.method`` of every ``name(...)`` call under ``package``."""
+    return call_sites(package, lambda call: getattr(call.func, "id", None) == name)
+
+
+def feeds_a_sink(call) -> bool:
+    """A ``….registry.observe(…)`` or ``….recorder.record(…)`` call."""
+    func = call.func
+    if not isinstance(func, ast.Attribute):
+        return False
+    receiver = getattr(func.value, "attr", None) or getattr(func.value, "id", None)
+    return (receiver, func.attr) in {("registry", "observe"), ("recorder", "record")}
 
 
 def test_the_engine_builds_the_nested_loop_in_two_places():
     assert construction_sites("engine", "NestedLoopJoin") == [
         "engine/operators.py::NestedLoopJoinOp._tuples",
         "engine/operators.py::BandFold._fold",
+    ]
+
+
+def test_one_query_event_feeds_both_sinks():
+    """The registry and the flight recorder agree by construction: one
+    function builds the per-query event, and one hands it to the sinks."""
+    assert construction_sites("", "QueryEvent") == ["observe/recorder.py::build_event"]
+    assert call_sites("", feeds_a_sink) == [
+        "service/lifecycle.py::StatementLifecycle._observe_query",
+        "service/lifecycle.py::StatementLifecycle._observe_query",
     ]
 
 

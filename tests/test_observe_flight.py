@@ -1,42 +1,43 @@
-"""The PR-7 observability surface: fingerprints, flight recorder,
-windowed time series, and the health report.
+"""The workload observability surface: fingerprints, flight recorder,
+event rates, and the health report.
 
 Covers statement canonicalization and template fingerprinting (shared
-with the plan cache, so cache / log / analytics can never disagree about
-statement identity), the bounded :class:`FlightRecorder` ring and its
-JSONL export, per-fingerprint top-K aggregation, the snapshot-delta
-:class:`TimeSeries` and its derived rates, the threshold rules of
-:func:`evaluate_health`, the query-log ring and slow-boundary semantics,
-Prometheus exposition completeness and prefix filtering, and the new
-shell meta-commands ``\\top`` / ``\\health`` / ``\\events``.
+with the plan cache, so cache / recorder / analytics can never disagree
+about statement identity), the bounded :class:`FlightRecorder` ring and
+its JSONL export, per-fingerprint top-K aggregation, the rates
+:func:`evaluate_health` computes from a list of query events and its
+threshold rules, the slow-query report's ring and slow-boundary
+semantics, Prometheus exposition completeness and prefix filtering, and
+the shell meta-commands ``\\top`` / ``\\health`` / ``\\events``.
 """
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import normalize_sql
 from repro.data import FuzzyRelation, FuzzyTuple, Schema
 from repro.db import DatabaseError, FuzzyDatabase
-from repro.errors import FuzzyQueryError
+from repro.errors import FuzzyQueryError, QueryCancelledError
 from repro.faults import FaultPlan, FaultyDisk
 from repro.fuzzy import CrispNumber, TrapezoidalNumber
 from repro.observe import (
     FlightRecorder,
     HealthThresholds,
     MetricsRegistry,
-    QueryLog,
     QueryMetrics,
-    TimeSeries,
+    ShardIO,
+    build_event,
     canonicalize_sql,
     evaluate_health,
     fingerprint,
     fingerprint_sql,
-    lifetime_window,
     statement_template,
 )
-from repro.observe.timeseries import Window
+from repro.resilience import CancelToken
 from repro.session import StorageSession
 from repro.shell import FuzzyShell
 from repro.storage import SimulatedDisk
@@ -156,15 +157,17 @@ class TestFingerprint:
         assert fp.id == fingerprint(TYPE_J_SQL).id
 
     def test_log_recorder_and_fingerprint_agree_on_identity(self):
+        # The slow-query report and \\top read the recorder's events, so
+        # the event's identity is the only one there is.
         session = build_session()
-        session.query_log = QueryLog()
         session.recorder = FlightRecorder()
         session.query(TYPE_J_SQL + "  ")  # trailing whitespace canonicalizes
-        entry = session.query_log.entries[-1]
         event = session.recorder.events()[-1]
-        expected = fingerprint_sql(TYPE_J_SQL)
-        assert entry.fingerprint == event.fingerprint == expected
-        assert entry.sql == event.sql == canonicalize_sql(TYPE_J_SQL)
+        assert event.fingerprint == fingerprint_sql(TYPE_J_SQL)
+        assert event.sql == canonicalize_sql(TYPE_J_SQL)
+        assert event.template == statement_template(TYPE_J_SQL)
+        summary = session.recorder.by_fingerprint()[event.fingerprint]
+        assert summary.template in session.recorder.summarize()
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +177,7 @@ class TestFlightRecorder:
     def test_ring_evicts_oldest_but_totals_survive(self):
         recorder = FlightRecorder(capacity=3)
         for i in range(7):
-            recorder.record(f"SELECT R.K FROM R WHERE R.V > {i}")
+            recorder.record(build_event(f"SELECT R.K FROM R WHERE R.V > {i}"))
         assert len(recorder) == 3
         assert recorder.recorded_total == 7
         assert [e.seq for e in recorder.events()] == [5, 6, 7]
@@ -187,8 +190,8 @@ class TestFlightRecorder:
     def test_jsonl_round_trips_and_ends_with_a_newline(self):
         recorder = FlightRecorder()
         assert recorder.to_jsonl() == ""  # empty ring, no stray newline
-        recorder.record("SELECT R.K FROM R WHERE R.V > 1")
-        recorder.record("SELECT R.K FROM R WHERE R.V > 2")
+        recorder.record(build_event("SELECT R.K FROM R WHERE R.V > 1"))
+        recorder.record(build_event("SELECT R.K FROM R WHERE R.V > 2"))
         text = recorder.to_jsonl()
         assert text.endswith("\n")
         payloads = [json.loads(line) for line in text.splitlines()]
@@ -267,6 +270,29 @@ class TestFlightRecorder:
         summary = session.recorder.by_fingerprint()[event.fingerprint]
         assert summary.errors == 1
 
+    def test_run_batch_events_carry_their_own_plans_q_errors(self):
+        # Under run_batch(workers=4) other threads replace the session's
+        # shared last_plan mid-query; every event must still carry the
+        # q-errors of the plan that produced it, as the serial run does.
+        shapes = [
+            TYPE_J_SQL,  # (1.0,)
+            "SELECT R.K FROM R WHERE R.U IN (SELECT S.V FROM S WHERE S.K = R.K)",  # (30.0,)
+            "SELECT R.K FROM R WHERE R.V NOT IN (SELECT S.V FROM S WHERE S.U = R.U)",
+            "SELECT R.K FROM R WHERE R.V > 3",  # no join: ()
+        ]
+        serial = build_session()
+        serial.recorder = FlightRecorder()
+        for sql in shapes:
+            serial.query(sql)
+        expected = {e.sql: e.q_errors for e in serial.recorder.events()}
+        assert {(30.0,), (1.0,), ()} <= set(expected.values())
+        batch = build_session()
+        batch.recorder = FlightRecorder()
+        batch.run_batch(shapes * 75, workers=4)
+        events = batch.recorder.events()
+        assert len(events) == 300
+        assert [e.sql for e in events if e.q_errors != expected[e.sql]] == []
+
     def test_recorder_alone_forces_collection_without_perturbing_counters(self):
         # Zero-overhead contract, recorder edition: attaching only a
         # recorder turns collection on (events carry real counters) and
@@ -288,145 +314,184 @@ class TestFlightRecorder:
 
 
 # ----------------------------------------------------------------------
-# The windowed time series
+# Two sinks, one event: registry and recorder agree by construction
 # ----------------------------------------------------------------------
-class TestTimeSeries:
-    def test_snapshot_diffs_the_registry_between_windows(self):
-        session = build_session()
-        session.registry = MetricsRegistry()
-        ts = TimeSeries(session.registry, at=0.0)
-        for _ in range(5):
-            session.query(TYPE_J_SQL)
-        first = ts.snapshot(at=10.0)
-        assert first.queries == 5
-        assert first.queries_per_second == pytest.approx(0.5)
-        assert first.delta("plan_cache_misses_total") == 1
-        assert first.delta("plan_cache_hits_total") == 4
-        second = ts.snapshot(at=12.0)
-        assert second.queries == 0  # nothing ran in the second window
-        merged = ts.merged()
-        assert merged.queries == 5
-        assert merged.start == 0.0 and merged.end == 12.0
+#: Each operation runs one statement on the FaultyDisk session of
+#: :func:`agreement_session` with the given fault plan armed (``None``:
+#: disarmed) and ends with the given outcome.
+AGREEMENT_OPS = {
+    "ok": (None, "ok"),
+    "cached": (None, "ok"),
+    "prepared": (None, "ok"),
+    "retried": (lambda: FaultPlan(seed=3, transient_read_rate=0.2, transient_burst=2), "ok"),
+    "degraded": (lambda: FaultPlan(disk_capacity_pages=1), "ok"),
+    "failed": (lambda: FaultPlan(torn_write_rate=1.0), "error"),
+    "timeout": (lambda: FaultPlan(latency_spike_rate=1.0, latency_spike_seconds=5.0), "timeout"),
+}
 
-    def test_ring_keeps_the_last_capacity_windows(self):
-        registry = MetricsRegistry()
-        ts = TimeSeries(registry, capacity=2, at=0.0)
-        for i in range(1, 4):
-            ts.snapshot(at=float(i))
-        assert len(ts) == 2
-        assert ts.snapshots_total == 3
-        assert [w.end for w in ts.windows()] == [2.0, 3.0]
-        assert len(ts.windows(last=1)) == 1
+
+def agreement_session():
+    disk = FaultyDisk(FaultPlan(), page_size=512, armed=False)
+    rng = random.Random(11)
+    session = StorageSession(buffer_pages=16, page_size=512, disk=disk)
+    session.register("R", make_relation(rng, 20, 0))
+    session.register("S", make_relation(rng, 20, 1000))
+    session.registry = MetricsRegistry()
+    session.recorder = FlightRecorder()
+    return session
+
+
+def run_agreement_op(session, prepared, op, i):
+    make_plan, outcome = AGREEMENT_OPS[op]
+    if make_plan is not None:
+        session.disk.plan = make_plan()
+        session.disk.armed = True
+    try:
+        if op == "ok":
+            session.query(f"SELECT R.K FROM R WHERE R.V > {i}")
+        elif op == "prepared":
+            prepared.execute()
+        elif op == "timeout":
+            session.query(TYPE_J_SQL, timeout_ms=20)
+        else:
+            session.query(TYPE_J_SQL)
+    except FuzzyQueryError:
+        assert outcome != "ok", op
+    else:
+        assert outcome == "ok", op
+    finally:
+        session.disk.armed = False
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.sampled_from(sorted(AGREEMENT_OPS)), min_size=1, max_size=8))
+def test_registry_and_recorder_agree_by_construction(ops):
+    session = agreement_session()
+    prepared = session.prepare(TYPE_J_SQL)
+    for i, op in enumerate(ops):
+        run_agreement_op(session, prepared, op, i)
+    registry, events = session.registry, session.recorder.events()
+    assert registry.queries_total == session.recorder.recorded_total == len(ops)
+    assert [e.outcome for e in events] == [AGREEMENT_OPS[op][1] for op in ops]
+    totals = {
+        "page_reads_total": sum(e.page_reads for e in events),
+        "page_writes_total": sum(e.page_writes for e in events),
+        "fuzzy_evaluations_total": sum(e.fuzzy_evaluations for e in events),
+        "io_retries_total": sum(e.io_retries for e in events),
+        "queries_degraded_total": sum(e.degraded for e in events),
+        "queries_failed_total": sum(e.outcome == "error" for e in events),
+        "queries_timeout_total": sum(e.outcome == "timeout" for e in events),
+        "prepared_executions_total": sum(e.prepared for e in events),
+        "plan_cache_hits_total": sum(e.plan_cache == "hit" for e in events),
+    }
+    assert {name: getattr(registry, name) for name in totals} == totals
+    if "degraded" in ops:
+        assert registry.queries_degraded_total > 0
+    if "retried" in ops:
+        assert registry.io_retries_total > 0
+
+
+# ----------------------------------------------------------------------
+# Rates over a window of events
+# ----------------------------------------------------------------------
+def event(**fields):
+    """A synthetic query event: an empty statement's with ``fields`` set."""
+    return replace(build_event("SELECT R.K FROM R"), **fields)
+
+
+def healthy_window(n=100, hits=90, misses=10):
+    """``n`` clean events, the first ``hits + misses`` of them cache lookups."""
+    caches = ["hit"] * hits + ["miss"] * misses
+    return [event(plan_cache=caches[i] if i < len(caches) else "") for i in range(n)]
+
+
+def mark(events, count, **fields):
+    """``events`` with ``fields`` set on the first ``count`` of them."""
+    return [replace(e, **fields) if i < count else e for i, e in enumerate(events)]
+
+
+def shard_event(*io):
+    """An event whose shard ``i`` read and wrote ``io[i]`` pages each."""
+    return event(shards=tuple(ShardIO(i, 0, n, n, 0) for i, n in enumerate(io)))
+
+
+class TestTimeSeries:
+    """The recorder's ring is the workload's time series: a window is a
+    run of its events, and every rate is computed from the events."""
 
     def test_window_rates_from_synthetic_deltas(self):
-        window = Window(0.0, 60.0, {
-            "queries": 120.0,
-            "queries_degraded_total": 6.0,
-            "shard_failovers_total": 30.0,
-            "queries_failed_total": 2.0,
-            "queries_timeout_total": 1.0,
-            "plan_cache_hits_total": 90.0,
-            "plan_cache_misses_total": 30.0,
-            "join_q_error_sum": 240.0,
-            "join_q_error_count": 120.0,
-        })
-        assert window.duration == 60.0
-        assert window.queries_per_second == pytest.approx(2.0)
-        assert window.degraded_rate == pytest.approx(0.05)
-        assert window.failover_rate == pytest.approx(0.25)
-        assert window.error_rate == pytest.approx(0.025)
-        assert window.cache_hit_rate == pytest.approx(0.75)
-        assert window.mean_q_error == pytest.approx(2.0)
+        outcomes = ["error"] * 2 + ["timeout"]
+        events = healthy_window(n=120, hits=90, misses=30)
+        events = [
+            replace(
+                e,
+                degraded=i < 6,
+                shard_failovers=1 if i < 30 else 0,
+                outcome=outcomes[i] if i < len(outcomes) else "ok",
+                q_errors=(2.0,),
+            )
+            for i, e in enumerate(events)
+        ]
+        report = evaluate_health(events)
+        assert report.queries == 120
+        assert report.signal("degraded-rate").value == pytest.approx(0.05)
+        assert report.signal("failover-rate").value == pytest.approx(0.25)
+        assert report.signal("error-rate").value == pytest.approx(0.025)
+        assert report.signal("cache-hit-floor").value == pytest.approx(0.75)
+        assert report.signal("q-error-drift").value == pytest.approx(2.0)
 
     def test_empty_window_rates_are_zero_or_undefined(self):
-        window = Window(5.0, 5.0, {})
-        assert window.queries_per_second == 0.0
-        assert window.degraded_rate == 0.0
-        assert window.cache_hit_rate is None
-        assert window.mean_q_error is None
-        assert window.shard_skew == 1.0
-        assert window.latency_quantile(0.95) == 0.0
+        report = evaluate_health([])
+        assert report.queries == 0 and report.ok
+        assert report.signal("degraded-rate").value == 0.0
+        assert report.signal("error-rate").value == 0.0
+        assert report.signal("shard-skew").value == 1.0
+        assert "no q-error observations" in report.signal("q-error-drift").message
+        assert "too few" in report.signal("cache-hit-floor").message
 
     def test_shard_io_and_skew_fold_reads_and_writes(self):
-        window = Window(0.0, 1.0, {
-            "shard_page_reads:0": 10.0,
-            "shard_page_writes:0": 10.0,
-            "shard_page_reads:1": 30.0,
-            "shard_page_writes:1": 30.0,
-        })
-        assert window.shard_io() == {"0": 20.0, "1": 60.0}
-        assert window.shard_skew == pytest.approx(1.5)  # 60 / mean(40)
+        # Shard 0 moved 10 + 10 pages, shard 1 30 + 30, over two events.
+        skewed = [shard_event(10, 0), shard_event(0, 30)]
+        assert evaluate_health(skewed).signal("shard-skew").value == pytest.approx(1.5)
         # One active shard: skew undefined, reported as balanced.
-        single = Window(0.0, 1.0, {"shard_page_reads:0": 10.0})
-        assert single.shard_skew == 1.0
-
-    def test_latency_quantile_interpolates_bucket_deltas(self):
-        registry = MetricsRegistry()
-        ts = TimeSeries(registry, at=0.0)
-        for wall in (0.001, 0.001, 0.001, 0.009):
-            registry.observe(QueryMetrics(), wall_seconds=wall)
-        window = ts.snapshot(at=1.0)
-        # Three of four observations sit at or below the 1ms bound.
-        assert window.latency_quantile(0.5) <= 0.001
-        assert 0.001 < window.latency_quantile(0.99) <= 0.01
-
-    def test_lifetime_window_exposes_raw_totals(self):
-        session = build_session()
-        session.registry = MetricsRegistry()
-        for _ in range(3):
-            session.query(TYPE_J_SQL)
-        window = lifetime_window(session.registry)
-        assert window.queries == 3
-        assert window.duration == 0.0
-        assert window.delta("page_reads_total") > 0
+        single = [shard_event(10)]
+        assert evaluate_health(single).signal("shard-skew").value == 1.0
 
 
 # ----------------------------------------------------------------------
 # Health rules
 # ----------------------------------------------------------------------
-def healthy_window(**overrides):
-    deltas = {
-        "queries": 100.0,
-        "plan_cache_hits_total": 90.0,
-        "plan_cache_misses_total": 10.0,
-    }
-    deltas.update(overrides)
-    return Window(0.0, 60.0, deltas)
-
-
 class TestHealthRules:
     def test_clean_window_is_ok_on_every_signal(self):
         report = evaluate_health(healthy_window())
         assert report.ok and report.level == "ok"
         assert {s.level for s in report.signals} == {"ok"}
-        assert report.queries == 100.0 and report.duration == 60.0
+        assert report.queries == 100
 
     def test_degraded_rate_warns_then_goes_critical(self):
-        warn = evaluate_health(healthy_window(queries_degraded_total=10.0))
+        warn = evaluate_health(mark(healthy_window(), 10, degraded=True))
         assert warn.signal("degraded-rate").level == "warn"
         assert warn.level == "warn"
-        critical = evaluate_health(healthy_window(queries_degraded_total=60.0))
+        critical = evaluate_health(mark(healthy_window(), 60, degraded=True))
         assert critical.signal("degraded-rate").level == "critical"
         assert critical.level == "critical"
 
     def test_any_failover_warns(self):
-        report = evaluate_health(healthy_window(shard_failovers_total=1.0))
+        report = evaluate_health(mark(healthy_window(), 1, shard_failovers=1))
         assert report.signal("failover-rate").level == "warn"
 
     def test_error_rate_counts_failures_timeouts_and_cancellations(self):
-        report = evaluate_health(healthy_window(
-            queries_failed_total=10.0,
-            queries_timeout_total=10.0,
-            queries_cancelled_total=10.0,
-        ))
-        signal = report.signal("error-rate")
+        outcomes = ["error"] * 10 + ["timeout"] * 10 + ["cancelled"] * 10
+        events = [
+            replace(e, outcome=outcomes[i] if i < len(outcomes) else "ok")
+            for i, e in enumerate(healthy_window())
+        ]
+        signal = evaluate_health(events).signal("error-rate")
         assert signal.value == pytest.approx(0.3)
         assert signal.level == "critical"  # above the 25% default
 
     def test_shard_skew_thresholds(self):
-        hot = healthy_window(**{
-            "shard_page_reads:0": 10.0, "shard_page_reads:1": 90.0,
-        })
+        hot = [shard_event(5, 45), *healthy_window()]
         report = evaluate_health(hot)
         assert report.signal("shard-skew").value == pytest.approx(1.8)
         assert report.signal("shard-skew").level == "ok"
@@ -436,9 +501,7 @@ class TestHealthRules:
         assert report.signal("shard-skew").level == "warn"
 
     def test_q_error_drift_grades_the_window_mean(self):
-        drifted = healthy_window(
-            join_q_error_sum=2000.0, join_q_error_count=100.0
-        )
+        drifted = mark(healthy_window(), 100, q_errors=(20.0,))
         report = evaluate_health(drifted)
         assert report.signal("q-error-drift").level == "critical"
         silent = evaluate_health(healthy_window())
@@ -447,30 +510,22 @@ class TestHealthRules:
 
     def test_cache_floor_needs_enough_lookups_to_judge(self):
         # 4 lookups < the default minimum of 8: not judged, stays ok.
-        sparse = Window(0.0, 1.0, {
-            "queries": 4.0,
-            "plan_cache_hits_total": 0.0,
-            "plan_cache_misses_total": 4.0,
-        })
+        sparse = healthy_window(n=4, hits=0, misses=4)
         report = evaluate_health(sparse)
         assert report.signal("cache-hit-floor").level == "ok"
         assert "too few" in report.signal("cache-hit-floor").message
-        cold = healthy_window(
-            plan_cache_hits_total=2.0, plan_cache_misses_total=8.0
-        )
+        cold = healthy_window(hits=2, misses=8)
         assert evaluate_health(cold).signal("cache-hit-floor").level == "warn"
-        frozen = healthy_window(
-            plan_cache_hits_total=0.0, plan_cache_misses_total=20.0
-        )
+        frozen = healthy_window(hits=0, misses=20)
         assert (
             evaluate_health(frozen).signal("cache-hit-floor").level
             == "critical"
         )
 
     def test_render_leads_with_the_folded_level(self):
-        report = evaluate_health(healthy_window(queries_degraded_total=10.0))
+        report = evaluate_health(mark(healthy_window(), 10, degraded=True))
         text = report.render()
-        assert text.startswith("health: warn (100 queries over 60.0s)")
+        assert text.startswith("health: warn (100 queries)")
         assert "[    warn] degraded-rate:" in text
         assert text.count("\n") == 6  # header + six rule lines
 
@@ -478,16 +533,29 @@ class TestHealthRules:
 # ----------------------------------------------------------------------
 # Health end to end: clean vs chaos (the acceptance pair)
 # ----------------------------------------------------------------------
+def signals(report):
+    return [(s.name, s.level, pytest.approx(s.value)) for s in report.signals]
+
+
 class TestHealthEndToEnd:
     def test_clean_repeated_workload_reports_ok(self):
         session = build_session()
-        session.registry = MetricsRegistry()
+        session.recorder = FlightRecorder()
         for _ in range(10):
             session.query(TYPE_J_SQL)
         report = session.health()
         assert report.ok, report.render()
         # Enough lookups that the cache floor was actually judged.
         assert "hit rate" in report.signal("cache-hit-floor").message
+        assert report.queries == 10
+        assert signals(report) == [
+            ("degraded-rate", "ok", 0.0),
+            ("failover-rate", "ok", 0.0),
+            ("error-rate", "ok", 0.0),
+            ("shard-skew", "ok", 1.0),
+            ("q-error-drift", "ok", 1.0),
+            ("cache-hit-floor", "ok", 0.9),
+        ]
 
     def test_chaos_workload_flags_degraded_and_failover(self):
         session = build_sharded_chaos(dead=(1,))
@@ -499,24 +567,42 @@ class TestHealthEndToEnd:
         assert not report.ok
         assert report.signal("degraded-rate").level in ("warn", "critical")
         assert report.signal("failover-rate").level in ("warn", "critical")
+        assert signals(report) == [
+            ("degraded-rate", "critical", 1.0),
+            ("failover-rate", "critical", 6.0),
+            ("error-rate", "ok", 0.0),
+            ("shard-skew", "ok", 1.1172413793103448),
+            ("q-error-drift", "ok", 1.0),
+            ("cache-hit-floor", "ok", 1.0),
+        ]
         # The flight recorder saw the same story, per shard.
         event = session.recorder.events()[-1]
         assert event.degraded and event.shard_failovers > 0
         assert any(sh.failovers > 0 for sh in event.shards)
 
-    def test_health_uses_the_timeseries_when_attached(self):
+    def test_health_judges_the_last_n_events(self):
         session = build_session()
-        session.registry = MetricsRegistry()
-        session.timeseries = TimeSeries(session.registry, at=0.0)
+        session.recorder = FlightRecorder()
+        token = CancelToken()
+        token.cancel()
+        with pytest.raises(QueryCancelledError):
+            session.query(TYPE_J_SQL, cancel=token)
         for _ in range(4):
             session.query(TYPE_J_SQL)
-        session.timeseries.snapshot(at=30.0)
-        report = session.health()
-        assert report.queries == 4
-        assert report.duration == 30.0  # window span, not lifetime
+        whole = session.health()
+        assert whole.queries == 5
+        assert whole.signal("error-rate").value == pytest.approx(0.2)
+        recent = session.health(last=4)
+        assert recent.queries == 4
+        assert recent.signal("error-rate").value == 0.0
 
     def test_health_without_sinks_raises_a_typed_error(self):
         session = build_session()
+        with pytest.raises(FuzzyQueryError):
+            session.health()
+        # Lifetime counters alone are not judged: health reads the events.
+        session.registry = MetricsRegistry()
+        session.query(TYPE_J_SQL)
         with pytest.raises(FuzzyQueryError):
             session.health()
 
@@ -559,46 +645,46 @@ class TestHealthEndToEnd:
 
 
 # ----------------------------------------------------------------------
-# Query log: ring, slow boundary, fingerprint groups
+# The slow-query report: ring, slow boundary, fingerprint groups
 # ----------------------------------------------------------------------
 class TestQueryLogRing:
     def test_ring_wraps_at_capacity_and_totals_survive(self):
-        log = QueryLog(capacity=4)
+        recorder = FlightRecorder(capacity=4)
         for i in range(10):
-            log.record(f"SELECT R.K FROM R WHERE R.K = {i}", rows=1)
-        assert len(log) == 4
-        assert log.recorded_total == 10
+            recorder.record(build_event(f"SELECT R.K FROM R WHERE R.K = {i}", rows=1))
+        assert len(recorder) == 4
+        assert recorder.recorded_total == 10
         # Oldest evicted first: the retained tail is the last four.
-        kept = [e.sql for e in log.entries]
+        kept = [e.sql for e in recorder.events()]
         assert kept == [
             f"SELECT R.K FROM R WHERE R.K = {i}" for i in (6, 7, 8, 9)
         ]
-        assert "10 recorded (4 retained)" in log.summarize()
+        assert "10 recorded (4 retained)" in recorder.summarize()
 
     def test_slow_threshold_boundary_is_inclusive(self):
-        log = QueryLog(slow_threshold_seconds=0.1)
-        log.record("SELECT R.K FROM R", wall_seconds=0.0999)
-        assert log.slow_total == 0
-        log.record("SELECT R.K FROM R", wall_seconds=0.1)  # exactly at
-        assert log.slow_total == 1
-        log.record("SELECT R.K FROM R", wall_seconds=0.3)
-        assert log.slow_total == 2
-        assert [e.wall_seconds for e in log.slow()] == [0.3, 0.1]
+        recorder = FlightRecorder()
+        for wall in (0.0999, 0.1, 0.3):  # below, exactly at, above
+            recorder.record(build_event("SELECT R.K FROM R", wall_seconds=wall))
+        assert [e.wall_seconds for e in recorder.slow(0.1)] == [0.3, 0.1]
+        assert "2 slow (>= 100ms)" in recorder.summarize(slow_threshold=0.1)
+        assert recorder.slow(0.3001) == []
 
     def test_summarize_groups_statements_by_fingerprint(self):
-        log = QueryLog()
+        recorder = FlightRecorder()
         for i in range(3):
-            log.record(f"SELECT R.K FROM R WHERE R.V > {i}", wall_seconds=0.01)
-        log.record("SELECT R.K FROM R", wall_seconds=0.001)
-        groups = log.by_fingerprint()
+            recorder.record(
+                build_event(f"SELECT R.K FROM R WHERE R.V > {i}", wall_seconds=0.01)
+            )
+        recorder.record(build_event("SELECT R.K FROM R", wall_seconds=0.001))
+        groups = recorder.by_fingerprint()
         assert len(groups) == 2
-        assert sorted(len(v) for v in groups.values()) == [1, 3]
-        text = log.summarize()
+        assert sorted(s.count for s in groups.values()) == [1, 3]
+        text = recorder.summarize()
         assert "top 2 statements by total wall time:" in text
         # The repeated shape dominates total wall time, so it leads.
         lines = text.splitlines()
         top_line = lines[lines.index("top 2 statements by total wall time:") + 1]
-        assert "n=3" in top_line
+        assert "n=3" in top_line and "R.V > ?" in top_line
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Workload-level observability: tracer, registry, query log, q-error.
+"""Workload-level observability: tracer, registry, slow-query log, q-error.
 
 Covers the span tracer (tree shape against the executed plan, Chrome
 ``trace_event`` export), the process-lifetime :class:`MetricsRegistry`
-(Prometheus text exposition, fold-once semantics), the bounded
-:class:`QueryLog`, the per-edge fan-out hook of ``estimate_rows``, the
-q-error column of EXPLAIN ANALYZE, and the no-double-counting regression
-when a collector, a registry, and a query log all watch the same query.
+(Prometheus text exposition, fold-once semantics), the slow-query views
+of the :class:`FlightRecorder`, the per-edge fan-out hook of
+``estimate_rows``, the q-error column of EXPLAIN ANALYZE, and the
+no-double-counting regression when a collector, a registry, and a
+recorder all watch the same query.
 """
 
 import json
@@ -18,14 +19,16 @@ from repro.data import FuzzyRelation, FuzzyTuple, Schema
 from repro.db import FuzzyDatabase
 from repro.fuzzy import CrispNumber, TrapezoidalNumber
 from repro.observe import (
+    FlightRecorder,
     MetricsRegistry,
-    QueryLog,
     QueryMetrics,
     SpanTracer,
+    build_event,
     estimate_rows,
     maybe_span,
     q_error,
 )
+from repro.observe.registry import DEFAULT_BUCKETS
 from repro.session import StorageSession
 
 N = CrispNumber
@@ -194,7 +197,7 @@ class TestZeroOverhead:
         plain = build_session()
         watched = build_session()
         watched.registry = MetricsRegistry()
-        watched.query_log = QueryLog()
+        watched.recorder = FlightRecorder()
 
         bare = plain.query(TYPE_J_SQL)
         observed = watched.query(TYPE_J_SQL, tracer=SpanTracer())
@@ -260,12 +263,17 @@ class TestMetricsRegistry:
         assert "fuzzysql_query_seconds" in families
 
     def test_histogram_buckets_are_cumulative(self):
-        registry = MetricsRegistry(latency_buckets=(0.1, 1.0, 10.0))
+        registry = MetricsRegistry()
+        assert registry.latency.bounds == DEFAULT_BUCKETS
         for value in (0.05, 0.5, 0.5, 5.0, 50.0):
             registry.latency.observe(value)
-        assert registry.latency.bucket_counts == [1, 3, 4]
+        counts = dict(zip(DEFAULT_BUCKETS, registry.latency.bucket_counts))
+        assert (counts[0.025], counts[0.05], counts[0.5], counts[5.0], counts[10.0]) == (
+            0, 1, 3, 4, 4,
+        )
         assert registry.latency.count == 5
         rendered = "\n".join(registry.latency.render("x_seconds", "test"))
+        assert 'x_seconds_bucket{le="0.5"} 3' in rendered
         assert 'x_seconds_bucket{le="+Inf"} 5' in rendered
         assert "x_seconds_count 5" in rendered
 
@@ -280,15 +288,16 @@ class TestMetricsRegistry:
         session.query(TYPE_J_SQL, metrics=metrics)
         before = list(metrics.page_trace)
         registry = MetricsRegistry()
-        registry.observe(metrics, wall_seconds=0.01, rows=5)
-        registry.observe(metrics, wall_seconds=0.01, rows=5)
+        registry.observe(build_event(TYPE_J_SQL, metrics, wall_seconds=0.01, rows=5))
+        registry.observe(build_event(TYPE_J_SQL, metrics, wall_seconds=0.01, rows=5))
         assert list(metrics.page_trace) == before
         assert registry.rows_returned_total == 10  # caller controls fold count
+        assert registry.page_reads_total == 2 * metrics.stats.total.page_reads
 
 
 class TestNoDoubleCounting:
     def test_page_trace_identical_with_registry_and_log_attached(self):
-        """The regression: collector + registry + log must observe ONE run.
+        """The regression: collector + registry + recorder observe ONE run.
 
         The page-access trace of a caller-supplied collector is replayed
         bit-identically whether or not workload sinks are attached, and
@@ -301,7 +310,7 @@ class TestNoDoubleCounting:
 
         sinked = build_session()
         sinked.registry = MetricsRegistry()
-        sinked.query_log = QueryLog()
+        sinked.recorder = FlightRecorder()
         collector_sinked = QueryMetrics()
         sinked.query(TYPE_J_SQL, metrics=collector_sinked)
 
@@ -318,56 +327,57 @@ class TestNoDoubleCounting:
         assert sinked.registry.page_writes_total == total.page_writes
         assert sinked.registry.fuzzy_evaluations_total == total.fuzzy_evaluations
         assert sinked.registry.queries_total == 1
-        assert sinked.query_log.recorded_total == 1
-        entry = sinked.query_log.entries[0]
-        assert entry.page_reads == total.page_reads
+        assert sinked.recorder.recorded_total == 1
+        event = sinked.recorder.events()[0]
+        assert event.page_reads == total.page_reads
 
 
 # ----------------------------------------------------------------------
-# The query log
+# The slow-query log: views over the flight recorder
 # ----------------------------------------------------------------------
 class TestQueryLog:
     def test_records_sql_strategy_and_io(self):
         session = build_session()
-        session.query_log = QueryLog(slow_threshold_seconds=0.0)
+        session.recorder = FlightRecorder()
         session.query(TYPE_J_SQL)
-        assert len(session.query_log) == 1
-        entry = session.query_log.entries[0]
-        assert entry.sql == TYPE_J_SQL
-        assert entry.nesting_type == "J"
-        assert entry.strategy == "flat/J: merge-join plan"
-        assert entry.rewrite == "IN -> flat equi-join (Theorems 4.1/4.2)"
-        assert entry.rows >= 0 and entry.page_ios > 0
-        assert session.query_log.slow() == [entry]  # threshold 0: everything is slow
+        assert len(session.recorder) == 1
+        event = session.recorder.events()[0]
+        assert event.sql == TYPE_J_SQL
+        assert event.nesting == "J"
+        assert event.strategy == "flat/J: merge-join plan"
+        assert event.rewrite == "IN -> flat equi-join (Theorems 4.1/4.2)"
+        assert event.rows >= 0 and event.page_ios > 0
+        assert session.recorder.slow(0.0) == [event]  # threshold 0: everything is slow
 
     def test_fast_queries_are_not_flagged_slow(self):
-        log = QueryLog(slow_threshold_seconds=10.0)
-        log.record("SELECT 1", wall_seconds=0.001)
-        assert log.slow_total == 0 and log.slow() == []
+        recorder = FlightRecorder()
+        recorder.record(build_event("SELECT 1", wall_seconds=0.001))
+        assert recorder.slow(10.0) == []
+        assert "0 slow (>= 10000ms)" in recorder.summarize(slow_threshold=10.0)
 
     def test_capacity_evicts_but_totals_survive(self):
-        log = QueryLog(slow_threshold_seconds=0.0, capacity=2)
+        recorder = FlightRecorder(capacity=2)
         for i in range(5):
-            log.record(f"Q{i}", wall_seconds=0.01)
-        assert len(log) == 2
-        assert log.recorded_total == 5
-        assert log.slow_total == 5
-        assert [e.sql for e in log.entries] == ["Q3", "Q4"]
+            recorder.record(build_event(f"Q{i}", wall_seconds=0.01))
+        assert len(recorder) == 2
+        assert recorder.recorded_total == 5
+        assert [e.sql for e in recorder.events()] == ["Q3", "Q4"]
+        # The slow count is a view over the retained events only.
+        assert "5 recorded (2 retained), 2 slow" in recorder.summarize(slow_threshold=0.0)
 
     def test_summarize_reports_strategies_and_slowest(self):
         session = build_session()
-        session.query_log = QueryLog(slow_threshold_seconds=0.0)
+        session.recorder = FlightRecorder()
         session.query(TYPE_J_SQL)
         session.query(TYPE_JX_SQL)
-        report = session.query_log.summarize(top=1)
+        report = session.recorder.summarize(top=1, slow_threshold=0.0)
         assert "2 recorded" in report
         assert "flat/J: merge-join plan" in report
         assert "slowest 1:" in report
 
     def test_sql_is_whitespace_normalized(self):
-        log = QueryLog()
-        entry = log.record("SELECT\n  R.K\nFROM   R")
-        assert entry.sql == "SELECT R.K FROM R"
+        event = build_event("SELECT\n  R.K\nFROM   R")
+        assert event.sql == "SELECT R.K FROM R"
 
 
 # ----------------------------------------------------------------------
@@ -495,13 +505,13 @@ class TestDatabaseSinks:
     def test_registry_and_log_observe_facade_queries(self):
         db = self.build_db()
         db.registry = MetricsRegistry()
-        db.query_log = QueryLog(slow_threshold_seconds=0.0)
+        db.recorder = FlightRecorder()
         result = db.execute("SELECT R.K FROM R WHERE R.V > 5")
         assert len(result) == 2
         assert db.registry.queries_total == 1
         assert db.registry.rows_returned_total == 2
-        assert db.query_log.recorded_total == 1
-        assert db.query_log.entries[0].sql == "SELECT R.K FROM R WHERE R.V > 5"
+        assert db.recorder.recorded_total == 1
+        assert db.recorder.events()[0].sql == "SELECT R.K FROM R WHERE R.V > 5"
 
     def test_caller_collector_still_usable_with_sinks(self):
         db = self.build_db()

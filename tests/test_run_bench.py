@@ -4,9 +4,11 @@ Runs ``benchmarks/run_bench.py`` as a subprocess (the way CI does) at a
 large scale divisor so the whole cycle stays fast: write a baseline,
 verify ``--check`` passes against an identical run, and verify the gate
 *fails* when a 2x slowdown is injected.  Also validates the committed
-seed baseline's shape.
+seed baseline's shape, and the ``--emit-events`` artifact (JSONL events
+plus the health report judged over them).
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -212,3 +214,31 @@ class TestCommittedBaseline:
             data["workloads"]["wal_recovery"]["rows"]
             == data["workloads"]["wal_ingest"]["rows"]
         )
+
+
+#: ``emit_events``' health report.  The q-error drift is the estimator's
+#: (the sweep's chain and JA joins are mis-estimated); this pins the
+#: report, it does not ask for ``ok``.
+EMITTED_HEALTH = """\
+health: critical (10 queries)
+  [      ok] degraded-rate: 0.0% of queries answered degraded
+  [      ok] failover-rate: 0.00 replica failovers per query
+  [      ok] error-rate: 0.0% of queries failed, timed out, or were cancelled
+  [      ok] shard-skew: hottest shard at 1.00x the mean page I/O
+  [critical] q-error-drift: mean join q-error 141.88 (1.00 = perfect estimates)
+  [      ok] cache-hit-floor: plan-cache hit rate 50.0% (floors: warn <50%, critical <10%)
+"""
+
+
+def test_emit_events_writes_one_parseable_event_per_query(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_SCALE", "256")
+    spec = importlib.util.spec_from_file_location("run_bench_module", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    events_path = tmp_path / "events.jsonl"
+    health_path = tmp_path / "events_health.txt"
+    session = module.emit_events(str(events_path), str(health_path))
+    events = [json.loads(line) for line in events_path.read_text().splitlines()]
+    assert len(events) == session.registry.queries_total == 10
+    assert [e["seq"] for e in events] == list(range(1, 11))
+    assert health_path.read_text() == EMITTED_HEALTH
