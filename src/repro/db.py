@@ -235,8 +235,8 @@ class FuzzyDatabase(StatementLifecycle):
         disk), the query runs there with a
         :class:`~repro.observe.metrics.QueryMetrics` collector attached,
         and the report shows the fired rewrite, the physical plan with
-        estimated vs. measured cardinalities, sort shapes, buffer
-        behaviour, and per-phase I/O counts.  With ``shards=N`` the
+        each operator's counted rows, sort shapes, buffer behaviour, and
+        per-phase I/O counts.  With ``shards=N`` the
         scratch session is sharded (placement on ``shard_on``) and the
         report gains the ``shard i [lo, hi)`` table and failover counts.
         """

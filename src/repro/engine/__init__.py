@@ -5,7 +5,6 @@ from .aggregates import AGGREGATE_FUNCS, DegreePolicy, aggregate_degrees, apply_
 from .executor import CompileError, FlatCompiler, execute_unnested_storage
 from .operators import ExecutionContext
 from .optimizer import JoinEdge, JoinPlan, TableEstimate, optimize_join_order
-from .statistics import FanoutEstimate, estimate_fanout, sample_tuples
 from .semantics import NaiveEvaluator
 
 __all__ = [
@@ -22,7 +21,4 @@ __all__ = [
     "JoinEdge",
     "JoinPlan",
     "TableEstimate",
-    "estimate_fanout",
-    "sample_tuples",
-    "FanoutEstimate",
 ]

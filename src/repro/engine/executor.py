@@ -37,7 +37,6 @@ from .operators import (
     Operator,
     Project,
     Scan,
-    Select,
     Threshold,
     TuplePredicate,
     cluster,
@@ -218,18 +217,14 @@ class FlatCompiler:
             query = self._reorder(query, joins, fanout)
 
         plan, columns = self._initial_scan(query.from_tables[0], pushdown, domains)
+        # A join predicate names two FROM bindings (one-binding predicates
+        # are pushed down), so joining the later of them applies it:
+        # nothing is still pending after the last table.
         pending = list(joins)
         selected = {(item.relation, item.attribute) for item in query.select}
         for table in query.from_tables[1:]:
             plan, columns, pending = self._join_in(
                 plan, columns, table, pushdown, pending, bindings, domains, selected
-            )
-
-        if pending:
-            # Cross-block correlations whose band predicate joined earlier.
-            plan = Select(
-                plan,
-                [self._combined_predicate(p, columns, domains) for p in pending],
             )
 
         names = self._layout_names(columns)

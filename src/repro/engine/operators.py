@@ -87,8 +87,6 @@ class Operator:
     schema: Schema
     #: The ``WITH D >= z`` a :class:`Threshold` above handed down (0: none).
     cut = 0.0
-    #: Stamped by :func:`repro.observe.explain.annotate_estimates`.
-    estimated_rows: Optional[float] = None
 
     def tuples(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
         """The operator's output stream, instrumented iff a collector/tracer is attached."""
@@ -479,39 +477,6 @@ class BandFold(Operator):
     def children(self) -> List[Operator]:
         """The outer and inner base-table scans."""
         return [self.outer, self.inner]
-
-
-class Select(Operator):
-    """Residual selection on an intermediate stream."""
-
-    def __init__(self, child: Operator, predicates: Sequence[TuplePredicate]):
-        self.child = child
-        self.predicates = list(predicates)
-        self.schema = child.schema
-
-    def _tuples(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
-        om = ctx.metrics.op(self) if ctx.metrics is not None else None
-        for t in self.child.tuples(ctx):
-            if om is not None:
-                om.rows_in += 1
-            degree = t.degree
-            for predicate in self.predicates:
-                if degree == 0.0:
-                    break
-                degree = min(degree, predicate(t, ctx.stats))
-            if degree > 0.0:
-                yield t.with_degree(degree)
-            elif om is not None:
-                om.prunes += 1
-
-    def describe(self) -> str:
-        """One-line label listing the residual predicates."""
-        preds = ", ".join(p.label for p in self.predicates)
-        return f"Select({preds})"
-
-    def children(self) -> List[Operator]:
-        """The single child operator."""
-        return [self.child]
 
 
 class Project(Operator):

@@ -51,21 +51,32 @@ class FaultyDisk(SimulatedDisk):
 
     def __init__(self, plan: FaultPlan, page_size: int = DEFAULT_PAGE_SIZE, armed: bool = True):
         super().__init__(page_size=page_size)
-        self.plan = plan
         #: Per-file images as of the last honest fsync (or of arm time);
         #: :meth:`crash` restores exactly these.
         self._durable: Dict[str, List[bytes]] = {}
         self._armed = False
+        self.plan = plan
         #: When ``False`` the disk behaves exactly like its parent; flip
         #: to ``True`` after loading fixtures to start injecting faults.
         self.armed = armed
         self._read_ordinal = 0
         self._write_ordinal = 0
         self._sync_ordinal = 0
-        # Burst state of the read currently being retried: the page key it
-        # belongs to and how many more attempts must still fail.
-        self._retry_key = None
-        self._retry_pending = 0
+
+    def _forget_burst(self) -> None:
+        """Drop the burst state of the read being retried: the page key
+        it belongs to and how many more attempts must still fail."""
+        self._retry_key, self._retry_pending = None, 0
+
+    @property
+    def plan(self) -> FaultPlan:
+        """The fault schedule; installing one forgets any burst in flight."""
+        return self._plan
+
+    @plan.setter
+    def plan(self, plan: FaultPlan) -> None:
+        self._plan = plan
+        self._forget_burst()
 
     @property
     def armed(self) -> bool:
@@ -74,11 +85,13 @@ class FaultyDisk(SimulatedDisk):
 
     @armed.setter
     def armed(self, value: bool) -> None:
-        """Arm or disarm; arming snapshots all files as durably written."""
+        """Arm or disarm; arming snapshots all files as durably written.
+        Either way a burst left by an escaped fault is forgotten."""
         value = bool(value)
         if value and not self._armed:
             self._durable = {name: list(pages) for name, pages in self._files.items()}
         self._armed = value
+        self._forget_burst()
 
     # ------------------------------------------------------------------
     # Fault-injecting transfer hooks
@@ -102,7 +115,7 @@ class FaultyDisk(SimulatedDisk):
             return super()._fetch(name, index)
         # A different page while burst state lingers means the faulted
         # read was abandoned (its error escaped the retry budget).
-        self._retry_key, self._retry_pending = None, 0
+        self._forget_burst()
         ordinal = self._read_ordinal
         self._read_ordinal += 1
         spike = self.plan.read_spike_seconds(ordinal)
@@ -172,7 +185,7 @@ class FaultyDisk(SimulatedDisk):
         schedule left armed and its ordinals advancing where they were.
         """
         self._files = {name: list(pages) for name, pages in self._durable.items()}
-        self._retry_key, self._retry_pending = None, 0
+        self._forget_burst()
 
     # ------------------------------------------------------------------
     # Helpers

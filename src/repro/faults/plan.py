@@ -29,17 +29,6 @@ class FaultCounters:
     lost_syncs: int = 0
     crash_points: int = 0
 
-    def total(self) -> int:
-        """All injected faults, every kind."""
-        return (
-            self.transient_reads
-            + self.torn_writes
-            + self.disk_full
-            + self.latency_spikes
-            + self.lost_syncs
-            + self.crash_points
-        )
-
 
 @dataclass
 class FaultPlan:

@@ -8,16 +8,16 @@ must be able to *show its work*.  This package provides
   every layer (operators, joins, external sort, buffer pool, simulated
   disk) reports into when one is attached to the
   :class:`~repro.engine.operators.ExecutionContext`;
-* :mod:`~repro.observe.explain` — cardinality estimation and rendering of
-  physical plans as indented trees, with optimizer estimates next to the
-  measured counters (``EXPLAIN`` / ``EXPLAIN ANALYZE``), including the
-  per-join q-error against sampled fan-outs;
+* :mod:`~repro.observe.explain` — rendering of physical plans as
+  indented trees (``EXPLAIN``) and, under a collector, each operator's
+  counted rows, prunes and time (``EXPLAIN ANALYZE``); it shows what ran
+  and estimates nothing;
 * :class:`~repro.observe.trace.SpanTracer` — a hierarchical span tracer
   (parse / bind / rewrite / sort / merge / probe) exportable as Chrome
   ``trace_event`` JSON for ``chrome://tracing`` / Perfetto;
 * :class:`~repro.observe.recorder.QueryEvent` — the one per-query record
   (plan summary, cache outcome, page I/O, comparison counts, modelled
-  seconds, per-shard I/O, q-errors, typed failure), built once per query
+  seconds, per-shard I/O, typed failure), built once per query
   by :func:`~repro.observe.recorder.build_event` and handed to both
   workload sinks:
 
@@ -41,14 +41,7 @@ recorder attached the hot paths run the exact same code as before
 (guarded by ``if ctx.metrics is not None`` / ``if tracer is not None``).
 """
 
-from .explain import (
-    annotate_estimates,
-    estimate_rows,
-    join_q_errors,
-    q_error,
-    render_plan,
-    render_report,
-)
+from .explain import render_plan, render_report
 from .fingerprint import (
     Fingerprint,
     canonicalize_sql,
@@ -97,16 +90,12 @@ __all__ = [
     "SortMetrics",
     "Span",
     "SpanTracer",
-    "annotate_estimates",
     "build_event",
     "canonicalize_sql",
-    "estimate_rows",
     "evaluate_health",
     "fingerprint",
     "fingerprint_sql",
-    "join_q_errors",
     "maybe_span",
-    "q_error",
     "render_plan",
     "render_report",
     "statement_template",

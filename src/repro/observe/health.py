@@ -3,8 +3,8 @@
 :func:`evaluate_health` computes its rates directly from a list of
 :class:`~repro.observe.recorder.QueryEvent` — ``session.health()`` passes
 the flight recorder's retained events, or the last N of them — and turns
-them into an operational verdict.  Six rules, each an input signal a
-statistics-driven planner could consume:
+them into an operational verdict.  Five rules, each over counted
+events:
 
 * **degraded-rate** — fraction of queries answered by a fallback
   strategy; any degradation warns, a majority is critical.
@@ -14,8 +14,6 @@ statistics-driven planner could consume:
   query.
 * **shard-skew** — max-over-mean per-shard page I/O; a hot shard warns,
   a pathological imbalance is critical.
-* **q-error drift** — mean per-join q-error; estimates drifting far from
-  measured fan-outs mean plans are being chosen on stale statistics.
 * **cache-hit floor** — the plan-cache hit rate falling through a floor
   (judged only once enough lookups happened to be meaningful).
 
@@ -48,8 +46,6 @@ class HealthThresholds:
     error_critical: float = 0.25
     shard_skew_warn: float = 2.0
     shard_skew_critical: float = 4.0
-    q_error_warn: float = 4.0
-    q_error_critical: float = 16.0
     #: Hit-rate floors (falling *below* trips the level) and the minimum
     #: lookup volume before the cache rule is judged at all.
     cache_hit_floor_warn: float = 0.5
@@ -146,20 +142,6 @@ def evaluate_health(
         skew,
         f"hottest shard at {skew:.2f}x the mean page I/O",
     ))
-
-    q_errors = [q for e in events for q in e.q_errors]
-    if not q_errors:
-        signals.append(HealthSignal(
-            "q-error-drift", "ok", 1.0, "no q-error observations"
-        ))
-    else:
-        q = sum(q_errors) / len(q_errors)
-        signals.append(HealthSignal(
-            "q-error-drift",
-            _grade(q, t.q_error_warn, t.q_error_critical),
-            q,
-            f"mean join q-error {q:.2f} (1.00 = perfect estimates)",
-        ))
 
     hits = sum(1 for e in events if e.plan_cache == "hit")
     lookups = hits + sum(1 for e in events if e.plan_cache in ("miss", "invalidated"))

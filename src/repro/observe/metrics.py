@@ -169,12 +169,6 @@ class QueryMetrics:
         self.requested_shards: int = 0
         #: Replica failovers performed by shard tasks during this query.
         self.shard_failovers: int = 0
-        #: Per-join q-errors of the executed plan (estimate vs measured
-        #: rows), stamped by the session when a flat plan ran under a
-        #: collector.  Pure arithmetic over counters already gathered —
-        #: no extra I/O — and the input of the registry's q-error drift
-        #: signal.
-        self.q_errors: List[float] = []
 
     # ------------------------------------------------------------------
     # Parallel / sharded execution

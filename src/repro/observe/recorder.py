@@ -6,8 +6,8 @@ hands the same event to every workload sink: the
 :class:`~repro.observe.registry.MetricsRegistry` folds it into lifetime
 counters, and the flight recorder keeps it — fingerprint, strategy,
 plan-cache outcome, worker budget, per-shard I/O and failovers, partition
-counts, degraded flag, join q-errors, sort shapes, rows per operator kind,
-the typed error name on failure — in a bounded ring, exportable as JSON
+counts, degraded flag, sort shapes, rows per operator kind, the typed
+error name on failure — in a bounded ring, exportable as JSON
 Lines.
 
 Attach one by assigning ``session.recorder`` (or ``db.recorder``); the
@@ -72,7 +72,6 @@ class QueryEvent:
     partitions: int
     shards: Tuple[ShardIO, ...]
     shard_failovers: int
-    q_errors: Tuple[float, ...]
     rows: int
     wall_seconds: float
     modelled_seconds: float
@@ -97,7 +96,6 @@ class QueryEvent:
         """The event as one JSON line (stable key order)."""
         payload = asdict(self)
         payload["shards"] = [asdict(sh) for sh in self.shards]
-        payload["q_errors"] = list(self.q_errors)
         payload["operator_rows"] = dict(self.operator_rows)
         return json.dumps(payload, sort_keys=True)
 
@@ -150,7 +148,6 @@ def build_event(
             for sh in m.shards
         ),
         shard_failovers=m.shard_failovers,
-        q_errors=tuple(m.q_errors),
         rows=rows,
         wall_seconds=wall_seconds,
         modelled_seconds=PAPER_1992.response_seconds(total),

@@ -122,10 +122,6 @@ class MetricsRegistry:
         #: Per-shard page I/O, keyed by shard index (as a string label).
         self.shard_page_reads: Counter = Counter()
         self.shard_page_writes: Counter = Counter()
-        #: Join q-error accumulation (sum + observation count), folded
-        #: from events whose session stamped per-join q-errors.
-        self.join_q_error_sum = 0.0
-        self.join_q_error_count = 0
         self.latency = Histogram()
         #: Folding is serialized so concurrent sessions can share a
         #: registry (``run_batch`` drives queries from worker threads).
@@ -178,9 +174,6 @@ class MetricsRegistry:
                     self.shard_page_reads[str(shard.index)] += shard.page_reads
                     self.shard_page_writes[str(shard.index)] += shard.page_writes
             self.shard_failovers_total += event.shard_failovers
-            for q in event.q_errors:
-                self.join_q_error_sum += q
-                self.join_q_error_count += 1
             if event.degraded:
                 self.queries_degraded_total += 1
             if event.outcome == "timeout":
@@ -372,8 +365,6 @@ class MetricsRegistry:
             ("wal_snapshots_total", "Heap versions installed by the write path.", self.wal_snapshots_total),
             ("wal_recoveries_total", "Crash recoveries completed.", self.wal_recoveries_total),
             ("wal_replayed_records_total", "Row records replayed by crash recovery.", self.wal_replayed_records_total),
-            ("join_q_error_sum", "Sum of per-join q-errors stamped on collectors.", self.join_q_error_sum),
-            ("join_q_error_count", "Number of per-join q-error observations.", self.join_q_error_count),
         ):
             qualified = f"{NAMESPACE}_{name}"
             families.append([

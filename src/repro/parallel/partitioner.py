@@ -26,9 +26,31 @@ from ..fuzzy.interval_order import sort_key
 from ..storage.heap import HeapFile
 from ..storage.stats import OperationStats
 
-#: Default page-sample size for boundary selection (matches the fan-out
-#: sampler in :mod:`repro.engine.statistics`).
+#: Default page-sample size for boundary selection.
 DEFAULT_SAMPLE_SIZE = 64
+
+
+def sample_tuples(heap: HeapFile, k: int, rng: random.Random, stats: Optional[OperationStats] = None):
+    """Page-level sampling: draw ``k`` tuples by sampling pages uniformly.
+
+    Charges one page read per distinct sampled page (cheaper and more
+    realistic than row-level sampling on a paged store).
+    """
+    if heap.n_pages == 0 or k <= 0:
+        return []
+    out = []
+    pages = list(range(heap.n_pages))
+    rng.shuffle(pages)
+    scratch = OperationStats()
+    with heap.disk.use_stats(stats if stats is not None else scratch):
+        for page_index in pages:
+            page = heap.disk.read_page(heap.name, page_index)
+            for record in page.records():
+                out.append(heap.serializer.decode(record))
+            if len(out) >= k:
+                break
+    rng.shuffle(out)
+    return out[:k]
 
 
 def select_boundaries(endpoints: List, n_slices: int) -> List:
@@ -127,8 +149,6 @@ class RangePartitioner:
         """
         if workers < 2:
             return None
-        from ..engine.statistics import sample_tuples
-
         sample = sample_tuples(heap, sample_size, random.Random(seed), stats)
         index = heap.schema.index_of(attribute)
         boundaries = select_boundaries([sort_key(t[index])[0] for t in sample], workers)

@@ -15,7 +15,8 @@ compiled plan a reusable object:
 * :class:`~repro.service.plancache.PlanCache` — an LRU cache of prepared
   queries keyed on normalized SQL text, validated against per-relation
   statistics versions (:class:`~repro.engine.statistics.StatisticsVersions`)
-  so data or fan-out drift invalidates stale plans.
+  so registration, DDL and writes past the cache rule invalidate stale
+  plans.
 
 See ``docs/query_service.md`` for the API walkthrough and the
 thread-safety contract.

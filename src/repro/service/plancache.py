@@ -102,24 +102,6 @@ class PlanCache:
         with self._lock:
             return self._entries.get(key)
 
-    def invalidate(self, relation: Optional[str] = None) -> int:
-        """Drop entries touching ``relation`` (or all); returns the count."""
-        with self._lock:
-            if relation is None:
-                dropped = len(self._entries)
-                self._entries.clear()
-            else:
-                name = relation.upper()
-                stale = [
-                    key for key, entry in self._entries.items()
-                    if name in entry.tokens
-                ]
-                for key in stale:
-                    del self._entries[key]
-                dropped = len(stale)
-            self.invalidations += dropped
-            return dropped
-
     def __len__(self) -> int:
         return len(self._entries)
 

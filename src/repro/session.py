@@ -35,7 +35,7 @@ from .engine.executor import CompileError, DmlColumns, compile_conjunction, inte
 from .engine.operators import ExecutionContext
 from .engine.semantics import NaiveEvaluator
 from .engine.statistics import StatisticsVersions
-from .observe.explain import join_q_errors, render_plan, render_report
+from .observe.explain import render_report
 from .observe.metrics import QueryMetrics
 from .observe.trace import SpanTracer, maybe_span
 from .fuzzy.compare import Op
@@ -141,9 +141,8 @@ class StorageSession(StatementLifecycle):
         self.last_stats = OperationStats()
         self.last_strategy: str = ""
         #: Per-relation statistics versions; bumped on (re)registration,
-        #: on a write that moves a row count past the cache rule, and on
-        #: sampled fan-out drift.  Plan-cache entries validate against
-        #: these tokens.
+        #: re-indexing, and a write that moves a row count past the cache
+        #: rule.  Plan-cache entries validate against these tokens.
         self.stats_versions = StatisticsVersions()
         #: LRU cache of prepared plans for textual ``query()`` calls.
         #: Assign ``None`` to disable caching entirely.
@@ -664,7 +663,7 @@ class StorageSession(StatementLifecycle):
                 return self._run_naive(query, artifact, stats, metrics, tracer)
             self.last_plan = operator
             self._announce(artifact, metrics)
-            relation = operator.to_relation(
+            return operator.to_relation(
                 ExecutionContext(
                     self.disk,
                     self.buffer_pages,
@@ -678,11 +677,6 @@ class StorageSession(StatementLifecycle):
                     catalog=self,
                 )
             )
-        if metrics is not None:
-            # This run's own plan, not the shared ``last_plan`` another
-            # thread of ``run_batch`` may have replaced meanwhile.
-            metrics.q_errors = join_q_errors(operator, metrics)
-        return relation
 
     def _announce(self, artifact: PlanArtifact, metrics: Optional[QueryMetrics]) -> None:
         """Publish the strategy about to run (``last_strategy``, collector)."""
@@ -739,7 +733,7 @@ class StorageSession(StatementLifecycle):
             lines.append(f"refused: {artifact.refused}")
         lines.append(f"strategy: {artifact.strategy}")
         if artifact.operator is not None:
-            lines.append(render_plan(artifact.operator))
+            lines.append(artifact.operator.explain())
         return "\n".join(lines)
 
     def explain_analyze(
@@ -751,10 +745,11 @@ class StorageSession(StatementLifecycle):
         """Run the query fully instrumented and render the analysis.
 
         The report shows the nesting type, the rewrite that fired, the
-        strategy taken, the physical plan (estimated next to measured
-        cardinalities, with per-join q-error from sampled fan-outs) or the
-        storage-level executor's counters, sort shapes, buffer behaviour,
-        and per-phase I/O and comparison counts.  With ``workers > 1``
+        strategy taken, the physical plan with each operator's counted
+        rows, prunes and time, sort shapes, buffer behaviour, and
+        per-phase I/O and comparison counts.  It runs exactly what
+        ``query(sql, metrics=QueryMetrics())`` runs and reads no other
+        page, so it moves neither the plan cache nor a fault schedule.  With ``workers > 1``
         the report additionally shows the partition table of the parallel
         merge-join (per-partition rows and pages) and the modelled
         parallel response time.
@@ -766,71 +761,7 @@ class StorageSession(StatementLifecycle):
             plan=self.last_plan,
             n_answers=len(result),
             buffer_pages=self.buffer_pages,
-            edge_fanouts=self.sampled_edge_fanouts(self.last_plan) or None,
         )
-
-    def sampled_edge_fanouts(
-        self, plan=None, sample_size: int = 64, seed: int = 0
-    ) -> Dict[int, float]:
-        """Sampled fan-out per merge-join of ``plan``, keyed by ``id(op)``.
-
-        For each :class:`~repro.engine.operators.MergeJoinOp` the base heap
-        files carrying the two join attributes are sampled
-        (:func:`~repro.engine.statistics.estimate_fanout`), replacing the
-        paper's constant ``C`` with a per-edge estimate.  Sampling I/O is
-        charged to a scratch ledger, never to :attr:`last_stats`.  Joins
-        whose base relations cannot be identified (or whose sample came up
-        empty) are simply absent — the caller's constant is the fallback.
-        """
-        from .engine.operators import MergeJoinOp, Scan, live_heap
-        from .engine.statistics import estimate_fanout
-
-        plan = plan if plan is not None else self.last_plan
-        if plan is None:
-            return {}
-
-        def base_heap(node, attribute):
-            stack = [node]
-            while stack:
-                op = stack.pop()
-                if isinstance(op, Scan) and any(
-                    a.name == attribute for a in op.schema
-                ):
-                    return live_heap(op, self)
-                stack.extend(op.children())
-            return None
-
-        fanouts: Dict[int, float] = {}
-        scratch = OperationStats()
-        stack = [plan]
-        while stack:
-            op = stack.pop()
-            if isinstance(op, MergeJoinOp):
-                left = base_heap(op.left, op.left_attr)
-                right = base_heap(op.right, op.right_attr)
-                if left is not None and right is not None:
-                    estimate = estimate_fanout(
-                        left,
-                        right,
-                        attribute=op.left_attr,
-                        sample_size=sample_size,
-                        seed=seed,
-                        stats=scratch,
-                        inner_attribute=op.right_attr,
-                    )
-                    if estimate.pairs_checked:
-                        fanouts[id(op)] = estimate.edge_fanout()
-                        # Feed the drift detector: a fan-out moving past
-                        # the tolerance bumps the relation's statistics
-                        # version and invalidates cached plans over it.
-                        self.stats_versions.record_fanout(
-                            left.name, op.left_attr, estimate.edge_fanout()
-                        )
-                        self.stats_versions.record_fanout(
-                            right.name, op.right_attr, estimate.edge_fanout()
-                        )
-            stack.extend(op.children())
-        return fanouts
 
     # ------------------------------------------------------------------
     # No unnested form: naive evaluation over buffered reads

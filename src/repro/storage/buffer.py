@@ -88,19 +88,6 @@ class BufferPool:
         """Whether the page currently occupies a frame."""
         return (file, index) in self._frames
 
-    def drop(self, file: str, index: int) -> None:
-        """Release a frame without further use (the merge scan's page retire)."""
-        key = (file, index)
-        with self._lock:
-            self._pins.pop(key, None)
-            self._frames.pop(key, None)
-
-    def flush(self) -> None:
-        """Forget all cached frames (pages here are read-only images)."""
-        with self._lock:
-            self._frames.clear()
-            self._pins.clear()
-
     @property
     def in_use(self) -> int:
         """Number of currently pinned frames."""

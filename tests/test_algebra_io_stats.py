@@ -1,5 +1,5 @@
-"""Tests for the fuzzy relational algebra, loaders, sampling statistics,
-and the equality-indicator merge-join option."""
+"""Tests for the fuzzy relational algebra, loaders, the partitioner's page
+sampler, and the equality-indicator merge-join option."""
 
 import random
 
@@ -8,7 +8,6 @@ import pytest
 from repro.data import Catalog, FuzzyRelation, FuzzyTuple, Schema, Attribute, AttributeType
 from repro.data import algebra
 from repro.data.io import LoadError, dump_json, load_csv, load_json, parse_value
-from repro.engine.statistics import estimate_fanout, sample_tuples
 from repro.fuzzy import (
     CrispLabel,
     CrispNumber,
@@ -18,6 +17,7 @@ from repro.fuzzy import (
     paper_vocabulary,
 )
 from repro.join import JoinPredicate, MergeJoin, join_degree
+from repro.parallel.partitioner import sample_tuples
 from repro.storage import HeapFile, OperationStats, SimulatedDisk
 from repro.workload.generator import WorkloadSpec, build_workload
 
@@ -214,7 +214,7 @@ class TestJSON:
 
 
 # ----------------------------------------------------------------------
-# Sampling statistics
+# Page sampling (the partitioner's boundary sample)
 # ----------------------------------------------------------------------
 
 class TestSamplingStats:
@@ -234,28 +234,12 @@ class TestSamplingStats:
         sample_tuples(workload.outer, 10, random.Random(2), stats)
         assert stats.total.page_reads >= 1
 
-    def test_estimate_tracks_true_fanout(self):
-        for c in (2, 16):
-            workload = self._workload(c)
-            estimate = estimate_fanout(
-                workload.outer, workload.inner, sample_size=128, seed=5
-            )
-            assert c / 3 <= estimate.fanout <= c * 3, (c, estimate)
-
-    def test_estimate_orders_workloads(self):
-        low = estimate_fanout(
-            self._workload(2).outer, self._workload(2).inner, sample_size=128, seed=5
-        )
-        high = estimate_fanout(
-            self._workload(32).outer, self._workload(32).inner, sample_size=128, seed=5
-        )
-        assert high.fanout > low.fanout
-
     def test_empty_relation(self):
         disk = SimulatedDisk(page_size=1024)
         empty = HeapFile("E", Schema(["ID", "X"]), disk, fixed_tuple_size=64)
-        estimate = estimate_fanout(empty, empty)
-        assert estimate.fanout == 0.0
+        stats = OperationStats()
+        assert sample_tuples(empty, 10, random.Random(2), stats) == []
+        assert stats.total.page_reads == 0
 
 
 # ----------------------------------------------------------------------

@@ -237,6 +237,50 @@ def test_scripted_burst_beyond_budget_escapes_typed():
     assert_no_leaks(session)
 
 
+def test_rearming_forgets_an_escaped_burst():
+    """A burst that escaped the retry budget does not outlive its plan:
+    disarm, install a fault-free plan, re-arm, and the next query answers."""
+    sql = CASES["J"]
+    session = build_faulted(0, FaultPlan(transient_read_rate=1.0, transient_burst=8))
+    with pytest.raises(TransientIOError):
+        session.query(sql)
+    session.disk.armed = False
+    session.disk.plan = FaultPlan()
+    session.disk.armed = True
+    assert session.query(sql).same_as(build_session(0).query(sql), 0.0)
+    assert_no_leaks(session)
+
+
+class FetchCountingDisk(FaultyDisk):
+    """A fault-free :class:`FaultyDisk` that counts its raw page fetches."""
+
+    def __init__(self):
+        super().__init__(FaultPlan(), page_size=512, armed=False)
+        self.fetches = 0
+
+    def _fetch(self, name, index):
+        self.fetches += 1
+        return super()._fetch(name, index)
+
+
+@pytest.mark.parametrize("label", ["J", "chain"])
+def test_explain_analyze_reads_exactly_what_the_query_reads(label):
+    """Observing is free: EXPLAIN ANALYZE fetches the pages the same query
+    under a collector fetches, so a seeded schedule after it is unmoved."""
+    disk = FetchCountingDisk()
+    session = build_session(0, disk=disk)
+    disk.armed = True
+
+    def fetches(run):
+        before = disk.fetches
+        run(CASES[label])
+        return disk.fetches - before
+
+    collected = fetches(lambda sql: session.query(sql, metrics=QueryMetrics()))
+    assert collected > 0
+    assert fetches(session.explain_analyze) == collected
+
+
 # ----------------------------------------------------------------------
 # Timeouts and cancellation
 # ----------------------------------------------------------------------

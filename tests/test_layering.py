@@ -22,8 +22,10 @@ never parse or build a record: they key it with
 ``storage/serializer.py``.  Every query's
 :class:`~repro.observe.recorder.QueryEvent` is built in one function and
 handed to the registry and the flight recorder in one place, so the two
-workload sinks cannot drift apart.  Runs in the suite and as a standalone
-CI lint step::
+workload sinks cannot drift apart.  Observing is free: only the write and
+DDL paths move a statistics version, and EXPLAIN, EXPLAIN ANALYZE and the
+health report move none, so looking at a query never invalidates a
+cached plan.  Runs in the suite and as a standalone CI lint step::
 
     python -m pytest -q tests/test_layering.py
 """
@@ -206,6 +208,55 @@ def test_one_query_event_feeds_both_sinks():
         "service/lifecycle.py::StatementLifecycle._observe_query",
         "service/lifecycle.py::StatementLifecycle._observe_query",
     ]
+
+
+def moves_a_version(call) -> bool:
+    """A ``….stats_versions.bump(…)`` or ``….stats_versions.observe_cardinality(…)`` call."""
+    func = call.func
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr in ("bump", "observe_cardinality")
+        and getattr(func.value, "attr", None) == "stats_versions"
+    )
+
+
+def test_only_writes_and_ddl_move_a_statistics_version():
+    assert call_sites("", moves_a_version) == [
+        "session.py::StorageSession.register",
+        "session.py::StorageSession.create_index",
+        "session.py::StorageSession.attach",
+        "session.py::StorageSession._execute_define",
+        "session.py::StorageSession._execute_drop",
+        "wal/manager.py::WriteManager._install",
+        "wal/manager.py::WriteManager.checkpoint",
+        "wal/manager.py::WriteManager.recover",
+    ]
+
+
+def test_observing_a_query_moves_no_statistics_version():
+    import random
+
+    from repro.data import FuzzyRelation, Schema
+    from repro.observe import FlightRecorder
+    from repro.session import StorageSession
+
+    rng = random.Random(5)
+    session = StorageSession(buffer_pages=16, page_size=512)
+    for name, base in (("R", 0), ("S", 100)):
+        rows = [(base + i, rng.randint(0, 4), rng.randint(0, 4)) for i in range(20)]
+        session.register(name, FuzzyRelation.from_rows(Schema(["K", "U", "V"]), rows))
+    session.recorder = FlightRecorder()
+    moved = []
+    versions = session.stats_versions
+    before = versions.snapshot(["R", "S"])
+    versions.bump = lambda *args, **kwargs: moved.append(("bump", args))
+    versions.observe_cardinality = lambda *args, **kwargs: moved.append(("observe", args))
+    sql = "SELECT R.K FROM R WHERE R.V IN (SELECT S.V FROM S WHERE S.U = R.U)"
+    session.explain(sql)
+    session.explain_analyze(sql)
+    session.health()
+    assert moved == []
+    assert versions.snapshot(["R", "S"]) == before
 
 
 #: ``StorageSession.__init__``'s keywords.  ``adaptive`` is accepted and

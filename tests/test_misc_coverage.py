@@ -6,9 +6,9 @@ import pytest
 
 from repro.bench.harness import main, run_all, to_markdown
 from repro.data import FuzzyTuple, Schema
-from repro.engine.statistics import sample_tuples
 from repro.fuzzy import CrispNumber, Op
 from repro.fuzzy.membership import PiecewiseLinear
+from repro.parallel.partitioner import sample_tuples
 from repro.sql import LexError, ParseError, parse, tokenize
 from repro.storage import (
     HeapFile,

@@ -1,4 +1,4 @@
-"""The query observability layer: collector, estimates, EXPLAIN ANALYZE."""
+"""The query observability layer: collector, plan rendering, EXPLAIN ANALYZE."""
 
 import random
 
@@ -8,13 +8,7 @@ from repro.data import Catalog, FuzzyRelation, FuzzyTuple, Schema
 from repro.db import FuzzyDatabase
 from repro.engine import NaiveEvaluator
 from repro.fuzzy import CrispNumber, TrapezoidalNumber
-from repro.observe import (
-    QueryMetrics,
-    annotate_estimates,
-    estimate_rows,
-    render_plan,
-    render_report,
-)
+from repro.observe import QueryMetrics, render_plan, render_report
 from repro.session import StorageSession
 
 N = CrispNumber
@@ -115,25 +109,20 @@ class TestQueryMetrics:
         assert replay.re_fetches == 0
 
 
-class TestEstimates:
-    def test_scan_and_join_estimates(self):
+class TestRenderPlan:
+    def test_render_plan_shows_only_what_ran(self):
         _, session = build_session(n=20)
-        session.query("SELECT R.K FROM R WHERE R.U > 2")
-        plan = session.last_plan
-        assert plan is not None
-        estimates = annotate_estimates(plan)
-        assert estimates[id(plan)] == estimate_rows(plan)
-        for node_id, value in estimates.items():
-            assert value >= 0.0
-        assert plan.estimated_rows is not None
-
-    def test_render_plan_shows_estimates(self):
-        _, session = build_session(n=20)
-        session.query(TYPE_J_SQL)
-        text = render_plan(session.last_plan)
-        assert "est=" in text
-        assert "MaxFold(V = V)" in text
-        assert "Scan" in text
+        metrics = QueryMetrics()
+        session.query(TYPE_J_SQL, metrics=metrics)
+        tree = session.last_plan.explain().splitlines()
+        analyzed = render_plan(session.last_plan, metrics).splitlines()
+        assert len(analyzed) == len(tree)
+        assert all(line.startswith(node) for line, node in zip(analyzed, tree))
+        assert "MaxFold(V = V)" in analyzed[2]
+        # The merge join reads its inputs' heaps, so the scans count nothing.
+        assert all("rows=" in line and "time=" in line for line in analyzed[:3])
+        assert analyzed[3:] == tree[3:]
+        assert not any("est=" in line or "q=" in line for line in analyzed)
 
 
 class TestSessionInstrumentation:
@@ -195,17 +184,17 @@ class TestExplainAnalyze:
         assert "rewrite: IN -> flat equi-join (Theorems 4.1/4.2)" in report
         assert "strategy: flat/J: merge-join plan" in report
         assert "MaxFold(V = V)" in report
-        assert "est=" in report and "rows=" in report  # estimated vs actual
+        assert "rows=" in report and "est=" not in report  # counted, not guessed
         assert "merge passes" in report  # sort shapes
         assert "buffer" in report  # hit/miss profile
         assert "io[sort]" in report and "io[join]" in report
         assert "answer:" in report
 
-    def test_explain_shows_estimates_without_running(self):
+    def test_explain_shows_the_plan_without_running(self):
         _, session = build_session()
         text = session.explain(TYPE_J_SQL)
         assert "rewrite:" in text
-        assert "est=" in text
+        assert "MaxFold(V = V)" in text
         assert "rows=" not in text  # EXPLAIN never executes
 
     def test_report_renders_for_every_strategy(self):

@@ -221,7 +221,7 @@ class TestFlightRecorder:
         assert first.nesting == "J"
         assert first.page_reads > 0
         assert first.modelled_seconds > 0.0
-        assert first.q_errors  # the session stamps per-join q-errors
+        assert dict(first.operator_rows)["MaxFold"] > 0  # counted per operator kind
 
     def test_top_groups_same_statement_across_literals(self):
         # The \top acceptance shape: four literal bindings of one
@@ -270,28 +270,32 @@ class TestFlightRecorder:
         summary = session.recorder.by_fingerprint()[event.fingerprint]
         assert summary.errors == 1
 
-    def test_run_batch_events_carry_their_own_plans_q_errors(self):
+    def test_run_batch_events_carry_their_own_plans_counts(self):
         # Under run_batch(workers=4) other threads replace the session's
         # shared last_plan mid-query; every event must still carry the
-        # q-errors of the plan that produced it, as the serial run does.
+        # counts of the plan that produced it, as the serial run does.
         shapes = [
-            TYPE_J_SQL,  # (1.0,)
-            "SELECT R.K FROM R WHERE R.U IN (SELECT S.V FROM S WHERE S.K = R.K)",  # (30.0,)
+            TYPE_J_SQL,
+            "SELECT R.K FROM R WHERE R.U IN (SELECT S.V FROM S WHERE S.K = R.K)",
             "SELECT R.K FROM R WHERE R.V NOT IN (SELECT S.V FROM S WHERE S.U = R.U)",
-            "SELECT R.K FROM R WHERE R.V > 3",  # no join: ()
+            "SELECT R.K FROM R WHERE R.V > 3",  # no join
         ]
+
+        def counts(event):
+            return event.strategy, event.operator_rows, event.page_reads
+
         serial = build_session()
         serial.recorder = FlightRecorder()
         for sql in shapes:
             serial.query(sql)
-        expected = {e.sql: e.q_errors for e in serial.recorder.events()}
-        assert {(30.0,), (1.0,), ()} <= set(expected.values())
+        expected = {e.sql: counts(e) for e in serial.recorder.events()}
+        assert len(set(expected.values())) == len(shapes)
         batch = build_session()
         batch.recorder = FlightRecorder()
         batch.run_batch(shapes * 75, workers=4)
         events = batch.recorder.events()
         assert len(events) == 300
-        assert [e.sql for e in events if e.q_errors != expected[e.sql]] == []
+        assert [e.sql for e in events if counts(e) != expected[e.sql]] == []
 
     def test_recorder_alone_forces_collection_without_perturbing_counters(self):
         # Zero-overhead contract, recorder edition: attaching only a
@@ -428,7 +432,6 @@ class TestTimeSeries:
                 degraded=i < 6,
                 shard_failovers=1 if i < 30 else 0,
                 outcome=outcomes[i] if i < len(outcomes) else "ok",
-                q_errors=(2.0,),
             )
             for i, e in enumerate(events)
         ]
@@ -438,7 +441,6 @@ class TestTimeSeries:
         assert report.signal("failover-rate").value == pytest.approx(0.25)
         assert report.signal("error-rate").value == pytest.approx(0.025)
         assert report.signal("cache-hit-floor").value == pytest.approx(0.75)
-        assert report.signal("q-error-drift").value == pytest.approx(2.0)
 
     def test_empty_window_rates_are_zero_or_undefined(self):
         report = evaluate_health([])
@@ -446,7 +448,6 @@ class TestTimeSeries:
         assert report.signal("degraded-rate").value == 0.0
         assert report.signal("error-rate").value == 0.0
         assert report.signal("shard-skew").value == 1.0
-        assert "no q-error observations" in report.signal("q-error-drift").message
         assert "too few" in report.signal("cache-hit-floor").message
 
     def test_shard_io_and_skew_fold_reads_and_writes(self):
@@ -500,14 +501,6 @@ class TestHealthRules:
         )
         assert report.signal("shard-skew").level == "warn"
 
-    def test_q_error_drift_grades_the_window_mean(self):
-        drifted = mark(healthy_window(), 100, q_errors=(20.0,))
-        report = evaluate_health(drifted)
-        assert report.signal("q-error-drift").level == "critical"
-        silent = evaluate_health(healthy_window())
-        assert silent.signal("q-error-drift").level == "ok"
-        assert "no q-error observations" in silent.signal("q-error-drift").message
-
     def test_cache_floor_needs_enough_lookups_to_judge(self):
         # 4 lookups < the default minimum of 8: not judged, stays ok.
         sparse = healthy_window(n=4, hits=0, misses=4)
@@ -527,7 +520,7 @@ class TestHealthRules:
         text = report.render()
         assert text.startswith("health: warn (100 queries)")
         assert "[    warn] degraded-rate:" in text
-        assert text.count("\n") == 6  # header + six rule lines
+        assert text.count("\n") == 5  # header + five rule lines
 
 
 # ----------------------------------------------------------------------
@@ -553,7 +546,6 @@ class TestHealthEndToEnd:
             ("failover-rate", "ok", 0.0),
             ("error-rate", "ok", 0.0),
             ("shard-skew", "ok", 1.0),
-            ("q-error-drift", "ok", 1.0),
             ("cache-hit-floor", "ok", 0.9),
         ]
 
@@ -572,7 +564,6 @@ class TestHealthEndToEnd:
             ("failover-rate", "critical", 6.0),
             ("error-rate", "ok", 0.0),
             ("shard-skew", "ok", 1.1172413793103448),
-            ("q-error-drift", "ok", 1.0),
             ("cache-hit-floor", "ok", 1.0),
         ]
         # The flight recorder saw the same story, per shard.

@@ -1,12 +1,11 @@
-"""Workload-level observability: tracer, registry, slow-query log, q-error.
+"""Workload-level observability: tracer, registry, slow-query log, reports.
 
 Covers the span tracer (tree shape against the executed plan, Chrome
 ``trace_event`` export), the process-lifetime :class:`MetricsRegistry`
 (Prometheus text exposition, fold-once semantics), the slow-query views
-of the :class:`FlightRecorder`, the per-edge fan-out hook of
-``estimate_rows``, the q-error column of EXPLAIN ANALYZE, and the
-no-double-counting regression when a collector, a registry, and a
-recorder all watch the same query.
+of the :class:`FlightRecorder`, EXPLAIN ANALYZE for the chain / JA /
+JALL strategies, and the no-double-counting regression when a
+collector, a registry, and a recorder all watch the same query.
 """
 
 import json
@@ -24,9 +23,7 @@ from repro.observe import (
     QueryMetrics,
     SpanTracer,
     build_event,
-    estimate_rows,
     maybe_span,
-    q_error,
 )
 from repro.observe.registry import DEFAULT_BUCKETS
 from repro.session import StorageSession
@@ -381,82 +378,10 @@ class TestQueryLog:
 
 
 # ----------------------------------------------------------------------
-# q-error and per-edge fan-outs
-# ----------------------------------------------------------------------
-class TestQError:
-    def test_symmetric_and_floored(self):
-        assert q_error(10, 10) == 1.0
-        assert q_error(20, 10) == 2.0
-        assert q_error(10, 20) == 2.0
-        assert q_error(0, 0) == 1.0  # both floored at 1
-
-    def test_explain_analyze_shows_q_error_per_join(self):
-        session = build_session()
-        report = session.explain_analyze(TYPE_J_SQL)
-        join_lines = [l for l in report.splitlines() if "MaxFold" in l]
-        assert join_lines
-        assert all(re.search(r"q=\d+\.\d\d", l) for l in join_lines)
-
-    def test_sampled_edge_fanouts_cover_every_merge_join(self):
-        from repro.engine.operators import MergeJoinOp
-
-        session = build_session()
-        session.query(TYPE_J_SQL)
-        plan = session.last_plan
-        fanouts = session.sampled_edge_fanouts(plan)
-
-        joins = []
-        stack = [plan]
-        while stack:
-            op = stack.pop()
-            if isinstance(op, MergeJoinOp):
-                joins.append(op)
-            stack.extend(op.children())
-        assert joins
-        for op in joins:
-            assert id(op) in fanouts
-            assert fanouts[id(op)] >= 1.0
-
-    def test_sampling_does_not_touch_the_query_ledger(self):
-        session = build_session()
-        session.query(TYPE_J_SQL)
-        before = session.last_stats.total.page_reads
-        session.sampled_edge_fanouts(session.last_plan)
-        assert session.last_stats.total.page_reads == before
-
-    def test_estimate_rows_uses_per_edge_fanout(self):
-        session = build_session(tables=("R", "S", "W"))
-        session.query(CHAIN_SQL)
-        plan = session.last_plan
-
-        from repro.engine.operators import MergeJoinOp
-
-        # The chain's R-S edge emits pairs; its W edge is a max-fold.
-        stack, join, fold = [plan], None, None
-        while stack:
-            op = stack.pop()
-            if isinstance(op, MergeJoinOp):
-                if op.folds:
-                    fold = op
-                else:
-                    join = op
-            stack.extend(op.children())
-        assert join is not None and fold is not None and fold.left is join
-
-        constant = estimate_rows(join, fanout=7.0)
-        doubled = estimate_rows(join, fanout=7.0, edge_fanouts={id(join): 14.0})
-        missing = estimate_rows(join, fanout=7.0, edge_fanouts={})
-        assert doubled > constant  # the per-edge value overrides
-        assert missing == constant  # absent edge falls back to the constant
-        # A max-fold emits each outer tuple at most once, whatever its fan-out.
-        assert estimate_rows(fold, fanout=7.0, edge_fanouts={id(fold): 14.0}) == constant
-
-
-# ----------------------------------------------------------------------
 # Explain rendering for the chain / JA / JALL strategies
 # ----------------------------------------------------------------------
 class TestStrategyReports:
-    def test_chain_report_renders_rule_and_estimates(self):
+    def test_chain_report_renders_rule_and_counts(self):
         session = build_session(tables=("R", "S", "W"))
         report = session.explain_analyze(CHAIN_SQL)
         assert "nesting type: chain" in report
@@ -464,9 +389,9 @@ class TestStrategyReports:
         assert "strategy: flat/chain: merge-join plan" in report
         join_lines = [l for l in report.splitlines() if "MergeJoin" in l or "MaxFold" in l]
         assert len(join_lines) == 2  # R-S and S-W edges of the chain
-        assert all("est=" in l and "q=" in l for l in join_lines)
+        assert all("rows=" in l and "est=" not in l for l in join_lines)
 
-    def test_ja_report_renders_rule_and_estimates(self):
+    def test_ja_report_renders_rule_and_counts(self):
         session = build_session()
         report = session.explain_analyze(TYPE_JA_SQL)
         assert "nesting type: JA" in report
@@ -476,9 +401,9 @@ class TestStrategyReports:
         )
         assert "strategy: pipelined/JA: T1/T2 merge pass" in report
         line = next(l for l in report.splitlines() if l.startswith("JAPipeline"))
-        assert "est=" in line and "q=" in line and "rows=" in line
+        assert "rows=" in line and "est=" not in line and "q=" not in line
 
-    def test_jall_report_renders_rule_and_estimates(self):
+    def test_jall_report_renders_rule_and_counts(self):
         session = build_session()
         report = session.explain_analyze(TYPE_JALL_SQL)
         assert "nesting type: JALL" in report
@@ -489,7 +414,7 @@ class TestStrategyReports:
         line = next(
             l for l in report.splitlines() if l.startswith("GroupedAntiJoin")
         )
-        assert "est=" in line and "q=" in line and "rows=" in line
+        assert "rows=" in line and "est=" not in line and "q=" not in line
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,6 @@ import repro.session
 from repro.data import Catalog, FuzzyRelation, FuzzyTuple, Schema
 from repro.engine.aggregates import DegreePolicy
 from repro.fuzzy import CrispNumber as N
-from repro.observe.explain import render_plan
 from repro.planner import plan
 from repro.session import StorageSession
 from repro.sql.classify import classify
@@ -143,7 +142,7 @@ def explain_text(nesting, artifact) -> str:
         lines.append(f"refused: {artifact.refused}")
     lines.append(f"strategy: {artifact.strategy}")
     if artifact.operator is not None:
-        lines.append(render_plan(artifact.operator))
+        lines.append(artifact.operator.explain())
     return "\n".join(lines)
 
 
