@@ -139,8 +139,8 @@ class FuzzyDatabase(StatementLifecycle):
     # ------------------------------------------------------------------
     # The lifecycle hooks: prepare, plan tokens, the one runner
     # ------------------------------------------------------------------
-    def _prepare(self, sql, tracer=None, text: Optional[str] = None) -> PreparedQuery:
-        """Parse, classify and plan (``tracer``: the in-memory engine has no spans)."""
+    def _prepare(self, sql, metrics=None, text: Optional[str] = None) -> PreparedQuery:
+        """Parse, classify and plan (``metrics``: the in-memory engine opens no spans)."""
         template = self._select(sql)
         nesting = classify(template, self.catalog)
         n_params = count_parameters(template)
@@ -181,7 +181,7 @@ class FuzzyDatabase(StatementLifecycle):
         return tokens
 
     def _run_prepared(
-        self, prepared: PreparedQuery, params: tuple, collector, tracer=None
+        self, prepared: PreparedQuery, params: tuple, collector
     ) -> FuzzyRelation:
         """The one runner: bind values, finish planning, evaluate."""
         query, artifact = prepared.bind(params), prepared.artifact
@@ -260,11 +260,12 @@ class FuzzyDatabase(StatementLifecycle):
         return session
 
     def trace(self, sql: Union[str, SelectQuery]):
-        """Run a query on the storage engine with a span tracer attached.
+        """Run a query on the storage engine and return its span tracer.
 
         Like :meth:`explain_analyze`, the catalog is materialized into a
         scratch :class:`~repro.session.StorageSession`; the returned
-        :class:`~repro.observe.trace.SpanTracer` holds the span tree
+        :class:`~repro.observe.trace.SpanTracer` — the run's collector's —
+        holds the span tree
         (``render_tree()``) and exports Chrome ``trace_event`` JSON
         (``export(path)``).
         """

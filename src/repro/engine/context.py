@@ -23,10 +23,10 @@ class ExecutionContext:
     """Shared disk, buffer budget, and statistics for one plan execution.
 
     ``metrics`` is an optional :class:`~repro.observe.metrics.QueryMetrics`
-    collector and ``tracer`` an optional
-    :class:`~repro.observe.trace.SpanTracer`; when both are ``None`` (the
-    default) the operators run the exact pre-observability code paths —
-    every touch point is guarded by an ``is not None`` check.
+    collector, the query's one instrument: its counters and its span tree
+    (``metrics.tracer``).  When it is ``None`` (the default) the operators
+    run the exact pre-observability code paths — every touch point is
+    guarded by an ``is not None`` check.
 
     ``workers`` and ``shards`` are *execution-time* knobs, never baked
     into a plan: cached operator trees are shared across sessions and
@@ -49,8 +49,6 @@ class ExecutionContext:
         buffer_pages: int,
         stats: Optional[OperationStats] = None,
         metrics=None,
-        tracer=None,
-        pool=None,
         workers: int = 1,
         guard=None,
         kernel=None,
@@ -64,7 +62,6 @@ class ExecutionContext:
         self.buffer_pages = buffer_pages
         self.stats = stats if stats is not None else OperationStats()
         self.metrics = metrics
-        self.tracer = tracer
         self.workers = max(1, workers)
         self.guard = guard
         self.shards = max(1, shards)
@@ -76,11 +73,6 @@ class ExecutionContext:
         if metrics is not None:
             metrics.parallel_workers = self.workers
             metrics.requested_shards = self.shards if sharded is not None else 0
-        #: Optional :class:`~repro.storage.buffer.BufferPool`;
-        #: :meth:`release` unpins all of its frames so a failed
-        #: query can never wedge a shared pool into
-        #: :class:`~repro.storage.buffer.BufferExhaustedError`.
-        self.pool = pool
         #: Scratch heap files materialized during this execution; deleted
         #: by :meth:`release` whether the plan finished or failed.
         self.scratch_files: List[str] = []
@@ -139,13 +131,12 @@ class ExecutionContext:
                 workers=self.workers,
                 placement=self.placement,
                 tables=(outer_table, inner_table),
-                metrics=self.metrics, tracer=self.tracer,
+                metrics=self.metrics,
                 guard=self.guard,
             )
         else:
             join = MergeJoin(
-                self.disk, self.buffer_pages, self.stats,
-                metrics=self.metrics, tracer=self.tracer,
+                self.disk, self.buffer_pages, self.stats, metrics=self.metrics
             )
         try:
             yield join
@@ -154,15 +145,13 @@ class ExecutionContext:
                 self.mark_degraded(join.fallback_reason)
 
     def release(self) -> None:
-        """Free everything this execution held: scratch files and pins.
+        """Delete the scratch files this execution materialized.
 
         Idempotent, and called from a ``finally`` in
         :meth:`~repro.engine.operators.Operator.to_relation` so that
         neither a completed nor a failed plan leaks scratch heaps onto the
-        shared disk or leaves pages pinned in a shared buffer pool.
+        shared disk.
         """
         for name in self.scratch_files:
             self.disk.delete(name)
         self.scratch_files.clear()
-        if self.pool is not None:
-            self.pool.unpin_all()

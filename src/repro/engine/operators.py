@@ -89,12 +89,10 @@ class Operator:
     cut = 0.0
 
     def tuples(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
-        """The operator's output stream, instrumented iff a collector/tracer is attached."""
+        """The operator's output stream, instrumented iff a collector is attached."""
         stream = self._tuples(ctx)
         if ctx.metrics is not None:
             stream = ctx.metrics.stream(self, stream)
-        if ctx.tracer is not None:
-            stream = ctx.tracer.stream(self.describe(), stream)
         return stream
 
     def _tuples(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
@@ -125,8 +123,7 @@ class Operator:
         """Run the plan and collect the answer with fuzzy-OR dedup.
 
         Whatever happens — success, a typed storage fault, a timeout —
-        the context is released afterwards, deleting scratch heaps and
-        unpinning any attached buffer pool.
+        the context is released afterwards, deleting scratch heaps.
         """
         try:
             return FuzzyRelation(self.schema, self.tuples(ctx))
@@ -224,37 +221,14 @@ def _live(mapping, key, what):
         ) from None
 
 
-class Materialize(Operator):
-    """Write a stream to a scratch heap file (needed before sorting)."""
-
-    def __init__(self, child: Operator, fixed_tuple_size: Optional[int] = None):
-        self.child = child
-        self.schema = child.schema
-        self.fixed_tuple_size = fixed_tuple_size
-
-    def materialize(self, ctx: ExecutionContext) -> HeapFile:
-        """Write the child's tuples into a scratch heap file, charging the I/O."""
-        name = ctx.scratch_name("rel")
-        with ctx.disk.use_stats(ctx.stats):
-            heap = HeapFile(name, self.schema, ctx.disk, self.fixed_tuple_size)
-            heap.load(self.child.tuples(ctx))
-        return heap
-
-    def _tuples(self, ctx: ExecutionContext) -> Iterator[FuzzyTuple]:
-        heap = self.materialize(ctx)
-        with ctx.disk.use_stats(ctx.stats):
-            for page_index in range(heap.n_pages):
-                page = ctx.disk.read_page(heap.name, page_index)
-                for record in page.records():
-                    yield heap.serializer.decode(record)
-
-    def describe(self) -> str:
-        """One-line label for plan rendering."""
-        return "Materialize"
-
-    def children(self) -> List[Operator]:
-        """The single child operator."""
-        return [self.child]
+def materialize(source: Operator, ctx: ExecutionContext) -> HeapFile:
+    """Write ``source``'s tuples into a scratch heap file (needed before
+    sorting), charging the I/O; :meth:`ExecutionContext.release` deletes it."""
+    name = ctx.scratch_name("rel")
+    with ctx.disk.use_stats(ctx.stats):
+        heap = HeapFile(name, source.schema, ctx.disk)
+        heap.load(source.tuples(ctx))
+    return heap
 
 
 def _as_heap(source: Operator, ctx: ExecutionContext) -> Tuple[HeapFile, Optional[str]]:
@@ -262,7 +236,7 @@ def _as_heap(source: Operator, ctx: ExecutionContext) -> Tuple[HeapFile, Optiona
     read unchanged, its catalog name (what its shard placement is keyed by)."""
     if isinstance(source, Scan) and not source.predicates:
         return live_heap(source, ctx.catalog), source.table
-    return Materialize(source).materialize(ctx), None
+    return materialize(source, ctx), None
 
 
 def join_rows(

@@ -94,7 +94,6 @@ class MergeJoin:
         stats: OperationStats,
         indicator: bool = False,
         metrics=None,
-        tracer=None,
     ):
         """``indicator=True`` enables the equality-indicator optimization
         in the spirit of Zhang & Wang (TKDE 2000), which the paper cites as
@@ -110,7 +109,6 @@ class MergeJoin:
         self.stats = stats
         self.indicator = indicator
         self.metrics = metrics
-        self.tracer = tracer
         #: Every rung this join stepped down to, chained in order as
         #: ``"a; then b"`` (``None``: every merge scan ran to the end).
         #: Operators report it through
@@ -162,8 +160,7 @@ class MergeJoin:
 
         with self.disk.use_stats(self.stats):
             sorter = ExternalSorter(
-                self.disk, self.buffer_pages, self.stats,
-                metrics=self.metrics, tracer=self.tracer,
+                self.disk, self.buffer_pages, self.stats, metrics=self.metrics
             )
             sorted_r = sorted_s = None
             # The sorted temporaries are deleted in a finally so a fault
@@ -182,7 +179,7 @@ class MergeJoin:
                     )
                     return
                 with self.stats.enter_phase(JOIN_PHASE), maybe_span(
-                    self.tracer, f"probe {outer.name} x {inner.name}"
+                    self.metrics, f"probe {outer.name} x {inner.name}"
                 ):
                     yield from self._join_phase(
                         sorted_r, outer_attr, sorted_s, inner_attr,

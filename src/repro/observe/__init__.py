@@ -4,17 +4,19 @@ The paper's whole argument is quantitative — merge-join vs nested-loop
 I/O counts, buffer locality, intermediate-relation sizes — so the engine
 must be able to *show its work*.  This package provides
 
-* :class:`~repro.observe.metrics.QueryMetrics` — an opt-in collector that
-  every layer (operators, joins, external sort, buffer pool, simulated
-  disk) reports into when one is attached to the
-  :class:`~repro.engine.operators.ExecutionContext`;
+* :class:`~repro.observe.metrics.QueryMetrics` — the query's one
+  instrument: an opt-in collector that every layer (operators, joins,
+  external sort, simulated disk) reports into when one is attached to the
+  :class:`~repro.engine.operators.ExecutionContext`, and that owns the
+  query's span tree (``metrics.tracer``);
 * :mod:`~repro.observe.explain` — rendering of physical plans as
   indented trees (``EXPLAIN``) and, under a collector, each operator's
   counted rows, prunes and time (``EXPLAIN ANALYZE``); it shows what ran
   and estimates nothing;
-* :class:`~repro.observe.trace.SpanTracer` — a hierarchical span tracer
-  (parse / bind / rewrite / sort / merge / probe) exportable as Chrome
-  ``trace_event`` JSON for ``chrome://tracing`` / Perfetto;
+* :class:`~repro.observe.trace.SpanTracer` — the collector's span tree
+  (query / parse / bind / rewrite / sort / merge / probe / operator
+  streams) exportable as Chrome ``trace_event`` JSON for
+  ``chrome://tracing`` / Perfetto;
 * :class:`~repro.observe.recorder.QueryEvent` — the one per-query record
   (plan summary, cache outcome, page I/O, comparison counts, modelled
   seconds, per-shard I/O, typed failure), built once per query
@@ -38,7 +40,8 @@ must be able to *show its work*.  This package provides
 
 Collection is strictly opt-in: with no collector, tracer, registry or
 recorder attached the hot paths run the exact same code as before
-(guarded by ``if ctx.metrics is not None`` / ``if tracer is not None``).
+(guarded by ``if ctx.metrics is not None``, or routed through
+:func:`~repro.observe.trace.maybe_span`).
 """
 
 from .explain import render_plan, render_report

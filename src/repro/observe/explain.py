@@ -124,13 +124,7 @@ def render_report(
             f"{sort.runs} runs, {sort.merge_passes} merge passes"
         )
 
-    buffer = metrics.buffer
-    if buffer.accesses:
-        lines.append(
-            f"buffer: hits={buffer.hits}, misses={buffer.misses}, "
-            f"re-fetches={buffer.re_fetches}"
-        )
-    elif buffer_pages is not None and metrics.page_trace:
+    if buffer_pages is not None and metrics.page_trace:
         replay = metrics.buffer_replay(buffer_pages)
         lines.append(
             f"buffer (LRU replay, {buffer_pages} frames): "
@@ -152,8 +146,10 @@ def render_report(
                 line += f", index pages read={counters.index_pages_read}"
             lines.append(line)
 
-    for name, seconds in metrics.spans.items():
-        lines.append(f"span {name}: {seconds * 1000.0:.2f}ms")
+    # The latest ``query`` span: a caller's tracer may hold earlier runs.
+    query = [span for span in metrics.tracer.walk() if span.name == "query"]
+    if query:
+        lines.append(f"span query: {query[-1].seconds * 1000.0:.2f}ms")
 
     if n_answers is not None:
         lines.append(f"answer: {n_answers} tuples")

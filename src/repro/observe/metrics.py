@@ -5,14 +5,15 @@ One collector instance accompanies one query execution.  It gathers
 * per-operator counters (rows in/out, degree-threshold prunes, pairs a
   fold skipped as decided, inclusive wall time) keyed by operator identity;
 * external-sort shape (initial runs, merge passes) per sort;
-* buffer-pool hits and misses (reported by a
-  :class:`~repro.storage.buffer.BufferPool` carrying the collector);
 * a page-access trace from the simulated disk (via :meth:`watch_disk`),
   tagged with the :class:`~repro.storage.stats.OperationStats` phase that
   was active at access time — this is what lets tests assert the paper's
   locality claim ("a page of S is never re-read once the merge scan
-  passes it") page by page;
-* span-style wall-clock timings (:meth:`span`);
+  passes it") page by page, and replayed through an LRU pool for the
+  buffer's hits and re-fetches (:meth:`buffer_replay`);
+* the query's span tree (:attr:`tracer`): the ``query`` span the
+  lifecycle opens, the phases below it (:meth:`span`) and one span per
+  operator stream;
 * which unnest rewrite fired and which execution strategy ran.
 
 Everything is plain data; rendering lives in :mod:`repro.observe.explain`.
@@ -23,10 +24,11 @@ from __future__ import annotations
 import time
 from collections import Counter, OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..storage.stats import OperationStats
+from .trace import SpanTracer
 
 
 @dataclass
@@ -59,7 +61,7 @@ class SortMetrics:
 
 @dataclass
 class BufferMetrics:
-    """Buffer-pool outcome counts.
+    """Buffer outcome counts of an LRU replay (:meth:`QueryMetrics.buffer_replay`).
 
     ``re_fetches`` counts misses for pages that had been fetched before —
     the locality violations the paper argues the merge join never incurs
@@ -132,9 +134,9 @@ class QueryMetrics:
         self.operators: "OrderedDict[int, OperatorMetrics]" = OrderedDict()
         self._nodes: Dict[int, object] = {}
         self.sorts: List[SortMetrics] = []
-        self.buffer = BufferMetrics()
-        self._buffer_seen: set = set()
-        self.spans: Dict[str, float] = {}
+        #: The query's span tree; a door given ``tracer=`` installs that
+        #: tracer here instead.
+        self.tracer = SpanTracer()
         self.steps: List[StepMetrics] = []
         self.page_trace: List[PageAccess] = []
         self.rewrite: Optional[str] = None
@@ -214,32 +216,31 @@ class QueryMetrics:
             yield self._nodes.get(key), om
 
     def stream(self, operator: object, iterator: Iterator) -> Iterator:
-        """Wrap an operator's tuple stream, counting rows and wall time."""
+        """Wrap an operator's tuple stream, counting rows and per-pull time.
+
+        The stream is one span named by the operator's label, opened at
+        the first pull.  Operator streams are pulled strictly nested (a
+        parent's generator body drives its children), so the spans nest
+        as the plan tree does.  The span also covers the consumer's work
+        between pulls; ``wall_seconds`` counts only the pulls.
+        """
         om = self.op(operator)
         clock = time.perf_counter
-        while True:
-            started = clock()
-            try:
-                item = next(iterator)
-            except StopIteration:
+        with self.tracer.span(om.label):
+            while True:
+                started = clock()
+                try:
+                    item = next(iterator)
+                except StopIteration:
+                    om.wall_seconds += clock() - started
+                    return
                 om.wall_seconds += clock() - started
-                return
-            om.wall_seconds += clock() - started
-            om.rows_out += 1
-            yield item
+                om.rows_out += 1
+                yield item
 
-    # ------------------------------------------------------------------
-    # Spans
-    # ------------------------------------------------------------------
-    @contextmanager
-    def span(self, name: str):
-        """Time a region of the execution under ``name`` (re-entrant sum)."""
-        started = time.perf_counter()
-        try:
-            yield self
-        finally:
-            elapsed = time.perf_counter() - started
-            self.spans[name] = self.spans.get(name, 0.0) + elapsed
+    def span(self, name: str, **args):
+        """Open a span named ``name`` in the query's tree (a context manager)."""
+        return self.tracer.span(name, **args)
 
     # ------------------------------------------------------------------
     # Storage-layer reporting
@@ -247,17 +248,6 @@ class QueryMetrics:
     def record_sort(self, sort: SortMetrics) -> None:
         """Attach the metrics of one finished external sort."""
         self.sorts.append(sort)
-
-    def record_buffer(self, hit: bool, file: str, index: int) -> None:
-        """Called by a :class:`BufferPool` carrying this collector."""
-        key = (file, index)
-        if hit:
-            self.buffer.hits += 1
-        else:
-            self.buffer.misses += 1
-            if key in self._buffer_seen:
-                self.buffer.re_fetches += 1
-        self._buffer_seen.add(key)
 
     def record_page_access(self, kind: str, file: str, index: int, phase: str) -> None:
         """Append one page-granularity access to the locality trace."""
@@ -344,6 +334,5 @@ class QueryMetrics:
     def __repr__(self) -> str:
         return (
             f"QueryMetrics(operators={len(self.operators)}, "
-            f"sorts={len(self.sorts)}, buffer={self.buffer.accesses} accesses, "
-            f"trace={len(self.page_trace)} transfers)"
+            f"sorts={len(self.sorts)}, trace={len(self.page_trace)} transfers)"
         )

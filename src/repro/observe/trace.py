@@ -8,11 +8,11 @@ its child.  The tree can be rendered as indented text
 format (:meth:`SpanTracer.to_chrome` / :meth:`SpanTracer.export`), which
 ``chrome://tracing`` and Perfetto load directly.
 
-Like the :class:`~repro.observe.metrics.QueryMetrics` collector, tracing
-is strictly opt-in: every emission point is guarded by an
-``if tracer is not None`` check (or routed through :func:`maybe_span`,
-which degrades to a no-op context), and with no tracer attached the
-operators hand back their raw generators.
+A query's tracer is owned by its
+:class:`~repro.observe.metrics.QueryMetrics` collector (``metrics.tracer``);
+the layers below the front door open spans with :func:`maybe_span`, which
+degrades to a no-op context when no collector is attached.  The write path
+has no collector and takes a tracer directly.
 """
 
 from __future__ import annotations
@@ -133,16 +133,6 @@ class SpanTracer:
         """The tracer's clock, for worker threads timestamping their spans."""
         return self._clock()
 
-    def stream(self, name: str, iterator: Iterator, **args) -> Iterator:
-        """Wrap a tuple stream in a span opened at first pull.
-
-        Operator streams are pulled strictly nested (a parent's generator
-        body drives its children), so the begin/end order matches the plan
-        tree.
-        """
-        with self.span(name, **args):
-            yield from iterator
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -205,10 +195,11 @@ class SpanTracer:
 
 
 @contextmanager
-def maybe_span(tracer: Optional[SpanTracer], name: str, **args):
-    """``tracer.span(name)`` when a tracer is attached, else a no-op."""
-    if tracer is None:
+def maybe_span(instrument, name: str, **args):
+    """``instrument.span(name)`` — a query's collector or the write path's
+    tracer — when one is attached, else a no-op yielding ``None``."""
+    if instrument is None:
         yield None
     else:
-        with tracer.span(name, **args) as span:
+        with instrument.span(name, **args) as span:
             yield span

@@ -178,7 +178,6 @@ class PartitionedBandJoin(MergeJoin):
         placement=None,
         tables: Tuple[Optional[str], Optional[str]] = (None, None),
         metrics=None,
-        tracer=None,
         guard: Optional[QueryGuard] = None,
         partitioner: Optional[RangePartitioner] = None,
     ):
@@ -187,7 +186,7 @@ class PartitionedBandJoin(MergeJoin):
         layouts are looked up by the catalog names ``tables`` of the outer
         and inner input.  An explicit ``partitioner`` replaces boundary
         sampling — the property tests drive arbitrary cuts with it."""
-        super().__init__(disk, buffer_pages, stats, metrics=metrics, tracer=tracer)
+        super().__init__(disk, buffer_pages, stats, metrics=metrics)
         self.workers = workers
         self.placement = placement
         self.tables = tables
@@ -338,7 +337,7 @@ class PartitionedBandJoin(MergeJoin):
         """Run the slices' folds, ``width`` at a time, and splice them in
         slice order.  ``fold`` is ``(outer_attr, inner_attr, pair_degree,
         init, step, decided)``."""
-        clock = self.tracer.now if self.tracer is not None else (lambda: 0.0)
+        clock = self.metrics.tracer.now if self.metrics is not None else (lambda: 0.0)
         fold = (source.kind, *fold)
 
         def task(sl: Slice, linked: CancelToken):
@@ -368,8 +367,7 @@ class PartitionedBandJoin(MergeJoin):
                 rung = f"{source.kind} {sl.index}: {slice_rung}"
             if self.metrics is not None:
                 self.metrics.slices.append(entry)
-            if self.tracer is not None:
-                self.tracer.record(
+                self.metrics.tracer.record(
                     f"{source.kind} {sl.index}", started, ended, rows=entry.rows_out
                 )
         if failovers:

@@ -37,7 +37,7 @@ from .engine.grouped import CrossSpec, GroupedAntiJoin, GroupMode
 from .engine.operators import BandFold, Operator, Scan, Threshold, cluster
 from .engine.pipelined import JAPipeline
 from .fuzzy.compare import Op
-from .observe.trace import SpanTracer, maybe_span
+from .observe.trace import maybe_span
 from .service.prepared import PlanArtifact, PreparedQuery
 from .sql.ast import ColumnRef, SelectQuery, TableRef
 from .sql.classify import NestingType
@@ -86,7 +86,7 @@ def plan(
     nesting: NestingType,
     catalog,
     n_params: int = 0,
-    tracer: Optional[SpanTracer] = None,
+    metrics=None,
 ) -> PlanArtifact:
     """Plan one statement as far as it allows: rewrite, build, compile.
 
@@ -98,13 +98,13 @@ def plan(
     """
     try:
         if nesting in FLAT_TYPES:
-            with maybe_span(tracer, "rewrite"):
+            with maybe_span(metrics, "rewrite"):
                 unnested = unnest(query, catalog.schemas, nesting)
                 if unnested.steps or not isinstance(unnested.final, SelectQuery):
                     raise UnnestError("not a single flat query")
             operator = None
             if n_params == 0:
-                with maybe_span(tracer, "compile"):
+                with maybe_span(metrics, "compile"):
                     operator = _compile(unnested.final, catalog)
             return PlanArtifact(
                 "flat",
@@ -119,7 +119,7 @@ def plan(
                     "deferred",
                     strategy="planned per execution, once the placeholders are bound",
                 )
-            with maybe_span(tracer, "rewrite"):
+            with maybe_span(metrics, "rewrite"):
                 if nesting is NestingType.TYPE_JA:
                     return _plan_ja(query, nesting, catalog)
                 return _plan_grouped(query, nesting, catalog)
@@ -143,7 +143,7 @@ def finish(
     prepared: PreparedQuery,
     params: tuple,
     catalog,
-    tracer: Optional[SpanTracer] = None,
+    metrics=None,
 ) -> Tuple[SelectQuery, PlanArtifact]:
     """Bind ``params`` and complete what :func:`plan` had to leave open.
 
@@ -156,16 +156,16 @@ def finish(
     query, artifact = prepared.template, prepared.artifact
     if not prepared.param_count:
         return query, artifact
-    with maybe_span(tracer, "bind-params"):
+    with maybe_span(metrics, "bind-params"):
         query = prepared.bind(params)
         flat = artifact.flat
         if flat is not None:
             flat = bind_parameters(flat, params)
     if artifact.kind == "deferred":
-        return query, plan(query, prepared.nesting, catalog, 0, tracer)
+        return query, plan(query, prepared.nesting, catalog, 0, metrics)
     if artifact.kind == "flat":
         try:
-            with maybe_span(tracer, "compile"):
+            with maybe_span(metrics, "compile"):
                 return query, replace(artifact, operator=_compile(flat, catalog))
         except CompileError as refusal:
             # The bound values left the unnested fragment.

@@ -8,13 +8,15 @@ alike::
     text -> cache lookup -> prepare -> artifact -> run -> observe
 
 :class:`StatementLifecycle` owns the stages that do not depend on the
-engine (lookup, the collector / tracer / timing wrapper, the one
-:class:`~repro.observe.recorder.QueryEvent` handed to the workload sinks,
-failure recording, health); a front door supplies three hooks:
+engine (lookup, the collector and its ``query`` span — the query's one
+clock — the one :class:`~repro.observe.recorder.QueryEvent` handed to the
+workload sinks, failure recording, health); a front door supplies three
+hooks, which see only the collector (``None``: uninstrumented) and open
+their spans in its tree with :func:`~repro.observe.trace.maybe_span`:
 
-``_prepare(statement, tracer, text)``
+``_prepare(statement, metrics, text)``
     parse + classify + plan, returning a :class:`PreparedQuery`;
-``_run_prepared(prepared, params, collector, tracer, **options)``
+``_run_prepared(prepared, params, collector, **options)``
     execute the prepared artifact (the door's one runner);
 ``_plan_tokens(names)``
     the validation tokens plan-cache entries are checked against.
@@ -22,7 +24,6 @@ failure recording, health); a front door supplies three hooks:
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from ..errors import FuzzyQueryError, QueryCancelledError, QueryTimeoutError
@@ -69,7 +70,7 @@ class StatementLifecycle:
             self.registry.count_prepared()
         return prepared
 
-    def _resolve(self, statement, tracer, text):
+    def _resolve(self, statement, collector, text):
         """``(PreparedQuery, plan-cache outcome)`` for any statement form.
 
         Text goes through the :attr:`plan_cache`; a parsed AST (or any
@@ -83,7 +84,7 @@ class StatementLifecycle:
             key = normalize_sql(text)
             prepared, outcome = self.plan_cache.lookup(key, self._plan_tokens)
         if prepared is None:
-            prepared = self._prepare(statement, tracer, text)
+            prepared = self._prepare(statement, collector, text)
             if prepared.param_count:
                 raise ParameterError(
                     "query() cannot run a statement with ? placeholders; "
@@ -99,64 +100,62 @@ class StatementLifecycle:
     ):
         """Run one SELECT through the lifecycle; ``options`` reach the runner.
 
-        A collector is created only when someone will read it (``metrics``
-        or an attached sink); with none and no tracer, nothing beyond the
-        lookup and the runner executes.  Failed queries are folded into
-        the sinks with their typed outcome before the error propagates.
+        A collector is created only when someone will read it (``metrics``,
+        ``tracer`` or an attached sink); a ``tracer`` is installed as the
+        collector's span tree.  With none of them, nothing beyond the
+        lookup and the runner executes.  The ``query`` span opened here is
+        the query's one clock: the event's wall time is its duration.
+        Failed queries are folded into the sinks with their typed outcome
+        before the error propagates.
         """
         if text is None and isinstance(statement, str):
             text = statement
         collector = metrics
-        if collector is None and (self.registry is not None or self.recorder is not None):
+        if collector is None and (
+            tracer is not None or self.registry is not None or self.recorder is not None
+        ):
             collector = QueryMetrics()
+        if tracer is not None:
+            collector.tracer = tracer
         self.last_metrics = collector
         self.last_plan = None
-        started = time.perf_counter()
-        prepared = None
+        prepared = span = None
         try:
-            with maybe_span(tracer, "query"):
-                prepared, outcome = self._resolve(statement, tracer, text)
-                if collector is None:
-                    result = self._run_prepared(
-                        prepared, params, None, tracer, **options
-                    )
-                else:
+            with maybe_span(collector, "query") as span:
+                prepared, outcome = self._resolve(statement, collector, text)
+                if collector is not None:
                     collector.nesting_type = prepared.nesting.value
                     # Only explicit PreparedQuery.execute calls count as
                     # prepared executions, not plan-cache hits of query().
                     collector.prepared = prepared is statement
                     collector.plan_cache = outcome
-                    with collector.span("query"):
-                        result = self._run_prepared(
-                            prepared, params, collector, tracer, **options
-                        )
+                result = self._run_prepared(prepared, params, collector, **options)
         except FuzzyQueryError as exc:
             label = prepared.sql_text if prepared is not None else text or str(statement)
-            self._record_failure(label, collector, started, exc)
+            self._record_failure(label, collector, span, exc)
             raise
         prepared.executions += 1
-        wall = time.perf_counter() - started
-        self._observe_query(prepared.sql_text, collector, wall, len(result))
+        self._observe_query(prepared.sql_text, collector, span, len(result))
         return result
 
-    def _observe_query(self, sql_text, collector, wall, rows, error="") -> None:
+    def _observe_query(self, sql_text, collector, span, rows, error="") -> None:
         """Hand one finished query to every attached workload sink.
 
         The single funnel: one :class:`~repro.observe.recorder.QueryEvent`
-        is built from the collector and both the registry and the flight
-        recorder receive that same event, so they agree on query counts,
-        statement identity and every total.  No event is built when no
-        sink is attached.
+        is built from the collector, its wall time read from the query's
+        ``span``, and both the registry and the flight recorder receive
+        that same event, so they agree on query counts, statement identity
+        and every total.  No event is built when no sink is attached.
         """
         if collector is None or (self.registry is None and self.recorder is None):
             return
-        event = build_event(sql_text, collector, wall, rows, error)
+        event = build_event(sql_text, collector, span.seconds, rows, error)
         if self.registry is not None:
             self.registry.observe(event)
         if self.recorder is not None:
             self.recorder.record(event)
 
-    def _record_failure(self, sql_text, collector, started, exc) -> None:
+    def _record_failure(self, sql_text, collector, span, exc) -> None:
         """Fold a failed query into the sinks with its typed outcome."""
         if self.registry is not None:
             self.registry.count_error(type(exc).__name__)
@@ -168,8 +167,7 @@ class StatementLifecycle:
             collector.outcome = "cancelled"
         else:
             collector.outcome = "error"
-        wall = time.perf_counter() - started
-        self._observe_query(sql_text, collector, wall, 0, error=type(exc).__name__)
+        self._observe_query(sql_text, collector, span, 0, error=type(exc).__name__)
 
     def health(
         self,

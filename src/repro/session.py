@@ -12,8 +12,8 @@ through the buffer (charged).
 
 All I/O and CPU events of the last query are available in
 :attr:`last_stats`; :attr:`last_strategy` names the path taken.  The
-stages around the runner (plan-cache lookup, collector / tracer wrapper,
-workload sinks) are the shared
+stages around the runner (plan-cache lookup, the collector and its
+``query`` span, workload sinks) are the shared
 :class:`~repro.service.lifecycle.StatementLifecycle`.
 """
 
@@ -536,12 +536,14 @@ class StorageSession(StatementLifecycle):
 
         With ``metrics`` the whole execution is traced: every disk page
         transfer, operator counters, sort shapes, the nesting type, which
-        rewrite fired, and the strategy taken.  With ``tracer`` the
-        parse/bind/rewrite/sort/merge/probe phases are recorded as a span
-        tree.  When a :attr:`registry` or :attr:`recorder` is attached, a
-        collector is created as needed and both receive the query's one
-        event.  With nothing attached, nothing extra runs — operators
-        stream their raw generators.
+        rewrite fired, the strategy taken, and the span tree of the
+        parse/bind/rewrite/sort/merge/probe phases and operator streams
+        (``metrics.tracer``).  A ``tracer`` becomes that span tree, and a
+        query given only a tracer gets a collector.  When a
+        :attr:`registry` or :attr:`recorder` is attached, a collector is
+        created as needed and both receive the query's one event.  With
+        nothing attached, nothing extra runs — operators stream their raw
+        generators.
 
         ``timeout_ms`` sets a per-query deadline and ``cancel`` a
         cooperative :class:`~repro.resilience.CancelToken`; both are
@@ -577,15 +579,15 @@ class StorageSession(StatementLifecycle):
             )
 
     def trace(self, sql: Union[str, SelectQuery]) -> SpanTracer:
-        """Run a query with a fresh span tracer attached and return it.
+        """Run a query with a fresh collector and return its span tracer.
 
         The tracer's tree (``render_tree()``) shows where the time went;
         ``export(path)`` writes Chrome ``trace_event`` JSON for
         ``chrome://tracing`` / Perfetto.
         """
-        tracer = SpanTracer()
-        self.query(sql, tracer=tracer)
-        return tracer
+        metrics = QueryMetrics()
+        self.query(sql, metrics=metrics)
+        return metrics.tracer
 
     # ------------------------------------------------------------------
     # Prepared statements and the plan cache
@@ -593,15 +595,15 @@ class StorageSession(StatementLifecycle):
     def _prepare(
         self,
         sql: Union[str, SelectQuery],
-        tracer: Optional[SpanTracer] = None,
+        metrics: Optional[QueryMetrics] = None,
         text: Optional[str] = None,
     ) -> PreparedQuery:
-        with maybe_span(tracer, "parse"):
+        with maybe_span(metrics, "parse"):
             template = parse(sql) if isinstance(sql, str) else sql
-        with maybe_span(tracer, "bind"):
+        with maybe_span(metrics, "bind"):
             nesting = classify(template, self.schemas)
         n_params = count_parameters(template)
-        artifact = planner.plan(template, nesting, self, n_params, tracer)
+        artifact = planner.plan(template, nesting, self, n_params, metrics)
         if text is None:
             text = str(sql)
         return PreparedQuery(self, text, template, nesting, n_params, artifact)
@@ -630,7 +632,6 @@ class StorageSession(StatementLifecycle):
         prepared: PreparedQuery,
         params: tuple,
         metrics: Optional[QueryMetrics],
-        tracer: Optional[SpanTracer],
         workers: Optional[int] = None,
         shards: Optional[int] = None,
         guard: Optional[QueryGuard] = None,
@@ -657,10 +658,10 @@ class StorageSession(StatementLifecycle):
             metrics.stats = stats
             watch = metrics.watch_disk(self.disk)
         with watch:
-            query, artifact = planner.finish(prepared, params, self, tracer)
+            query, artifact = planner.finish(prepared, params, self, metrics)
             operator = artifact.operator
             if operator is None:
-                return self._run_naive(query, artifact, stats, metrics, tracer)
+                return self._run_naive(query, artifact, stats, metrics)
             self.last_plan = operator
             self._announce(artifact, metrics)
             return operator.to_relation(
@@ -669,7 +670,6 @@ class StorageSession(StatementLifecycle):
                     self.buffer_pages,
                     stats,
                     metrics=metrics,
-                    tracer=tracer,
                     workers=workers,
                     guard=guard,
                     shards=shards,
@@ -772,11 +772,10 @@ class StorageSession(StatementLifecycle):
         artifact: PlanArtifact,
         stats: OperationStats,
         metrics: Optional[QueryMetrics] = None,
-        tracer: Optional[SpanTracer] = None,
     ) -> FuzzyRelation:
         self._announce(artifact, metrics)
         catalog = Catalog(self.vocabulary)
-        with maybe_span(tracer, "scan tables"), self.disk.use_stats(stats):
+        with maybe_span(metrics, "scan tables"), self.disk.use_stats(stats):
             for name, heap in self.tables.items():
                 relation = FuzzyRelation(heap.schema)
                 for record in self.disk.records(heap.name):
@@ -785,5 +784,5 @@ class StorageSession(StatementLifecycle):
         evaluator = NaiveEvaluator(
             catalog, aggregate_policy=self.aggregate_policy, stats=stats
         )
-        with maybe_span(tracer, "evaluate"):
+        with maybe_span(metrics, "evaluate"):
             return evaluator.evaluate(query)

@@ -67,7 +67,6 @@ class ExternalSorter:
         buffer_pages: int,
         stats: OperationStats,
         metrics=None,
-        tracer=None,
     ):
         if buffer_pages < 3:
             raise ValueError("external sort needs at least 3 buffer pages")
@@ -75,7 +74,6 @@ class ExternalSorter:
         self.buffer_pages = buffer_pages
         self.stats = stats
         self.metrics = metrics
-        self.tracer = tracer
 
     # ------------------------------------------------------------------
     # Public API
@@ -108,13 +106,13 @@ class ExternalSorter:
         # deletes them all, plus any partial output file, and re-raises.
         live: List[str] = []
         try:
-            with maybe_span(self.tracer, f"sort {source.name}", attribute=attribute):
+            with maybe_span(self.metrics, f"sort {source.name}", attribute=attribute):
                 with self.disk.use_stats(self.stats), self.stats.enter_phase(SORT_PHASE):
-                    with maybe_span(self.tracer, "runs"):
+                    with maybe_span(self.metrics, "runs"):
                         runs = self._generate_runs(source, key_index, live)
                     if record is not None:
                         record.runs = len(runs)
-                    with maybe_span(self.tracer, "merge"):
+                    with maybe_span(self.metrics, "merge"):
                         runs = self._merge_until_few(source, runs, key_index, record, live)
                         if record is not None:
                             record.merge_passes += 1  # the final merge that writes the output

@@ -32,7 +32,7 @@ class BufferPool:
     shared by concurrent sessions.
     """
 
-    def __init__(self, disk: SimulatedDisk, capacity: int, metrics=None):
+    def __init__(self, disk: SimulatedDisk, capacity: int):
         if capacity < 1:
             raise ValueError("buffer pool needs at least one frame")
         self.disk = disk
@@ -41,10 +41,6 @@ class BufferPool:
         self._pins: Dict[FrameKey, int] = {}
         self.hits = 0
         self.misses = 0
-        #: Optional :class:`~repro.observe.metrics.QueryMetrics` collector;
-        #: hits and misses are reported per page so locality claims can be
-        #: checked (a re-fetch = a page missed after having been resident).
-        self.metrics = metrics
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -56,13 +52,9 @@ class BufferPool:
         with self._lock:
             if key in self._frames:
                 self.hits += 1
-                if self.metrics is not None:
-                    self.metrics.record_buffer(True, file, index)
                 self._frames.move_to_end(key)
             else:
                 self.misses += 1
-                if self.metrics is not None:
-                    self.metrics.record_buffer(False, file, index)
                 self._evict_until_free()
                 self._frames[key] = self.disk.read_page(file, index)
             if pin:

@@ -511,14 +511,12 @@ class TestIndexMergeJoinPath:
         disk.armed = True
         with pytest.raises(StorageFaultError):
             indexed.query(JOIN_SQL)
-        pool = BufferPool(disk, capacity=8)
         plan.fail_read(disk._read_ordinal + 2, times=10)
-        ctx = ExecutionContext(disk, indexed.buffer_pages, pool=pool, catalog=indexed)
+        ctx = ExecutionContext(disk, indexed.buffer_pages, catalog=indexed)
         with pytest.raises(StorageFaultError):
             query_plan.to_relation(ctx)
         disk.armed = False
 
-        assert pool.in_use == 0
         assert sorted(disk.files()) == files
         for key, copy in indexed.indexes.items():
             assert page_images(disk, copy.name) == copies[key]

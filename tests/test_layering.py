@@ -25,7 +25,10 @@ handed to the registry and the flight recorder in one place, so the two
 workload sinks cannot drift apart.  Observing is free: only the write and
 DDL paths move a statistics version, and EXPLAIN, EXPLAIN ANALYZE and the
 health report move none, so looking at a query never invalidates a
-cached plan.  Runs in the suite and as a standalone CI lint step::
+cached plan.  A query has one instrument: the collector, which owns the
+span tree — no function of the engine, join, sort or parallel layers or
+of the planner takes a ``tracer``, and only ``QueryMetrics`` builds a
+``SpanTracer``.  Runs in the suite and as a standalone CI lint step::
 
     python -m pytest -q tests/test_layering.py
 """
@@ -208,6 +211,43 @@ def test_one_query_event_feeds_both_sinks():
         "service/lifecycle.py::StatementLifecycle._observe_query",
         "service/lifecycle.py::StatementLifecycle._observe_query",
     ]
+
+
+def functions_taking_a_tracer(tree):
+    """The functions of ``tree`` with a ``tracer`` parameter."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            arg.arg == "tracer"
+            for arg in [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+        )
+    ]
+
+
+def test_one_instrument_below_the_door():
+    """Below the front door only the collector is threaded: its spans go
+    into the tree it owns (``metrics.tracer``), and nothing else builds
+    one."""
+    found = [
+        f"{path.relative_to(SRC).as_posix()}::{name}"
+        for package in ("engine", "join", "sort", "parallel")
+        for path in sorted((SRC / package).rglob("*.py"))
+        for name in functions_taking_a_tracer(ast.parse(path.read_text()))
+    ]
+    found += functions_taking_a_tracer(ast.parse((SRC / "planner.py").read_text()))
+    assert found == []
+    assert construction_sites("", "SpanTracer") == ["observe/metrics.py::QueryMetrics.__init__"]
+
+
+def test_the_tracer_rule_sees_every_parameter_kind():
+    tree = ast.parse(
+        "def a(x, tracer=None): pass\n"
+        "def b(x, *, tracer): pass\n"
+        "class C:\n    def c(self, metrics=None): pass\n"
+    )
+    assert functions_taking_a_tracer(tree) == ["a", "b"]
 
 
 def moves_a_version(call) -> bool:

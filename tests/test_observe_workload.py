@@ -63,6 +63,27 @@ def build_session(seed=11, n=30, tables=("R", "S")):
     return session
 
 
+def assert_type_j_tree(tracer):
+    """``TYPE_J_SQL``'s span tree: the ``query`` root over the planning
+    phases and the operator spans, nested like the compiled plan."""
+    assert [s.name for s in tracer.roots] == ["query"]
+    names = [c.name for c in tracer.roots[0].children]
+    for phase in ("parse", "bind", "rewrite", "compile"):
+        assert phase in names
+    # The operator spans nest exactly like the compiled plan.
+    threshold = tracer.find("Threshold")
+    assert threshold is not None
+    project = threshold.find("Project")
+    assert project is not None and project is not threshold
+    join = project.find("MaxFold")
+    assert join is not None
+    # The join's own phases hang below it: two sorts and the probe.
+    sorts = [c for c in join.children if c.name.startswith("sort ")]
+    assert len(sorts) == 2
+    assert all(c.find("runs") and c.find("merge") for c in sorts)
+    assert any(c.name.startswith("probe ") for c in join.children)
+
+
 # ----------------------------------------------------------------------
 # The span tracer
 # ----------------------------------------------------------------------
@@ -86,33 +107,19 @@ class TestSpanTracer:
             assert span is None
 
     def test_stream_opens_span_at_first_pull(self):
-        tracer = SpanTracer()
-        wrapped = tracer.stream("scan", iter(range(3)))
-        assert tracer.roots == []  # lazy: nothing recorded before the pull
+        metrics = QueryMetrics()
+        node = object()
+        wrapped = metrics.stream(node, iter(range(3)))
+        assert metrics.tracer.roots == []  # lazy: nothing recorded before the pull
         assert list(wrapped) == [0, 1, 2]
-        assert [s.name for s in tracer.roots] == ["scan"]
+        assert [s.name for s in metrics.tracer.roots] == ["object"]
+        assert metrics.for_node(node).rows_out == 3
 
     def test_query_trace_matches_the_executed_plan_tree(self):
         session = build_session()
         tracer = SpanTracer()
         session.query(TYPE_J_SQL, tracer=tracer)
-
-        assert [s.name for s in tracer.roots] == ["query"]
-        names = [c.name for c in tracer.roots[0].children]
-        for phase in ("parse", "bind", "rewrite", "compile"):
-            assert phase in names
-        # The operator spans nest exactly like the compiled plan.
-        threshold = tracer.find("Threshold")
-        assert threshold is not None
-        project = threshold.find("Project")
-        assert project is not None and project is not threshold
-        join = project.find("MaxFold")
-        assert join is not None
-        # The join's own phases hang below it: two sorts and the probe.
-        sorts = [c for c in join.children if c.name.startswith("sort ")]
-        assert len(sorts) == 2
-        assert all(c.find("runs") and c.find("merge") for c in sorts)
-        assert any(c.name.startswith("probe ") for c in join.children)
+        assert_type_j_tree(tracer)
 
     def test_chrome_export_is_valid_and_containment_matches(self, tmp_path):
         session = build_session()
@@ -168,6 +175,42 @@ class TestSpanTracer:
 
 
 # ----------------------------------------------------------------------
+# One instrument per query: the collector owns the span tree and the clock
+# ----------------------------------------------------------------------
+class TestOneInstrument:
+    def test_a_collector_alone_records_the_span_tree(self):
+        session = build_session()
+        metrics = QueryMetrics()
+        session.query(TYPE_J_SQL, metrics=metrics)
+        assert_type_j_tree(metrics.tracer)
+
+    def test_the_event_and_explain_analyze_read_the_query_span(self):
+        session = build_session()
+        session.recorder = FlightRecorder()
+        tracer = SpanTracer()
+        session.query(TYPE_J_SQL, tracer=tracer)
+        [event] = session.recorder.events()
+        assert event.wall_seconds == tracer.find("query").seconds
+
+        report = session.explain_analyze(TYPE_J_SQL)
+        analyzed = session.recorder.events()[-1]
+        [line] = [line for line in report.splitlines() if line.startswith("span ")]
+        assert line == f"span query: {analyzed.wall_seconds * 1000.0:.2f}ms"
+
+    def test_a_caller_span_around_the_query_is_not_its_clock(self):
+        session = build_session()
+        session.recorder = FlightRecorder()
+        tracer = SpanTracer()
+        with tracer.span("outer"):
+            session.query(TYPE_J_SQL, tracer=tracer)
+            sum(range(100000))  # the outer span outlives the query
+        [event] = session.recorder.events()
+        assert [s.name for s in tracer.roots] == ["outer"]
+        assert event.wall_seconds == tracer.find("query").seconds
+        assert event.wall_seconds < tracer.roots[0].seconds
+
+
+# ----------------------------------------------------------------------
 # Zero overhead when detached
 # ----------------------------------------------------------------------
 class TestZeroOverhead:
@@ -176,19 +219,21 @@ class TestZeroOverhead:
 
         session = build_session()
         ctx = ExecutionContext(session.disk, session.buffer_pages)
-        assert ctx.metrics is None and ctx.tracer is None
+        assert ctx.metrics is None
         stream = Scan(session.tables["R"]).tuples(ctx)
         assert stream.gi_code.co_name == "_tuples"
 
-    def test_tracer_alone_wraps_the_stream(self):
+    def test_a_collector_wraps_once(self):
         from repro.engine.operators import ExecutionContext, Scan
 
         session = build_session()
         ctx = ExecutionContext(
-            session.disk, session.buffer_pages, tracer=SpanTracer()
+            session.disk, session.buffer_pages, metrics=QueryMetrics()
         )
         stream = Scan(session.tables["R"]).tuples(ctx)
         assert stream.gi_code.co_name == "stream"
+        # The collector's wrapper holds the raw generator: no second layer.
+        assert stream.gi_frame.f_locals["iterator"].gi_code.co_name == "_tuples"
 
     def test_counters_identical_with_every_sink_attached(self):
         plain = build_session()

@@ -329,16 +329,13 @@ class TestPartitionedMergeJoin:
     def test_partition_metrics_and_spans_are_recorded(self):
         disk, r, s = self.build(4)
         metrics = QueryMetrics()
-        tracer = SpanTracer()
-        with tracer.span("join"):
-            pairs, reasons = partitioned(
-                disk, r, s, workers=4, metrics=metrics, tracer=tracer
-            )
+        with metrics.span("join"):
+            pairs, reasons = partitioned(disk, r, s, workers=4, metrics=metrics)
         assert not reasons, reasons
         assert metrics.partitions, "partition metrics missing"
         assert sum(p.rows_out for p in metrics.partitions) == len(pairs)
         assert all(p.stats is not None for p in metrics.partitions)
-        root = tracer.roots[0]
+        root = metrics.tracer.roots[0]
         names = [child.name for child in root.children]
         assert any(name.startswith("partition ") for name in names)
 
